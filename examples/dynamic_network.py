@@ -17,13 +17,7 @@ from __future__ import annotations
 
 import random
 
-from repro import (
-    ChurnModel,
-    Rebalancer,
-    channel_skew,
-    ripple_like_topology,
-    run_dynamic_simulation,
-)
+from repro import ChurnModel, Rebalancer, channel_skew, ripple_like_topology
 from repro.sim import flash_factory, run_simulation, shortest_path_factory
 from repro.traces import generate_ripple_workload
 
@@ -40,8 +34,8 @@ def churn_scenario() -> None:
         graph, random.Random(1), opens_per_hour=180, closes_per_hour=180
     )
     events = churn.generate(workload[-1].time)
-    dynamic = run_dynamic_simulation(
-        graph, flash_factory(), workload, events, gossip_period=600.0
+    dynamic = run_simulation(
+        graph, flash_factory(), workload, events=events, gossip_period=600.0
     )
     print(f"  topology events while routing: {len(events)}")
     print(

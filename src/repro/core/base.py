@@ -30,22 +30,12 @@ class RoutingOutcome:
     across all partial payments; it is a reported metric, not deducted from
     channel balances (the paper's simulator measures fees the same way —
     Fig 9 reports the fee-to-volume *ratio*).
-
-    ``started_at``/``settled_at``/``retries`` are filled in by the
-    concurrent engine (:mod:`repro.sim.concurrent`), where a payment
-    starts at its workload time and settles only after its holds clear:
-    simulated-seconds timestamps plus the number of engine-level
-    re-attempts.  The sequential engine leaves them at their zero
-    defaults (routing and settlement are one instant there).
     """
 
     success: bool
     delivered: float
     transfers: tuple[tuple[PathTuple, float], ...] = ()
     fee: float = 0.0
-    started_at: float = 0.0
-    settled_at: float = 0.0
-    retries: int = 0
 
     @staticmethod
     def failure() -> "RoutingOutcome":

@@ -10,6 +10,10 @@ mice" (§4.1) and sweeps it in Fig 10.  Two classifiers are provided:
   the quantile over the payments actually seen, for deployments where no
   historical trace is available (an extension beyond the paper; validated
   in the ablation benches).
+
+The simulation engines tag every record elephant or mouse against a
+:class:`MiceThreshold`, which wraps the offline quantile, a stream's
+hint or a :class:`ReservoirThresholdEstimator` behind one interface.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import bisect
 import random
 from dataclasses import dataclass
 
-from repro.traces.workload import Workload
+from repro.traces.workload import Workload, WorkloadStream
 
 
 @dataclass(frozen=True)
@@ -172,3 +176,34 @@ class ReservoirThresholdEstimator:
         """Observe ``amount``, then classify it with the updated estimate."""
         self.observe(amount)
         return self.is_elephant(amount)
+
+
+class MiceThreshold:
+    """The elephant cutoff an engine tags its records with.
+
+    A materialized :class:`~repro.traces.workload.Workload` fixes it up
+    front at the exact ``mice_fraction`` quantile.  A
+    :class:`~repro.traces.workload.WorkloadStream` uses its
+    ``mice_threshold_hint`` when it has one, and otherwise a
+    :class:`ReservoirThresholdEstimator` fed every amount the engine
+    reads (``observe`` is a no-op in the other two cases).  ``value`` is
+    the current cutoff; an engine reads it when it writes a record.
+    """
+
+    def __init__(
+        self, workload: Workload | WorkloadStream, mice_fraction: float = 0.9
+    ) -> None:
+        self._estimator: ReservoirThresholdEstimator | None = None
+        if not isinstance(workload, WorkloadStream):
+            self.value = workload.threshold_for_mice_fraction(mice_fraction)
+        elif workload.mice_threshold_hint is not None:
+            self.value = workload.mice_threshold_hint
+        else:
+            self._estimator = ReservoirThresholdEstimator(mice_fraction)
+            self.value = 0.0
+
+    def observe(self, amount: float) -> None:
+        """Feed one streamed amount to the online estimate, if any."""
+        if self._estimator is not None:
+            self._estimator.observe(amount)
+            self.value = self._estimator.threshold

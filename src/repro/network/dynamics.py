@@ -16,15 +16,15 @@ This module provides that substrate:
   registered routers via their ``on_topology_update`` hook, batching
   notifications at a gossip period (nodes do not learn instantly).
 
-The trace simulator integration lives in
-:func:`run_dynamic_simulation`, which interleaves workload transactions
-with topology events by timestamp.
+The sequential engine, :func:`repro.sim.engine.run_simulation`, drives
+a :class:`GossipSchedule` on every run and interleaves workload
+transactions with topology events by timestamp;
+:func:`run_dynamic_simulation` is its event-first delegate.
 """
 
 from __future__ import annotations
 
 import enum
-import inspect
 import math
 import random
 from collections.abc import Iterable, Sequence
@@ -230,7 +230,7 @@ def churn_events_for(
     ``preset`` is a :data:`CHURN_PRESETS` key or a :class:`ChurnPreset`;
     the returned events are time-ordered over ``[0, duration_seconds)``
     and ready for :class:`GossipSchedule` /
-    :func:`run_dynamic_simulation`.
+    :func:`repro.sim.engine.run_simulation`.
     """
     if isinstance(preset, str):
         try:
@@ -248,8 +248,8 @@ def prune_paths_for_events(cache: dict, events) -> int:
 
     Shared by the baseline routers' per-pair path caches.  ``cache``
     values may be a single path (list of node ids), a list of paths, or
-    ``None`` (known-unreachable).  With ``events=None`` (legacy
-    no-argument gossip) or any OPEN in the batch, the cache is cleared
+    ``None`` (known-unreachable).  With ``events=None`` (a hook called
+    without a batch) or any OPEN in the batch, the cache is cleared
     wholesale — a new channel can shorten or create a path between any
     pair.  A close-only batch drops just the entries with a cached path
     crossing a closed channel: surviving paths still exist and are still
@@ -286,36 +286,6 @@ def prune_paths_for_events(cache: dict, events) -> int:
     return len(stale)
 
 
-def _accepts_events(router) -> bool:
-    """True when a router's ``on_topology_update`` hook takes ``events``.
-
-    Inspected by :meth:`GossipSchedule._gossip` at each gossip tick (not
-    cached at registration — routers may arrive through the ``routers``
-    init field), so legacy hooks (and test doubles) with the historical
-    zero-argument form keep working while events-aware routers get the
-    applied batch.
-    """
-    hook = getattr(router, "on_topology_update", None)
-    if hook is None:
-        return False
-    try:
-        signature = inspect.signature(hook)
-    except (TypeError, ValueError):  # pragma: no cover - builtins/extensions
-        return False
-    keyword_kinds = (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY,
-    )
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        # Only keyword-passable parameters count: a positional-only or
-        # *args "events" could not receive the events= call below.
-        if parameter.name == "events" and parameter.kind in keyword_kinds:
-            return True
-    return False
-
-
 @dataclass
 class GossipSchedule:
     """Applies channel events and gossips them to routers in batches.
@@ -323,11 +293,14 @@ class GossipSchedule:
     Events become effective on the graph immediately at their time (the
     chain does not wait), but routers only learn about them at the next
     gossip tick — the paper's periodic-gossip assumption.  Each gossip
-    hands routers whose ``on_topology_update`` hook accepts an
-    ``events`` parameter the batch of events applied since the last
-    tick (refused no-ops excluded), which is what enables selective
-    cache invalidation (:meth:`repro.core.routing_table.RoutingTable.\
-apply_events`); legacy no-argument hooks keep working unchanged.
+    calls every router's ``on_topology_update(events=batch)`` with the
+    events applied since the last tick (refused no-ops excluded), which
+    is what enables selective cache invalidation
+    (:meth:`repro.core.routing_table.RoutingTable.apply_events`).
+
+    The graph's ``fee_controller``, if any, reprices once per period on
+    its own clock: a tick that changes no rate gossips nothing, and the
+    next tick is still a full period later.
     """
 
     graph: ChannelGraph
@@ -336,10 +309,11 @@ apply_events`); legacy no-argument hooks keep working unchanged.
     _cursor: int = 0
     _pending_gossip: bool = False
     _last_gossip: float = 0.0
+    _last_reprice: float = 0.0
     routers: list = field(default_factory=list)
     applied_events: int = 0
     #: Events applied since the last gossip tick — the batch handed to
-    #: events-aware router hooks, then cleared.
+    #: the router hooks, then cleared.
     _batch: list[ChannelEvent] = field(default_factory=list)
     #: Optional engine adapter with a ``force_close(a, b)`` method,
     #: called before a ``force=True`` CLOSE removes the channel so the
@@ -352,11 +326,7 @@ apply_events`); legacy no-argument hooks keep working unchanged.
     _jam_holds: dict = field(default_factory=dict)
 
     def register(self, router) -> None:
-        """Routers get ``on_topology_update()`` at gossip ticks.
-
-        Hooks that declare an ``events`` keyword (or ``**kwargs``)
-        additionally receive the batch of applied events per tick.
-        """
+        """Routers get ``on_topology_update(events=batch)`` at gossip ticks."""
         self.routers.append(router)
 
     def advance_to(self, now: float) -> int:
@@ -373,11 +343,12 @@ apply_events`); legacy no-argument hooks keep working unchanged.
                 self._batch.append(event)
             self._cursor += 1
         self.applied_events += applied
-        if now - self._last_gossip >= self.gossip_period:
+        if now - self._last_reprice >= self.gossip_period:
             # Fee repricing is channel_update gossip: a controller tick
             # happens on the gossip cadence even when the churn stream
             # is empty (the fee-market scenarios have no churn at all),
             # and a repricing alone is reason to gossip.
+            self._last_reprice = now
             controller = getattr(self.graph, "fee_controller", None)
             if controller is not None and controller.update(self.graph, now):
                 self._pending_gossip = True
@@ -392,15 +363,8 @@ apply_events`); legacy no-argument hooks keep working unchanged.
 
     def _gossip(self, now: float) -> None:
         batch = tuple(self._batch)
-        # Acceptance is inspected per tick rather than cached at
-        # registration: routers may be seeded through the ``routers``
-        # init field or appended directly, and gossip ticks are rare
-        # enough (one per period) that the signature check is free.
         for router in self.routers:
-            if _accepts_events(router):
-                router.on_topology_update(events=batch)
-            else:
-                router.on_topology_update()
+            router.on_topology_update(events=batch)
         self._batch.clear()
         self._pending_gossip = False
         self._last_gossip = now
@@ -447,9 +411,9 @@ apply_events`); legacy no-argument hooks keep working unchanged.
             # A channel with in-flight escrow cannot cooperatively close
             # (pending HTLCs pin it open); dropping the event keeps the
             # concurrent engine's settle/release events valid and
-            # conserves the escrowed funds.  The sequential engines
-            # never have holds outstanding between transactions, so
-            # this guard is a no-op for them.
+            # conserves the escrowed funds.  The sequential engine
+            # never has holds outstanding between transactions, so
+            # this guard is a no-op for it.
             return False
         self.graph.remove_channel(event.a, event.b)
         return True
@@ -549,190 +513,22 @@ def run_dynamic_simulation(
     copy_graph: bool = True,
     mpp=None,
 ):
-    """Trace-driven simulation with topology churn interleaved by time.
+    """:func:`repro.sim.engine.run_simulation` with channel ``events``.
 
-    Same contract as :func:`repro.sim.engine.run_simulation`, but channel
-    events fire between transactions and routers are re-gossiped on the
-    configured period.  The input graph is copied unless
-    ``copy_graph=False`` (mutate in place — invariant tests inspect the
-    final balances).
-
-    ``faults`` (a :class:`repro.sim.faults.FaultPlan`) injects the
-    plan's adversarial events into the same stream (churn first at equal
-    timestamps) and attaches the resilience metric family to the result
-    (see :func:`repro.sim.faults.resilience_metrics`).
-
-    ``mpp`` (a :class:`repro.sim.mpp.MppConfig`) enables multi-part
-    payments: qualifying payments split and settle all-or-nothing
-    exactly as in the sequential engine; ``mpp=None`` keeps the
-    original code path byte-for-byte.
-
-    A :class:`~repro.traces.workload.WorkloadStream` input switches to
-    the single-pass accumulator path (see
-    :func:`repro.sim.engine.run_simulation`); churn events still apply
-    between transactions as usual.  Streaming is incompatible with
-    ``faults``: resilience metrics need the full ordered record list, so
-    that combination raises rather than approximating.
+    Kept for its signature, which puts the event stream fourth; every
+    argument means what it does there.
     """
-    from repro.core.classifier import ReservoirThresholdEstimator
-    from repro.network.view import NetworkView
-    from repro.sim.engine import accrue_revenue
-    from repro.sim.metrics import (
-        SimulationResult,
-        StreamingMetricsAccumulator,
-        TransactionRecord,
-        fee_metrics,
-        mpp_metrics,
+    from repro.sim.engine import run_simulation
+
+    return run_simulation(
+        graph,
+        router_factory,
+        workload,
+        rng=rng,
+        reference_mice_fraction=reference_mice_fraction,
+        copy_graph=copy_graph,
+        mpp=mpp,
+        events=events,
+        gossip_period=gossip_period,
+        faults=faults,
     )
-    from repro.traces.workload import WorkloadStream
-
-    streaming = isinstance(workload, WorkloadStream)
-    if streaming and faults is not None:
-        raise ValueError(
-            "streaming workloads cannot run with a fault plan: resilience "
-            "metrics need the full ordered record list; materialize() the "
-            "stream instead"
-        )
-    working = graph.copy() if copy_graph else graph
-    run_rng = rng if rng is not None else random.Random(0)
-    if mpp is None:
-        view = NetworkView(working)
-        ledger = None
-    else:
-        from repro.sim.concurrent import ConcurrentNetworkView, HoldLedger
-        from repro.sim.mpp import execute_parts_atomically, split_amounts
-
-        mpp.validate()
-        ledger = HoldLedger()
-        view = ConcurrentNetworkView(working, ledger)
-    router = router_factory(view, workload, run_rng)
-    if faults is not None:
-        events = merge_event_streams(events, faults.events)
-    schedule = GossipSchedule(
-        graph=working, events=events, gossip_period=gossip_period
-    )
-    schedule.register(router)
-    revenue_by_node: dict = {}
-
-    def route_one(transaction, threshold, mpp_threshold):
-        probes_before = view.counters.probe_messages
-        payments_before = view.counters.payment_messages
-        if mpp is None:
-            outcome = router.route(transaction)
-            # ``policy_aware`` is re-read per transaction: a fee
-            # controller attached by the scenario may assign the first
-            # policies at a gossip tick mid-run.
-            if working.policy_aware and outcome.success:
-                accrue_revenue(working, outcome, revenue_by_node)
-            parts = 0
-            partial_releases = 0
-            success, fee = outcome.success, outcome.fee
-            paths_used = len(outcome.transfers)
-        else:
-            amounts = split_amounts(
-                mpp,
-                transaction.amount,
-                mpp_threshold,
-                graph=working,
-                sender=transaction.sender,
-            )
-            outcome = execute_parts_atomically(
-                working,
-                router,
-                ledger,
-                transaction,
-                amounts,
-                mpp.part_retries,
-            )
-            if working.policy_aware and outcome.success:
-                for path, amount in outcome.transfers:
-                    for node, earned in working.path_fee_breakdown(
-                        list(path), amount
-                    ).items():
-                        revenue_by_node[node] = (
-                            revenue_by_node.get(node, 0.0) + earned
-                        )
-            parts = outcome.parts
-            partial_releases = outcome.partial_releases
-            success, fee = outcome.success, outcome.fee
-            paths_used = len(outcome.transfers)
-        return TransactionRecord(
-            txid=transaction.txid,
-            amount=transaction.amount,
-            success=success,
-            fee=fee,
-            is_elephant=transaction.amount >= threshold,
-            probe_messages=view.counters.probe_messages - probes_before,
-            payment_messages=view.counters.payment_messages - payments_before,
-            paths_used=paths_used,
-            parts=parts,
-            partial_releases=partial_releases,
-        )
-
-    if streaming:
-        accumulator = StreamingMetricsAccumulator(
-            scheme=router.name,
-            engine="sequential",
-            track_fees=working.policy_aware,
-            track_mpp=mpp is not None,
-        )
-        hint = workload.mice_threshold_hint
-        estimator = (
-            None
-            if hint is not None
-            else ReservoirThresholdEstimator(reference_mice_fraction)
-        )
-        fixed_mpp_threshold = (
-            mpp.threshold if mpp is not None and mpp.threshold > 0 else None
-        )
-        threshold = hint if hint is not None else 0.0
-        for transaction in workload:
-            schedule.advance_to(transaction.time)
-            if estimator is not None:
-                estimator.observe(transaction.amount)
-                threshold = estimator.threshold
-            accumulator.observe(
-                route_one(
-                    transaction,
-                    threshold,
-                    fixed_mpp_threshold
-                    if fixed_mpp_threshold is not None
-                    else threshold,
-                )
-            )
-        # A fee controller may have attached the first policies at a
-        # gossip tick mid-run; re-read policy_aware (as the list path's
-        # end-of-run fee_metrics call does) before freezing the result.
-        accumulator.track_fees = accumulator.track_fees or working.policy_aware
-        return accumulator.result(
-            revenue_by_node=revenue_by_node if working.policy_aware else None,
-            mice_threshold=threshold,
-        )
-
-    threshold = workload.threshold_for_mice_fraction(reference_mice_fraction)
-    mpp_threshold = (
-        mpp.threshold if mpp is not None and mpp.threshold > 0 else threshold
-    )
-    result = SimulationResult(scheme=router.name)
-    horizon = workload[len(workload) - 1].time if len(workload) else 0.0
-    for transaction in workload:
-        schedule.advance_to(transaction.time)
-        result.records.append(
-            route_one(transaction, threshold, mpp_threshold)
-        )
-    if working.policy_aware:
-        result.fees = fee_metrics(result.records, revenue_by_node)
-    if mpp is not None:
-        result.mpp = mpp_metrics(result.records)
-    if faults is not None:
-        from repro.sim.faults import resilience_metrics
-
-        schedule.finalize(horizon)
-        result.resilience = resilience_metrics(
-            [transaction.time for transaction in workload],
-            result.records,
-            faults,
-            adversary_escrow_seconds=schedule.adversary_escrow_seconds,
-            horizon=horizon,
-        )
-    return result

@@ -84,7 +84,8 @@ from repro.sim.faults import FaultPlan, resilience_metrics
 from repro.network.graph import ChannelGraph
 from repro.network.view import NetworkView, PaymentSession
 from repro.protocol.events import EventQueue
-from repro.core.classifier import ReservoirThresholdEstimator
+from repro.core.classifier import MiceThreshold
+from repro.sim.engine import accrue_revenue
 from repro.sim.metrics import (
     SimulationResult,
     StreamingMetricsAccumulator,
@@ -478,8 +479,8 @@ def run_concurrent_simulation(
     workload order — plus the concurrent semantics documented in the
     module docstring.  ``events`` (channel churn) are applied at their
     compressed timestamps and gossiped on the compressed period, exactly
-    mirroring :func:`~repro.network.dynamics.run_dynamic_simulation`'s
-    ordering (events due at a payment's start apply before it routes).
+    mirroring :func:`~repro.sim.engine.run_simulation`'s ordering
+    (events due at a payment's start apply before it routes).
 
     The returned result has ``engine="concurrent"``, which adds the
     latency/retry/timeout metrics to its stored record (see
@@ -551,19 +552,7 @@ def run_concurrent_simulation(
         else None
     )
     router = router_factory(view, workload, run_rng)
-    if streaming:
-        hint = workload.mice_threshold_hint
-        estimator = (
-            None
-            if hint is not None
-            else ReservoirThresholdEstimator(reference_mice_fraction)
-        )
-        threshold = hint if hint is not None else 0.0
-    else:
-        estimator = None
-        threshold = workload.threshold_for_mice_fraction(
-            reference_mice_fraction
-        )
+    threshold = MiceThreshold(workload, reference_mice_fraction)
     if mpp is not None:
         mpp.validate()
     # MPP-free runs record parts=0 (the pre-MPP record defaults);
@@ -621,7 +610,7 @@ def run_concurrent_simulation(
                 amount=transaction.amount,
                 success=success,
                 fee=fee,
-                is_elephant=transaction.amount >= threshold,
+                is_elephant=transaction.amount >= threshold.value,
                 probe_messages=pending.probe_messages,
                 payment_messages=pending.payment_messages,
                 paths_used=paths_used,
@@ -633,37 +622,37 @@ def run_concurrent_simulation(
             )
         )
 
-    def settle(flight: _InFlight, outcome) -> None:
+    def release(flight: _InFlight) -> None:
+        """Refund one flight's escrow, in reverse placement order."""
         registry.unregister(flight)
-        if flight.disrupted:
-            # A channel on the path was force-closed mid-flight: the
-            # surviving escrow unwinds and the payment fails cleanly.
-            for u, v, amount in reversed(flight.holds):
-                working_graph.release_hold(u, v, amount)
-            record(
-                flight.pending,
-                success=False,
-                fee=0.0,
-                paths_used=len(outcome.transfers),
-                timed_out=False,
-            )
-            return
+        for u, v, amount in reversed(flight.holds):
+            working_graph.release_hold(u, v, amount)
+
+    def commit(flight: _InFlight) -> None:
+        """Settle one flight's escrow and book its fee revenue."""
+        registry.unregister(flight)
         for u, v, amount in flight.holds:
             working_graph.settle_hold(u, v, amount)
         for node, earned in flight.revenue.items():
             revenue_by_node[node] = revenue_by_node.get(node, 0.0) + earned
+
+    def settle(flight: _InFlight, outcome) -> None:
+        # A channel on the path may have been force-closed mid-flight:
+        # the surviving escrow then unwinds and the payment fails cleanly.
+        if flight.disrupted:
+            release(flight)
+        else:
+            commit(flight)
         record(
             flight.pending,
-            success=True,
-            fee=outcome.fee,
+            success=not flight.disrupted,
+            fee=0.0 if flight.disrupted else outcome.fee,
             paths_used=len(outcome.transfers),
             timed_out=False,
         )
 
     def expire(flight: _InFlight, outcome) -> None:
-        registry.unregister(flight)
-        for u, v, amount in reversed(flight.holds):
-            working_graph.release_hold(u, v, amount)
+        release(flight)
         record(
             flight.pending,
             success=False,
@@ -672,54 +661,47 @@ def run_concurrent_simulation(
             timed_out=True,
         )
 
-    def attempt(pending: _PendingPayment) -> None:
-        # Churn due by now applies before the payment routes, mirroring
-        # the sequential dynamic engine's interleaving.
+    def reserve(pending: _PendingPayment, transaction, part: int = -1):
+        """Route one attempt and escrow it as a registered flight.
+
+        Churn due by now applies before the payment routes, mirroring
+        the sequential engine's interleaving.  Returns ``(outcome,
+        transfers, flight)``; ``flight`` is None when the route failed.
+        """
         schedule.advance_to(queue.now)
         probes_before = view.counters.probe_messages
         payments_before = view.counters.payment_messages
         ledger.begin()
-        outcome = router.route(pending.transaction)
+        outcome = router.route(transaction)
         holds, transfers = ledger.collect()
         pending.attempts += 1
         pending.probe_messages += view.counters.probe_messages - probes_before
         pending.payment_messages += (
             view.counters.payment_messages - payments_before
         )
-        if outcome.success:
-            flight = _InFlight(pending=pending, holds=holds)
-            if policy_aware:
-                for path, amount in transfers or outcome.transfers:
-                    for node, earned in working_graph.path_fee_breakdown(
-                        list(path), amount
-                    ).items():
-                        flight.revenue[node] = (
-                            flight.revenue.get(node, 0.0) + earned
-                        )
-            registry.register(flight)
+        if not outcome.success:
+            # Defensive: a failed route must not leave escrow behind.
+            for u, v, amount in reversed(holds):
+                working_graph.release_hold(u, v, amount)
+            return outcome, [], None
+        transfers = transfers or list(outcome.transfers)
+        flight = _InFlight(pending=pending, holds=holds, part=part)
+        if policy_aware:
+            accrue_revenue(working_graph, transfers, flight.revenue)
+        registry.register(flight)
+        return outcome, transfers, flight
+
+    def attempt(pending: _PendingPayment) -> None:
+        outcome, transfers, flight = reserve(pending, pending.transaction)
+        if flight is not None:
             # The lock pass reaches the receiver after hop_latency per
             # hop of the longest path; the settle pass walks back.
-            settle_delay = 2.0 * config.hop_latency * _max_hops(
-                transfers or outcome.transfers
-            )
-            annotated = replace(
-                outcome,
-                started_at=pending.started_at,
-                settled_at=queue.now + settle_delay,
-                retries=pending.attempts - 1,
-            )
+            settle_delay = 2.0 * config.hop_latency * _max_hops(transfers)
             if settle_delay > config.timeout:
-                queue.schedule(
-                    config.timeout, lambda: expire(flight, annotated)
-                )
+                queue.schedule(config.timeout, lambda: expire(flight, outcome))
             else:
-                queue.schedule(
-                    settle_delay, lambda: settle(flight, annotated)
-                )
+                queue.schedule(settle_delay, lambda: settle(flight, outcome))
             return
-        # Defensive: a failed route must not leave escrow behind.
-        for u, v, amount in reversed(holds):
-            working_graph.release_hold(u, v, amount)
         if pending.attempts <= config.max_retries:
             delay = config.retry_delay
             if config.retry_backoff != 1.0:
@@ -743,13 +725,8 @@ def run_concurrent_simulation(
         if state.done:
             return
         state.done = True
-        released = 0
         for index in sorted(state.flights):
-            flight = state.flights[index]
-            registry.unregister(flight)
-            for u, v, amount in reversed(flight.holds):
-                working_graph.release_hold(u, v, amount)
-            released += 1
+            release(state.flights[index])
         record(
             state.pending,
             success=False,
@@ -757,7 +734,7 @@ def run_concurrent_simulation(
             paths_used=0,
             timed_out=timed_out,
             parts=len(state.amounts),
-            partial_releases=released,
+            partial_releases=len(state.flights),
             attempts_base=len(state.amounts),
         )
 
@@ -772,12 +749,7 @@ def run_concurrent_simulation(
             return
         state.done = True
         for index in sorted(state.flights):
-            flight = state.flights[index]
-            registry.unregister(flight)
-            for u, v, amount in flight.holds:
-                working_graph.settle_hold(u, v, amount)
-            for node, earned in flight.revenue.items():
-                revenue_by_node[node] = revenue_by_node.get(node, 0.0) + earned
+            commit(state.flights[index])
         record(
             state.pending,
             success=True,
@@ -792,38 +764,18 @@ def run_concurrent_simulation(
     def attempt_part(state: "_MppPayment", index: int) -> None:
         if state.done:
             return
-        schedule.advance_to(queue.now)
-        pending = state.pending
+        transaction = state.pending.transaction
         part_amount = state.amounts[index]
-        transaction = pending.transaction
         part_tx = (
             transaction
             if part_amount == transaction.amount
             else replace(transaction, amount=part_amount)
         )
-        probes_before = view.counters.probe_messages
-        payments_before = view.counters.payment_messages
-        ledger.begin()
-        outcome = router.route(part_tx)
-        holds, transfers = ledger.collect()
-        state.part_attempts[index] = state.part_attempts.get(index, 0) + 1
-        pending.attempts += 1
-        pending.probe_messages += view.counters.probe_messages - probes_before
-        pending.payment_messages += (
-            view.counters.payment_messages - payments_before
+        outcome, part_transfers, flight = reserve(
+            state.pending, part_tx, part=index
         )
-        if outcome.success:
-            part_transfers = transfers or list(outcome.transfers)
-            flight = _InFlight(pending=pending, holds=holds, part=index)
-            if policy_aware:
-                for path, amount in part_transfers:
-                    for node, earned in working_graph.path_fee_breakdown(
-                        list(path), amount
-                    ).items():
-                        flight.revenue[node] = (
-                            flight.revenue.get(node, 0.0) + earned
-                        )
-            registry.register(flight)
+        state.part_attempts[index] = state.part_attempts.get(index, 0) + 1
+        if flight is not None:
             state.flights[index] = flight
             state.fee_total += outcome.fee
             state.transfers.extend(part_transfers)
@@ -841,9 +793,6 @@ def run_concurrent_simulation(
                     settle_at - queue.now, lambda: mpp_settle(state)
                 )
             return
-        # Defensive: a failed part route must not leave escrow behind.
-        for u, v, amount in reversed(holds):
-            working_graph.release_hold(u, v, amount)
         if (
             state.part_attempts[index] <= mpp.part_retries
             and queue.now + mpp.part_retry_delay <= state.deadline_at
@@ -863,13 +812,10 @@ def run_concurrent_simulation(
             attempt(pending)
             return
         schedule.advance_to(queue.now)
-        # Re-derive the split threshold from the (possibly streaming,
-        # reservoir-estimated) reference threshold; identical to the
-        # precomputed ``mpp_threshold`` on the list path.
         amounts = split_amounts(
             mpp,
             pending.transaction.amount,
-            mpp.threshold if mpp.threshold > 0 else threshold,
+            threshold.value,
             graph=working_graph,
             sender=pending.transaction.sender,
         )
@@ -889,7 +835,7 @@ def run_concurrent_simulation(
 
     # Churn events are scheduled before payment starts so that at equal
     # timestamps the sequence tie-break applies the topology change
-    # first — the same order run_dynamic_simulation guarantees.
+    # first — the same order run_simulation guarantees.
     for event in scaled_events:
         queue.schedule(event.time, lambda: schedule.advance_to(queue.now))
 
@@ -912,13 +858,11 @@ def run_concurrent_simulation(
             instants, so the computed delay is never negative; the
             ``max`` is purely defensive against a mis-ordered stream.
             """
-            nonlocal fed, threshold
+            nonlocal fed
             transaction = next(stream_iterator, None)
             if transaction is None:
                 return
-            if estimator is not None:
-                estimator.observe(transaction.amount)
-                threshold = estimator.threshold
+            threshold.observe(transaction.amount)
             start_at = transaction.time / config.load
             pending = _PendingPayment(
                 transaction=transaction, started_at=start_at
@@ -946,7 +890,7 @@ def run_concurrent_simulation(
             progress(fed)
         return accumulator.result(
             revenue_by_node=revenue_by_node if policy_aware else None,
-            mice_threshold=threshold,
+            mice_threshold=threshold.value,
         )
 
     for transaction in workload:

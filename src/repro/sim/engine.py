@@ -4,9 +4,15 @@ Two engines share the router/metrics contract:
 
 * **sequential** (this module, the default everywhere) — payments are
   fed to the router one at a time in workload order; each settles (or
-  fails) instantaneously before the next starts, and ``Transaction.time``
-  is ignored.  This is the paper's online model ("payments arrive at
-  senders sequentially").
+  fails) instantaneously before the next starts.  This is the paper's
+  online model ("payments arrive at senders sequentially").  Routers
+  learn about topology changes only through gossip (§3.1): channel
+  events and fee repricing apply by ``Transaction.time`` and are
+  gossiped on a fixed period, so a run without events or a fee
+  controller is the static-topology replay of the paper's evaluation.
+  :func:`repro.network.dynamics.run_dynamic_simulation` is a thin
+  delegate of :func:`run_simulation` kept for its event-first
+  signature.
 * **concurrent** (:mod:`repro.sim.concurrent`) — payments start at
   their workload time on a discrete-event queue, place HTLC-style holds
   along their paths, and settle or time out after per-hop latency, so
@@ -14,8 +20,8 @@ Two engines share the router/metrics contract:
   ``docs/CONCURRENCY.md``.
 
 Sequential-equivalence guarantee: selecting ``engine="sequential"``
-anywhere (runner, CLI, report) routes through this unmodified function,
-so its results — every per-transaction record and every stored metric —
+anywhere (runner, CLI, report) routes through :func:`run_simulation`,
+whose results — every per-transaction record and every stored metric —
 are byte-identical to the engine as it existed before the concurrent
 engine was added (``tests/sim/test_concurrent.py`` pins this against a
 golden record).
@@ -32,12 +38,18 @@ that do not themselves classify.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.core.base import Router
-from repro.core.classifier import ReservoirThresholdEstimator
+from repro.core.classifier import MiceThreshold
+from repro.network.dynamics import (
+    ChannelEvent,
+    GossipSchedule,
+    merge_event_streams,
+)
 from repro.network.graph import ChannelGraph
 from repro.network.view import NetworkView
+from repro.sim.faults import FaultPlan, resilience_metrics
 from repro.sim.metrics import (
     SimulationResult,
     StreamingMetricsAccumulator,
@@ -47,24 +59,23 @@ from repro.sim.metrics import (
     mpp_metrics,
 )
 from repro.sim.mpp import MppConfig, execute_parts_atomically, split_amounts
-from repro.traces.workload import Transaction, Workload, WorkloadStream
+from repro.traces.workload import Workload, WorkloadStream
 
 RouterFactory = Callable[
     [NetworkView, "Workload | WorkloadStream", random.Random], Router
 ]
 
 
-def accrue_revenue(graph, outcome, revenue_by_node: dict) -> None:
-    """Fold one successful payment's per-node fees into the running sum.
+def accrue_revenue(graph, transfers, into: dict) -> None:
+    """Add each node's fees for ``transfers`` (``(path, amount)`` pairs).
 
-    Shared by all engines (sequential, dynamic, concurrent) so
-    ``hub_revenue`` means the same thing everywhere.
+    Shared by both engines so ``hub_revenue`` means the same thing
+    everywhere.
     """
-    for path, amount in outcome.transfers:
-        for node, earned in graph.path_fee_breakdown(
-            list(path), amount
-        ).items():
-            revenue_by_node[node] = revenue_by_node.get(node, 0.0) + earned
+    for path, amount in transfers:
+        fees = graph.path_fee_breakdown(list(path), amount)
+        for node, earned in fees.items():
+            into[node] = into.get(node, 0.0) + earned
 
 
 def run_simulation(
@@ -75,34 +86,52 @@ def run_simulation(
     reference_mice_fraction: float = 0.9,
     copy_graph: bool = True,
     mpp: MppConfig | None = None,
+    events: Sequence[ChannelEvent] = (),
+    gossip_period: float = 600.0,
+    faults: FaultPlan | None = None,
 ) -> SimulationResult | StreamingSimulationResult:
     """Route ``workload`` over ``graph`` with a fresh router; returns metrics.
 
     ``copy_graph=True`` (default) leaves the input graph untouched so the
     same topology can be replayed across schemes — the paper compares all
-    four schemes on identical initial balances.
+    four schemes on identical initial balances.  ``copy_graph=False``
+    mutates it in place (invariant tests inspect the final balances).
+
+    Channel ``events`` apply to the graph at their timestamps, between
+    payments, and a :class:`~repro.network.dynamics.GossipSchedule`
+    gossips them to the router every ``gossip_period`` seconds.  The
+    same schedule ticks the graph's ``fee_controller``, if it has one.
+    ``faults`` (a :class:`repro.sim.faults.FaultPlan`) merges the
+    plan's adversarial events into that stream (churn first at equal
+    timestamps) and attaches the resilience metric family to the result
+    (see :func:`repro.sim.faults.resilience_metrics`).
 
     With ``mpp`` set, qualifying payments (at or above the resolved
     splitting threshold) fan out into parts that escrow independently
     and settle all-or-nothing through
     :func:`~repro.sim.mpp.execute_parts_atomically`; ``result.mpp``
-    then carries :data:`~repro.sim.metrics.MPP_METRIC_FIELDS`.  With
-    ``mpp=None`` (the default) this function is byte-identical to the
-    pre-MPP engine — same code path, same records, same golden pin.
+    then carries :data:`~repro.sim.metrics.MPP_METRIC_FIELDS`.
 
     A :class:`~repro.traces.workload.WorkloadStream` input switches to
     the single-pass path: per-transaction records flow into a
     :class:`~repro.sim.metrics.StreamingMetricsAccumulator` instead of a
     list, so memory stays O(1) in the trace length, and the elephant
     threshold comes from the stream's hint or an online reservoir
-    estimate.  List-backed inputs take the identical code path as
-    before streams existed.
+    estimate.  Streaming is incompatible with ``faults``: resilience
+    metrics need the full ordered record list, so that combination
+    raises rather than approximating.
     """
+    streaming = isinstance(workload, WorkloadStream)
+    if streaming and faults is not None:
+        raise ValueError(
+            "streaming workloads cannot run with a fault plan: resilience "
+            "metrics need the full ordered record list; materialize() the "
+            "stream instead"
+        )
     working_graph = graph.copy() if copy_graph else graph
     run_rng = rng if rng is not None else random.Random(0)
     if mpp is None:
         view = NetworkView(working_graph)
-        ledger = None
     else:
         # Deferred-settlement view: routers place holds that settle (or
         # refund) only when the whole multi-part payment resolves.
@@ -112,29 +141,39 @@ def run_simulation(
         ledger = HoldLedger()
         view = ConcurrentNetworkView(working_graph, ledger)
     router = router_factory(view, workload, run_rng)
-    policy_aware = working_graph.policy_aware
+    if faults is not None:
+        events = merge_event_streams(events, faults.events)
+    schedule = GossipSchedule(
+        graph=working_graph, events=events, gossip_period=gossip_period
+    )
+    schedule.register(router)
+    threshold = MiceThreshold(workload, reference_mice_fraction)
+    counters = view.counters
     revenue_by_node: dict = {}
+    if streaming:
+        accumulator = StreamingMetricsAccumulator(
+            scheme=router.name,
+            engine="sequential",
+            track_mpp=mpp is not None,
+        )
+        emit = accumulator.observe
+    else:
+        result = SimulationResult(scheme=router.name)
+        emit = result.records.append
 
-    def route_one(
-        transaction: Transaction,
-        reference_threshold: float,
-        mpp_threshold: float,
-    ) -> TransactionRecord:
-        probes_before = view.counters.probe_messages
-        payments_before = view.counters.payment_messages
+    for transaction in workload:
+        schedule.advance_to(transaction.time)
+        threshold.observe(transaction.amount)
+        probes_before = counters.probe_messages
+        payments_before = counters.payment_messages
         if mpp is None:
             outcome = router.route(transaction)
-            if policy_aware and outcome.success:
-                accrue_revenue(working_graph, outcome, revenue_by_node)
-            parts = 0
-            partial_releases = 0
-            success, fee = outcome.success, outcome.fee
-            paths_used = len(outcome.transfers)
+            parts = partial_releases = 0
         else:
             amounts = split_amounts(
                 mpp,
                 transaction.amount,
-                mpp_threshold,
+                threshold.value,
                 graph=working_graph,
                 sender=transaction.sender,
             )
@@ -146,81 +185,45 @@ def run_simulation(
                 amounts,
                 mpp.part_retries,
             )
-            if policy_aware and outcome.success:
-                for path, amount in outcome.transfers:
-                    for node, earned in working_graph.path_fee_breakdown(
-                        list(path), amount
-                    ).items():
-                        revenue_by_node[node] = (
-                            revenue_by_node.get(node, 0.0) + earned
-                        )
-            parts = outcome.parts
-            partial_releases = outcome.partial_releases
-            success, fee = outcome.success, outcome.fee
-            paths_used = len(outcome.transfers)
-        return TransactionRecord(
-            txid=transaction.txid,
-            amount=transaction.amount,
-            success=success,
-            fee=fee,
-            is_elephant=transaction.amount >= reference_threshold,
-            probe_messages=view.counters.probe_messages - probes_before,
-            payment_messages=view.counters.payment_messages
-            - payments_before,
-            paths_used=paths_used,
-            parts=parts,
-            partial_releases=partial_releases,
+            parts, partial_releases = outcome.parts, outcome.partial_releases
+        # ``policy_aware`` is re-read per payment: a fee controller may
+        # assign the first policies at a gossip tick mid-run.
+        if outcome.success and working_graph.policy_aware:
+            accrue_revenue(working_graph, outcome.transfers, revenue_by_node)
+        emit(
+            TransactionRecord(
+                txid=transaction.txid,
+                amount=transaction.amount,
+                success=outcome.success,
+                fee=outcome.fee,
+                is_elephant=transaction.amount >= threshold.value,
+                probe_messages=counters.probe_messages - probes_before,
+                payment_messages=counters.payment_messages - payments_before,
+                paths_used=len(outcome.transfers),
+                parts=parts,
+                partial_releases=partial_releases,
+            )
         )
 
-    if isinstance(workload, WorkloadStream):
-        accumulator = StreamingMetricsAccumulator(
-            scheme=router.name,
-            engine="sequential",
-            track_fees=policy_aware,
-            track_mpp=mpp is not None,
-        )
-        hint = workload.mice_threshold_hint
-        estimator = (
-            None
-            if hint is not None
-            else ReservoirThresholdEstimator(reference_mice_fraction)
-        )
-        fixed_mpp_threshold = (
-            mpp.threshold if mpp is not None and mpp.threshold > 0 else None
-        )
-        threshold = hint if hint is not None else 0.0
-        for transaction in workload:
-            if estimator is not None:
-                estimator.observe(transaction.amount)
-                threshold = estimator.threshold
-            accumulator.observe(
-                route_one(
-                    transaction,
-                    threshold,
-                    fixed_mpp_threshold
-                    if fixed_mpp_threshold is not None
-                    else threshold,
-                )
-            )
+    policy_aware = working_graph.policy_aware
+    if streaming:
+        accumulator.track_fees = policy_aware
         return accumulator.result(
             revenue_by_node=revenue_by_node if policy_aware else None,
-            mice_threshold=threshold,
-        )
-
-    reference_threshold = workload.threshold_for_mice_fraction(
-        reference_mice_fraction
-    )
-    mpp_threshold = (
-        mpp.threshold if mpp is not None and mpp.threshold > 0
-        else reference_threshold
-    )
-    result = SimulationResult(scheme=router.name)
-    for transaction in workload:
-        result.records.append(
-            route_one(transaction, reference_threshold, mpp_threshold)
+            mice_threshold=threshold.value,
         )
     if policy_aware:
         result.fees = fee_metrics(result.records, revenue_by_node)
     if mpp is not None:
         result.mpp = mpp_metrics(result.records)
+    if faults is not None:
+        horizon = workload[len(workload) - 1].time if len(workload) else 0.0
+        schedule.finalize(horizon)
+        result.resilience = resilience_metrics(
+            [transaction.time for transaction in workload],
+            result.records,
+            faults,
+            adversary_escrow_seconds=schedule.adversary_escrow_seconds,
+            horizon=horizon,
+        )
     return result

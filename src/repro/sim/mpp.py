@@ -8,7 +8,7 @@ the receiver either collects every part or none, and any part that
 fails (or the shared deadline passing) refunds every sibling part's
 escrow and fees exactly.
 
-This module is engine-agnostic glue shared by all three engines:
+This module is engine-agnostic glue shared by both engines:
 
 * :class:`MppConfig` — the MPP knob set, with the same
   ``validate``/``from_params``/``to_params`` contract as
@@ -18,17 +18,17 @@ This module is engine-agnostic glue shared by all three engines:
   ``proportional`` / ``flash``), all exactly conserving the parent
   amount in float arithmetic (the last part absorbs the remainder);
 * :func:`execute_parts_atomically` — the sequential-settle core used
-  by :func:`repro.sim.engine.run_simulation` and
-  :func:`repro.network.dynamics.run_dynamic_simulation`: parts reserve
+  by the sequential engine :func:`repro.sim.engine.run_simulation`:
+  parts reserve
   one by one through a deferring ledger, and only when *every* part is
   escrowed do the holds settle, at one observable instant.  The
   concurrent engine implements the same contract on its event queue
   (parts retry independently before a shared deadline) — see
   :mod:`repro.sim.concurrent`.
 
-MPP-free runs never import this machinery at routing time: engines keep
-their original code path byte-for-byte when ``mpp is None``, which is
-what keeps the sequential golden pin and every store digest unchanged.
+MPP-free runs never touch this machinery: with ``mpp=None`` an engine
+routes each payment with one plain ``router.route`` call, which is what
+keeps the sequential golden pin and every store digest unchanged.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class MppConfig:
     part count shrinks until every part clears it).
 
     ``part_retries`` / ``part_retry_delay`` bound per-part re-attempts:
-    the sequential engines retry a failed part immediately (capacity
+    the sequential engine retries a failed part immediately (capacity
     may differ because sibling holds moved the balance picture), the
     concurrent engine re-schedules the part ``part_retry_delay`` later.
     ``deadline`` is the shared all-or-nothing deadline: on the
@@ -145,8 +145,9 @@ def split_amounts(
 ) -> list[float]:
     """Split ``amount`` into part amounts under ``config``'s policy.
 
-    Payments below ``threshold`` (the resolved splitting floor) stay
-    whole.  Every policy conserves the parent amount *exactly* in float
+    Payments below the splitting floor stay whole: ``config.threshold``
+    when it is set, otherwise ``threshold`` (the engine's elephant
+    cutoff).  Every policy conserves the parent amount *exactly* in float
     arithmetic — the last part is computed as the remainder — and never
     emits a part below ``min_part_amount`` (the part count shrinks
     instead).  ``proportional`` weights parts by the sender's local
@@ -155,7 +156,7 @@ def split_amounts(
     and ``sender`` and falls back to ``equal`` when the sender has
     fewer than two funded channels.
     """
-    if amount < threshold:
+    if amount < (config.threshold if config.threshold > 0 else threshold):
         return [amount]
     parts = min(config.max_parts, int(amount // config.min_part_amount))
     if parts <= 1:
@@ -221,7 +222,7 @@ def execute_parts_atomically(
 ) -> MppOutcome:
     """Reserve every part, then settle all — or refund all — at once.
 
-    The sequential engines' MPP core: each part is routed by the
+    The sequential engine's MPP core: each part is routed by the
     unmodified router through a deferring ledger
     (:class:`~repro.sim.concurrent.HoldLedger` semantics — ``begin`` /
     ``collect`` bracket each route, commit stages holds instead of

@@ -6,8 +6,10 @@ replays every scheme on identical scenarios and averages the metrics.
 
 Both entry points select between the two simulation engines via
 ``engine="sequential"`` (default — :func:`repro.sim.engine.run_simulation`,
-byte-identical to the pre-concurrent behaviour) and
-``engine="concurrent"`` (:mod:`repro.sim.concurrent` — discrete-event
+byte-identical to the pre-concurrent behaviour; scenarios with churn
+events, a fault plan or a fee controller enter it through its
+event-first delegate :func:`repro.network.dynamics.run_dynamic_simulation`)
+and ``engine="concurrent"`` (:mod:`repro.sim.concurrent` — discrete-event
 in-flight holds with latency/timeout metrics; knobs via
 ``engine_params``).  Registered scenarios may carry their own engine
 default, which ``engine=None`` picks up; concurrent cells fold the
@@ -245,10 +247,11 @@ def _single_run(
 
     Scenario factories may return ``(graph, workload)``,
     ``(graph, workload, events)``, or ``(graph, workload, events,
-    fault_plan)``; with events present each scheme runs through the
-    dynamic simulator (churn interleaved by timestamp, same event
-    stream for every scheme), and a fault plan additionally injects its
-    adversarial events and attaches resilience metrics.
+    fault_plan)``; with events present each scheme runs through
+    :func:`~repro.network.dynamics.run_dynamic_simulation` (churn
+    interleaved by timestamp, same event stream for every scheme), and
+    a fault plan additionally injects its adversarial events and
+    attaches resilience metrics.
     ``engine="concurrent"`` routes every scheme through
     :func:`repro.sim.concurrent.run_concurrent_simulation` instead
     (which handles events and faults natively); seeds are derived the
@@ -308,7 +311,7 @@ def _single_run(
         ):
             # A fee-market scenario's dynamics builder emits no churn
             # events — its "dynamics" is the controller attached to the
-            # graph, ticked by the dynamic engine's gossip schedule.
+            # graph, ticked by the engine's gossip schedule.
             results[name] = run_dynamic_simulation(
                 graph,
                 factory,

@@ -102,7 +102,7 @@ class _RecordingRouter:
     def __init__(self):
         self.updates = 0
 
-    def on_topology_update(self):
+    def on_topology_update(self, events=None):
         self.updates += 1
 
 

@@ -161,7 +161,7 @@ class TestGossipIntegration:
         ticks = []
 
         class Router:
-            def on_topology_update(self):
+            def on_topology_update(self, events=None):
                 ticks.append(True)
 
         schedule = GossipSchedule(graph, events=[], gossip_period=100.0)
@@ -179,17 +179,28 @@ class TestGossipIntegration:
     def test_fixed_point_tick_stays_silent(self):
         graph = _star()
         _price_all(graph, rate=0.001)  # already at the floor
-        graph.fee_controller = FeeMarketController(min_rate=0.001)
+        updates = []
+
+        class CountingController(FeeMarketController):
+            def update(self, graph, now):
+                updates.append(now)
+                return super().update(graph, now)
+
+        graph.fee_controller = CountingController(min_rate=0.001)
         ticks = []
 
         class Router:
-            def on_topology_update(self):
+            def on_topology_update(self, events=None):
                 ticks.append(True)
 
-        schedule = GossipSchedule(graph, events=[], gossip_period=100.0)
+        schedule = GossipSchedule(graph, events=[], gossip_period=600.0)
         schedule.register(Router())
-        schedule.advance_to(100.0)
+        for now in (600.0, 601.0, 602.0, 603.0, 900.0, 1200.0):
+            schedule.advance_to(now)
         assert ticks == []
+        # A tick that changes no rate gossips nothing, yet the next tick
+        # still waits a full period rather than running on every call.
+        assert updates == [600.0, 1200.0]
 
     def test_policy_version_bumps_on_reprice(self):
         graph = _star()

@@ -4,12 +4,16 @@ import random
 
 import pytest
 
+from repro.network.dynamics import run_dynamic_simulation
+from repro.scenarios import get_scenario
 from repro.sim.engine import run_simulation
 from repro.sim.factories import (
     flash_factory,
+    paper_benchmark_factories,
     shortest_path_factory,
     spider_factory,
 )
+from repro.sim.mpp import MppConfig
 from repro.traces.workload import Transaction, Workload
 
 
@@ -88,3 +92,38 @@ class TestRunSimulation:
         assert [r.success for r in first.records] == [
             r.success for r in second.records
         ]
+
+
+@pytest.fixture(scope="module")
+def ripple_fees_build():
+    build = get_scenario("ripple-fees").factory(
+        workload_overrides={"transactions": 300}
+    )
+    graph, workload, events = build(random.Random(0))
+    assert graph.fee_controller is not None and events == []
+    return graph, workload
+
+
+class TestFeeControllerHonoured:
+    """``run_simulation`` ticks a graph's fee controller like the dynamic path."""
+
+    @pytest.mark.parametrize("scheme", sorted(paper_benchmark_factories()))
+    def test_matches_dynamic_engine(self, ripple_fees_build, scheme):
+        graph, workload = ripple_fees_build
+        factory = paper_benchmark_factories()[scheme]
+        plain = run_simulation(graph, factory, workload, rng=random.Random(1))
+        dynamic = run_dynamic_simulation(
+            graph, factory, workload, [], rng=random.Random(1)
+        )
+        assert plain.to_record() == dynamic.to_record()
+
+    def test_matches_dynamic_engine_with_mpp(self, ripple_fees_build):
+        graph, workload = ripple_fees_build
+        factory = paper_benchmark_factories()["Flash"]
+        plain = run_simulation(
+            graph, factory, workload, rng=random.Random(1), mpp=MppConfig()
+        )
+        dynamic = run_dynamic_simulation(
+            graph, factory, workload, [], rng=random.Random(1), mpp=MppConfig()
+        )
+        assert plain.to_record() == dynamic.to_record()
