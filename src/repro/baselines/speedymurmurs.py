@@ -15,6 +15,7 @@ any share fails.
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from repro.core.base import Router, RoutingOutcome
@@ -31,30 +32,43 @@ SPEEDYMURMURS_LANDMARKS = 3
 Coordinate = tuple[NodeId, ...]
 
 
+class _TreeCoordinates(dict):
+    """Coordinates in one BFS spanning tree, each computed on first read.
+
+    ``parents`` are the tree's parent pointers (the root maps to itself)
+    and tell which nodes the tree covers.  Reading a node not yet known
+    walks its parent chain up to the first known coordinate and
+    memoizes every coordinate on the way; a node outside the tree
+    raises ``KeyError``.  Hits stay plain dict lookups.
+    """
+
+    __slots__ = ("parents",)
+
+    def __init__(self, parents: dict[NodeId, NodeId], root: NodeId) -> None:
+        super().__init__({root: (root,)})
+        self.parents = parents
+
+    def __missing__(self, node: NodeId) -> Coordinate:
+        parents = self.parents
+        chain = []
+        cursor = node
+        while cursor not in self:
+            chain.append(cursor)
+            cursor = parents[cursor]
+        coordinate = self[cursor]
+        for member in reversed(chain):
+            coordinate = coordinate + (member,)
+            self[member] = coordinate
+        return coordinate
+
+
 def tree_coordinates(
     topology: dict[NodeId, list[NodeId]], root: NodeId
 ) -> dict[NodeId, Coordinate]:
     """Coordinate of each node: its node path from ``root`` in a BFS tree."""
-    parents = bfs_tree_parents(topology, root)
-    coordinates: dict[NodeId, Coordinate] = {root: (root,)}
-
-    def coordinate_of(node: NodeId) -> Coordinate:
-        known = coordinates.get(node)
-        if known is not None:
-            return known
-        chain = []
-        cursor = node
-        while cursor not in coordinates:
-            chain.append(cursor)
-            cursor = parents[cursor]
-        base = coordinates[cursor]
-        for member in reversed(chain):
-            base = base + (member,)
-            coordinates[member] = base
-        return coordinates[node]
-
-    for node in parents:
-        coordinate_of(node)
+    coordinates = _TreeCoordinates(bfs_tree_parents(topology, root), root)
+    for node in coordinates.parents:
+        coordinates[node]  # computed and memoized on the read
     return coordinates
 
 
@@ -85,17 +99,28 @@ class SpeedyMurmursRouter(Router):
         self.num_landmarks = num_landmarks
         self.rng = rng if rng is not None else random.Random(0)
         self._topology = view.compact_topology()
-        self._embeddings: list[dict[NodeId, Coordinate]] = []
+        self._embeddings: list[_TreeCoordinates] = []
         self._build_embeddings()
 
     def _build_embeddings(self) -> None:
-        """Pick the highest-degree nodes as landmarks (as in [29]) and embed."""
-        ranked = sorted(
-            self._topology, key=lambda node: (-len(self._topology[node]), repr(node))
+        """Pick the highest-degree nodes as landmarks (as in [29]) and embed.
+
+        Landmarks rank by degree, then ``repr``, exactly as sorting every
+        node would; each tree's coordinates are computed as routing
+        reads them.
+        """
+        topology = self._topology
+        degree = topology.degree_idx
+        keys = topology.repr_keys
+        landmarks = heapq.nsmallest(
+            self.num_landmarks,
+            range(topology.num_nodes),
+            key=lambda i: (-degree(i), keys[i]),
         )
-        landmarks = ranked[: self.num_landmarks]
+        nodes = topology.nodes
         self._embeddings = [
-            tree_coordinates(self._topology, landmark) for landmark in landmarks
+            _TreeCoordinates(bfs_tree_parents(topology, nodes[i]), nodes[i])
+            for i in landmarks
         ]
 
     def on_topology_update(self, events=None) -> None:
@@ -109,12 +134,13 @@ class SpeedyMurmursRouter(Router):
         self._build_embeddings()
 
     def _greedy_path(
-        self, embedding: dict[NodeId, Coordinate], source: NodeId, target: NodeId
+        self, embedding: _TreeCoordinates, source: NodeId, target: NodeId
     ) -> list[NodeId] | None:
         """Greedy strictly-decreasing-distance walk; None if stuck."""
-        target_coord = embedding.get(target)
-        if target_coord is None or source not in embedding:
+        in_tree = embedding.parents
+        if target not in in_tree or source not in in_tree:
             return None
+        target_coord = embedding[target]
         path = [source]
         current = source
         visited = {source}
@@ -122,7 +148,7 @@ class SpeedyMurmursRouter(Router):
             current_distance = tree_distance(embedding[current], target_coord)
             candidates = []
             for neighbor in self._topology[current]:
-                if neighbor in visited or neighbor not in embedding:
+                if neighbor in visited or neighbor not in in_tree:
                     continue
                 distance = tree_distance(embedding[neighbor], target_coord)
                 if distance < current_distance:

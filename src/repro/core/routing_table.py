@@ -69,42 +69,32 @@ def _topology_token(topology: Adjacency) -> tuple:
     )
 
 
-def _tree_depths(parents: dict[NodeId, NodeId]) -> dict[NodeId, int]:
-    """Depth of every tree node, derived from parent pointers.
+def _node_depth(parents: dict[NodeId, NodeId], node: NodeId) -> int | None:
+    """Depth of ``node`` in a BFS tree, or ``None`` when outside it.
 
-    Walks each node's parent chain with memoization (O(V) total); the
-    root maps to itself at depth 0.  Used by the open-event survival
-    rule of :meth:`RoutingTable.apply_events`.
+    Walks the parent chain up to the root (which maps to itself, at
+    depth 0): O(depth), so the open-event survival rule of
+    :meth:`RoutingTable.apply_events` reads two endpoints without
+    building a depth map of the whole tree.
     """
-    depth: dict[NodeId, int] = {}
-    for node in parents:
-        chain = []
-        current = node
-        while current not in depth and parents[current] != current:
-            chain.append(current)
-            current = parents[current]
-        if current not in depth:
-            depth[current] = 0
-        base = depth[current]
-        for offset, member in enumerate(reversed(chain), start=1):
-            depth[member] = base + offset
+    parent = parents.get(node)
+    if parent is None:
+        return None
+    depth = 0
+    while parent != node:
+        depth += 1
+        node = parent
+        parent = parents[node]
     return depth
 
 
 @dataclass
 class _SourceLayer:
-    """One cached structural BFS layer: spanning tree + lazy depths."""
+    """One cached structural BFS layer: the spanning tree and its stamp."""
 
     topology: Adjacency
     token: tuple
     parents: dict[NodeId, NodeId]
-    depths: dict[NodeId, int] | None = None
-
-    def tree_depths(self) -> dict[NodeId, int]:
-        """The layer's node depths, derived from the tree on first use."""
-        if self.depths is None:
-            self.depths = _tree_depths(self.parents)
-        return self.depths
 
 
 @dataclass
@@ -129,7 +119,7 @@ class RoutingTable:
     max_entries: int | None = None
     _entries: dict[tuple[NodeId, NodeId], TableEntry] = field(default_factory=dict)
     #: sender -> :class:`_SourceLayer` (topology object, token, BFS
-    #: spanning-tree parents, lazy depths).  The topology reference pins
+    #: spanning-tree parents).  The topology reference pins
     #: the object alive so identity checks are sound; the cache is
     #: bounded by MAX_SOURCE_LAYERS (oldest evicted).
     _source_layers: dict[NodeId, _SourceLayer] = field(
@@ -288,17 +278,15 @@ class RoutingTable:
         for a, b in closes:
             if parents.get(a) == b or parents.get(b) == a:
                 return True
-        if opens:
-            depths = layer.tree_depths()
-            for a, b in opens:
-                depth_a = depths.get(a)
-                depth_b = depths.get(b)
-                if depth_a is None and depth_b is None:
-                    continue  # both outside the root's component
-                if depth_a is None or depth_b is None:
-                    return True  # the open connects a new region
-                if abs(depth_a - depth_b) > 1:
-                    return True
+        for a, b in opens:
+            depth_a = _node_depth(parents, a)
+            depth_b = _node_depth(parents, b)
+            if depth_a is None and depth_b is None:
+                continue  # both outside the root's component
+            if depth_a is None or depth_b is None:
+                return True  # the open connects a new region
+            if abs(depth_a - depth_b) > 1:
+                return True
         return False
 
     def apply_events(

@@ -185,7 +185,9 @@ class CompactTopology(Mapping):
     ``indptr`` then describes the *base* CSR only and the live adjacency
     is carried by :attr:`neighbor_idx` / :attr:`slot_rows`, which every
     kernel iterates.  Tombstoned (closed) slots simply vanish from the
-    rows, so kernels never see them.
+    rows, so kernels never see them.  A :meth:`fork` shares everything
+    but those three arrays, which it copies, so sibling forks of one
+    snapshot can each take their own deltas.
     """
 
     __slots__ = (
@@ -565,6 +567,95 @@ class CompactTopology(Mapping):
             else:
                 raise ValueError(f"unknown topology delta op {op!r}")
 
+        # Vector mirrors never carry over: a derived snapshot's live rows
+        # differ from the base CSR, so the mirrors are rebuilt (lazily,
+        # on the first vectorized sweep) from the rows themselves, and
+        # the derived snapshot holds none of the base's shared-memory
+        # segment refs.  Policy arrays are append-only and slot-parallel,
+        # so they are shared like the other slot arrays.
+        return self._derive(
+            nodes=nodes,
+            index=index,
+            repr_keys=repr_keys,
+            nbrs=nbrs,
+            rows=rows,
+            slot_map=slot_map,
+            neighbor_lists=neighbor_lists,
+            indices=indices,
+            slot_tail=slot_tail,
+            reverse_slot=reverse_slot,
+            dead=dead,
+            arena=arena,
+            version=version,
+            # Channel deltas add/remove both directions together, so a
+            # symmetric topology stays symmetric; anything else recomputes.
+            symmetric=True if self._symmetric is True else None,
+            np_arrays=None,
+            shm_refs=None,
+            policy_version=self.policy_version,
+            policy_arrays=policy_arrays,
+        )
+
+    def fork(self) -> "CompactTopology":
+        """An observably identical snapshot that owns its slot arrays.
+
+        The fork shares this snapshot's interning table and repr keys,
+        per-node rows, slot map, neighbor-tuple cache and vector mirrors
+        (the lazy ones are built here first, once for every sibling),
+        all of which :meth:`apply_delta` copies before changing.  It
+        gets its own ``indices``/``slot_tail``/``reverse_slot``, cut at
+        this snapshot's :attr:`num_slots`, because ``apply_delta``
+        appends to those in place: sibling forks then grow their arenas
+        independently.  Scratch buffers start fresh and no policy arrays
+        are installed (:meth:`ChannelGraph.compact` installs the owning
+        graph's own).  O(V + E) list copies at C speed, with none of the
+        per-edge interning loops of a rebuild.
+        """
+        num = self._num_slots
+        return self._derive(
+            nodes=self.nodes,
+            index=self._index,
+            repr_keys=self.repr_keys,
+            nbrs=self.neighbor_idx,
+            rows=self.slot_rows,
+            slot_map=self.slot_map,
+            neighbor_lists=self._neighbor_lists,
+            indices=self.indices[:num],
+            slot_tail=self.slot_tail[:num],
+            reverse_slot=self.reverse_slot[:num],
+            dead=self._dead_count,
+            arena=self._arena_count,
+            version=self.version,
+            symmetric=self.is_symmetric,
+            np_arrays=self._np_arrays,
+            shm_refs=self._shm_refs,
+            policy_version=0,
+            policy_arrays=None,
+        )
+
+    def _derive(
+        self,
+        *,
+        nodes: list[NodeId],
+        index: dict[NodeId, int],
+        repr_keys: list[str] | None,
+        nbrs: list[list[int]],
+        rows: list[list[int]],
+        slot_map: dict[tuple[int, int], int],
+        neighbor_lists: dict[int, tuple[NodeId, ...]],
+        indices: list[int],
+        slot_tail: list[int],
+        reverse_slot: list[int],
+        dead: int,
+        arena: int,
+        version: int,
+        symmetric: bool | None,
+        np_arrays,
+        shm_refs,
+        policy_version: int,
+        policy_arrays,
+    ) -> "CompactTopology":
+        """Assemble a snapshot over this one's base CSR, fresh scratch."""
         derived = object.__new__(CompactTopology)
         derived.nodes = nodes
         derived.indptr = self.indptr  # base CSR; kernels use the rows
@@ -591,28 +682,19 @@ class CompactTopology(Mapping):
         derived._parent_b = None
         derived._dist_f = None
         derived._dist_b = None
-        # Channel deltas add/remove both directions together, so a
-        # symmetric topology stays symmetric; anything else recomputes.
-        derived._symmetric = True if self._symmetric is True else None
+        derived._symmetric = symmetric
         derived._flow_residual = None
         derived._flow_stamp = None
         derived._flow_epoch = 0
         derived.backend = self.backend
-        # Vector mirrors never carry over: a derived snapshot's live rows
-        # differ from the base CSR, so the mirrors are rebuilt (lazily,
-        # on the first vectorized sweep) from the rows themselves.
-        derived._np_arrays = None
+        derived._np_arrays = np_arrays
         derived._np_seen = None
         derived._np_stamp = None
         derived._np_epoch = 0
-        # Derived snapshots reference only plain-list state, never the
-        # base's shared-memory views, so they hold no segment refs.
-        derived._shm_refs = None
-        # Policy arrays are append-only and slot-parallel, so the
-        # derived snapshot shares them like the other slot arrays; the
-        # numpy mirror is length-dependent and rebuilt lazily.
-        derived.policy_version = self.policy_version
+        derived._shm_refs = shm_refs
+        derived.policy_version = policy_version
         derived._policy_arrays = policy_arrays
+        # The numpy policy mirror is length-dependent: rebuilt lazily.
         derived._np_policy_arrays = None
         return derived
 

@@ -10,8 +10,9 @@ This module provides that substrate:
 
 * :class:`ChannelEvent` — an open or close with an activation time;
 * :class:`ChurnModel` — generates a Poisson stream of open/close events
-  over an existing graph (closes pick random channels; opens attach
-  preferentially, like real PCN growth);
+  over an existing graph (both kinds name a uniformly sampled node
+  pair, so on a sparse graph almost every close names a pair with no
+  channel and is refused as a no-op);
 * :class:`GossipSchedule` — applies due events to the graph and notifies
   registered routers via their ``on_topology_update`` hook, batching
   notifications at a gossip period (nodes do not learn instantly).
@@ -84,6 +85,14 @@ class ChannelEvent:
 
 class ChurnModel:
     """Poisson channel churn over a base graph.
+
+    Opens and closes are two independent Poisson streams, and every
+    event of either kind names a node pair drawn uniformly from the base
+    graph's nodes — not an existing channel, and not by degree.  An open
+    whose pair already has a channel, and a close whose pair has none,
+    are refused as no-ops when applied (:class:`GossipSchedule`).  On a
+    sparse graph nearly every close is refused that way: a uniform pair
+    almost never has a channel, so such churn mostly adds channels.
 
     Parameters
     ----------

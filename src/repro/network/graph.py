@@ -79,6 +79,18 @@ class Transfer:
         return zip(self.path, self.path[1:])
 
 
+class _SiblingSnapshot:
+    """The compact snapshot that copies of one unchanged graph share.
+
+    ``snapshot`` is ``None`` until the first copy compacts.
+    """
+
+    __slots__ = ("snapshot",)
+
+    def __init__(self) -> None:
+        self.snapshot: CompactTopology | None = None
+
+
 class ChannelGraph:
     """An offchain network: nodes connected by bidirectional channels."""
 
@@ -117,11 +129,22 @@ class ChannelGraph:
         #: :mod:`repro.scenarios.catalog`); invoked by
         #: :class:`repro.network.dynamics.GossipSchedule` at gossip ticks.
         self.fee_controller = None
+        #: On a source: the :class:`_SiblingSnapshot` its copies share.
+        self._copies: _SiblingSnapshot | None = None
+        #: On a copy: that shared record, until the first :meth:`compact`.
+        #: Both are dropped by the next structural change.
+        self._siblings: _SiblingSnapshot | None = None
 
     # ------------------------------------------------------------ topology
 
     def _log_delta(self, op: tuple) -> None:
-        """Record one structural op for incremental snapshot replay."""
+        """Record one structural op for incremental snapshot replay.
+
+        The op also ends sibling sharing on both sides (see :meth:`copy`):
+        copies taken from now on have a different adjacency, and a copy
+        that changes no longer has its siblings' adjacency.
+        """
+        self._copies = self._siblings = None
         if self._compact is not None:
             self._pending_deltas.append(op)
 
@@ -225,7 +248,9 @@ class ChannelGraph:
         the cached snapshot (O(touched) instead of O(V+E); see
         :meth:`CompactTopology.apply_delta`), falling back to a full
         ``from_adjacency`` rebuild only on the first call, at the
-        compaction threshold, or when the flag is off.  Either way the
+        compaction threshold, or when the flag is off.  The first call
+        on an unchanged :meth:`copy` instead forks the snapshot its
+        sibling copies share (see :meth:`copy`).  Either way the
         returned snapshot is a new object whose node and neighbor order
         match :meth:`adjacency`, so path results on either form are
         identical below the bidirectional kernel threshold and
@@ -243,8 +268,17 @@ class ChannelGraph:
         if cached is not None and cached.version == self._topology_version:
             self._refresh_policies(cached)
             return cached
+        siblings = self._siblings
+        self._siblings = None
         pending = self._pending_deltas
-        if (
+        if siblings is not None:
+            # First call on a copy nobody has changed since it was taken:
+            # every sibling copy has this same adjacency, so they all
+            # fork one snapshot that the first of them builds.
+            if siblings.snapshot is None:
+                siblings.snapshot = self._rebuild()
+            snapshot = siblings.snapshot.fork()
+        elif (
             cached is not None
             and pending
             and self.incremental_compact
@@ -254,23 +288,25 @@ class ChannelGraph:
                 pending, version=self._topology_version
             )
         else:
-            snapshot = None
-            shared_handle = _shared_topology.active()
-            adjacency = {
-                node: list(nbrs) for node, nbrs in self._adj.items()
-            }
-            if shared_handle is not None:
-                snapshot = shared_handle.adopt(
-                    adjacency, version=self._topology_version
-                )
-            if snapshot is None:
-                snapshot = CompactTopology.from_adjacency(
-                    adjacency, version=self._topology_version
-                )
+            snapshot = self._rebuild()
         self._pending_deltas = []
         self._compact = snapshot
         self._refresh_policies(snapshot)
         return snapshot
+
+    def _rebuild(self) -> CompactTopology:
+        """A full snapshot: adopted from shared memory, else interned."""
+        adjacency = {node: list(nbrs) for node, nbrs in self._adj.items()}
+        shared_handle = _shared_topology.active()
+        if shared_handle is not None:
+            snapshot = shared_handle.adopt(
+                adjacency, version=self._topology_version
+            )
+            if snapshot is not None:
+                return snapshot
+        return CompactTopology.from_adjacency(
+            adjacency, version=self._topology_version
+        )
 
     def _refresh_policies(self, snapshot: CompactTopology) -> None:
         """(Re)install per-slot policy arrays when fee gossip moved.
@@ -518,25 +554,47 @@ class ChannelGraph:
     def copy(self) -> ChannelGraph:
         """Deep copy of topology, balances, and fee policies.
 
-        The compact-topology cache deliberately does **not** carry over:
-        the clone replays channels node-major, so its adjacency order —
-        and therefore BFS/Yen tie-breaking — can differ from the
-        original's insertion order.  The clone re-interns lazily on
-        first :meth:`compact` call, keeping its snapshot consistent with
-        its own adjacency regardless of the source's cache warmth.
+        Channels are copied node-major (each when first met walking the
+        source's nodes and neighbor rows), with their deposits and fee
+        policies; holds do not carry over.  The clone's adjacency order
+        — and therefore BFS/Yen tie-breaking — can differ from the
+        source's insertion order, and its :attr:`topology_version` is
+        its node count plus its channel count, as if every node and then
+        every channel had been added one by one.
+
+        The source's own compact snapshot does not carry over: it
+        follows the source's order, not the clone's.  Instead, every
+        copy taken while the source's topology stays unchanged has the
+        same adjacency, so those siblings share one snapshot of it.  The
+        first sibling to call :meth:`compact` builds it by the
+        full-rebuild path (adopting shared memory when installed) and
+        each sibling's first :meth:`compact` returns its own
+        :meth:`CompactTopology.fork` of it.  A clone changed before its
+        first :meth:`compact` rebuilds on its own, as any graph does.
         """
         clone = ChannelGraph()
-        for node in self._adj:
-            clone.add_node(node)
-        for channel in self.channels():
-            clone.add_channel(
-                channel.a,
-                channel.b,
-                channel.balance_ab,
-                channel.balance_ba,
-                fee_ab=channel.fee_ab,
-                fee_ba=channel.fee_ba,
-            )
+        adjacency = clone._adj = {node: {} for node in self._adj}
+        channels = 0
+        for u, nbrs in self._adj.items():
+            row = adjacency[u]
+            for v, channel in nbrs.items():
+                if v in row:  # copied from v's side already
+                    continue
+                twin = Channel(
+                    channel.a,
+                    channel.b,
+                    channel.balance_ab,
+                    channel.balance_ba,
+                    fee_ab=channel.fee_ab,
+                    fee_ba=channel.fee_ba,
+                )
+                row[v] = twin
+                adjacency[v][u] = twin
+                channels += 1
+        clone._topology_version = len(adjacency) + channels
+        if self._copies is None:
+            self._copies = _SiblingSnapshot()
+        clone._siblings = self._copies
         # Policy records travel with the fee policies above; the version
         # counter (and any fee controller) must follow so the clone stays
         # policy-aware.  Per-tick traffic deliberately starts empty.

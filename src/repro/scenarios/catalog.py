@@ -929,10 +929,12 @@ register_scenario(
 
 register_scenario(
     "scale-churn",
-    "10k-node Barabási–Albert network under heavy channel churn "
-    "(~600 onchain events/hour): the stress case for incremental "
-    "compact-topology maintenance and selective routing-table "
-    "invalidation (see benchmarks/test_bench_churn.py)",
+    "10k-node Barabási–Albert network under heavy channel churn: "
+    "~300 opens/hour and ~300 close attempts/hour, each on a uniform "
+    "node pair, so nearly every close names no channel and is refused: "
+    "the stress case for incremental compact-topology maintenance and "
+    "selective routing-table invalidation (see "
+    "benchmarks/test_bench_churn.py)",
     topology="ba-scale",
     workload="mice-elephant",
     workload_params={"mice_median": 20.0, "elephant_median": 1_500.0},

@@ -60,11 +60,13 @@ this module; ``engine="sequential"`` results are byte-identical to the
 pre-concurrent engine's output for the same seed.
 
 Under ``workers=N`` fork parallelism with the numpy kernel backend,
-this engine's per-scheme ``graph.copy()`` adopts the parent-exported
-shared-memory topology arrays inside ``working_graph.compact()`` when
-the adjacency digest matches (:mod:`repro.network.shared`) — same
-mechanism as the sequential engine, no engine-specific code, and
-bit-identical results either way.
+the first of a run's per-scheme ``graph.copy()`` clones adopts the
+parent-exported shared-memory topology arrays inside
+``working_graph.compact()`` when the adjacency digest matches
+(:mod:`repro.network.shared`), and the later clones fork that snapshot
+(:meth:`repro.network.graph.ChannelGraph.copy`) — same mechanism as
+the sequential engine, no engine-specific code, and bit-identical
+results either way.
 """
 
 from __future__ import annotations

@@ -9,6 +9,13 @@ from repro.baselines.speedymurmurs import (
     tree_coordinates,
     tree_distance,
 )
+from repro.network.graph import ChannelGraph
+from repro.network.topology import (
+    barabasi_albert_edges,
+    build_channel_graph,
+    grid_topology,
+    uniform_sampler,
+)
 from repro.network.view import NetworkView
 from repro.traces.workload import Transaction
 
@@ -98,3 +105,83 @@ class TestRouter:
     def test_validation(self, grid_graph):
         with pytest.raises(ValueError):
             SpeedyMurmursRouter(NetworkView(grid_graph), num_landmarks=0)
+
+
+def _root(embedding):
+    """The landmark an embedding is rooted at (its self-parented node)."""
+    (root,) = [node for node, parent in embedding.parents.items() if node == parent]
+    return root
+
+
+def _mixed_id_graph() -> ChannelGraph:
+    """Int and str node ids side by side, with degree ties across types."""
+    graph = ChannelGraph()
+    for a, b in (
+        (1, "1"), (1, 2), (1, "b"), ("1", "a"), ("1", 2),
+        (2, "a"), ("a", 10), ("b", "10"), (10, "10"), ("10", 3),
+    ):
+        graph.add_channel(a, b, 50.0, 50.0)
+    return graph
+
+
+class TestLazyEmbedding:
+    """Lazily read coordinates and ranked landmarks equal the eager forms."""
+
+    def _router(self, graph, landmarks=3):
+        return SpeedyMurmursRouter(
+            NetworkView(graph), num_landmarks=landmarks, rng=random.Random(0)
+        )
+
+    def _expected_landmarks(self, graph, count):
+        topology = graph.compact()
+        ranked = sorted(
+            topology, key=lambda node: (-len(topology[node]), repr(node))
+        )
+        return ranked[:count]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lazy_coordinates_equal_eager(self, seed):
+        rng = random.Random(seed)
+        graph = build_channel_graph(
+            barabasi_albert_edges(120, 2, rng), uniform_sampler(50.0, 150.0), rng
+        )
+        graph.add_channel("island-a", "island-b", 10.0, 10.0)
+        router = self._router(graph)
+        topology = graph.compact()
+        probes = graph.nodes + ["absent"]
+        for embedding in router._embeddings:
+            eager = tree_coordinates(topology, _root(embedding))
+            rng.shuffle(probes)
+            for node in probes:
+                assert (node in embedding.parents) == (node in eager)
+                if node in eager:
+                    assert embedding[node] == eager[node]
+                else:
+                    with pytest.raises(KeyError):
+                        embedding[node]
+            assert dict(embedding) == eager
+
+    @pytest.mark.parametrize("count", [1, 3, 5, 9, 16, 20])
+    def test_landmarks_match_full_sort_on_grid_ties(self, count):
+        # 4x4 grid: four inner nodes of degree 4, eight of degree 3 and
+        # four corners of degree 2, so repr breaks most ties.
+        graph = grid_topology(4, 4, balance=100.0)
+        router = self._router(graph, count)
+        assert [_root(e) for e in router._embeddings] == (
+            self._expected_landmarks(graph, count)
+        )
+
+    @pytest.mark.parametrize("count", [1, 2, 4, 6, 8, 12])
+    def test_landmarks_match_full_sort_on_mixed_ids(self, count):
+        graph = _mixed_id_graph()
+        router = self._router(graph, count)
+        assert [_root(e) for e in router._embeddings] == (
+            self._expected_landmarks(graph, count)
+        )
+        # Still equal after a gossiped change re-ranks the landmarks.
+        graph.remove_channel(1, "1")
+        graph.add_channel(3, "a", 50.0, 50.0)
+        router.on_topology_update(events=[])
+        assert [_root(e) for e in router._embeddings] == (
+            self._expected_landmarks(graph, count)
+        )

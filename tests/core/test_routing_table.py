@@ -1,6 +1,6 @@
 """Tests for the mice routing table."""
 
-from repro.core.routing_table import RoutingTable
+from repro.core.routing_table import RoutingTable, _node_depth
 
 
 class TestLookup:
@@ -244,7 +244,7 @@ class TestSelectiveInvalidation:
         table = RoutingTable(m=1)
         table.lookup(0, 8, grid_graph.compact())
         layer = table._source_layers[0]
-        depths = layer.tree_depths()
+        depths = {node: _node_depth(layer.parents, node) for node in (1, 3)}
         assert abs(depths[1] - depths[3]) <= 1  # both at depth 1
         grid_graph.add_channel(1, 3, 10.0, 10.0)
         refreshed = grid_graph.compact()
@@ -258,7 +258,9 @@ class TestSelectiveInvalidation:
         table = RoutingTable(m=1)
         table.lookup(0, 8, grid_graph.compact())
         layer = table._source_layers[0]
-        assert abs(layer.tree_depths()[0] - layer.tree_depths()[8]) > 1
+        assert abs(
+            _node_depth(layer.parents, 0) - _node_depth(layer.parents, 8)
+        ) > 1
         grid_graph.add_channel(0, 8, 10.0, 10.0)
         refreshed = grid_graph.compact()
         dropped, recomputed = table.apply_events(

@@ -11,6 +11,10 @@ consistent ``slot_of``/``slot_tail``/``reverse_slot`` bookkeeping, and
 identical BFS results.  Randomized sequences are generated with seeded
 stdlib :mod:`random` only, so every failure reproduces from its seed.
 
+The same contract holds for sibling copies: every ``ChannelGraph.copy``
+of one unchanged source forks one shared snapshot, and each copy then
+churns (and reprices) on its own without disturbing its siblings.
+
 The second half pins the engine-level guarantee behind the
 ``ChannelGraph.incremental_compact`` flag: full simulations over churn
 produce byte-identical records whichever compact path is active.
@@ -35,6 +39,7 @@ from repro.network.dynamics import (
     GossipSchedule,
     run_dynamic_simulation,
 )
+from repro.network.fees import ChannelPolicy
 from repro.network.graph import ChannelGraph
 from repro.network.paths import bfs_distances, bfs_shortest_path
 from repro.network.topology import (
@@ -241,6 +246,164 @@ class TestIncrementalEquivalence:
             assert rebuilt.num_slots == rebuilt.live_slots
         finally:
             ChannelGraph.incremental_compact = True
+
+
+def _random_policy_update(rng: random.Random, graph: ChannelGraph) -> None:
+    """Gossip a fresh BOLT #7 policy for one random channel direction."""
+    channel = rng.choice(list(graph.channels()))
+    src, dst = (channel.a, channel.b)
+    if rng.random() < 0.5:
+        src, dst = dst, src
+    graph.set_channel_policy(
+        src,
+        dst,
+        ChannelPolicy(
+            base_fee=rng.uniform(0.0, 2.0),
+            fee_rate=rng.uniform(0.0, 0.01),
+            cltv_delta=rng.randrange(10, 150),
+            htlc_min=rng.uniform(0.0, 1.0),
+            htlc_max=rng.uniform(50.0, 500.0),
+        ),
+    )
+
+
+def _assert_matches_rebuild(
+    snapshot: CompactTopology, graph: ChannelGraph, rng: random.Random
+) -> None:
+    """Observable identity plus slot space and policy arrays."""
+    _assert_observably_identical(snapshot, graph, rng)
+    rebuilt = CompactTopology.from_adjacency(
+        graph.adjacency(), version=graph.topology_version
+    )
+    # The slot space is this graph's own: live slots plus its own
+    # tombstones, and no sibling's arena appended behind it.
+    assert snapshot.num_slots - snapshot._dead_count == rebuilt.num_slots
+    assert len(snapshot.indices) == snapshot.num_slots
+    assert len(snapshot.slot_tail) == snapshot.num_slots
+    assert len(snapshot.reverse_slot) == snapshot.num_slots
+    if not graph.policy_aware:
+        assert snapshot._policy_arrays is None
+        return
+    rebuilt.install_policies(graph.channel_policy, version=graph.policy_version)
+    assert snapshot.policy_version == graph.policy_version
+    for array in snapshot._policy_arrays:
+        assert len(array) == snapshot.num_slots  # slot-parallel, unshared
+    for node, neighbors in graph.adjacency().items():
+        u = snapshot.index_of(node)
+        ref_u = rebuilt.index_of(node)
+        for neighbor in neighbors:
+            slot = snapshot.slot_of(u, snapshot.index_of(neighbor))
+            ref = rebuilt.slot_of(ref_u, rebuilt.index_of(neighbor))
+            for mine, theirs in zip(
+                snapshot._policy_arrays, rebuilt._policy_arrays
+            ):
+                assert mine[slot] == theirs[ref]
+
+
+@pytest.fixture
+def interned_versions(monkeypatch):
+    """Record the version of every ``from_adjacency`` build."""
+    versions: list[int] = []
+    build = CompactTopology.from_adjacency.__func__
+
+    def counting(cls, adjacency, version=0, backend=None):
+        versions.append(version)
+        return build(cls, adjacency, version=version, backend=backend)
+
+    monkeypatch.setattr(CompactTopology, "from_adjacency", classmethod(counting))
+    return versions
+
+
+class TestSiblingCopies:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_nodes", GRAPH_SIZES)
+    def test_sibling_copies_churn_independently(
+        self, seed, n_nodes, interned_versions
+    ):
+        rng = random.Random(5_000 * n_nodes + seed)
+        source = _random_graph(rng, n_nodes)
+        if seed % 2:  # copies start policy-aware
+            for _ in range(3):
+                _random_policy_update(rng, source)
+        clones = [source.copy() for _ in range(3)]
+        before = len(interned_versions)
+        firsts = [clone.compact() for clone in clones]
+        # One interning for the three siblings, each its own fork.
+        assert len(interned_versions) == before + 1
+        assert len({id(first) for first in firsts}) == 3
+        assert len({id(first.indices) for first in firsts}) == 3
+        for clone, first in zip(clones, firsts):
+            assert first.version == clone.topology_version
+            _assert_matches_rebuild(first, clone, rng)
+
+        clone_rngs = [random.Random(rng.randrange(1 << 30)) for _ in clones]
+        for _batch in range(6):
+            for clone, clone_rng in zip(clones, clone_rngs):
+                for _ in range(clone_rng.randrange(1, 6)):
+                    if clone_rng.random() < 0.25:
+                        _random_policy_update(clone_rng, clone)
+                    else:
+                        _random_op(clone_rng, clone)
+            # Checked only once every sibling has churned, so damage one
+            # sibling's deltas did to another's snapshot would show.
+            for clone, clone_rng in zip(clones, clone_rngs):
+                _assert_matches_rebuild(clone.compact(), clone, clone_rng)
+
+    def test_interning_once_per_source_version(self, interned_versions):
+        rng = random.Random(41)
+        source = _random_graph(rng, 40)
+        first = source.copy()
+        first.compact()
+        assert len(interned_versions) == 1
+        late = source.copy()  # same source version, taken later
+        late.compact()
+        assert len(interned_versions) == 1
+
+        a, b = rng.sample(source.nodes, 2)
+        if source.has_channel(a, b):
+            source.remove_channel(a, b)
+        else:
+            source.add_channel(a, b, 20.0, 20.0)
+        moved = [source.copy() for _ in range(3)]
+        snapshots = [clone.compact() for clone in moved]
+        assert len(interned_versions) == 2
+        for clone, snapshot in zip(moved, snapshots):
+            _assert_matches_rebuild(snapshot, clone, rng)
+
+        # A copy changed before its first compact() rebuilds on its own.
+        changed = source.copy()
+        changed.add_channel("newcomer", source.nodes[0], 5.0, 5.0)
+        before = len(interned_versions)
+        snapshot = changed.compact()
+        assert interned_versions[before:] == [changed.topology_version]
+        _assert_matches_rebuild(snapshot, changed, rng)
+
+    def test_copy_keeps_node_major_order_and_version(self):
+        rng = random.Random(8)
+        source = _random_graph(rng, 40)
+        for _ in range(10):
+            _random_op(rng, source)
+        clone = source.copy()
+        replay = ChannelGraph()
+        for node in source.nodes:
+            replay.add_node(node)
+        for channel in source.channels():
+            replay.add_channel(
+                channel.a, channel.b, channel.balance_ab, channel.balance_ba
+            )
+        assert list(clone.adjacency().items()) == list(
+            replay.adjacency().items()
+        )
+        assert clone.topology_version == replay.topology_version
+        for channel in source.channels():
+            twin = clone.channel(channel.a, channel.b)
+            assert twin is not channel
+            assert (twin.a, twin.b) == (channel.a, channel.b)
+            assert (twin.balance_ab, twin.balance_ba) == (
+                channel.balance_ab,
+                channel.balance_ba,
+            )
+            assert (twin.fee_ab, twin.fee_ba) == (channel.fee_ab, channel.fee_ba)
 
 
 class TestEngineMetricIdentity:
