@@ -11,23 +11,22 @@ BFS runs on the fresh snapshot, so both paths pay for a usable (not
 merely constructed) topology, and the final incremental snapshot is
 asserted observably identical to a from-scratch rebuild.
 
-Writes machine-readable ``BENCH_churn.json`` at the repo root
-(canonical serialization, like ``BENCH_routing.json``); the committed
-snapshot's methodology notes live in docs/SCENARIOS.md.  Set
+Under ``BENCH_RECORD=1``, writes machine-readable ``BENCH_churn.json``
+at the repo root (canonical serialization, like ``BENCH_routing.json``);
+the committed snapshot's methodology notes live in docs/SCENARIOS.md.  Set
 ``BENCH_SMOKE=1`` for the CI-scale version, which only asserts that
 incremental upkeep is no slower than rebuilding.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
 import random
 import time
 
-from _common import save_result
+from _common import save_result, save_timed_snapshot
 
 from repro.network.compact import CompactTopology
 from repro.network.dynamics import ChannelEvent, ChannelEventType, GossipSchedule
@@ -190,17 +189,7 @@ def test_bench_churn():
         "events_per_sec_speedup": round(speedup, 2),
         "equivalence_checked": True,
     }
-    from repro.eval.store import CANONICAL_DIGITS, canonicalize
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            canonicalize(report, CANONICAL_DIGITS),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n"
-    )
+    save_timed_snapshot(BENCH_JSON, report)
 
     body = "\n".join(
         [
@@ -217,7 +206,12 @@ def test_bench_churn():
             f"events/sec speedup: {speedup:.1f}x",
         ]
     )
-    save_result("churn", "Incremental topology maintenance under churn", body)
+    save_result(
+        "churn",
+        "Incremental topology maintenance under churn",
+        body,
+        timed=True,
+    )
 
     # The acceptance contract: >= 3x events/sec at 10k-node scale.  The
     # smoke run (tiny graph, CI) only pins the direction — incremental

@@ -7,7 +7,8 @@ scale-free topology, against *legacy* reference implementations (the
 dict-based algorithms this repo shipped before the compact-topology
 rewrite, preserved verbatim below).
 
-Writes machine-readable ``BENCH_routing.json`` at the repo root so
+Under ``BENCH_RECORD=1``, writes machine-readable ``BENCH_routing.json``
+at the repo root so
 future PRs can track speedups/regressions with
 ``python benchmarks/compare_bench.py``.
 
@@ -16,7 +17,6 @@ Set ``BENCH_SMOKE=1`` to run a scaled-down version (CI smoke).
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
@@ -24,7 +24,7 @@ import random
 import time
 from collections import deque
 
-from _common import save_result
+from _common import save_result, save_timed_snapshot
 
 from repro.core.routing_table import RoutingTable
 from repro.network.compact import CompactTopology, numpy_available
@@ -378,19 +378,7 @@ def test_bench_perf_routing():
             "metrics_identical": True,
         },
     }
-    # Canonical serialization (sorted keys, fixed float precision) keeps
-    # the snapshot diffable across platforms and compare_bench.py stable.
-    from repro.eval.store import CANONICAL_DIGITS, canonicalize
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            canonicalize(report, CANONICAL_DIGITS),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n"
-    )
+    save_timed_snapshot(BENCH_JSON, report)
 
     body = "\n".join(
         [
@@ -419,7 +407,9 @@ def test_bench_perf_routing():
             f"parallel {parallel_ms:.0f} ms  ({workers_speedup:.2f}x)",
         ]
     )
-    save_result("perf_routing", "Routing hot-path microbenchmark", body)
+    save_result(
+        "perf_routing", "Routing hot-path microbenchmark", body, timed=True
+    )
 
     # The perf contract of the compact rewrite.  Ratios are
     # machine-independent; thresholds leave slack under the measured

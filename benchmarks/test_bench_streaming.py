@@ -13,7 +13,8 @@ Measures the two claims the streaming workload path makes:
   the queue or held in flight) is counted at the moment each new one is
   yielded.
 
-Writes machine-readable ``BENCH_streaming.json`` at the repo root so
+Under ``BENCH_RECORD=1``, writes machine-readable
+``BENCH_streaming.json`` at the repo root so
 future PRs can track throughput/residency with
 ``python benchmarks/compare_bench.py``.
 
@@ -22,7 +23,6 @@ Set ``BENCH_SMOKE=1`` to run a scaled-down version (CI smoke).
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
@@ -30,7 +30,7 @@ import random
 import time
 import weakref
 
-from _common import save_result
+from _common import save_result, save_timed_snapshot
 
 import repro.scenarios  # populates the catalog (lightning-day)
 from repro.scenarios.registry import get_scenario
@@ -136,17 +136,7 @@ def test_bench_streaming():
             "peak_over_lookahead": round(probe.peak / LOOKAHEAD, 2),
         },
     }
-    from repro.eval.store import CANONICAL_DIGITS, canonicalize
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            canonicalize(report, CANONICAL_DIGITS),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n"
-    )
+    save_timed_snapshot(BENCH_JSON, report)
 
     body = "\n".join(
         [
@@ -161,7 +151,9 @@ def test_bench_streaming():
             f"stream length {probe.yielded})",
         ]
     )
-    save_result("streaming", "Streaming lightning-day benchmark", body)
+    save_result(
+        "streaming", "Streaming lightning-day benchmark", body, timed=True
+    )
 
     # Every transaction must have flowed through the probe exactly once.
     assert probe.yielded == N_TRANSACTIONS

@@ -1,10 +1,10 @@
 """Report figures: grouped bar charts, matplotlib-optional.
 
-``matplotlib`` is an optional dependency (deliberately not required —
-the library is stdlib-only); when it is importable the charts are saved
-as PNG, otherwise a deterministic hand-rolled SVG is written instead.
-The SVG path uses fixed float formatting throughout, so re-generating a
-report produces byte-identical figure files.
+``matplotlib`` is an optional dependency (deliberately not required);
+when it is importable the charts are saved as PNG, otherwise a
+deterministic hand-rolled SVG is written instead.  The SVG path uses
+fixed float formatting throughout, so re-generating a report produces
+byte-identical figure files.
 
 Styling follows one validated light-mode categorical palette (checked
 for CVD separation and normal-vision distance); schemes are assigned

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.errors import ChannelError
 from repro.network.channel import Channel, NodeId
 from repro.network.graph import ChannelGraph, Transfer
 from repro.network.paths import bfs_shortest_path
@@ -133,7 +134,8 @@ class Rebalancer:
                 continue
             try:
                 self.graph.execute([Transfer(tuple(cycle), amount)])
-            except Exception:
+            except ChannelError:
+                # The cycle's funds moved since it was found: skip it.
                 continue
             report.cycles_executed += 1
             report.volume_shifted += amount

@@ -442,7 +442,7 @@ class CompactTopology(Mapping):
         return projected > max(self.COMPACT_MIN_SLOTS, self._base_slots // 4)
 
     def apply_delta(
-        self, ops: Sequence[tuple], version: int = 0
+        self, ops: Sequence[tuple], version: int = 0, policy_of=None
     ) -> "CompactTopology":
         """Derive the snapshot after a batch of channel ops — O(touched).
 
@@ -468,6 +468,11 @@ class CompactTopology(Mapping):
         (node order, neighbor order, BFS results) — the invariant the
         property suite in ``tests/property/test_compact_incremental.py``
         fuzzes.
+
+        When policy arrays are installed, each opened slot takes the
+        record ``policy_of(src, dst)`` returns, or the default (free,
+        unconstrained) policy when there is no lookup or it returns
+        ``None``.
         """
         nbrs = list(self.neighbor_idx)
         rows = list(self.slot_rows)
@@ -518,18 +523,26 @@ class CompactTopology(Mapping):
                 arena += 2
                 if policy_arrays is not None:
                     # Keep the per-slot policy arrays aligned with the
-                    # arena: churn-opened directions have no gossip
-                    # record yet, so both new slots get the default
-                    # (free, unconstrained) policy.  Appending at the
-                    # tail is safe for the base snapshot — its kernels
-                    # never index past its own slot count.
-                    base_f, rate_f, cltv_f, hmin_f, hmax_f = policy_arrays
-                    for _ in range(2):
-                        base_f.append(0.0)
-                        rate_f.append(0.0)
-                        cltv_f.append(_DEFAULT_CLTV)
-                        hmin_f.append(0.0)
-                        hmax_f.append(_INF)
+                    # arena.  Appending at the tail is safe for the base
+                    # snapshot — its kernels never index past its own
+                    # slot count.
+                    for src, dst in ((a, b), (b, a)):
+                        policy = (
+                            None if policy_of is None else policy_of(src, dst)
+                        )
+                        values = (
+                            (0.0, 0.0, _DEFAULT_CLTV, 0.0, _INF)
+                            if policy is None
+                            else (
+                                policy.base_fee,
+                                policy.fee_rate,
+                                policy.cltv_delta,
+                                policy.htlc_min,
+                                policy.htlc_max,
+                            )
+                        )
+                        for array, value in zip(policy_arrays, values):
+                            array.append(value)
             elif kind == "close":
                 _, a, b = op
                 ia = index[a]
@@ -1541,6 +1554,31 @@ class CompactTopology(Mapping):
         :meth:`ChannelGraph.compact` can skip reinstalling when nothing
         changed.
         """
+        self._policy_arrays = self.policy_arrays_from(lookup)
+        self._np_policy_arrays = None
+        self.policy_version = version
+
+    @property
+    def fee_rates(self) -> list[float] | None:
+        """The installed per-slot ``fee_rate`` array, or ``None``."""
+        arrays = self._policy_arrays
+        return None if arrays is None else arrays[1]
+
+    def set_fee_rates(self, rates: list[float], version: int) -> None:
+        """Replace the installed ``fee_rate`` array, stamped ``version``.
+
+        ``rates`` must be a new list, never the old one edited in place:
+        snapshots derived by :meth:`apply_delta` share the arrays, and
+        the ones the new list supersedes keep the old one.  The numpy
+        mirror is dropped and rebuilt on the next numpy relax.
+        """
+        base, _, cltv, hmin, hmax = self._policy_arrays
+        self._policy_arrays = (base, rates, cltv, hmin, hmax)
+        self._np_policy_arrays = None
+        self.policy_version = version
+
+    def policy_arrays_from(self, lookup) -> tuple[list, ...]:
+        """The arrays :meth:`install_policies` installs, without installing."""
         num = self._num_slots
         base = [0.0] * num
         rate = [0.0] * num
@@ -1559,9 +1597,7 @@ class CompactTopology(Mapping):
                 cltv[s] = policy.cltv_delta
                 hmin[s] = policy.htlc_min
                 hmax[s] = policy.htlc_max
-        self._policy_arrays = (base, rate, cltv, hmin, hmax)
-        self._np_policy_arrays = None
-        self.policy_version = version
+        return (base, rate, cltv, hmin, hmax)
 
     def _np_policy(self):
         """Lazy float64/int64 mirrors of the per-slot policy arrays."""

@@ -14,10 +14,13 @@ Two pieces:
   mix), flipping it into policy-aware mode;
 * :class:`FeeMarketController` is the repricing rule.  It is **frozen
   and stateless** — parameters only.  All mutable market state lives on
-  the per-run graph copy (:attr:`ChannelGraph.traffic` accrues settled
-  volume and is cleared each tick; policies live on the channels), so
-  the same controller instance can be shared by every scheme's run of a
-  sweep without leaking state across them.
+  the per-run graph copy, so the same controller instance can be shared
+  by every scheme's run of a sweep without leaking state across them:
+  :attr:`ChannelGraph.traffic` accrues settled volume and is cleared
+  each tick, the live rates are the ``fee_rate`` array of the graph's
+  compact snapshot (:meth:`ChannelGraph.reprice`), and
+  :attr:`ChannelGraph.priced_slots` indexes the priced directions of
+  that snapshot.
 
 The controller is ticked by
 :meth:`~repro.network.dynamics.GossipSchedule.advance_to` on the gossip
@@ -29,8 +32,10 @@ the churn event stream is empty.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from repro.network.channel import Channel, NodeId
+from repro.network.compact import CompactTopology
 from repro.network.fees import ChannelPolicy, sample_paper_fee
 from repro.network.graph import ChannelGraph
 
@@ -73,6 +78,23 @@ def assign_market_policies(
     return priced
 
 
+@dataclass(frozen=True, eq=False)
+class PricedSlots:
+    """The priced directions of one snapshot, in slot order per node.
+
+    ``slots[i]`` is the slot of the direction whose channel is
+    ``channels[i]``; ``directions`` maps each ``(u, v)`` to its slot.
+    Valid while ``snapshot`` is the graph's current one: any channel
+    open or close derives a new snapshot.
+    """
+
+    snapshot: CompactTopology
+    hubs: int
+    slots: list[int]
+    channels: list[Channel]
+    directions: dict[tuple[NodeId, NodeId], int]
+
+
 @dataclass(frozen=True)
 class FeeMarketController:
     """Multiplicative load-responsive repricing of channel fee rates.
@@ -94,6 +116,11 @@ class FeeMarketController:
     ``update`` returns True when any policy changed, which
     :class:`~repro.network.dynamics.GossipSchedule` treats as pending
     ``channel_update`` gossip.
+
+    A tick is one pass over the slot-indexed ``fee_rate`` array of the
+    graph's compact snapshot, writing a new array that
+    :meth:`ChannelGraph.reprice` installs; the channels' policy records
+    catch up when read.
     """
 
     hubs: int = 0
@@ -115,22 +142,62 @@ class FeeMarketController:
     def update(self, graph: ChannelGraph, now: float) -> bool:
         """Reprice one tick from the accrued traffic; clear the signal."""
         traffic = graph.traffic
-        changed = False
-        for u in self.priced_nodes(graph):
-            for v in graph.neighbors(u):
-                policy = graph.channel_policy(u, v)
-                capacity = graph.total_capacity(u, v)
-                if capacity <= 0:
-                    continue
-                utilization = traffic.get((u, v), 0.0) / capacity
-                rate = policy.fee_rate * (
-                    self.decay + self.sensitivity * utilization
-                )
-                rate = min(self.max_rate, max(self.min_rate, rate))
-                if rate != policy.fee_rate:
-                    graph.set_channel_policy(
-                        u, v, replace(policy, fee_rate=rate)
-                    )
-                    changed = True
+        snapshot, rates = graph.fee_rates()
+        priced = self._priced_slots(graph, snapshot)
+        new = list(rates)
+        decay = self.decay
+        sensitivity = self.sensitivity
+        low = self.min_rate
+        high = self.max_rate
+        # The factor of a direction with no traffic, computed exactly as
+        # a loaded one's (``utilization`` is ``0.0 / capacity``).
+        idle = decay + sensitivity * 0.0
+        for slot, channel in zip(priced.slots, priced.channels):
+            if channel.total_capacity() > 0:
+                new[slot] = min(high, max(low, rates[slot] * idle))
+        directions = priced.directions
+        for direction, volume in traffic.items():
+            slot = directions.get(direction)
+            if slot is None:
+                continue
+            capacity = graph.total_capacity(*direction)
+            if capacity <= 0:
+                continue
+            utilization = volume / capacity
+            new[slot] = min(
+                high,
+                max(low, rates[slot] * (decay + sensitivity * utilization)),
+            )
         traffic.clear()
-        return changed
+        if new == rates:
+            return False
+        graph.reprice(snapshot, new, directions)
+        return True
+
+    def _priced_slots(
+        self, graph: ChannelGraph, snapshot: CompactTopology
+    ) -> PricedSlots:
+        """The priced directions of ``snapshot``, cached on the graph."""
+        cached = graph.priced_slots
+        if (
+            cached is not None
+            and cached.snapshot is snapshot
+            and cached.hubs == self.hubs
+        ):
+            return cached
+        nodes = snapshot.nodes
+        slot_rows = snapshot.slot_rows
+        neighbor_idx = snapshot.neighbor_idx
+        slots: list[int] = []
+        channels: list[Channel] = []
+        directions: dict[tuple[NodeId, NodeId], int] = {}
+        for u in self.priced_nodes(graph):
+            i = snapshot.index_of(u)
+            for slot, j in zip(slot_rows[i], neighbor_idx[i]):
+                v = nodes[j]
+                slots.append(slot)
+                channels.append(graph.channel(u, v))
+                directions[(u, v)] = slot
+        cached = PricedSlots(snapshot, self.hubs, slots, channels, directions)
+        graph.priced_slots = cached
+        return cached

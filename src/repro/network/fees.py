@@ -126,6 +126,23 @@ class ChannelPolicy:
     def marginal_rate(self, amount: float) -> float:
         return self.fee_rate
 
+    def with_fee_rate(self, fee_rate: float) -> ChannelPolicy:
+        """``dataclasses.replace(self, fee_rate=fee_rate)``, at a third of
+        the cost.
+
+        A fee-market tick leaves most records to be rebuilt this way on
+        the routers' first read, so the copy skips the dataclass
+        machinery; only the new rate needs checking, because every
+        other field comes from a record that was checked already.
+        """
+        if fee_rate < 0:
+            raise ValueError("fee parameters must be non-negative")
+        record = object.__new__(ChannelPolicy)
+        fields = record.__dict__
+        fields.update(self.__dict__)
+        fields["fee_rate"] = fee_rate
+        return record
+
     def admits(self, amount: float, delivered: float) -> bool:
         """Feasibility of forwarding ``amount`` for a ``delivered`` payment.
 

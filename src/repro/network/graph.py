@@ -116,11 +116,16 @@ class ChannelGraph:
         #: application order — the delta stream :meth:`compact` replays.
         #: Only populated while a snapshot exists to replay against.
         self._pending_deltas: list[tuple] = []
-        #: Bumped by :meth:`set_channel_policy`; zero means no
-        #: :class:`ChannelPolicy` was ever assigned, and every fee- and
-        #: policy-aware branch in the library stays dormant (the
-        #: golden-pinned legacy behaviour).
+        #: Bumped by :meth:`set_channel_policy` and by each
+        #: :meth:`reprice`; zero means no :class:`ChannelPolicy` was ever
+        #: assigned, and every fee- and policy-aware branch in the
+        #: library stays dormant (the golden-pinned legacy behaviour).
         self._policy_version = 0
+        #: Directions whose channel record lags the snapshot's live
+        #: ``fee_rate`` array since a :meth:`reprice`: direction -> slot.
+        #: :meth:`channel_policy` and :meth:`fee_policy` rebuild a
+        #: direction's record on first read (see :meth:`_build_records`).
+        self._stale_records: dict[tuple[NodeId, NodeId], int] = {}
         #: Per-directed-hop volume settled since the last fee-controller
         #: tick — the observed load a fee-market dynamics model prices
         #: against.  Only populated on policy-aware graphs.
@@ -129,6 +134,10 @@ class ChannelGraph:
         #: :mod:`repro.scenarios.catalog`); invoked by
         #: :class:`repro.network.dynamics.GossipSchedule` at gossip ticks.
         self.fee_controller = None
+        #: The fee controller's index of priced direction slots, kept
+        #: for the snapshot it was built on (see
+        #: :class:`repro.network.feemarket.FeeMarketController`).
+        self.priced_slots = None
         #: On a source: the :class:`_SiblingSnapshot` its copies share.
         self._copies: _SiblingSnapshot | None = None
         #: On a copy: that shared record, until the first :meth:`compact`.
@@ -188,6 +197,11 @@ class ChannelGraph:
             raise NoChannelError(a, b)
         del self._adj[a][b]
         del self._adj[b][a]
+        if self._stale_records:
+            # The closed channel's records go with it; a reopened
+            # channel starts from its own.
+            self._stale_records.pop((a, b), None)
+            self._stale_records.pop((b, a), None)
         self._topology_version += 1
         self._log_delta(("close", a, b))
 
@@ -285,14 +299,26 @@ class ChannelGraph:
             and not cached.should_compact(len(pending))
         ):
             snapshot = cached.apply_delta(
-                pending, version=self._topology_version
+                pending,
+                version=self._topology_version,
+                policy_of=(
+                    self._opened_policy if self._policy_version else None
+                ),
             )
         else:
+            # A rebuild renumbers the slots the stale records point at.
+            self._build_records()
             snapshot = self._rebuild()
         self._pending_deltas = []
         self._compact = snapshot
         self._refresh_policies(snapshot)
         return snapshot
+
+    def _opened_policy(self, src: NodeId, dst: NodeId) -> ChannelPolicy | None:
+        """A delta-opened slot's record (``None`` if closed again since)."""
+        if not self.has_channel(src, dst):
+            return None
+        return self.channel_policy(src, dst)
 
     def _rebuild(self) -> CompactTopology:
         """A full snapshot: adopted from shared memory, else interned."""
@@ -309,13 +335,15 @@ class ChannelGraph:
         )
 
     def _refresh_policies(self, snapshot: CompactTopology) -> None:
-        """(Re)install per-slot policy arrays when fee gossip moved.
+        """Install per-slot policy arrays from the records when stale.
 
-        O(E), but only runs on policy-aware graphs and only when
-        :attr:`policy_version` advanced since the snapshot's arrays were
-        built — i.e. once per fee-gossip epoch.  Delta-derived and
-        shared-memory-adopted snapshots rebuild here too (open deltas
-        carry no policy payload, and the shared export is policy-free).
+        O(E), but only runs on policy-aware graphs whose snapshot's
+        arrays predate :attr:`policy_version`: a fresh rebuild or fork
+        (the shared export and forks are policy-free), or a
+        :meth:`set_channel_policy` since.  A :meth:`reprice` stamps the
+        snapshot it writes, and delta-derived snapshots share their
+        base's arrays with opened slots filled in, so neither
+        reinstalls here.
         """
         if self._policy_version and (
             snapshot.policy_version != self._policy_version
@@ -383,7 +411,17 @@ class ChannelGraph:
         return sum(channel.total_capacity() for channel in self.channels())
 
     def fee_policy(self, src: NodeId, dst: NodeId) -> FeePolicy:
-        return self.channel(src, dst).fee_policy(src, dst)
+        # self.channel(), inlined: every probe and fee recursion reads here.
+        try:
+            channel = self._adj[src][dst]
+        except KeyError:
+            raise NoChannelError(src, dst) from None
+        stale = self._stale_records
+        if stale:
+            slot = stale.pop((src, dst), None)
+            if slot is not None:
+                self._build_record(channel, src, dst, slot)
+        return channel.fee_policy(src, dst)
 
     # ------------------------------------------------------- BOLT policies
 
@@ -399,7 +437,11 @@ class ChannelGraph:
 
     @property
     def policy_version(self) -> int:
-        """Monotone counter of policy assignments (fee gossip epochs)."""
+        """Monotone counter of policy changes (fee gossip epochs).
+
+        Moves once per :meth:`set_channel_policy` call and once per
+        :meth:`reprice` tick, however many directions that tick moved.
+        """
         return self._policy_version
 
     def set_channel_policy(
@@ -407,14 +449,16 @@ class ChannelGraph:
     ) -> None:
         """Assign the ``src -> dst`` direction's BOLT #7 policy record.
 
-        The sanctioned mutation point: it bumps :attr:`policy_version`
-        so cached :class:`CompactTopology` snapshots refresh their
-        per-slot policy arrays on the next :meth:`compact` call.
+        Bumps :attr:`policy_version`, so the next :meth:`compact`
+        reinstalls the snapshot's per-slot policy arrays from the
+        records — which are first brought up to date with any
+        :meth:`reprice` they lag.
         """
         if not isinstance(policy, ChannelPolicy):
             raise ChannelError(
                 f"set_channel_policy needs a ChannelPolicy, got {policy!r}"
             )
+        self._build_records()
         self.channel(src, dst).set_fee_policy(src, dst, policy)
         self._policy_version += 1
 
@@ -424,9 +468,72 @@ class ChannelGraph:
         Legacy :class:`FeePolicy` assignments (``assign_paper_fees``)
         are *not* policy records: on a policy-aware graph they read as
         :data:`DEFAULT_POLICY`, keeping the two fee systems disjoint.
+        Read records through the graph: a :meth:`reprice` leaves the
+        channels' own records behind until this (or :meth:`fee_policy`)
+        reads them.
         """
-        policy = self.channel(src, dst).fee_policy(src, dst)
+        policy = self.fee_policy(src, dst)
         return policy if isinstance(policy, ChannelPolicy) else DEFAULT_POLICY
+
+    def fee_rates(self) -> tuple[CompactTopology, list[float]]:
+        """The current snapshot and its per-slot ``fee_rate`` array.
+
+        On a graph that is not policy-aware yet, the rates are read from
+        the records and nothing is installed until a :meth:`reprice`.
+        """
+        snapshot = self.compact()
+        rates = snapshot.fee_rates
+        if rates is None:
+            rates = snapshot.policy_arrays_from(self.channel_policy)[1]
+        return snapshot, rates
+
+    def reprice(
+        self,
+        snapshot: CompactTopology,
+        rates: list[float],
+        directions: dict[tuple[NodeId, NodeId], int],
+    ) -> None:
+        """Make ``rates`` the live per-slot ``fee_rate`` array: one epoch.
+
+        ``snapshot`` is the one :meth:`fee_rates` just returned, and
+        ``rates`` a new list (older snapshots keep the old one).
+        :attr:`policy_version` moves once.  The records of
+        ``directions`` (direction -> slot) are rebuilt from ``rates``
+        when first read, or before a :meth:`copy`, a
+        :meth:`set_channel_policy` or a full snapshot rebuild.
+        """
+        self._policy_version += 1
+        if snapshot.fee_rates is None:
+            snapshot.install_policies(
+                self.channel_policy, version=self._policy_version
+            )
+        snapshot.set_fee_rates(rates, self._policy_version)
+        self._stale_records.update(directions)
+
+    def _build_record(
+        self, channel: Channel, src: NodeId, dst: NodeId, slot: int
+    ) -> None:
+        """Bring a stale direction's record up to the rate in ``slot``."""
+        rate = self._compact.fee_rates[slot]
+        # The direction exists, so its tail names the side (this is
+        # Channel.fee_policy without the endpoint checks, on a hot path).
+        forward = src == channel.a
+        policy = channel.fee_ab if forward else channel.fee_ba
+        if not isinstance(policy, ChannelPolicy):
+            policy = DEFAULT_POLICY
+        if rate != policy.fee_rate:
+            policy = policy.with_fee_rate(rate)
+            if forward:
+                channel.fee_ab = policy
+            else:
+                channel.fee_ba = policy
+
+    def _build_records(self) -> None:
+        """Bring every stale record up to its live rate."""
+        stale = self._stale_records
+        for (src, dst), slot in stale.items():
+            self._build_record(self._adj[src][dst], src, dst, slot)
+        stale.clear()
 
     def path_policies(self, path: Path) -> list[ChannelPolicy]:
         """Per-edge policy records along ``path`` (defaults where unset)."""
@@ -547,9 +654,21 @@ class ChannelGraph:
 
     def assign_paper_fees(self, rng: random.Random) -> None:
         """Assign the Fig-9 fee mix independently to every channel direction."""
+        self._overwrite_records()
         for channel in self.channels():
             channel.fee_ab = sample_paper_fee(rng)
             channel.fee_ba = sample_paper_fee(rng)
+
+    def _overwrite_records(self) -> None:
+        """Prepare for a legacy assigner to replace every record.
+
+        Stale records are dropped, not built, and a policy-aware graph
+        moves :attr:`policy_version` so the next :meth:`compact`
+        reinstalls its policy arrays from the new records.
+        """
+        self._stale_records.clear()
+        if self._policy_version:
+            self._policy_version += 1
 
     def copy(self) -> ChannelGraph:
         """Deep copy of topology, balances, and fee policies.
@@ -572,6 +691,7 @@ class ChannelGraph:
         :meth:`CompactTopology.fork` of it.  A clone changed before its
         first :meth:`compact` rebuilds on its own, as any graph does.
         """
+        self._build_records()
         clone = ChannelGraph()
         adjacency = clone._adj = {node: {} for node in self._adj}
         channels = 0
@@ -608,6 +728,7 @@ class ChannelGraph:
         """Export as a directed ``networkx.DiGraph`` with balance attributes."""
         import networkx as nx
 
+        self._build_records()
         graph = nx.DiGraph()
         graph.add_nodes_from(self._adj)
         for channel in self.channels():
@@ -681,6 +802,7 @@ def assign_uniform_fees(
 ) -> None:
     """Give every channel direction the same :class:`LinearFee`."""
     policy = LinearFee(base=base, rate=rate)
+    graph._overwrite_records()
     for channel in graph.channels():
         channel.fee_ab = policy
         channel.fee_ba = policy

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.extensions import rebalance
 from repro.extensions.rebalance import (
     Rebalancer,
     channel_skew,
@@ -77,6 +78,36 @@ class TestRebalancer:
         graph = grid_topology(3, 3)
         report = Rebalancer(graph, random.Random(0)).rebalance_once()
         assert report.cycles_executed == 0
+
+    def test_infeasible_cycle_is_skipped(self, monkeypatch):
+        graph = skewed_triangle()
+        # A cycle whose b -> c hop cannot carry the amount, as when the
+        # funds moved after the cycle was found.
+        monkeypatch.setattr(
+            rebalance, "find_rebalancing_cycle",
+            lambda graph, rich, poor, amount: ["a", "b", "c", "a"],
+        )
+        graph.channel("b", "c").transfer("b", "c", 50.0)
+        balances = {
+            (u, v): graph.balance(u, v)
+            for u, row in graph.adjacency().items()
+            for v in row
+        }
+        report = Rebalancer(graph, random.Random(0)).rebalance_once()
+        assert report.channels_considered >= 1
+        assert report.cycles_executed == 0
+        for (u, v), balance in balances.items():
+            assert graph.balance(u, v) == balance
+
+    def test_other_errors_propagate(self, monkeypatch):
+        graph = skewed_triangle()
+
+        def broken(transfers):
+            raise RuntimeError("not a channel error")
+
+        monkeypatch.setattr(graph, "execute", broken)
+        with pytest.raises(RuntimeError, match="not a channel error"):
+            Rebalancer(graph, random.Random(0)).rebalance_once()
 
     def test_validation(self):
         graph = grid_topology(2, 2)

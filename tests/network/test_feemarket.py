@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.network.compact import CompactTopology
 from repro.network.dynamics import GossipSchedule
 from repro.network.feemarket import FeeMarketController, assign_market_policies
 from repro.network.fees import ChannelPolicy
@@ -105,6 +106,28 @@ class TestControllerUpdate:
         _price_all(graph, rate=0.001)
         controller = FeeMarketController(min_rate=0.001)
         assert controller.update(graph, 0.0) is False
+
+    def test_tick_moves_policy_version_once_and_skips_reinstall(
+        self, monkeypatch
+    ):
+        graph = _star()
+        _price_all(graph, rate=0.01)
+        graph.compact()
+        installs = []
+        install = CompactTopology.install_policies
+
+        def counting(snapshot, lookup, version):
+            installs.append(version)
+            install(snapshot, lookup, version)
+
+        monkeypatch.setattr(CompactTopology, "install_policies", counting)
+        controller = FeeMarketController(decay=0.9)
+        before = graph.policy_version
+        for tick in range(1, 4):
+            assert controller.update(graph, 0.0) is True
+            assert graph.policy_version == before + tick
+            assert graph.compact().policy_version == graph.policy_version
+        assert installs == []
 
     def test_controller_is_stateless_across_graphs(self):
         controller = FeeMarketController(decay=0.5)

@@ -1,10 +1,12 @@
 """Unit tests for fee policies."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.network.fees import (
+    ChannelPolicy,
     LinearFee,
     QuadraticFee,
     ZeroFee,
@@ -30,6 +32,18 @@ class TestPolicies:
     def test_linear_rejects_negative(self):
         with pytest.raises(ValueError):
             LinearFee(base=-1.0)
+
+    def test_with_fee_rate_matches_replace(self):
+        policy = ChannelPolicy(
+            base_fee=0.5, fee_rate=0.01, cltv_delta=80,
+            htlc_min=1.0, htlc_max=500.0,
+        )
+        copy = policy.with_fee_rate(0.02)
+        assert copy == replace(policy, fee_rate=0.02)
+        assert hash(copy) == hash(replace(policy, fee_rate=0.02))
+        assert policy.fee_rate == 0.01
+        with pytest.raises(ValueError):
+            policy.with_fee_rate(-0.001)
 
     def test_quadratic_fee_convex(self):
         policy = QuadraticFee(rate=0.01, quad=0.001)
