@@ -9,7 +9,10 @@ the three maintenance behaviours the paper describes:
 * **refresh** — recompute every entry when the gossiped topology changes;
 * **replacement** — when a payment finds a cached path dead (zero
   effective capacity or broken connectivity), replace it with the *next*
-  shortest path;
+  shortest path.  Each entry keeps its Yen enumeration
+  (:class:`~repro.network.paths.YenState`), so the next path costs one
+  more Yen iteration, not a re-run of every earlier one; the topology
+  hooks below drop these enumerations;
 * **timeout** — entries untouched for longer than ``entry_ttl`` are
   evicted to bound the table size.
 
@@ -44,7 +47,12 @@ from dataclasses import dataclass, field
 from repro.network.channel import NodeId
 from repro.network.compact import CompactTopology
 from repro.network.dynamics import ChannelEvent, ChannelEventType
-from repro.network.paths import Adjacency, bfs_tree_parents, yen_k_shortest_paths
+from repro.network.paths import (
+    Adjacency,
+    YenState,
+    bfs_tree_parents,
+    yen_k_shortest_paths,
+)
 
 Path = list[NodeId]
 
@@ -56,10 +64,12 @@ def _topology_token(topology: Adjacency) -> tuple:
     validates it with ``is`` (so a recycled ``id`` can never alias a new
     object); the token only guards against *in-place* mutation.  Compact
     topologies are immutable snapshots, so their build version suffices.
-    Plain mappings are fingerprinted by size and degree sum — callers
-    that rewire a mapping in place while keeping those constant must
-    call :meth:`RoutingTable.refresh` (the paper's topology-update hook)
-    to invalidate.
+    Plain mappings are fingerprinted by size and degree sum.  Callers
+    that rewire a mapping in place must call
+    :meth:`RoutingTable.refresh` (the paper's topology-update hook): the
+    token misses a rewiring that keeps those constant, and the entries'
+    Yen enumerations, keyed on the mapping object, would otherwise
+    resume on the old graph.
     """
     if isinstance(topology, CompactTopology):
         return (topology.version, topology.num_slots)
@@ -108,6 +118,13 @@ class TableEntry:
     yen_cursor: int = 0
     hits: int = 0
     misses: int = 0
+    #: The pair's Yen enumeration, which :meth:`RoutingTable.replace_path`
+    #: resumes for the next ranked path.  A lookup miss fills it to ``m``
+    #: paths; :meth:`RoutingTable.refresh` and
+    #: :meth:`RoutingTable.apply_events` reset it to ``None`` (the next
+    #: replacement then starts a new one), so it is dropped with the
+    #: topology it was computed on.
+    yen: YenState | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -182,16 +199,33 @@ class RoutingTable:
         self._source_layers.clear()
 
     def _ranked_paths(
-        self, sender: NodeId, receiver: NodeId, topology: Adjacency, k: int
+        self,
+        sender: NodeId,
+        receiver: NodeId,
+        topology: Adjacency,
+        k: int,
+        entry: TableEntry | None = None,
     ) -> list[Path]:
-        """Top-``k`` Yen paths, seeded by the cached source tree."""
+        """Top-``k`` Yen paths, seeded by the cached source tree.
+
+        With ``entry`` the enumeration resumes from, and is kept in,
+        ``entry.yen``.  It starts over when the tree now gives another
+        first path, since Yen ranks ties from its first path: a layer
+        that :meth:`apply_events` re-stamped can differ from the one a
+        fresh BFS builds after it is evicted.
+        """
         if k <= 0:
             return []
         first = self._first_path(sender, receiver, topology)
         if first is None:
             return []
+        state = None
+        if entry is not None:
+            state = entry.yen
+            if state is None or state.first != first:
+                state = entry.yen = YenState()
         return yen_k_shortest_paths(
-            topology, sender, receiver, k, first=first
+            topology, sender, receiver, k, first=first, state=state
         )
 
     # -------------------------------------------------------------- lookups
@@ -207,8 +241,11 @@ class RoutingTable:
         pair = (sender, receiver)
         entry = self._entries.get(pair)
         if entry is None:
-            paths = self._ranked_paths(sender, receiver, topology, self.m)
-            entry = TableEntry(paths=paths, last_used=now, yen_cursor=len(paths))
+            entry = TableEntry(paths=[], last_used=now)
+            entry.paths = self._ranked_paths(
+                sender, receiver, topology, self.m, entry
+            )
+            entry.yen_cursor = len(entry.paths)
             entry.misses += 1
             self._entries[pair] = entry
             self._enforce_capacity()
@@ -228,13 +265,16 @@ class RoutingTable:
 
         Returns the replacement, or ``None`` when the topology has no
         further distinct path (the dead one is then simply dropped).
+        The entry's Yen enumeration is resumed for one more path, so a
+        replacement runs at most one Yen iteration, and none once the
+        pair's paths are exhausted.
         """
         pair = (sender, receiver)
         entry = self._entries.get(pair)
         if entry is None or dead_path not in entry.paths:
             return None
         ranked = self._ranked_paths(
-            sender, receiver, topology, entry.yen_cursor + 1
+            sender, receiver, topology, entry.yen_cursor + 1, entry
         )
         replacement = None
         existing = {tuple(path) for path in entry.paths}
@@ -251,9 +291,14 @@ class RoutingTable:
         return replacement
 
     def refresh(self, topology: Adjacency) -> None:
-        """Recompute every entry against an updated topology (§3.3)."""
+        """Recompute every entry against an updated topology (§3.3).
+
+        Every entry's Yen enumeration is dropped: it belongs to the old
+        topology (or to a mapping that may have been rewired in place).
+        """
         self.invalidate_structural_cache()
         for (sender, receiver), entry in list(self._entries.items()):
+            entry.yen = None
             paths = self._ranked_paths(sender, receiver, topology, self.m)
             entry.paths = paths
             entry.yen_cursor = len(paths)
@@ -311,6 +356,10 @@ class RoutingTable:
         incremental contract, covered at run time by the paper's
         trial-and-error replacement and by the next full refresh.
 
+        Every entry's Yen enumeration is dropped, as in :meth:`refresh`,
+        so none keeps a superseded snapshot alive; a surviving entry's
+        next replacement starts a new one on ``topology``.
+
         Returns ``(layers_dropped, entries_recomputed)`` for tests and
         diagnostics.
         """
@@ -345,6 +394,7 @@ class RoutingTable:
         }
         recomputed = 0
         for (sender, receiver), entry in list(self._entries.items()):
+            entry.yen = None
             stale = sender in dropped
             if not stale and opens and sender in layerless:
                 stale = True

@@ -11,7 +11,9 @@ to encode the residual capacity matrix of Algorithm 1).
 Implemented from scratch:
 
 * breadth-first shortest path (the subroutine of Algorithm 1);
-* Yen's k-shortest loopless paths [36] (mice routing tables, §3.3);
+* Yen's k-shortest loopless paths [36] (mice routing tables, §3.3),
+  resumable through a :class:`YenState` so that one more path costs one
+  more iteration;
 * k edge-disjoint shortest paths (Spider's path choice [30]).
 
 Passing a :class:`CompactTopology` routes every algorithm through the
@@ -216,6 +218,121 @@ def bfs_tree_parents(
 # ---------------------------------------------------------------------- Yen
 
 
+class YenState:
+    """A :func:`yen_k_shortest_paths` enumeration, kept so it can resume.
+
+    Create it empty and pass it as ``state``.  The call records its
+    inputs (topology object, source, target, ``edge_ok``) and where its
+    loop stopped: the accepted paths, the candidate heap and every
+    candidate ever pushed.  A later call with the same inputs continues
+    that loop, so asking for one more path costs one Yen iteration
+    instead of all of them again.  Holding a state keeps its topology
+    (and, for a mapping, the interned snapshot) alive.
+    """
+
+    __slots__ = (
+        "topology",
+        "source",
+        "target",
+        "edge_ok",
+        "_ct",
+        "_dst",
+        "_base_ok",
+        "_accepted",
+        "_pushed",
+        "_heap",
+        "_exhausted",
+    )
+
+    def __init__(self) -> None:
+        self._reset(None, None, None, None)
+
+    def _reset(
+        self,
+        adjacency: Adjacency | None,
+        source: NodeId | None,
+        target: NodeId | None,
+        edge_ok: EdgePredicate | None,
+    ) -> None:
+        """Record new inputs with no enumeration behind them yet."""
+        self.topology = adjacency
+        self.source = source
+        self.target = target
+        self.edge_ok = edge_ok
+        self._ct: CompactTopology | None = None
+        self._dst = -1
+        self._base_ok = None
+        self._accepted: list[tuple[int, ...]] = []
+        self._pushed: set[tuple[int, ...]] = set()
+        self._heap: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = []
+        self._exhausted = True
+
+    def _matches(
+        self,
+        adjacency: Adjacency,
+        source: NodeId,
+        target: NodeId,
+        edge_ok: EdgePredicate | None,
+    ) -> bool:
+        """Whether a call with these inputs resumes this enumeration."""
+        return (
+            self.topology is adjacency
+            and self.source == source
+            and self.target == target
+            and self.edge_ok is edge_ok
+        )
+
+    @property
+    def first(self) -> Path | None:
+        """The path the enumeration started from (``None`` if it has none)."""
+        if not self._accepted:
+            return None
+        return self._ct.path_nodes(self._accepted[0])
+
+    def _start(
+        self,
+        adjacency: Adjacency,
+        source: NodeId,
+        target: NodeId,
+        edge_ok: EdgePredicate | None,
+        first: Path | None,
+    ) -> None:
+        """Reset to a new enumeration holding only its first path."""
+        self._reset(adjacency, source, target, edge_ok)
+        if not isinstance(adjacency, CompactTopology) and (
+            source not in adjacency or target not in adjacency
+        ):
+            # Match bfs_shortest_path on mapping inputs: an endpoint that is
+            # only a dangling neighbor value, not a key, is unreachable.
+            return
+        ct = CompactTopology.from_adjacency(adjacency)
+        src = ct.index_of(source)
+        dst = ct.index_of(target)
+        if src is None or dst is None:
+            return
+        base_ok = _slot_ok_from_edge_ok(ct, edge_ok)
+
+        first_idx: list[int] | None = None
+        if first is not None and first[0] == source and first[-1] == target:
+            mapped = [ct.index_of(node) for node in first]
+            if None not in mapped and ct.path_slots(mapped) is not None:
+                first_idx = mapped  # type: ignore[assignment]
+        if first_idx is None:
+            if base_ok is None:
+                first_idx = ct.shortest_path_plain(src, dst)
+            else:
+                found = ct.shortest_path_idx(src, dst, slot_ok=base_ok)
+                first_idx = None if found is None else found[0]
+        if first_idx is None:
+            return
+        self._ct = ct
+        self._dst = dst
+        self._base_ok = base_ok
+        self._accepted = [tuple(first_idx)]
+        self._pushed = {self._accepted[0]}
+        self._exhausted = False
+
+
 def yen_k_shortest_paths(
     adjacency: Adjacency,
     source: NodeId,
@@ -223,6 +340,7 @@ def yen_k_shortest_paths(
     k: int,
     edge_ok: EdgePredicate | None = None,
     first: Path | None = None,
+    state: YenState | None = None,
 ) -> list[Path]:
     """Yen's algorithm [36]: up to ``k`` loopless fewest-hop paths.
 
@@ -234,37 +352,39 @@ def yen_k_shortest_paths(
     ``first`` optionally supplies an already-known fewest-hop path from
     ``source`` to ``target`` (e.g. read off a cached BFS tree); the
     initial BFS is then skipped.  The caller is responsible for ``first``
-    really being a shortest path under ``edge_ok``.
+    really being a shortest path under ``edge_ok``.  Among equal-length
+    paths, Yen ranks from its first path, so the hint can change the
+    order of ties.
+
+    ``state`` optionally keeps the enumeration in a :class:`YenState`.
+    The call resumes it only when the topology is the same object,
+    ``source`` and ``target`` are equal and ``edge_ok`` is the same
+    object as in the call that filled it; ``first`` is then ignored,
+    because the enumeration already holds its first path.  A larger
+    ``k`` continues the loop, a smaller one returns a prefix.  Any other
+    call starts over into ``state``.  The loop reads ``k`` only in its
+    stop test and ties break by ``repr`` order, so a resumed call
+    returns exactly what a call without ``state`` returns, provided
+    that in between the topology was not changed in place, ``edge_ok``
+    kept its answers and ``first`` is the hint the state was filled
+    with.  Once the enumeration has no candidates left, resuming costs
+    no search at all.
     """
     if k <= 0:
         return []
-    if not isinstance(adjacency, CompactTopology) and (
-        source not in adjacency or target not in adjacency
-    ):
-        # Match bfs_shortest_path on mapping inputs: an endpoint that is
-        # only a dangling neighbor value, not a key, is unreachable.
+    if state is None:
+        state = YenState()
+    if not state._matches(adjacency, source, target, edge_ok):
+        state._start(adjacency, source, target, edge_ok, first)
+    accepted = state._accepted
+    if not accepted:
         return []
-    ct = CompactTopology.from_adjacency(adjacency)
-    src = ct.index_of(source)
-    dst = ct.index_of(target)
-    if src is None or dst is None:
-        return []
-    base_ok = _slot_ok_from_edge_ok(ct, edge_ok)
+    ct = state._ct
+    dst = state._dst
+    base_ok = state._base_ok
+    pushed = state._pushed
+    heap = state._heap
     n = ct.num_nodes
-
-    first_idx: list[int] | None = None
-    if first is not None and first[0] == source and first[-1] == target:
-        mapped = [ct.index_of(node) for node in first]
-        if None not in mapped and ct.path_slots(mapped) is not None:
-            first_idx = mapped  # type: ignore[assignment]
-    if first_idx is None:
-        if base_ok is None:
-            first_idx = ct.shortest_path_plain(src, dst)
-        else:
-            found = ct.shortest_path_idx(src, dst, slot_ok=base_ok)
-            first_idx = None if found is None else found[0]
-    if first_idx is None:
-        return []
 
     reprs = ct.repr_keys
     tail = ct.slot_tail
@@ -272,11 +392,7 @@ def yen_k_shortest_paths(
     # Accepted and candidate paths are tuples of dense indices; removed
     # spur edges are ``u * n + v`` integer codes, so the spur BFS does one
     # int-set membership test per edge instead of hashing node tuples.
-    accepted: list[tuple[int, ...]] = [tuple(first_idx)]
-    pushed: set[tuple[int, ...]] = {accepted[0]}
-    heap: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = []
-
-    while len(accepted) < k:
+    while len(accepted) < k and not state._exhausted:
         prev_idx = accepted[-1]
         for i in range(len(prev_idx) - 1):
             root = prev_idx[: i + 1]
@@ -320,11 +436,12 @@ def yen_k_shortest_paths(
                 ),
             )
         if not heap:
+            state._exhausted = True
             break
         accepted.append(heapq.heappop(heap)[2])
 
     nodes = ct.nodes
-    return [[nodes[j] for j in idx_path] for idx_path in accepted]
+    return [[nodes[j] for j in idx_path] for idx_path in accepted[:k]]
 
 
 # --------------------------------------------------------------- fee-aware

@@ -49,6 +49,7 @@ when the pool drains, so a killed pool still keeps its completed runs.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import random
@@ -65,6 +66,8 @@ from repro.network.graph import ChannelGraph
 from repro.sim.engine import RouterFactory, run_simulation
 from repro.sim.metrics import AveragedMetrics, SimulationResult, StoredResult
 from repro.traces.workload import Workload
+
+logger = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (eval -> sim)
     from repro.eval.store import ExperimentStore
@@ -427,7 +430,8 @@ def _export_shared_topology(
     instead of re-interning.  Seed-dependent topologies digest-mismatch
     and build locally — sharing is an optimization, never a dependency.
     Any failure here (an exotic scenario, unpicklable probe, exhausted
-    ``/dev/shm``) degrades to no sharing.
+    ``/dev/shm``) degrades to no sharing, logged as a warning with its
+    traceback.
     """
     if compact_backend.get_default_backend() != "numpy":
         return None
@@ -438,6 +442,10 @@ def _export_shared_topology(
         graph = scenario(probe_rng)[0]
         return shared_topology.export_topology(graph.copy().adjacency())
     except Exception:
+        logger.warning(
+            "shared topology export failed; every worker builds its own",
+            exc_info=True,
+        )
         return None
 
 

@@ -1,6 +1,10 @@
 """Tests for the mice routing table."""
 
+import pytest
+
 from repro.core.routing_table import RoutingTable, _node_depth
+from repro.network.compact import CompactTopology
+from repro.network.paths import yen_k_shortest_paths
 
 
 class TestLookup:
@@ -311,3 +315,96 @@ class TestSelectiveInvalidation:
         layer = table._source_layers[0]
         assert table.apply_events([], compact) == (0, 0)
         assert table._source_layers[0] is layer
+
+
+class TestResumedEnumeration:
+    """Replacements resume each entry's Yen enumeration (§3.3)."""
+
+    @staticmethod
+    def _spur_searches(monkeypatch) -> list:
+        """Record every spur search Yen makes (no ``edge_ok``: banned BFS)."""
+        calls: list = []
+        original = CompactTopology.shortest_path_banned
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompactTopology, "shortest_path_banned", counting)
+        return calls
+
+    @staticmethod
+    def _filled(table, topology, receivers=(5, 7, 8)):
+        """Entries from 0 that each made one replacement on ``topology``."""
+        for receiver in receivers:
+            entry = table.lookup(0, receiver, topology)
+            table.replace_path(0, receiver, entry.paths[0], topology)
+        entries = list(table._entries.values())
+        assert all(entry.yen.topology is topology for entry in entries)
+        return entries
+
+    def test_replacement_costs_one_yen_iteration(
+        self, grid_graph, monkeypatch
+    ):
+        compact = grid_graph.compact()
+        ranked = yen_k_shortest_paths(compact, 0, 8, 100)
+        assert len(ranked) < 100  # every simple path of the grid
+        spurs = self._spur_searches(monkeypatch)
+        table = RoutingTable(m=3)
+        entry = table.lookup(0, 8, compact)
+        made = []
+        while entry.paths:
+            cursor = entry.yen_cursor
+            before = len(spurs)
+            table.replace_path(0, 8, entry.paths[0], compact)
+            made.append((cursor, len(spurs) - before))
+        assert [cursor for cursor, _ in made] == list(
+            range(3, len(ranked) + 3)
+        )
+        for cursor, count in made:
+            if cursor <= len(ranked):
+                # Spurs off the last ranked path only: one per spur node.
+                assert count <= len(ranked[cursor - 1]) - 1, cursor
+            else:
+                # The ranking is known to be exhausted: no search at all.
+                assert count == 0, cursor
+
+    def test_refresh_drops_every_enumeration(self, grid_graph):
+        old = grid_graph.compact()
+        table = RoutingTable(m=2)
+        entries = self._filled(table, old)
+        grid_graph.remove_channel(0, 1)
+        new = grid_graph.compact()
+        table.refresh(new)
+        assert all(entry.yen is None for entry in entries)
+        # The next replacement starts a new enumeration on the new snapshot.
+        entry = table._entries[(0, 8)]
+        table.replace_path(0, 8, entry.paths[0], new)
+        assert entry.yen.topology is new
+
+    @pytest.mark.parametrize("batch", ("close", "open", "empty"))
+    def test_apply_events_drops_every_enumeration(self, grid_graph, batch):
+        from repro.network.dynamics import ChannelEvent, ChannelEventType
+
+        old = grid_graph.compact()
+        table = RoutingTable(m=2)
+        entries = self._filled(table, old)
+        if batch == "close":
+            grid_graph.remove_channel(4, 5)
+            events = [ChannelEvent(0.0, ChannelEventType.CLOSE, 4, 5)]
+            new = grid_graph.compact()
+        elif batch == "open":
+            grid_graph.add_channel(1, 3, 10.0, 10.0)
+            events = [
+                ChannelEvent(0.0, ChannelEventType.OPEN, 1, 3, 10.0, 10.0)
+            ]
+            new = grid_graph.compact()
+        else:
+            events = []
+            new = old.fork()  # a new snapshot of the same topology
+        assert new is not old
+        table.apply_events(events, new)
+        assert all(entry.yen is None for entry in entries)
+        assert all(
+            layer.topology is new for layer in table._source_layers.values()
+        )

@@ -12,6 +12,7 @@ filesystem state, not on bookkeeping flags.
 
 from __future__ import annotations
 
+import logging
 import os
 import random
 import signal
@@ -62,6 +63,23 @@ def _exploding_scenario(rng: random.Random):
     if os.getpid() != MAIN_PID:
         raise RuntimeError("worker killed mid-run")
     return _grid_scenario(rng)
+
+
+class _ProbeFailsScenario:
+    """Raises on its first build only: the parent's export probe.
+
+    The pool forks after the probe, so every worker inherits the count
+    and builds the grid normally.
+    """
+
+    def __init__(self) -> None:
+        self.builds = 0
+
+    def __call__(self, rng: random.Random):
+        self.builds += 1
+        if self.builds == 1:
+            raise RuntimeError("export probe failed")
+        return _grid_scenario(rng)
 
 
 @needs_dev_shm
@@ -218,3 +236,33 @@ class TestProcessDeathCleanup:
         assert proc.returncode == 0, proc.stderr
         assert "leaked" not in proc.stderr
         assert "resource_tracker" not in proc.stderr
+
+
+class TestExportFallback:
+    @pytest.fixture(autouse=True)
+    def numpy_default(self):
+        from repro.network.compact import (
+            get_default_backend,
+            set_default_backend,
+        )
+
+        previous = get_default_backend()
+        set_default_backend("numpy")
+        yield
+        set_default_backend(previous)
+
+    def test_failed_export_is_logged_and_runs_unshared(self, caplog):
+        factories = {"Flash": flash_factory(k=5, m=2)}
+        with caplog.at_level(logging.WARNING, logger="repro.sim.runner"):
+            parallel = run_comparison(
+                _ProbeFailsScenario(), factories, runs=2, base_seed=1, workers=2
+            )
+        [record] = [r for r in caplog.records if r.name == "repro.sim.runner"]
+        assert record.levelno == logging.WARNING
+        assert "shared topology export failed" in record.getMessage()
+        assert record.exc_info is not None
+        assert record.exc_info[0] is RuntimeError
+        assert "export probe failed" in caplog.text  # the traceback
+        assert shared.active() is None
+        serial = run_comparison(_grid_scenario, factories, runs=2, base_seed=1)
+        assert parallel["Flash"] == serial["Flash"]
