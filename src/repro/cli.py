@@ -415,32 +415,6 @@ def _apply_compact_mode(args) -> None:
         ChannelGraph.incremental_compact = False
 
 
-def _add_backend_flag(subparser: argparse.ArgumentParser) -> None:
-    """Kernel backend selection (run/sweep/report)."""
-    subparser.add_argument(
-        "--backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="kernel backend for the compact-topology searches: 'python' "
-        "(default; pure-Python reference) or 'numpy' (vectorized "
-        "full-sweep kernels + shared-memory topology for --workers; "
-        "bit-identical results, requires the numpy extra)",
-    )
-
-
-def _apply_backend(args) -> None:
-    """Honor ``--backend`` for this process (and its fork workers).
-
-    A missing numpy extra surfaces as a :class:`repro.errors.ReproError`
-    with an install hint rather than an ``ImportError`` traceback.
-    """
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from repro.network.compact import set_default_backend
-
-        set_default_backend(backend)
-
-
 def _apply_fault_flag(scenario, fault_name: str | None):
     """Attach or swap the scenario's fault ingredient for ``--fault``.
 
@@ -463,11 +437,6 @@ def _cmd_run(args) -> int:
     from repro.sim.runner import resolve_engine, resolve_mpp
 
     _apply_compact_mode(args)
-    try:
-        _apply_backend(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     try:
         scenario = _apply_fault_flag(
             scenarios.get_scenario(args.name), args.fault
@@ -754,11 +723,6 @@ def _cmd_sweep(args) -> int:
 
     _apply_compact_mode(args)
     try:
-        _apply_backend(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
         scenario = _apply_fault_flag(
             scenarios.get_scenario(args.name), args.fault
         )
@@ -988,7 +952,6 @@ def _cmd_report(args) -> int:
     from repro.eval.report import check_golden, generate_report
 
     try:
-        _apply_backend(args)
         artifacts = generate_report(
             out_dir=args.out,
             smoke=args.smoke,
@@ -1160,7 +1123,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallelize the seeded runs over N fork workers",
+        help="parallelize the seeded runs over up to N fork workers, "
+        "one per usable CPU at most",
     )
     run.add_argument(
         "--transactions",
@@ -1199,7 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(run)
     _add_mpp_flags(run)
     _add_compact_flag(run)
-    _add_backend_flag(run)
     _add_seed_flag(run)
     run.add_argument(
         "--out",
@@ -1246,7 +1209,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallelize the seeded runs over N fork workers",
+        help="parallelize the seeded runs over up to N fork workers, "
+        "one per usable CPU at most",
     )
     sweep.add_argument(
         "--transactions",
@@ -1258,7 +1222,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(sweep)
     _add_mpp_flags(sweep)
     _add_compact_flag(sweep)
-    _add_backend_flag(sweep)
     _add_seed_flag(sweep)
     sweep.add_argument(
         "--out",
@@ -1313,9 +1276,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallelize the seeded runs over N fork workers",
+        help="parallelize the seeded runs over up to N fork workers, "
+        "one per usable CPU at most",
     )
-    _add_backend_flag(report)
     _add_seed_flag(report)
     report.add_argument(
         "--fresh",

@@ -23,18 +23,15 @@ reverse edge of every hop is an O(1) ``reverse_slot`` lookup — no
 ``(NodeId, NodeId)`` tuple hashing on the hot path.  The probed capacity
 and fee maps returned to callers keep their node-tuple keys.
 
-Backend dispatch happens inside the topology's kernels, not here: the
-augmenting loop calls ``shortest_path_residual``, which under both the
-``python`` and ``numpy`` backends runs the serial (bidirectional above
-the threshold) search — measured on BA-1k..50k, vectorizing the
-single-pair residual probe loses 10-20x because the search touches a
-tiny fraction of the graph while every frontier would pay ndarray call
-overhead.  The residual/stamp scratch therefore stays a plain float
-list under both backends; only the full-sweep kernels
-(``distances_idx``/``tree_parents_idx``) vectorize.  See
-:mod:`repro.network.compact` ("backends") and
-``tests/property/test_backend_equivalence.py`` for the bit-identity
-guarantee this relies on.
+Kernel selection happens inside the topology, not here: the augmenting
+loop calls ``shortest_path_residual``, which always runs the serial
+(bidirectional above the threshold) search — measured on BA-1k..50k,
+vectorizing the single-pair residual probe loses 10-20x because the
+search touches a tiny fraction of the graph while every frontier would
+pay ndarray call overhead.  The residual/stamp scratch is therefore a
+plain float list; only the full sweeps
+(``distances_idx``/``tree_parents_idx``) vectorize, on large graphs
+(see :attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES`).
 """
 
 from __future__ import annotations

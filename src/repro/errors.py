@@ -70,12 +70,3 @@ class EventBudgetError(ProtocolError, RuntimeError):
 
 class TopologyError(ReproError):
     """A topology generator received invalid parameters."""
-
-
-class BackendError(ReproError):
-    """A kernel backend is unknown or its dependency is unavailable.
-
-    Raised instead of ``ImportError`` when ``backend="numpy"`` is
-    requested without numpy installed, so callers get one catchable
-    library error with an actionable message (``pip install .[numpy]``).
-    """

@@ -48,111 +48,45 @@ escrow.  The full delta lifecycle is documented in
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
 from heapq import heappop, heappush
 
-from repro.errors import BackendError
+import numpy as np
+
 from repro.network.channel import NodeId
 
-__all__ = [
-    "BACKENDS",
-    "CompactTopology",
-    "get_default_backend",
-    "numpy_available",
-    "resolve_backend",
-    "set_default_backend",
-]
-
-# --------------------------------------------------------------- backends
-#
-# Kernel backend selection.  ``"python"`` is the default and the
-# golden-pinned reference: plain list storage, serial loops.  ``"numpy"``
-# mirrors the CSR arrays into int64 ndarrays and vectorizes the
-# *full-sweep* kernels (``distances_idx``, ``tree_parents_idx`` — the
-# routing-table and landmark/embedding hot paths) one frontier at a time.
-# Single-pair searches (plain/banned/residual BFS — Yen's spur loop,
-# Algorithm 1) stay on the serial kernels under both backends: measured
-# on BA-1000..BA-50k, the bidirectional serial search visits so small a
-# graph fraction that per-level ndarray call overhead loses by 10-20x,
-# while the full sweeps gain 1.7x (1k nodes) to 4x (10k).  Both backends
-# are bit-identical — same outputs, same dict iteration order — which
-# ``tests/property/test_backend_equivalence.py`` fuzzes.
-
-#: Recognized kernel backends, in preference order for documentation.
-BACKENDS: tuple[str, ...] = ("python", "numpy")
+__all__ = ["CompactTopology"]
 
 #: Per-slot policy defaults for directions without a gossip record —
 #: must match ``repro.network.fees.DEFAULT_POLICY`` (free,
 #: unconstrained forwarding); kept as literals so the kernel module
-#: stays import-light.
+#: does not import the fee model.
 _DEFAULT_CLTV = 40
 _INF = float("inf")
 
-#: ``False`` = not probed yet; ``None`` = probed, numpy missing;
-#: otherwise the imported module.  Tests monkeypatch this to ``None``
-#: to simulate an environment without the optional extra.
-_numpy_module: object | None | bool = False
-
-#: Process-wide default backend for newly built snapshots.  Seeded from
-#: ``REPRO_BACKEND`` (validated lazily, so merely importing this module
-#: never raises) and settable via :func:`set_default_backend` — the CLI
-#: ``--backend`` flag routes through that.  Fork workers inherit it.
-_default_backend: str = os.environ.get("REPRO_BACKEND", "python")
-
-
-def _numpy():
-    """The numpy module, or ``None`` when the optional extra is missing."""
-    global _numpy_module
-    if _numpy_module is False:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - numpy present in CI
-            numpy = None
-        _numpy_module = numpy
-    return _numpy_module
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy extra is importable."""
-    return _numpy() is not None
-
-
-def require_numpy():
-    """The numpy module, raising :class:`BackendError` when missing."""
-    np = _numpy()
-    if np is None:
-        raise BackendError(
-            "backend 'numpy' requires the optional numpy extra; "
-            "install it with `pip install .[numpy]` or use "
-            "backend='python'"
-        )
-    return np
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Validate a backend name (``None`` = the process default)."""
-    name = _default_backend if backend is None else backend
-    if name not in BACKENDS:
-        raise BackendError(
-            f"unknown backend {name!r} (known: {', '.join(BACKENDS)})"
-        )
-    if name == "numpy":
-        require_numpy()
-    return name
-
 
 def get_default_backend() -> str:
-    """The process-wide default backend name (not yet validated)."""
-    return _default_backend
+    """Always ``"python"``; selects nothing.
+
+    :class:`CompactTopology` picks its sweep kernel by graph size
+    (:attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES`).  This stays, outside
+    ``__all__``, only because ``perfbench/run.py`` records the name in its
+    provenance; the next change to the benchmark deletes it together with
+    that call.
+    """
+    return "python"
 
 
 def set_default_backend(backend: str) -> str:
-    """Set the process-wide default backend; returns the validated name."""
-    global _default_backend
-    name = resolve_backend(backend)
-    _default_backend = name
-    return name
+    """Validate a former backend name; selects nothing.
+
+    Kept, outside ``__all__``, only because ``perfbench/run.py`` calls
+    it, and deleted together with that call.  Accepts ``"python"`` or
+    ``"numpy"`` and returns it; any other name raises ``ValueError``.
+    """
+    if backend not in ("python", "numpy"):
+        raise ValueError(f"unknown backend {backend!r} (known: python, numpy)")
+    return backend
 
 
 class CompactTopology(Mapping):
@@ -175,6 +109,8 @@ class CompactTopology(Mapping):
     reverse_slot:
         Slot of the opposite direction of the same channel, or ``-1``
         when the adjacency has no reverse edge (directed mappings).
+    slot_map:
+        ``(tail, head) -> slot`` for every live directed edge.
     version:
         The owning graph's topology version at build time (0 for
         free-standing snapshots).
@@ -198,7 +134,7 @@ class CompactTopology(Mapping):
         "reverse_slot",
         "version",
         "_index",
-        "_slot_map",
+        "slot_map",
         "_nbr_idx",
         "_slot_rows",
         "_num_slots",
@@ -219,21 +155,32 @@ class CompactTopology(Mapping):
         "_flow_residual",
         "_flow_stamp",
         "_flow_epoch",
-        "backend",
         "_np_arrays",
         "_np_seen",
         "_np_stamp",
         "_np_epoch",
-        "_shm_refs",
         "policy_version",
         "_policy_arrays",
-        "_np_policy_arrays",
     )
 
     #: Below this many nodes the serial kernels win (bidirectional setup
     #: overhead dominates) and, more importantly, unit-test-scale graphs
     #: keep bit-identical tie-breaking with the mapping-based BFS.
     BIDIRECTIONAL_MIN_NODES = 128
+
+    #: At or above this many nodes the unconstrained full sweeps
+    #: (:meth:`distances_idx` without ``slot_ok``, :meth:`tree_parents_idx`)
+    #: run vectorized, one whole BFS frontier per numpy pass; below it
+    #: they run the serial loops.  A vectorized level pays a fixed
+    #: ndarray call overhead that only a wide frontier amortizes: on
+    #: BA graphs the vectorized sweeps ran 0.26-0.44x the serial speed
+    #: at 100 nodes and beat it on every graph measured from 2,000 up
+    #: (table in docs/ARCHITECTURE.md, "Kernel selection").  Both
+    #: kernels return the same dict in the same insertion order, so the
+    #: choice never changes a result.  Single-pair searches (Yen's spur
+    #: loop, Algorithm 1) stay serial at every size: they visit a small
+    #: share of the graph, and vectorizing them measured 10-20x slower.
+    VECTOR_SWEEP_MIN_NODES = 2_000
 
     #: Compaction trigger: once tombstoned + arena slots exceed
     #: ``max(COMPACT_MIN_SLOTS, base_slots // 4)`` the next
@@ -247,9 +194,7 @@ class CompactTopology(Mapping):
         indptr: list[int],
         indices: list[int],
         version: int = 0,
-        backend: str | None = None,
     ) -> None:
-        self.backend = resolve_backend(backend)
         self.nodes = nodes
         self.indptr = indptr
         self.indices = indices
@@ -266,7 +211,7 @@ class CompactTopology(Mapping):
         slot_map: dict[tuple[int, int], int] = {}
         for slot, head in enumerate(indices):
             slot_map[(tail[slot], head)] = slot
-        self._slot_map = slot_map
+        self.slot_map = slot_map
         self.reverse_slot = [
             slot_map.get((indices[slot], tail[slot]), -1)
             for slot in range(len(indices))
@@ -301,18 +246,15 @@ class CompactTopology(Mapping):
         self._flow_residual: list[float] | None = None
         self._flow_stamp: list[int] | None = None
         self._flow_epoch = 0
-        # numpy-backend state: lazy int64 CSR mirrors, epoch-stamped
-        # vector scratch, and (for shared-memory adoptees) the attached
-        # segments kept alive for the arrays' lifetime.
+        # Vectorized-sweep state: lazy int64 CSR mirrors and
+        # epoch-stamped vector scratch.
         self._np_arrays = None
         self._np_seen = None
         self._np_stamp = None
         self._np_epoch = 0
-        self._shm_refs = None
         # Per-slot BOLT policy arrays (see install_policies); 0 = none.
         self.policy_version = 0
         self._policy_arrays = None
-        self._np_policy_arrays = None
 
     # ------------------------------------------------------------ building
 
@@ -321,7 +263,6 @@ class CompactTopology(Mapping):
         cls,
         adjacency: Mapping[NodeId, Sequence[NodeId]],
         version: int = 0,
-        backend: str | None = None,
     ) -> "CompactTopology":
         """Build from a ``node -> neighbors`` mapping.
 
@@ -330,9 +271,7 @@ class CompactTopology(Mapping):
         path result — is identical to running the mapping-based
         algorithms directly.  Neighbors that are not themselves keys
         (dangling references) are interned with no outgoing edges.
-        ``backend=None`` uses the process default (see
-        :func:`set_default_backend`); an input that is already a
-        snapshot passes through with its own backend unchanged.
+        An input that is already a snapshot passes through unchanged.
         """
         if isinstance(adjacency, cls):
             return adjacency
@@ -352,80 +291,7 @@ class CompactTopology(Mapping):
             neighbors = adjacency.get(node, ())
             indices.extend(index[v] for v in neighbors)
             indptr[i + 1] = len(indices)
-        return cls(nodes, indptr, indices, version=version, backend=backend)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        nodes: Sequence[NodeId],
-        indptr,
-        indices,
-        slot_tail,
-        reverse_slot,
-        version: int = 0,
-        shm_refs: list | None = None,
-    ) -> "CompactTopology":
-        """Adopt prebuilt CSR/slot int64 ndarrays (numpy backend).
-
-        The fast construction path for :mod:`repro.network.shared`: the
-        arrays — typically zero-copy views into a
-        ``multiprocessing.shared_memory`` segment — must describe a
-        *fresh* snapshot (no tombstones, exactly what
-        :meth:`from_adjacency` would build for the same adjacency).
-        Python-kernel list forms are materialized with C-speed
-        ``tolist()`` and the ndarrays themselves become the vector
-        mirrors, so none of the O(E) Python interning/slot loops of
-        ``__init__`` run.  The slot map is built lazily on first use.
-        ``shm_refs`` keeps the owning segments alive for the snapshot's
-        lifetime.
-        """
-        np = require_numpy()
-        ct = object.__new__(cls)
-        ct.backend = "numpy"
-        ct.nodes = list(nodes)
-        n = len(ct.nodes)
-        row_ptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        flat = np.ascontiguousarray(indices, dtype=np.int64)
-        tail = np.ascontiguousarray(slot_tail, dtype=np.int64)
-        reverse = np.ascontiguousarray(reverse_slot, dtype=np.int64)
-        ct.indptr = row_ptr.tolist()
-        ct.indices = flat.tolist()
-        ct.slot_tail = tail.tolist()
-        ct.reverse_slot = reverse.tolist()
-        ct.version = version
-        ct._index = {node: i for i, node in enumerate(ct.nodes)}
-        ct._slot_map = None  # lazy: see the slot_map property
-        ct._neighbor_lists = {}
-        ct._repr_keys = None
-        ct._nbr_idx = None
-        ct._slot_rows = None
-        ct._num_slots = len(ct.indices)
-        ct._base_slots = len(ct.indices)
-        ct._dead_count = 0
-        ct._arena_count = 0
-        ct._seen = [0] * n
-        ct._parent = [0] * n
-        ct._parent_slot = [0] * n
-        ct._epoch = 0
-        ct._seen_b = None
-        ct._parent_b = None
-        ct._dist_f = None
-        ct._dist_b = None
-        ct._symmetric = None
-        ct._flow_residual = None
-        ct._flow_stamp = None
-        ct._flow_epoch = 0
-        ct._np_arrays = (row_ptr, flat, row_ptr[1:] - row_ptr[:-1])
-        ct._np_seen = None
-        ct._np_stamp = None
-        ct._np_epoch = 0
-        ct._shm_refs = shm_refs
-        # The shared export is policy-free; adopting graphs reinstall
-        # their own policy arrays locally (ChannelGraph._refresh_policies).
-        ct.policy_version = 0
-        ct._policy_arrays = None
-        ct._np_policy_arrays = None
-        return ct
+        return cls(nodes, indptr, indices, version=version)
 
     # ---------------------------------------------------- delta application
 
@@ -582,10 +448,9 @@ class CompactTopology(Mapping):
 
         # Vector mirrors never carry over: a derived snapshot's live rows
         # differ from the base CSR, so the mirrors are rebuilt (lazily,
-        # on the first vectorized sweep) from the rows themselves, and
-        # the derived snapshot holds none of the base's shared-memory
-        # segment refs.  Policy arrays are append-only and slot-parallel,
-        # so they are shared like the other slot arrays.
+        # on the first vectorized sweep) from the rows themselves.
+        # Policy arrays are append-only and slot-parallel, so they are
+        # shared like the other slot arrays.
         return self._derive(
             nodes=nodes,
             index=index,
@@ -604,7 +469,6 @@ class CompactTopology(Mapping):
             # symmetric topology stays symmetric; anything else recomputes.
             symmetric=True if self._symmetric is True else None,
             np_arrays=None,
-            shm_refs=None,
             policy_version=self.policy_version,
             policy_arrays=policy_arrays,
         )
@@ -614,8 +478,9 @@ class CompactTopology(Mapping):
 
         The fork shares this snapshot's interning table and repr keys,
         per-node rows, slot map, neighbor-tuple cache and vector mirrors
-        (the lazy ones are built here first, once for every sibling),
-        all of which :meth:`apply_delta` copies before changing.  It
+        (those last only if a vectorized sweep has already built them;
+        otherwise each fork builds its own on its first one), all of
+        which :meth:`apply_delta` copies before changing.  It
         gets its own ``indices``/``slot_tail``/``reverse_slot``, cut at
         this snapshot's :attr:`num_slots`, because ``apply_delta``
         appends to those in place: sibling forks then grow their arenas
@@ -641,7 +506,6 @@ class CompactTopology(Mapping):
             version=self.version,
             symmetric=self.is_symmetric,
             np_arrays=self._np_arrays,
-            shm_refs=self._shm_refs,
             policy_version=0,
             policy_arrays=None,
         )
@@ -664,7 +528,6 @@ class CompactTopology(Mapping):
         version: int,
         symmetric: bool | None,
         np_arrays,
-        shm_refs,
         policy_version: int,
         policy_arrays,
     ) -> "CompactTopology":
@@ -677,7 +540,7 @@ class CompactTopology(Mapping):
         derived.reverse_slot = reverse_slot
         derived.version = version
         derived._index = index
-        derived._slot_map = slot_map
+        derived.slot_map = slot_map
         derived._nbr_idx = nbrs
         derived._slot_rows = rows
         derived._num_slots = len(indices)
@@ -699,16 +562,12 @@ class CompactTopology(Mapping):
         derived._flow_residual = None
         derived._flow_stamp = None
         derived._flow_epoch = 0
-        derived.backend = self.backend
         derived._np_arrays = np_arrays
         derived._np_seen = None
         derived._np_stamp = None
         derived._np_epoch = 0
-        derived._shm_refs = shm_refs
         derived.policy_version = policy_version
         derived._policy_arrays = policy_arrays
-        # The numpy policy mirror is length-dependent: rebuilt lazily.
-        derived._np_policy_arrays = None
         return derived
 
     # ---------------------------------------------------- mapping protocol
@@ -752,25 +611,6 @@ class CompactTopology(Mapping):
         for the live directed-edge count.
         """
         return self._num_slots
-
-    @property
-    def slot_map(self) -> dict[tuple[int, int], int]:
-        """``(tail, head) -> slot`` for every live directed edge.
-
-        Built eagerly by ``__init__``; :meth:`from_arrays` snapshots
-        build it here on first use (C-speed ``zip`` over the slot
-        arrays — valid because adopted arrays are tombstone-free).
-        """
-        slot_map = self._slot_map
-        if slot_map is None:
-            slot_map = dict(
-                zip(
-                    zip(self.slot_tail, self.indices),
-                    range(len(self.indices)),
-                )
-            )
-            self._slot_map = slot_map
-        return slot_map
 
     @property
     def live_slots(self) -> int:
@@ -894,19 +734,17 @@ class CompactTopology(Mapping):
             and self.is_symmetric
         )
 
-    # ------------------------------------------------- numpy backend state
+    # ------------------------------------------------- vectorized sweeps
 
     def _np(self):
         """Lazy int64 mirrors ``(row_ptr, flat_neighbors, degrees)``.
 
         On fresh snapshots the mirrors wrap the CSR arrays directly; on
         delta-derived ones they are flattened from the live rows (so
-        tombstoned slots never appear).  :meth:`from_arrays` snapshots
-        arrive with shared-memory-backed mirrors pre-installed.
+        tombstoned slots never appear).
         """
         arrays = self._np_arrays
         if arrays is None:
-            np = require_numpy()
             if (
                 self._dead_count == 0
                 and self._arena_count == 0
@@ -934,7 +772,6 @@ class CompactTopology(Mapping):
 
     def _np_scratch(self):
         """Epoch-stamped ``(seen, stamp, epoch)`` vector scratch."""
-        np = require_numpy()
         seen = self._np_seen
         if seen is None:
             n = len(self.nodes)
@@ -945,7 +782,7 @@ class CompactTopology(Mapping):
         return seen, self._np_stamp, self._np_epoch
 
     def _distances_idx_np(self, src: int) -> dict[int, int]:
-        """Vectorized whole-frontier distance sweep (numpy backend).
+        """Vectorized whole-frontier distance sweep.
 
         Level by level: gather every frontier edge with one fancy-index
         pass, drop already-seen heads, then keep the *first occurrence*
@@ -955,7 +792,6 @@ class CompactTopology(Mapping):
         serial kernel's insertions).  The result dict therefore matches
         the serial sweep bit-for-bit *including insertion order*.
         """
-        np = _numpy()
         row_ptr, flat, deg = self._np()
         seen, stamp, epoch = self._np_scratch()
         seen[src] = epoch
@@ -984,14 +820,13 @@ class CompactTopology(Mapping):
         return dist
 
     def _tree_parents_idx_np(self, src: int) -> dict[int, int]:
-        """Vectorized BFS spanning-tree sweep (numpy backend).
+        """Vectorized BFS spanning-tree sweep.
 
         Same frontier batching and first-occurrence stamping as
         :meth:`_distances_idx_np`, additionally carrying each edge's
         tail so the surviving heads adopt exactly the parent the serial
         kernel would assign.
         """
-        np = _numpy()
         row_ptr, flat, deg = self._np()
         seen, stamp, epoch = self._np_scratch()
         seen[src] = epoch
@@ -1485,12 +1320,15 @@ class CompactTopology(Mapping):
     def distances_idx(self, src: int, slot_ok=None) -> dict[int, int]:
         """Hop distance from ``src`` to every reachable dense index.
 
-        On the numpy backend the unconstrained sweep is vectorized
-        (identical result, including dict order); a ``slot_ok``
-        predicate forces the serial kernel since per-slot Python
-        callbacks defeat batching.
+        The unconstrained sweep is vectorized on snapshots of at least
+        :attr:`VECTOR_SWEEP_MIN_NODES` nodes (identical result, including
+        dict order); a ``slot_ok`` predicate always takes the serial
+        kernel since per-slot Python callbacks defeat batching.
         """
-        if slot_ok is None and self.backend == "numpy":
+        if (
+            slot_ok is None
+            and len(self.nodes) >= self.VECTOR_SWEEP_MIN_NODES
+        ):
             return self._distances_idx_np(src)
         dist = {src: 0}
         nbrs = self.neighbor_idx
@@ -1523,10 +1361,11 @@ class CompactTopology(Mapping):
     def tree_parents_idx(self, src: int) -> dict[int, int]:
         """BFS spanning-tree parent pointers (root maps to itself).
 
-        Vectorized on the numpy backend — identical result, including
-        dict insertion order (see :meth:`_tree_parents_idx_np`).
+        Vectorized on snapshots of at least :attr:`VECTOR_SWEEP_MIN_NODES`
+        nodes — identical result, including dict insertion order (see
+        :meth:`_tree_parents_idx_np`).
         """
-        if self.backend == "numpy":
+        if len(self.nodes) >= self.VECTOR_SWEEP_MIN_NODES:
             return self._tree_parents_idx_np(src)
         parent = {src: src}
         nbrs = self.neighbor_idx
@@ -1555,7 +1394,6 @@ class CompactTopology(Mapping):
         changed.
         """
         self._policy_arrays = self.policy_arrays_from(lookup)
-        self._np_policy_arrays = None
         self.policy_version = version
 
     @property
@@ -1569,12 +1407,10 @@ class CompactTopology(Mapping):
 
         ``rates`` must be a new list, never the old one edited in place:
         snapshots derived by :meth:`apply_delta` share the arrays, and
-        the ones the new list supersedes keep the old one.  The numpy
-        mirror is dropped and rebuilt on the next numpy relax.
+        the ones the new list supersedes keep the old one.
         """
         base, _, cltv, hmin, hmax = self._policy_arrays
         self._policy_arrays = (base, rates, cltv, hmin, hmax)
-        self._np_policy_arrays = None
         self.policy_version = version
 
     def policy_arrays_from(self, lookup) -> tuple[list, ...]:
@@ -1598,22 +1434,6 @@ class CompactTopology(Mapping):
                 hmin[s] = policy.htlc_min
                 hmax[s] = policy.htlc_max
         return (base, rate, cltv, hmin, hmax)
-
-    def _np_policy(self):
-        """Lazy float64/int64 mirrors of the per-slot policy arrays."""
-        arrays = self._np_policy_arrays
-        if arrays is None:
-            np = require_numpy()
-            base, rate, _cltv, hmin, hmax = self._policy_arrays
-            arrays = (
-                np.asarray(base, dtype=np.float64),
-                np.asarray(rate, dtype=np.float64),
-                np.asarray(hmin, dtype=np.float64),
-                np.asarray(hmax, dtype=np.float64),
-                np.asarray(self.reverse_slot, dtype=np.int64),
-            )
-            self._np_policy_arrays = arrays
-        return arrays
 
     def path_cost_idx(
         self, idx_path: Sequence[int], amount: float
@@ -1684,10 +1504,6 @@ class CompactTopology(Mapping):
             return [src], amount
         if blocked is not None and blocked[dst]:
             return None
-        if self.backend == "numpy" and self._policy_arrays is not None:
-            return self._cheapest_path_idx_np(
-                src, dst, amount, banned, blocked, free_source_edge
-            )
         arrays = self._policy_arrays
         if arrays is not None:
             base, rate, _cltv, hmin, hmax = arrays
@@ -1725,72 +1541,11 @@ class CompactTopology(Mapping):
                         cand = label
                     else:
                         # fee first, then add: the same association as
-                        # ``a + policy.fee(a)`` in ``hop_amounts`` and
-                        # as the numpy relax, keeping all three
-                        # bit-identical.
+                        # ``a + policy.fee(a)`` in ``hop_amounts``,
+                        # keeping the two bit-identical.
                         fee = base[rs] + rate[rs] * label
                         cand = label + fee
                 else:
                     cand = label
-                heappush(heap, (cand, next_hops, (v,) + path))
-        return None
-
-    def _cheapest_path_idx_np(
-        self,
-        src: int,
-        dst: int,
-        amount: float,
-        banned: set[int] | None,
-        blocked: bytearray | None,
-        free_source_edge: bool,
-    ) -> tuple[list[int], float] | None:
-        """Numpy relax step for :meth:`cheapest_path_idx`.
-
-        Each settle gathers the node's whole slot row, computes every
-        reverse-edge fee and feasibility mask in one float64/bool pass,
-        then pushes in row order from the materialized lists — the same
-        IEEE ops in the same order as the serial kernel, so the two are
-        bit-identical (fuzzed in ``tests/property/test_backend_equivalence``).
-        """
-        np = _numpy()
-        base_np, rate_np, hmin_np, hmax_np, rev_np = self._np_policy()
-        srows = self.slot_rows
-        nbrs = self.neighbor_idx
-        n = len(self.nodes)
-        self._epoch += 1
-        epoch = self._epoch
-        seen = self._seen
-        heap = [(amount, 0, (dst,))]
-        while heap:
-            label, hops, path = heappop(heap)
-            u = path[0]
-            if seen[u] == epoch:
-                continue
-            seen[u] = epoch
-            if u == src:
-                return list(path), label
-            row = srows[u]
-            if not row:
-                continue
-            rs = rev_np[np.asarray(row, dtype=np.int64)]
-            ok = (hmin_np[rs] <= amount) & (label <= hmax_np[rs])
-            if label > 0.0:
-                fees = base_np[rs] + rate_np[rs] * label
-            else:
-                fees = np.zeros(len(row), dtype=np.float64)
-            ok_list = ok.tolist()
-            fee_list = fees.tolist()
-            next_hops = hops + 1
-            for j, v in enumerate(nbrs[u]):
-                if seen[v] == epoch or not ok_list[j]:
-                    continue
-                if blocked is not None and v != src and blocked[v]:
-                    continue
-                if banned is not None and v * n + u in banned:
-                    continue
-                if (free_source_edge and v == src) or label <= 0.0:
-                    cand = label
-                else:
-                    cand = label + fee_list[j]
                 heappush(heap, (cand, next_hops, (v,) + path))
         return None

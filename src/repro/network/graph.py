@@ -28,7 +28,6 @@ from repro.errors import (
 )
 from repro.network.channel import Channel, NodeId
 from repro.network.compact import CompactTopology
-from repro.network import shared as _shared_topology
 from repro.network.fees import (
     DEFAULT_POLICY,
     ChannelPolicy,
@@ -270,13 +269,6 @@ class ChannelGraph:
         identical below the bidirectional kernel threshold and
         equal-length (possibly different tie-breaks) above it — see
         :mod:`repro.network.compact`.
-
-        Full rebuilds first consult the process's installed
-        shared-memory topology (:mod:`repro.network.shared`): when the
-        exported digest matches this graph's exact adjacency, the
-        snapshot *adopts* the shared arrays instead of re-interning —
-        bit-identical by construction, and the fork workers' escape
-        from per-run O(V+E) rebuild cost.
         """
         cached = self._compact
         if cached is not None and cached.version == self._topology_version:
@@ -321,17 +313,10 @@ class ChannelGraph:
         return self.channel_policy(src, dst)
 
     def _rebuild(self) -> CompactTopology:
-        """A full snapshot: adopted from shared memory, else interned."""
-        adjacency = {node: list(nbrs) for node, nbrs in self._adj.items()}
-        shared_handle = _shared_topology.active()
-        if shared_handle is not None:
-            snapshot = shared_handle.adopt(
-                adjacency, version=self._topology_version
-            )
-            if snapshot is not None:
-                return snapshot
+        """A full snapshot, interned from the adjacency."""
         return CompactTopology.from_adjacency(
-            adjacency, version=self._topology_version
+            {node: list(nbrs) for node, nbrs in self._adj.items()},
+            version=self._topology_version,
         )
 
     def _refresh_policies(self, snapshot: CompactTopology) -> None:
@@ -339,11 +324,10 @@ class ChannelGraph:
 
         O(E), but only runs on policy-aware graphs whose snapshot's
         arrays predate :attr:`policy_version`: a fresh rebuild or fork
-        (the shared export and forks are policy-free), or a
-        :meth:`set_channel_policy` since.  A :meth:`reprice` stamps the
-        snapshot it writes, and delta-derived snapshots share their
-        base's arrays with opened slots filled in, so neither
-        reinstalls here.
+        (both are policy-free), or a :meth:`set_channel_policy` since.
+        A :meth:`reprice` stamps the snapshot it writes, and
+        delta-derived snapshots share their base's arrays with opened
+        slots filled in, so neither reinstalls here.
         """
         if self._policy_version and (
             snapshot.policy_version != self._policy_version
@@ -686,10 +670,10 @@ class ChannelGraph:
         copy taken while the source's topology stays unchanged has the
         same adjacency, so those siblings share one snapshot of it.  The
         first sibling to call :meth:`compact` builds it by the
-        full-rebuild path (adopting shared memory when installed) and
-        each sibling's first :meth:`compact` returns its own
-        :meth:`CompactTopology.fork` of it.  A clone changed before its
-        first :meth:`compact` rebuilds on its own, as any graph does.
+        full-rebuild path and each sibling's first :meth:`compact`
+        returns its own :meth:`CompactTopology.fork` of it.  A clone
+        changed before its first :meth:`compact` rebuilds on its own, as
+        any graph does.
         """
         self._build_records()
         clone = ChannelGraph()

@@ -28,15 +28,15 @@ identical; at or above it the compact kernels may break ties between
 equal-length paths differently (lengths, reachability, and determinism
 are preserved).
 
-Kernel *backend* dispatch also lives behind the snapshot, not here:
-under ``backend="numpy"`` the full-sweep entry points
-(:func:`bfs_distances`, :func:`bfs_tree_parents` — the routing-table
-and embedding hot paths) run vectorized frontier batches, while the
-single-pair searches that Yen's spur loop and the disjoint-path
-selection issue stay on the serial kernels under every backend (the
-measured win; see :mod:`repro.network.compact`).  Backends are
-bit-identical — same paths, same dict orders — so callers never need
-to know which one is active.
+Sweep-kernel selection also lives behind the snapshot, not here: on
+snapshots of at least :attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES`
+nodes the full-sweep entry points (:func:`bfs_distances` without
+``edge_ok``, :func:`bfs_tree_parents` — the routing-table and embedding
+hot paths) run vectorized frontier batches, while the single-pair
+searches that Yen's spur loop and the disjoint-path selection issue
+stay on the serial kernels at every size.  Both sweep kernels return
+the same dicts in the same order, so callers never need to know which
+one ran.
 """
 
 from __future__ import annotations
@@ -483,9 +483,8 @@ def cheapest_path(
 
     Returns ``(path, total_sent)`` — ``total_sent - amount`` is the fee
     the sender pays — or ``None`` when no policy-feasible path exists.
-    Cost ties break by hop count, then lexicographic dense-index path,
-    identically under both kernel backends (see
-    :meth:`CompactTopology.cheapest_path_idx`).
+    Cost ties break by hop count, then lexicographic dense-index path
+    (see :meth:`CompactTopology.cheapest_path_idx`).
 
     Policies ride on :class:`CompactTopology` (installed by
     ``ChannelGraph.compact()``), not on adjacency dicts — pass a

@@ -58,15 +58,6 @@ schedules — so two runs with the same seed produce identical
 The sequential engine remains the default everywhere and is untouched by
 this module; ``engine="sequential"`` results are byte-identical to the
 pre-concurrent engine's output for the same seed.
-
-Under ``workers=N`` fork parallelism with the numpy kernel backend,
-the first of a run's per-scheme ``graph.copy()`` clones adopts the
-parent-exported shared-memory topology arrays inside
-``working_graph.compact()`` when the adjacency digest matches
-(:mod:`repro.network.shared`), and the later clones fork that snapshot
-(:meth:`repro.network.graph.ChannelGraph.copy`) — same mechanism as
-the sequential engine, no engine-specific code, and bit-identical
-results either way.
 """
 
 from __future__ import annotations

@@ -24,18 +24,8 @@ factories are typically closures, which do not pickle — the fork start
 method sidesteps that by inheriting them through process memory, and the
 per-run results (plain dataclasses of floats) pickle back.  Result order
 is by run index regardless of completion order, so parallel metrics are
-identical to serial ones.
-
-Under the numpy kernel backend (``repro.network.compact.
-set_default_backend("numpy")`` or ``--backend numpy``) the parallel path
-additionally exports the working topology's CSR arrays into one
-``multiprocessing.shared_memory`` segment before forking
-(:mod:`repro.network.shared`): workers inherit the mapping and every
-scheme copy whose adjacency digest matches adopts the arrays zero-copy
-inside ``graph.compact()`` instead of re-interning O(V+E) Python state
-per run.  Adoption is digest-gated, so results stay bit-identical with
-or without it; the segment is unlinked when the pool drains, crashed
-included (SIGKILL of the parent leaves it to the resource tracker).
+identical to serial ones.  The pool never has more processes than the
+CPUs this process may run on; when that leaves one, the runs go serial.
 
 Passing ``store=`` (an :class:`repro.eval.store.ExperimentStore`) makes
 both entry points **write-through and resumable**: every completed
@@ -49,7 +39,6 @@ when the pool drains, so a killed pool still keeps its completed runs.
 
 from __future__ import annotations
 
-import logging
 import multiprocessing
 import os
 import random
@@ -59,15 +48,11 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.network import compact as compact_backend
-from repro.network import shared as shared_topology
 from repro.network.dynamics import ChannelEvent, run_dynamic_simulation
 from repro.network.graph import ChannelGraph
 from repro.sim.engine import RouterFactory, run_simulation
 from repro.sim.metrics import AveragedMetrics, SimulationResult, StoredResult
 from repro.traces.workload import Workload
-
-logger = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (eval -> sim)
     from repro.eval.store import ExperimentStore
@@ -414,39 +399,11 @@ def _forked_run(run_index: int) -> dict[str, SimulationResult]:
     return results
 
 
-def _export_shared_topology(
-    scenario: ScenarioFactory,
-    base_seed: int,
-    run_index: int,
-) -> "shared_topology.SharedTopologyHandle | None":
-    """Export the run's *working-copy* topology for worker adoption.
-
-    Only under the numpy backend.  The parent rebuilds the first
-    pending run's scenario with that run's exact RNG derivation, takes
-    the same deterministic :meth:`ChannelGraph.copy` each engine takes,
-    and exports the copy's adjacency: every scheme copy in every worker
-    whose adjacency digest matches (all of them, for seed-independent
-    topologies) adopts the shared arrays inside ``graph.compact()``
-    instead of re-interning.  Seed-dependent topologies digest-mismatch
-    and build locally — sharing is an optimization, never a dependency.
-    Any failure here (an exotic scenario, unpicklable probe, exhausted
-    ``/dev/shm``) degrades to no sharing, logged as a warning with its
-    traceback.
-    """
-    if compact_backend.get_default_backend() != "numpy":
-        return None
-    if not compact_backend.numpy_available():  # pragma: no cover - guard
-        return None
-    try:
-        probe_rng = random.Random(base_seed + 1_000_003 * run_index)
-        graph = scenario(probe_rng)[0]
-        return shared_topology.export_topology(graph.copy().adjacency())
-    except Exception:
-        logger.warning(
-            "shared topology export failed; every worker builds its own",
-            exc_info=True,
-        )
-        return None
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_parallel(
@@ -455,7 +412,7 @@ def _run_parallel(
     run_indices: Sequence[int],
     base_seed: int,
     reference_mice_fraction: float,
-    workers: int,
+    processes: int,
     store: "ExperimentStore | None" = None,
     experiment: str | None = None,
     digest: str | None = None,
@@ -471,14 +428,6 @@ def _run_parallel(
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return None
     store_directory = str(store.directory) if store is not None else None
-    shared_handle = _export_shared_topology(
-        scenario, base_seed, run_indices[0]
-    )
-    if shared_handle is not None:
-        # Installed before the fork so every worker inherits both the
-        # handle and the parent's segment mapping — workers attach by
-        # inheritance, not by name, and never pickle topology arrays.
-        shared_topology.install(shared_handle)
     try:
         with _FORK_LOCK:
             _FORK_STATE = (
@@ -495,18 +444,15 @@ def _run_parallel(
                 mpp_params,
             )
             try:
-                pool = context.Pool(processes=min(workers, len(run_indices)))
+                pool = context.Pool(processes=processes)
             finally:
                 _FORK_STATE = None
         with pool:
             return pool.map(_forked_run, run_indices, chunksize=1)
     finally:
-        # Unlink the shared segment even when a task raised, pool
-        # creation failed, or the pool was interrupted; likewise merge
-        # shards written by completed workers into durable records.
-        if shared_handle is not None:
-            shared_topology.clear()
-            shared_handle.destroy()
+        # Merge shards written by completed workers into durable records,
+        # even when a task raised, pool creation failed, or the pool was
+        # interrupted.
         if store is not None:
             store.merge_shards()
 
@@ -530,9 +476,11 @@ def run_comparison(
     ``scenario`` is a factory callable or a registered scenario name
     (see :func:`resolve_scenario`).  Every scheme within a run sees the
     *same* graph copy and workload, so differences are attributable to
-    routing alone.  ``workers=N`` (N > 1) executes the seeded runs in N
-    parallel processes; seeds, result order, and therefore every
-    averaged metric are identical to the serial path.
+    routing alone.  ``workers=N`` (N > 1) executes the seeded runs in up
+    to N parallel processes, no more than there are pending runs or
+    usable CPUs (one left means the serial path); seeds, result order,
+    and therefore every averaged metric are identical to the serial
+    path.
 
     ``engine``/``engine_params`` select the simulation engine (see
     :func:`resolve_engine`): ``None`` uses the registered scenario's
@@ -600,14 +548,17 @@ def run_comparison(
     fresh: dict[int, dict[str, SimulationResult]] = {}
     if pending:
         parallel_results = None
-        if workers is not None and workers > 1 and len(pending) > 1:
+        processes = 1
+        if workers is not None and workers > 1:
+            processes = min(workers, len(pending), _usable_cpus())
+        if processes > 1:
             parallel_results = _run_parallel(
                 scenario,
                 factories,
                 pending,
                 base_seed,
                 reference_mice_fraction,
-                workers,
+                processes,
                 store=store,
                 experiment=experiment,
                 digest=digest,

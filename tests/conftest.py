@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.network.compact import CompactTopology
 from repro.network.graph import ChannelGraph
 from repro.network.topology import grid_topology, line_topology
 
@@ -13,6 +14,32 @@ from repro.network.topology import grid_topology, line_topology
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(12345)
+
+
+@pytest.fixture
+def vector_sweeps(monkeypatch):
+    """A ``force()`` that puts every snapshot on the vectorized sweeps.
+
+    ``CompactTopology`` picks the vectorized full sweeps only from
+    ``VECTOR_SWEEP_MIN_NODES`` nodes up, far above test-scale graphs.
+    After ``force()`` the threshold is 0 for the rest of the test, so
+    every unconstrained ``distances_idx``/``tree_parents_idx`` runs the
+    vectorized kernel whatever the graph size.  A test may compute a
+    reference first and force afterwards.
+    """
+
+    def force() -> None:
+        monkeypatch.setattr(CompactTopology, "VECTOR_SWEEP_MIN_NODES", 0)
+
+    return force
+
+
+@pytest.fixture(params=("by-size", "vector"))
+def sweep_kernel(request, vector_sweeps) -> str:
+    """Run a test twice: sweeps picked by size, then forced vectorized."""
+    if request.param == "vector":
+        vector_sweeps()
+    return request.param
 
 
 @pytest.fixture

@@ -232,3 +232,21 @@ class TestLargeGraphFastPath:
     def test_distances_match_mapping(self, big):
         adjacency, compact = big
         assert bfs_distances(compact, 17) == bfs_distances(adjacency, 17)
+
+
+class TestPerfbenchBackendCalls:
+    """``perfbench/run.py`` still calls the old backend functions."""
+
+    def test_perfbench_calls_still_work(self):
+        from repro.network import compact
+
+        assert compact.set_default_backend("python") == "python"
+        assert compact.set_default_backend("numpy") == "numpy"
+        assert compact.get_default_backend() == "python"
+        assert compact.__all__ == ["CompactTopology"]
+
+    def test_unknown_name_raises(self):
+        from repro.network.compact import set_default_backend
+
+        with pytest.raises(ValueError, match="unknown backend 'cuda'"):
+            set_default_backend("cuda")

@@ -26,12 +26,7 @@ import random
 
 import pytest
 
-from repro.network.compact import (
-    CompactTopology,
-    get_default_backend,
-    numpy_available,
-    set_default_backend,
-)
+from repro.network.compact import CompactTopology
 from repro.network.dynamics import (
     ChannelEvent,
     ChannelEventType,
@@ -55,23 +50,12 @@ from repro.traces.generators import generate_ripple_workload
 #: large size exercises the bidirectional kernels on delta snapshots.
 GRAPH_SIZES = (40, 150)
 
-
-@pytest.fixture(autouse=True, params=("python", "numpy"))
-def kernel_backend(request):
-    """Run every fuzz case under both kernel backends.
-
-    The incremental-maintenance contract is backend-independent: delta
-    snapshots, tombstones, and arena growth must be observably identical
-    to a rebuild whichever kernels execute the BFS.  Parameterizing at
-    module level reuses the whole suite as a second differential layer on
-    top of tests/property/test_backend_equivalence.py.
-    """
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy is not installed")
-    previous = get_default_backend()
-    set_default_backend(request.param)
-    yield request.param
-    set_default_backend(previous)
+#: Every fuzz case runs twice: sweeps picked by size, then forced onto
+#: the vectorized kernel.  Delta snapshots, tombstones, and arena growth
+#: must be observably identical to a rebuild whichever kernel runs the
+#: BFS sweeps, so the whole suite doubles as a differential layer on top
+#: of tests/property/test_sweep_equivalence.py.
+pytestmark = pytest.mark.usefixtures("sweep_kernel")
 
 
 def _random_graph(rng: random.Random, n_nodes: int) -> ChannelGraph:
@@ -306,9 +290,9 @@ def interned_versions(monkeypatch):
     versions: list[int] = []
     build = CompactTopology.from_adjacency.__func__
 
-    def counting(cls, adjacency, version=0, backend=None):
+    def counting(cls, adjacency, version=0):
         versions.append(version)
-        return build(cls, adjacency, version=version, backend=backend)
+        return build(cls, adjacency, version=version)
 
     monkeypatch.setattr(CompactTopology, "from_adjacency", classmethod(counting))
     return versions

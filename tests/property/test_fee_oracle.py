@@ -11,12 +11,11 @@ each with the same arithmetic :func:`hop_amounts` defines, and take the
 minimum under the kernel's documented tie-break — (send total, hop
 count, lexicographic dense-index path).
 
-Checked per trial, under both kernel backends:
+Checked per trial:
 
 * the kernel finds a path iff the oracle does;
 * path, send total, and tie-break winner match the oracle **exactly**
   (floats compared with ``==``: same association ⇒ same bits);
-* the python and numpy kernels agree bit-for-bit with each other;
 * amounts straddle the drawn ``htlc_min``/``htlc_max`` boundaries, so
   both prune branches are exercised (feasible and infeasible edges).
 
@@ -30,12 +29,10 @@ import random
 
 import pytest
 
-from repro.network.compact import CompactTopology, numpy_available
+from repro.network.compact import CompactTopology
 from repro.network.fees import ChannelPolicy
 from repro.network.graph import ChannelGraph
 from repro.network.paths import cheapest_path
-
-BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
 
 #: Amounts chosen to straddle the htlc boundary values drawn in
 #: :func:`_random_priced_graph` (hmin ∈ {0, 2, 5, 10}, hmax ∈
@@ -79,10 +76,8 @@ def _random_priced_graph(rng: random.Random) -> ChannelGraph:
     return graph
 
 
-def _snapshot(graph: ChannelGraph, backend: str) -> CompactTopology:
-    snapshot = CompactTopology.from_adjacency(
-        graph.adjacency(), backend=backend
-    )
+def _snapshot(graph: ChannelGraph) -> CompactTopology:
+    snapshot = CompactTopology.from_adjacency(graph.adjacency())
     snapshot.install_policies(
         graph.channel_policy, version=graph.policy_version
     )
@@ -141,14 +136,13 @@ def _oracle(
 
 
 class TestCheapestPathOracle:
-    """Kernel == enumerate-all-paths on every (backend, seed, amount)."""
+    """Kernel == enumerate-all-paths on every (seed, amount)."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(25))
-    def test_matches_brute_force(self, backend, seed):
+    def test_matches_brute_force(self, seed):
         rng = random.Random(900_000 + seed)
         graph = _random_priced_graph(rng)
-        snapshot = _snapshot(graph, backend)
+        snapshot = _snapshot(graph)
         nodes = graph.nodes
         for amount in AMOUNTS:
             source, target = rng.sample(nodes, 2)
@@ -167,24 +161,7 @@ class TestCheapestPathOracle:
             assert kernel[1] == total  # exact: same float association
             assert len(kernel[0]) - 1 == hops
 
-    @pytest.mark.skipif(
-        len(BACKENDS) < 2, reason="numpy is not installed"
-    )
-    @pytest.mark.parametrize("seed", range(25))
-    def test_backends_bit_identical(self, seed):
-        rng = random.Random(950_000 + seed)
-        graph = _random_priced_graph(rng)
-        py = _snapshot(graph, "python")
-        np_ = _snapshot(graph, "numpy")
-        nodes = graph.nodes
-        for amount in AMOUNTS:
-            source, target = rng.sample(nodes, 2)
-            assert cheapest_path(py, source, target, amount) == cheapest_path(
-                np_, source, target, amount
-            )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_htlc_boundaries_are_inclusive(self, backend):
+    def test_htlc_boundaries_are_inclusive(self):
         # One hand-built corridor pinning the boundary semantics the
         # fuzz relies on: delivering exactly htlc_min and carrying
         # exactly htlc_max are both feasible; one ulp past either isn't
@@ -195,7 +172,7 @@ class TestCheapestPathOracle:
         graph.set_channel_policy(
             "b", "c", ChannelPolicy(htlc_min=5.0, htlc_max=10.0)
         )
-        snapshot = _snapshot(graph, backend)
+        snapshot = _snapshot(graph)
         assert cheapest_path(snapshot, "a", "c", 5.0) is not None
         assert cheapest_path(snapshot, "a", "c", 10.0) is not None
         assert cheapest_path(snapshot, "a", "c", 4.999999) is None

@@ -25,23 +25,18 @@ feature's correctness rests on:
 
 Everything is seeded stdlib :mod:`random` (hypothesis draws only
 seeds/enums), so any failure replays from its example.  The
-numpy-backend legs skip when numpy is not installed.
+fee-conservation and engine-equivalence cases also run with the
+vectorized BFS sweeps forced on (the ``vector_sweeps`` fixture).
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.compact import (
-    get_default_backend,
-    numpy_available,
-    set_default_backend,
-)
 from repro.network.dynamics import ChurnModel, run_dynamic_simulation
 from repro.network.feemarket import assign_market_policies
 from repro.network.graph import ChannelGraph
@@ -77,16 +72,6 @@ FACTORIES = {
     "shortest": lambda: shortest_path_factory(),
     "spider": lambda: spider_factory(),
 }
-
-
-@contextmanager
-def _backend(name: str):
-    previous = get_default_backend()
-    set_default_backend(name)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
 
 
 def random_scenario(seed: int, transactions: int = 40):
@@ -282,10 +267,10 @@ class TestInterleavings:
 
 
 class TestFeeConservation:
-    """Satellite: per-part fee shares sum to the fee paid, both backends."""
+    """Satellite: per-part fee shares sum to the fee paid, both sweeps."""
 
-    @staticmethod
-    def _check(seed: int) -> None:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fee_shares_sum_to_fee(self, seed, sweep_kernel):
         from repro.sim.concurrent import ConcurrentNetworkView, HoldLedger
         from repro.sim.mpp import execute_parts_atomically, split_amounts
 
@@ -317,19 +302,6 @@ class TestFeeConservation:
             checked += 1
         assert checked > 0
         assert graph.total_held() == pytest_approx(0.0)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_python_backend(self, seed):
-        with _backend("python"):
-            self._check(seed)
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.skipif(
-        not numpy_available(), reason="numpy is not installed"
-    )
-    def test_numpy_backend(self, seed):
-        with _backend("numpy"):
-            self._check(seed)
 
 
 class TestMppFaultCoverage:
@@ -391,8 +363,9 @@ class TestMppFaultCoverage:
         assert result.resilience.get("adversary_escrow", 0.0) == 0.0
 
 
-class TestParallelAndBackendEquivalence:
-    """MPP metrics are identical serial vs workers=N, python vs numpy."""
+class TestParallelAndSweepEquivalence:
+    """MPP metrics are identical serial vs workers=N, and with the
+    vectorized sweeps forced on."""
 
     @staticmethod
     def _scenario(rng: random.Random):
@@ -423,19 +396,15 @@ class TestParallelAndBackendEquivalence:
             m.parts_per_payment > 1.0 for m in serial.metrics.values()
         )
 
-    @pytest.mark.skipif(
-        not numpy_available(), reason="numpy is not installed"
-    )
     @pytest.mark.parametrize("engine", ["sequential", "concurrent"])
-    def test_numpy_matches_python(self, engine):
+    def test_vector_sweeps_match_serial(self, engine, vector_sweeps):
         factories = {"Flash": flash_factory(k=4, m=2)}
         kwargs = dict(
             runs=2, base_seed=11, engine=engine, mpp_params=self._MPP
         )
         if engine == "concurrent":
             kwargs["engine_params"] = {"load": 50.0, "timeout": 10.0}
-        with _backend("python"):
-            py = run_comparison(self._scenario, factories, **kwargs)
-        with _backend("numpy"):
-            np_ = run_comparison(self._scenario, factories, **kwargs)
-        assert py.metrics == np_.metrics
+        serial = run_comparison(self._scenario, factories, **kwargs)
+        vector_sweeps()
+        vector = run_comparison(self._scenario, factories, **kwargs)
+        assert serial.metrics == vector.metrics

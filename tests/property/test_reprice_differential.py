@@ -12,44 +12,26 @@ repricing ticks, churn opens and closes, a compaction rebuild,
 ``copy()``, ``set_channel_policy()`` and a legacy fee assigner.  The
 reference loop reprices one of them and the controller the others.
 After every tick the ``changed`` flag, the policy records and the
-snapshot's per-slot policy arrays must be equal, under both kernel
-backends.  One controller graph has all its records read after every
-tick, the other only a random subset, so some of its records stay stale
-across several ticks.  Superseded snapshots must keep their arrays, and
-``cheapest_path`` over a repriced snapshot must agree with the other
-backend's kernel over a snapshot built from the reference's records.
+snapshot's per-slot policy arrays must be equal.  One controller graph
+has all its records read after every tick, the other only a random
+subset, so some of its records stay stale across several ticks.
+Superseded snapshots must keep their arrays, and ``cheapest_path`` over
+a repriced snapshot must agree with the same kernel over a snapshot
+built from the reference's records.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from repro.network.compact import (
-    CompactTopology,
-    get_default_backend,
-    numpy_available,
-    set_default_backend,
-)
+from repro.network.compact import CompactTopology
 from repro.network.feemarket import FeeMarketController
 from repro.network.fees import ChannelPolicy, LinearFee
 from repro.network.graph import ChannelGraph, assign_uniform_fees
 from repro.network.paths import cheapest_path
-
-BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
-
-
-@contextmanager
-def _backend(name: str):
-    previous = get_default_backend()
-    set_default_backend(name)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
 
 
 def reference_update(
@@ -152,16 +134,13 @@ def _assert_arrays_equal(graph, reference) -> None:
             assert array[slot] == ref_array[ref]
 
 
-def _assert_cheapest_paths_agree(graph, reference, rng, backend) -> None:
-    """The graph's kernel against the other backend's, rebuilt from records.
+def _assert_cheapest_paths_agree(graph, reference, rng) -> None:
+    """The graph's kernel against a snapshot rebuilt from records.
 
     The records are the reference's: reading the graph's own would
     bring all of them up to date and hide a stale one from later checks.
     """
-    other = "python"
-    if backend == "python" and numpy_available():
-        other = "numpy"
-    fresh = CompactTopology.from_adjacency(reference.adjacency(), backend=other)
+    fresh = CompactTopology.from_adjacency(reference.adjacency())
     fresh.install_policies(reference.channel_policy, version=1)
     snapshot = graph.compact()
     nodes = graph.nodes
@@ -201,10 +180,9 @@ def _churn(rng, graphs, ops: int) -> None:
                 graph.remove_channel(channel.a, channel.b)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("hubs", [0, 5])
 @pytest.mark.parametrize("seed", range(6))
-def test_slot_pass_matches_per_direction_loop(seed, hubs, backend):
+def test_slot_pass_matches_per_direction_loop(seed, hubs):
     rng = random.Random(9_000 + 31 * seed + hubs)
     controller = FeeMarketController(
         hubs=hubs,
@@ -213,60 +191,58 @@ def test_slot_pass_matches_per_direction_loop(seed, hubs, backend):
         sensitivity=rng.choice([1.0, 4.0]),
         decay=rng.choice([0.9, 0.97, 1.0]),
     )
-    with _backend(backend):
-        # ``eager`` has every record read after every tick; ``lazy``
-        # only a random fifth, so most of its records stay stale
-        # across several ticks, copies and churn.
-        eager, lazy, reference = _build(seed), _build(seed), _build(seed)
-        assert lazy.compact().backend == backend
-        rebuilt = False
-        for tick in range(14):
-            graphs = (lazy, eager, reference)
-            _add_traffic(rng, graphs, _directions(lazy))
-            superseded = lazy.compact()
-            kept = [list(array) for array in superseded._policy_arrays]
-            step = rng.random()
-            if step < 0.3:
-                _churn(rng, graphs, rng.randrange(1, 4))
-            elif step < 0.4:
-                lazy, eager, reference = (each.copy() for each in graphs)
-            elif step < 0.5:
-                a, b = rng.choice(_directions(lazy))
-                policy = _random_policy(rng)
-                for each in graphs:
-                    each.set_channel_policy(a, b, policy)
-            if tick == 7:
-                # Enough churn to cross the compaction threshold, so
-                # the next compact() renumbers every slot.
-                _churn(rng, (lazy, eager, reference), 80)
-            if tick == 11:
-                # A legacy assigner overwrites every record at once.
-                for each in (lazy, eager, reference):
-                    assign_uniform_fees(each, base=0.1, rate=0.01)
-            changed = reference_update(controller, reference)
-            for graph in (lazy, eager):
-                assert controller.update(graph, float(tick)) == changed
-                assert graph.traffic == {}
-                _assert_arrays_equal(graph, reference)
-            snapshot = lazy.compact()
-            if snapshot.num_slots == snapshot.live_slots and tick >= 7:
-                rebuilt = True
-            if snapshot is not superseded:
-                # The superseded snapshot keeps the arrays it had.
-                arrays = superseded._policy_arrays
-                for array, before in zip(arrays, kept):
-                    assert array[: len(before)] == before
-            directions = _directions(lazy)
-            _assert_records_equal(eager, reference, directions)
-            if tick % 4 == 3:
-                _assert_records_equal(lazy, reference, directions)
-            else:
-                sample = rng.sample(directions, len(directions) // 5)
-                _assert_records_equal(lazy, reference, sample)
-            for graph in (lazy, eager):
-                _assert_cheapest_paths_agree(graph, reference, rng, backend)
-        assert rebuilt
-        _assert_records_equal(lazy, reference, _directions(lazy))
+    # ``eager`` has every record read after every tick; ``lazy``
+    # only a random fifth, so most of its records stay stale
+    # across several ticks, copies and churn.
+    eager, lazy, reference = _build(seed), _build(seed), _build(seed)
+    rebuilt = False
+    for tick in range(14):
+        graphs = (lazy, eager, reference)
+        _add_traffic(rng, graphs, _directions(lazy))
+        superseded = lazy.compact()
+        kept = [list(array) for array in superseded._policy_arrays]
+        step = rng.random()
+        if step < 0.3:
+            _churn(rng, graphs, rng.randrange(1, 4))
+        elif step < 0.4:
+            lazy, eager, reference = (each.copy() for each in graphs)
+        elif step < 0.5:
+            a, b = rng.choice(_directions(lazy))
+            policy = _random_policy(rng)
+            for each in graphs:
+                each.set_channel_policy(a, b, policy)
+        if tick == 7:
+            # Enough churn to cross the compaction threshold, so
+            # the next compact() renumbers every slot.
+            _churn(rng, (lazy, eager, reference), 80)
+        if tick == 11:
+            # A legacy assigner overwrites every record at once.
+            for each in (lazy, eager, reference):
+                assign_uniform_fees(each, base=0.1, rate=0.01)
+        changed = reference_update(controller, reference)
+        for graph in (lazy, eager):
+            assert controller.update(graph, float(tick)) == changed
+            assert graph.traffic == {}
+            _assert_arrays_equal(graph, reference)
+        snapshot = lazy.compact()
+        if snapshot.num_slots == snapshot.live_slots and tick >= 7:
+            rebuilt = True
+        if snapshot is not superseded:
+            # The superseded snapshot keeps the arrays it had.
+            arrays = superseded._policy_arrays
+            for array, before in zip(arrays, kept):
+                assert array[: len(before)] == before
+        directions = _directions(lazy)
+        _assert_records_equal(eager, reference, directions)
+        if tick % 4 == 3:
+            _assert_records_equal(lazy, reference, directions)
+        else:
+            sample = rng.sample(directions, len(directions) // 5)
+            _assert_records_equal(lazy, reference, sample)
+        for graph in (lazy, eager):
+            _assert_cheapest_paths_agree(graph, reference, rng)
+    assert rebuilt
+    _assert_records_equal(lazy, reference, _directions(lazy))
 
 
 def test_first_tick_on_a_graph_without_policies():

@@ -16,9 +16,10 @@ workloads") is differential: feeding any engine a
 * the **same record schema** — ``to_record()`` key sets match, so store
   cells from streaming runs are interchangeable with list-run cells.
 
-Every case runs under both kernel backends (the streaming branch shares
-the routing kernels, so backend identity must survive it), across all
-three engines.
+Every case runs twice, with the BFS sweeps picked by graph size and
+forced onto the vectorized kernel (the streaming branch shares the
+routing kernels, so sweep identity must survive it), across all three
+engines.
 
 The residency test closes the loop on the tentpole claim: a
 ``lightning-day`` smoke slice keeps peak *live* ``Transaction`` count
@@ -36,11 +37,6 @@ import weakref
 
 import pytest
 
-from repro.network.compact import (
-    get_default_backend,
-    numpy_available,
-    set_default_backend,
-)
 from repro.network.dynamics import churn_events_for, run_dynamic_simulation
 from repro.network.topology import ripple_like_topology
 from repro.sim.concurrent import ConcurrencyConfig, run_concurrent_simulation
@@ -70,16 +66,7 @@ HOP_LATENCY = 0.2
 QUANTILE_TOLERANCE_ABS = 2 * HOP_LATENCY
 QUANTILE_TOLERANCE_REL = 0.15
 
-
-@pytest.fixture(autouse=True, params=("python", "numpy"))
-def kernel_backend(request):
-    """Run every equivalence case under both kernel backends."""
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy is not installed")
-    previous = get_default_backend()
-    set_default_backend(request.param)
-    yield request.param
-    set_default_backend(previous)
+pytestmark = pytest.mark.usefixtures("sweep_kernel")
 
 
 def _graph(seed: int):
@@ -195,7 +182,7 @@ class TestStreamingEquivalence:
 class TestBoundedResidency:
     """A lightning-day smoke slice holds O(window) transactions live."""
 
-    def test_peak_live_transactions_tracks_lookahead(self, kernel_backend):
+    def test_peak_live_transactions_tracks_lookahead(self):
         import repro.scenarios  # populate the catalog
         from repro.scenarios.registry import get_scenario
 

@@ -19,8 +19,10 @@ every entry's ``paths`` and ``yen_cursor`` must match.  A small
 ``MAX_SOURCE_LAYERS`` makes re-stamped BFS layers get evicted and
 rebuilt, so a rebuilt layer can offer another first path.
 
-Everything is seeded stdlib :mod:`random` and runs under both kernel
-backends, so a failure replays from its seed.
+Everything is seeded stdlib :mod:`random` and runs twice, once with the
+BFS sweeps the routing table builds its layers from picked by graph
+size and once forced onto the vectorized kernel, so a failure replays
+from its seed.
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ import random
 import pytest
 
 from repro.core.routing_table import RoutingTable, TableEntry
-from repro.network.compact import (
-    CompactTopology,
-    get_default_backend,
-    numpy_available,
-    set_default_backend,
-)
+from repro.network.compact import CompactTopology
 from repro.network.dynamics import ChannelEvent, ChannelEventType
 from repro.network.graph import ChannelGraph
 from repro.network.paths import YenState, yen_k_shortest_paths
@@ -45,16 +42,7 @@ from repro.network.topology import barabasi_albert_edges
 #: paths than this for many pairs, so exhaustion is exercised too.
 K = 12
 
-
-@pytest.fixture(autouse=True, params=("python", "numpy"))
-def kernel_backend(request):
-    """Run every case under both kernel backends."""
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy is not installed")
-    previous = get_default_backend()
-    set_default_backend(request.param)
-    yield request.param
-    set_default_backend(previous)
+pytestmark = pytest.mark.usefixtures("sweep_kernel")
 
 
 # ------------------------------------------------------------------ kernel

@@ -1,5 +1,7 @@
 """Tests for multi-run comparison and sweeps."""
 
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -131,3 +133,54 @@ class TestParallelRuns:
         parallel = sweep([1.0, 5.0], scenario, FACTORIES, runs=2, workers=2)
         for name in FACTORIES:
             assert serial[name] == parallel[name]
+
+
+class TestPoolSize:
+    """The fork pool never outnumbers the CPUs this process may use."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch) -> list[int]:
+        """Sizes of the fork pools created, in order."""
+        sizes: list[int] = []
+        get_context = multiprocessing.get_context
+
+        class SpyContext:
+            def __init__(self, method):
+                self._context = get_context(method)
+
+            def Pool(self, processes):
+                sizes.append(processes)
+                return self._context.Pool(processes=processes)
+
+        monkeypatch.setattr(multiprocessing, "get_context", SpyContext)
+        return sizes
+
+    @staticmethod
+    def _assert_matches_serial(workers: int) -> None:
+        serial = run_comparison(scenario(), FACTORIES, runs=3, base_seed=5)
+        capped = run_comparison(
+            scenario(), FACTORIES, runs=3, base_seed=5, workers=workers
+        )
+        for name in FACTORIES:
+            assert serial[name] == capped[name]
+
+    def test_one_usable_cpu_takes_the_serial_path(
+        self, monkeypatch, pool_sizes
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self._assert_matches_serial(workers=4)
+        assert pool_sizes == []
+
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        self._assert_matches_serial(workers=8)
+        assert pool_sizes == [2]
+
+    def test_cpu_count_without_affinity_mask(self, monkeypatch, pool_sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self._assert_matches_serial(workers=4)
+        assert pool_sizes == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        self._assert_matches_serial(workers=4)
+        assert pool_sizes == [3]
