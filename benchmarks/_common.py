@@ -10,10 +10,12 @@ minutes) and:
 * asserts the qualitative claim of the figure (who wins, direction of
   the effect), so a regression in the algorithms fails the bench.
 
-Benchmarks that measure wall time (routing, churn, streaming) differ on
-every run, so they rewrite their committed text result and
-``BENCH_*.json`` snapshot only under ``BENCH_RECORD=1``; otherwise they
-print the results and leave the tree as it was.
+Every ``BENCH_*.json`` snapshot is rewritten only under
+``BENCH_RECORD=1``: the timed ones (routing, churn, streaming) differ
+on every run, and every snapshot's machine block differs between hosts.
+Timed benchmarks gate their text result the same way; the other text
+results are deterministic, so a plain full-scale run leaves the tree as
+it was.
 
 Run with ``pytest benchmarks/ --benchmark-only``.
 """
@@ -44,7 +46,7 @@ def save_result(name: str, title: str, body: str, timed: bool = False) -> str:
 
 
 def save_timed_snapshot(path: pathlib.Path, report: dict) -> None:
-    """Write a timed ``BENCH_*.json`` snapshot under ``BENCH_RECORD=1``.
+    """Write a ``BENCH_*.json`` snapshot under ``BENCH_RECORD=1``.
 
     Canonical serialization (sorted keys, fixed float precision) keeps
     the snapshot diffable across platforms.

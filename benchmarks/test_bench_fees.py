@@ -18,20 +18,19 @@ scale, then asserts the qualitative fee claims:
   intra-scheme fee optimization vs no optimization is Fig 9's claim,
   asserted at matched paths by ``test_bench_fig09_fee_optimization``).
 
-Writes machine-readable ``BENCH_fees.json`` at the repo root
-(canonical serialization, like ``BENCH_resilience.json``); scenario
-definitions in ``docs/SCENARIOS.md``.  Set ``BENCH_SMOKE=1`` for the
+Under ``BENCH_RECORD=1`` writes machine-readable ``BENCH_fees.json`` at
+the repo root (canonical serialization, like ``BENCH_resilience.json``);
+scenario definitions in ``docs/SCENARIOS.md``.  Set ``BENCH_SMOKE=1`` for the
 CI-scale version — same scenarios and assertions on smaller workloads.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
 
-from _common import save_result
+from _common import save_result, save_timed_snapshot
 
 import repro.scenarios as scenarios
 from repro.sim.factories import paper_benchmark_factories
@@ -181,17 +180,7 @@ def test_bench_fees():
             "flash_outdelivers_shortest_path_under_fees",
         ],
     }
-    from repro.eval.store import CANONICAL_DIGITS, canonicalize
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            canonicalize(report, CANONICAL_DIGITS),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n"
-    )
+    save_timed_snapshot(BENCH_JSON, report)
 
     lines = [
         f"scale: nodes<={N_NODES} txns={N_TRANSACTIONS} seeds={SEEDS}"

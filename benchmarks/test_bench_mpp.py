@@ -19,8 +19,9 @@ scenario's MPP knobs on, then asserts the qualitative claims:
   single-path control, and the paper's headline ranking (Flash
   out-delivers Shortest Path) survives on both arms.
 
-Writes machine-readable ``BENCH_mpp.json`` at the repo root (canonical
-serialization, like ``BENCH_fees.json``); scenario definition in
+Under ``BENCH_RECORD=1`` writes machine-readable ``BENCH_mpp.json`` at
+the repo root (canonical serialization, like ``BENCH_fees.json``);
+scenario definition in
 ``docs/SCENARIOS.md``, MPP semantics in ``docs/CONCURRENCY.md``.  Set
 ``BENCH_SMOKE=1`` for the CI-scale version — same arms and assertions
 on a smaller workload.
@@ -28,12 +29,11 @@ on a smaller workload.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
 
-from _common import save_result
+from _common import save_result, save_timed_snapshot
 
 import repro.scenarios as scenarios
 from repro.sim.factories import paper_benchmark_factories
@@ -167,17 +167,7 @@ def test_bench_mpp():
             "flash_outdelivers_shortest_path_both_arms",
         ],
     }
-    from repro.eval.store import CANONICAL_DIGITS, canonicalize
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            canonicalize(report, CANONICAL_DIGITS),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n"
-    )
+    save_timed_snapshot(BENCH_JSON, report)
 
     lines = [
         f"scale: nodes={N_NODES} txns={N_TRANSACTIONS} seeds={SEEDS}"

@@ -13,20 +13,20 @@ at benchmark scale, then asserts the qualitative resilience claims:
 * Flash stays at least as successful under jamming as Shortest Path
   (the paper's ranking, extended to adversarial load).
 
-Writes machine-readable ``BENCH_resilience.json`` at the repo root
-(canonical serialization, like ``BENCH_churn.json``); methodology in
+Under ``BENCH_RECORD=1`` writes machine-readable
+``BENCH_resilience.json`` at the repo root (canonical serialization,
+like ``BENCH_churn.json``); methodology in
 ``docs/RESILIENCE.md``.  Set ``BENCH_SMOKE=1`` for the CI-scale
 version — same scenarios and assertions on smaller topologies.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
 
-from _common import save_result
+from _common import save_result, save_timed_snapshot
 
 import repro.scenarios as scenarios
 from repro.sim.factories import paper_benchmark_factories
@@ -153,17 +153,7 @@ def test_bench_resilience():
             "flash_ge_shortest_path_under_jamming",
         ],
     }
-    from repro.eval.store import CANONICAL_DIGITS, canonicalize
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            canonicalize(report, CANONICAL_DIGITS),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n"
-    )
+    save_timed_snapshot(BENCH_JSON, report)
 
     lines = [
         f"scale: nodes<={N_NODES} txns={N_TRANSACTIONS} seeds={SEEDS}"

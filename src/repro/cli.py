@@ -396,25 +396,6 @@ def _add_fault_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_compact_flag(subparser: argparse.ArgumentParser) -> None:
-    """The incremental-maintenance escape hatch (run/sweep)."""
-    subparser.add_argument(
-        "--full-rebuild",
-        action="store_true",
-        help="disable incremental compact-topology maintenance: force a "
-        "full CSR rebuild on every churn event (benchmark baseline; "
-        "observably identical results, slower under churn)",
-    )
-
-
-def _apply_compact_mode(args) -> None:
-    """Honor ``--full-rebuild`` for this process (and its fork workers)."""
-    if getattr(args, "full_rebuild", False):
-        from repro.network.graph import ChannelGraph
-
-        ChannelGraph.incremental_compact = False
-
-
 def _apply_fault_flag(scenario, fault_name: str | None):
     """Attach or swap the scenario's fault ingredient for ``--fault``.
 
@@ -436,7 +417,6 @@ def _cmd_run(args) -> int:
     import repro.scenarios as scenarios
     from repro.sim.runner import resolve_engine, resolve_mpp
 
-    _apply_compact_mode(args)
     try:
         scenario = _apply_fault_flag(
             scenarios.get_scenario(args.name), args.fault
@@ -721,7 +701,6 @@ def _cmd_sweep(args) -> int:
     from repro.sim.runner import resolve_engine, resolve_mpp, sweep as run_sweep
     from repro.sim import format_series
 
-    _apply_compact_mode(args)
     try:
         scenario = _apply_fault_flag(
             scenarios.get_scenario(args.name), args.fault
@@ -1162,7 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_flags(run)
     _add_engine_flags(run)
     _add_mpp_flags(run)
-    _add_compact_flag(run)
     _add_seed_flag(run)
     run.add_argument(
         "--out",
@@ -1221,7 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_flags(sweep)
     _add_engine_flags(sweep)
     _add_mpp_flags(sweep)
-    _add_compact_flag(sweep)
     _add_seed_flag(sweep)
     sweep.add_argument(
         "--out",

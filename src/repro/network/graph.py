@@ -99,9 +99,10 @@ class ChannelGraph:
     #: (:meth:`CompactTopology.apply_delta`) and only falls back to a
     #: full ``from_adjacency`` rebuild at the compaction threshold.
     #: Setting it to False forces the full rebuild on every topology
-    #: change — the benchmark baseline (``repro run --full-rebuild``,
-    #: ``benchmarks/test_bench_churn.py``).  Both paths are observably
-    #: identical; the property suite fuzzes that equivalence.
+    #: change — the reference that ``benchmarks/test_bench_churn.py``
+    #: times against and ``tests/property/test_compact_incremental.py``
+    #: checks against.  Both paths are observably identical; that
+    #: property suite fuzzes the equivalence.
     incremental_compact = True
 
     def __init__(self) -> None:

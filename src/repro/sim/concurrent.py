@@ -82,10 +82,7 @@ from repro.sim.engine import accrue_revenue
 from repro.sim.metrics import (
     SimulationResult,
     StreamingMetricsAccumulator,
-    StreamingSimulationResult,
     TransactionRecord,
-    fee_metrics,
-    mpp_metrics,
 )
 from repro.sim.mpp import MppConfig, split_amounts
 from repro.traces.workload import Transaction, Workload, WorkloadStream
@@ -463,14 +460,18 @@ def run_concurrent_simulation(
     mpp: MppConfig | None = None,
     lookahead: int = 256,
     progress=None,
-) -> SimulationResult | StreamingSimulationResult:
+) -> SimulationResult:
     """Route ``workload`` with overlapping in-flight payments; returns metrics.
 
     Same contract as :func:`repro.sim.engine.run_simulation` — fresh
     router over a (by default) copied graph, one
-    :class:`~repro.sim.metrics.TransactionRecord` per transaction in
-    workload order — plus the concurrent semantics documented in the
-    module docstring.  ``events`` (channel churn) are applied at their
+    :class:`~repro.sim.metrics.TransactionRecord` per transaction folded
+    through a :class:`~repro.sim.metrics.StreamingMetricsAccumulator` —
+    plus the concurrent semantics documented in the module docstring.
+    A list-backed run collects its records by txid and folds them in
+    workload order once the queue drains, so its float sums do not
+    depend on completion order and ``result.records`` lists them in
+    workload order.  ``events`` (channel churn) are applied at their
     compressed timestamps and gossiped on the compressed period, exactly
     mirroring :func:`~repro.sim.engine.run_simulation`'s ordering
     (events due at a payment's start apply before it routes).
@@ -506,9 +507,9 @@ def run_concurrent_simulation(
     start upfront, the engine bootstraps ``lookahead`` transactions onto
     the queue and pulls one more from the stream at each payment start,
     so at most ``lookahead`` un-started transactions (plus the in-flight
-    window) are ever resident.  Finished records flow into a
-    :class:`~repro.sim.metrics.StreamingMetricsAccumulator` (no records
-    dict, no ordered second pass) and the event budget grows
+    window) are ever resident.  Finished records are folded in
+    completion order as they finish (no records dict, no ordered second
+    pass), quantiles are P² estimates, and the event budget grows
     incrementally with the fed count.  ``progress`` (a callable taking
     the fed transaction count) fires every 10,000 feeds and once at the
     end — checkpoint/throughput hooks for trace-scale runs.  Streaming
@@ -571,17 +572,16 @@ def run_concurrent_simulation(
     )
     schedule.register(router)
 
+    accumulator = StreamingMetricsAccumulator(
+        scheme=router.name,
+        engine="concurrent",
+        track_mpp=mpp is not None,
+        keep_records=not streaming,
+    )
     records: dict[int, TransactionRecord] = {}
     if streaming:
-        accumulator = StreamingMetricsAccumulator(
-            scheme=router.name,
-            engine="concurrent",
-            track_fees=policy_aware,
-            track_mpp=mpp is not None,
-        )
         emit = accumulator.observe
     else:
-        accumulator = None
 
         def emit(finished: TransactionRecord) -> None:
             records[finished.txid] = finished
@@ -881,27 +881,24 @@ def run_concurrent_simulation(
         schedule.flush(queue.now)
         if progress is not None:
             progress(fed)
-        return accumulator.result(
-            revenue_by_node=revenue_by_node if policy_aware else None,
-            mice_threshold=threshold.value,
-        )
+    else:
+        for transaction in workload:
+            start_at = transaction.time / config.load
+            pending = _PendingPayment(
+                transaction=transaction, started_at=start_at
+            )
+            queue.schedule(start_at, lambda pending=pending: start(pending))
 
-    for transaction in workload:
-        start_at = transaction.time / config.load
-        pending = _PendingPayment(transaction=transaction, started_at=start_at)
-        queue.schedule(start_at, lambda pending=pending: start(pending))
+        budget = len(workload) * per_payment + len(scaled_events) + 16
+        queue.run_until_idle(max_events=budget)
+        schedule.flush(queue.now)
+        for transaction in workload:
+            accumulator.observe(records[transaction.txid])
 
-    budget = len(workload) * per_payment + len(scaled_events) + 16
-    queue.run_until_idle(max_events=budget)
-    schedule.flush(queue.now)
-
-    result = SimulationResult(scheme=router.name, engine="concurrent")
-    for transaction in workload:
-        result.records.append(records[transaction.txid])
-    if policy_aware:
-        result.fees = fee_metrics(result.records, revenue_by_node)
-    if mpp is not None:
-        result.mpp = mpp_metrics(result.records)
+    result = accumulator.result(
+        revenue_by_node=revenue_by_node if policy_aware else None,
+        mice_threshold=threshold.value,
+    )
     if faults is not None:
         schedule.finalize(queue.now)
         horizon = workload[len(workload) - 1].time if len(workload) else 0.0

@@ -28,8 +28,9 @@ golden record).
 
 The engine feeds each payment to a router operating over a
 :class:`~repro.network.view.NetworkView` of a fresh copy of the
-topology, and captures per-transaction records (success, fees, message
-deltas) into a :class:`~repro.sim.metrics.SimulationResult`.  It also
+topology, and folds per-transaction records (success, fees, message
+deltas) into a :class:`~repro.sim.metrics.SimulationResult` through the
+metrics accumulator.  It also
 tags every transaction elephant/mouse against a reference threshold so
 results can be broken down by class even for routers (the baselines)
 that do not themselves classify.
@@ -53,10 +54,7 @@ from repro.sim.faults import FaultPlan, resilience_metrics
 from repro.sim.metrics import (
     SimulationResult,
     StreamingMetricsAccumulator,
-    StreamingSimulationResult,
     TransactionRecord,
-    fee_metrics,
-    mpp_metrics,
 )
 from repro.sim.mpp import MppConfig, execute_parts_atomically, split_amounts
 from repro.traces.workload import Workload, WorkloadStream
@@ -89,7 +87,7 @@ def run_simulation(
     events: Sequence[ChannelEvent] = (),
     gossip_period: float = 600.0,
     faults: FaultPlan | None = None,
-) -> SimulationResult | StreamingSimulationResult:
+) -> SimulationResult:
     """Route ``workload`` over ``graph`` with a fresh router; returns metrics.
 
     ``copy_graph=True`` (default) leaves the input graph untouched so the
@@ -112,14 +110,16 @@ def run_simulation(
     :func:`~repro.sim.mpp.execute_parts_atomically`; ``result.mpp``
     then carries :data:`~repro.sim.metrics.MPP_METRIC_FIELDS`.
 
-    A :class:`~repro.traces.workload.WorkloadStream` input switches to
-    the single-pass path: per-transaction records flow into a
-    :class:`~repro.sim.metrics.StreamingMetricsAccumulator` instead of a
-    list, so memory stays O(1) in the trace length, and the elephant
-    threshold comes from the stream's hint or an online reservoir
-    estimate.  Streaming is incompatible with ``faults``: resilience
-    metrics need the full ordered record list, so that combination
-    raises rather than approximating.
+    Every per-transaction record is folded through a
+    :class:`~repro.sim.metrics.StreamingMetricsAccumulator`, which
+    returns the result.  A list-backed workload keeps its records
+    (``result.records``, workload order) and exact quantiles.  A
+    :class:`~repro.traces.workload.WorkloadStream` keeps neither, so
+    memory stays O(1) in the trace length; its quantiles are P²
+    estimates and the elephant threshold comes from the stream's hint or
+    an online reservoir estimate.  Streaming is incompatible with
+    ``faults``: resilience metrics need the full ordered record list, so
+    that combination raises rather than approximating.
     """
     streaming = isinstance(workload, WorkloadStream)
     if streaming and faults is not None:
@@ -150,16 +150,9 @@ def run_simulation(
     threshold = MiceThreshold(workload, reference_mice_fraction)
     counters = view.counters
     revenue_by_node: dict = {}
-    if streaming:
-        accumulator = StreamingMetricsAccumulator(
-            scheme=router.name,
-            engine="sequential",
-            track_mpp=mpp is not None,
-        )
-        emit = accumulator.observe
-    else:
-        result = SimulationResult(scheme=router.name)
-        emit = result.records.append
+    accumulator = StreamingMetricsAccumulator(
+        scheme=router.name, track_mpp=mpp is not None, keep_records=not streaming
+    )
 
     for transaction in workload:
         schedule.advance_to(transaction.time)
@@ -190,7 +183,7 @@ def run_simulation(
         # assign the first policies at a gossip tick mid-run.
         if outcome.success and working_graph.policy_aware:
             accrue_revenue(working_graph, outcome.transfers, revenue_by_node)
-        emit(
+        accumulator.observe(
             TransactionRecord(
                 txid=transaction.txid,
                 amount=transaction.amount,
@@ -205,17 +198,10 @@ def run_simulation(
             )
         )
 
-    policy_aware = working_graph.policy_aware
-    if streaming:
-        accumulator.track_fees = policy_aware
-        return accumulator.result(
-            revenue_by_node=revenue_by_node if policy_aware else None,
-            mice_threshold=threshold.value,
-        )
-    if policy_aware:
-        result.fees = fee_metrics(result.records, revenue_by_node)
-    if mpp is not None:
-        result.mpp = mpp_metrics(result.records)
+    result = accumulator.result(
+        revenue_by_node=revenue_by_node if working_graph.policy_aware else None,
+        mice_threshold=threshold.value,
+    )
     if faults is not None:
         horizon = workload[len(workload) - 1].time if len(workload) else 0.0
         schedule.finalize(horizon)

@@ -5,6 +5,13 @@ delivered), **success volume** (total delivered amount), and the **number
 of probing messages**.  We additionally track payment messages, fees, and
 the elephant/mice breakdown needed by the Fig 10/11 microbenchmarks.
 
+Every engine run folds its per-payment :class:`TransactionRecord`\\ s
+through one :class:`StreamingMetricsAccumulator`, whether the workload
+is a list or a stream, and the fold returns the run's
+:class:`SimulationResult`.  Float sums are left-to-right ``+=`` folds,
+so they do not depend on how the interpreter's ``sum()`` adds floats;
+quantiles are exact for list-backed runs and P² estimates for streams.
+
 Runs produced by the concurrent engine
 (:mod:`repro.sim.concurrent`) also carry per-payment latency, retry
 counts, and timeout failures; those extra fields
@@ -16,7 +23,7 @@ byte-identical to the pre-concurrent format.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.traces.workload import percentile
 
@@ -82,50 +89,23 @@ MPP_METRIC_FIELDS: tuple[str, ...] = (
 )
 
 
-def mpp_metrics(records: Sequence["TransactionRecord"]) -> dict[str, float]:
-    """The :data:`MPP_METRIC_FIELDS` values for one MPP-enabled run.
-
-    A payment counts as multi-part when it fanned out into more than
-    one concurrently-held part (``record.parts > 1``);
-    ``partial_release_count`` totals sibling holds refunded because a
-    part failed or the shared deadline passed — the observable cost of
-    the all-or-nothing guarantee.
-    """
-    multi = [r for r in records if r.parts > 1]
-    settled = [r for r in multi if r.success]
-    latencies = [r.latency for r in settled]
-    return {
-        "mpp_payments": float(len(multi)),
-        "parts_per_payment": (
-            sum(r.parts for r in multi) / len(multi) if multi else 0.0
-        ),
-        "partial_release_count": float(
-            sum(r.partial_releases for r in records)
-        ),
-        "mpp_success_ratio": (
-            len(settled) / len(multi) if multi else 0.0
-        ),
-        "mpp_latency_p95": (
-            percentile(latencies, 0.95) if latencies else 0.0
-        ),
-    }
-
-
 def fee_metrics(
-    records: Sequence["TransactionRecord"],
+    fee_paid_total: float,
+    fee_p50: float,
     revenue_by_node: Mapping[object, float],
 ) -> dict[str, float]:
     """The :data:`FEE_METRIC_FIELDS` values for one policy-aware run.
 
-    ``revenue_by_node`` accumulates each intermediary's pocketed fees
+    ``fee_paid_total`` and ``fee_p50`` are the fold's total and median of
+    the fees senders paid for successful payments.  ``revenue_by_node``
+    accumulates each intermediary's pocketed fees
     (:func:`repro.network.fees.fee_breakdown` summed over settled
     payments); ``hub_revenue`` reports the best-earning node — the
     fee-market scenarios' revenue-vs-success tradeoff axis.
     """
-    fees = [r.fee for r in records if r.success]
     return {
-        "fee_paid_total": float(sum(fees)),
-        "fee_p50": float(percentile(fees, 0.5)) if fees else 0.0,
+        "fee_paid_total": float(fee_paid_total),
+        "fee_p50": float(fee_p50),
         "hub_revenue": float(max(revenue_by_node.values(), default=0.0)),
     }
 
@@ -164,9 +144,32 @@ class TransactionRecord:
     partial_releases: int = 0
 
 
+class _FamilyMetric:
+    """One metric of a conditional family, read from the result's dict.
+
+    Reads 0.0 when the family is absent, so every result answers every
+    metric name :class:`AveragedMetrics` averages.
+    """
+
+    def __init__(self, family: str) -> None:
+        self.family = family
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return self
+        return float(getattr(result, self.family).get(self.name, 0.0))
+
+
 @dataclass
 class SimulationResult:
     """Aggregated outcome of one simulation run for one scheme.
+
+    Built by :meth:`StreamingMetricsAccumulator.result` at the end of a
+    run, or by :meth:`from_record` from a store record.  Counts are ints
+    in a fresh run and floats once read back from the store.
 
     ``engine`` names the engine that produced the run (``"sequential"``
     or ``"concurrent"``); it selects which field set :meth:`to_record`
@@ -174,231 +177,86 @@ class SimulationResult:
     :data:`RESILIENCE_METRIC_FIELDS`) only when the run injected a
     fault plan; ``fees`` (exactly :data:`FEE_METRIC_FIELDS`, see
     :func:`fee_metrics`) only when the run's graph carried BOLT channel
-    policies; ``mpp`` (exactly :data:`MPP_METRIC_FIELDS`, see
-    :func:`mpp_metrics`) only when the run enabled multi-part payments.
-    All stay empty — and invisible to :meth:`to_record` — otherwise.
+    policies; ``mpp`` (exactly :data:`MPP_METRIC_FIELDS`) only when the
+    run enabled multi-part payments.  All stay empty — and invisible to
+    :meth:`to_record` — otherwise.  ``records`` holds a list-backed run's
+    per-payment records in workload order; it is empty for a streamed
+    run and for a stored one.
     """
 
     scheme: str
-    records: list[TransactionRecord] = field(default_factory=list)
     engine: str = "sequential"
+    transactions: float = 0.0
+    succeeded: float = 0.0
+    success_ratio: float = 0.0
+    attempted_volume: float = 0.0
+    success_volume: float = 0.0
+    probe_messages: float = 0.0
+    payment_messages: float = 0.0
+    total_fees: float = 0.0
+    #: Fig 9's metric: total fees as a percentage of delivered volume.
+    fee_to_volume_percent: float = 0.0
+    mice_success_ratio: float = 0.0
+    elephant_success_ratio: float = 0.0
+    mice_success_volume: float = 0.0
+    elephant_success_volume: float = 0.0
+    #: Probing spent on mice-class payments (the Fig 11b metric).
+    mice_probe_messages: float = 0.0
+    elephant_probe_messages: float = 0.0
+    #: Latency quantiles and mean over *successful* payments (simulated
+    #: seconds); failures carry their own signal via ``timeout_failures``
+    #: and the success ratio.
+    latency_p50: float = 0.0
+    latency_p95: float = 0.0
+    latency_mean: float = 0.0
+    #: Engine-level re-attempts summed over all payments.
+    retries_total: float = 0.0
+    #: Payments that failed because their holds hit the timeout.
+    timeout_failures: float = 0.0
+    #: The elephant–mice cutoff used for classification (static, hinted
+    #: or reservoir-estimated); informational, not persisted.
+    mice_threshold: float = 0.0
     resilience: dict = field(default_factory=dict)
     fees: dict = field(default_factory=dict)
     mpp: dict = field(default_factory=dict)
+    records: list[TransactionRecord] = field(default_factory=list)
 
-    # ------------------------------------------------------------- scalars
-
-    @property
-    def transactions(self) -> int:
-        return len(self.records)
-
-    @property
-    def succeeded(self) -> int:
-        return sum(1 for record in self.records if record.success)
-
-    @property
-    def success_ratio(self) -> float:
-        return self.succeeded / self.transactions if self.records else 0.0
-
-    @property
-    def attempted_volume(self) -> float:
-        return sum(record.amount for record in self.records)
-
-    @property
-    def success_volume(self) -> float:
-        return sum(record.amount for record in self.records if record.success)
-
-    @property
-    def probe_messages(self) -> int:
-        return sum(record.probe_messages for record in self.records)
-
-    @property
-    def payment_messages(self) -> int:
-        return sum(record.payment_messages for record in self.records)
-
-    @property
-    def total_fees(self) -> float:
-        return sum(record.fee for record in self.records if record.success)
-
-    @property
-    def fee_to_volume_percent(self) -> float:
-        """Fig 9's metric: total fees as a percentage of delivered volume."""
-        volume = self.success_volume
-        return 100.0 * self.total_fees / volume if volume > 0 else 0.0
-
-    # --------------------------------------------------- concurrency metrics
-
-    @property
-    def success_latencies(self) -> list[float]:
-        """Latency of every *successful* payment (simulated seconds).
-
-        Latency percentiles are conventionally reported over delivered
-        payments; failures carry their own signal via
-        :attr:`timeout_failures` and the success ratio.
-        """
-        return [r.latency for r in self.records if r.success]
-
-    @property
-    def latency_p50(self) -> float:
-        """Median latency of successful payments (0.0 when none)."""
-        latencies = self.success_latencies
-        return percentile(latencies, 0.5) if latencies else 0.0
-
-    @property
-    def latency_p95(self) -> float:
-        """95th-percentile latency of successful payments (0.0 when none)."""
-        latencies = self.success_latencies
-        return percentile(latencies, 0.95) if latencies else 0.0
-
-    @property
-    def latency_mean(self) -> float:
-        """Mean latency of successful payments (0.0 when none)."""
-        latencies = self.success_latencies
-        return sum(latencies) / len(latencies) if latencies else 0.0
-
-    @property
-    def retries_total(self) -> int:
-        """Engine-level re-attempts summed over all payments."""
-        return sum(r.retries for r in self.records)
-
-    @property
-    def timeout_failures(self) -> int:
-        """Payments that failed because their holds hit the timeout."""
-        return sum(1 for r in self.records if r.timed_out)
-
-    # ------------------------------------------------------ resilience
-
-    @property
-    def attack_success_ratio(self) -> float:
-        """Success rate inside attack windows (0.0 without faults)."""
-        return float(self.resilience.get("attack_success_ratio", 0.0))
-
-    @property
-    def control_success_ratio(self) -> float:
-        """Success rate outside attack windows (0.0 without faults)."""
-        return float(self.resilience.get("control_success_ratio", 0.0))
-
-    @property
-    def resilience_delta(self) -> float:
-        """Control minus attack success ratio (0.0 without faults)."""
-        return float(self.resilience.get("resilience_delta", 0.0))
-
-    @property
-    def recovery_half_life(self) -> float:
-        """Seconds after heal until the success rate recovers."""
-        return float(self.resilience.get("recovery_half_life", 0.0))
-
-    @property
-    def adversary_escrow(self) -> float:
-        """Fund-seconds of capacity held by adversary jams."""
-        return float(self.resilience.get("adversary_escrow", 0.0))
-
-    # ------------------------------------------------------ fee market
-
-    @property
-    def fee_paid_total(self) -> float:
-        """Total fees paid by senders of successful payments."""
-        return float(self.fees.get("fee_paid_total", 0.0))
-
-    @property
-    def fee_p50(self) -> float:
-        """Median fee across successful payments (0.0 without policies)."""
-        return float(self.fees.get("fee_p50", 0.0))
-
-    @property
-    def hub_revenue(self) -> float:
-        """Fees pocketed by the best-earning intermediary node."""
-        return float(self.fees.get("hub_revenue", 0.0))
-
-    # ------------------------------------------------- multi-part payments
-
-    @property
-    def mpp_payments(self) -> float:
-        """Payments that fanned out into more than one part."""
-        return float(self.mpp.get("mpp_payments", 0.0))
-
-    @property
-    def parts_per_payment(self) -> float:
-        """Mean part count over multi-part payments (0.0 without MPP)."""
-        return float(self.mpp.get("parts_per_payment", 0.0))
-
-    @property
-    def partial_release_count(self) -> float:
-        """Sibling part holds refunded by the all-or-nothing abort."""
-        return float(self.mpp.get("partial_release_count", 0.0))
-
-    @property
-    def mpp_success_ratio(self) -> float:
-        """Success rate over multi-part payments only."""
-        return float(self.mpp.get("mpp_success_ratio", 0.0))
-
-    @property
-    def mpp_latency_p95(self) -> float:
-        """95th-percentile latency of settled multi-part payments."""
-        return float(self.mpp.get("mpp_latency_p95", 0.0))
-
-    # ------------------------------------------------------ class breakdown
-
-    def _class_records(self, elephant: bool) -> list[TransactionRecord]:
-        return [r for r in self.records if r.is_elephant == elephant]
-
-    @property
-    def mice_success_volume(self) -> float:
-        return sum(r.amount for r in self._class_records(False) if r.success)
-
-    @property
-    def elephant_success_volume(self) -> float:
-        return sum(r.amount for r in self._class_records(True) if r.success)
-
-    @property
-    def mice_probe_messages(self) -> int:
-        """Probing spent on mice-class payments (the Fig 11b metric)."""
-        return sum(r.probe_messages for r in self._class_records(False))
-
-    @property
-    def elephant_probe_messages(self) -> int:
-        return sum(r.probe_messages for r in self._class_records(True))
-
-    @property
-    def mice_success_ratio(self) -> float:
-        mice = self._class_records(False)
-        if not mice:
-            return 0.0
-        return sum(1 for r in mice if r.success) / len(mice)
-
-    @property
-    def elephant_success_ratio(self) -> float:
-        elephants = self._class_records(True)
-        if not elephants:
-            return 0.0
-        return sum(1 for r in elephants if r.success) / len(elephants)
-
-    def summary(self) -> dict[str, float]:
-        """Flat dict of the headline metrics (handy for tables/tests)."""
-        return {
-            "transactions": float(self.transactions),
-            "success_ratio": self.success_ratio,
-            "success_volume": self.success_volume,
-            "probe_messages": float(self.probe_messages),
-            "payment_messages": float(self.payment_messages),
-            "fee_to_volume_percent": self.fee_to_volume_percent,
-        }
+    # Resilience (:mod:`repro.sim.faults`): attack- and control-window
+    # success rates, their difference, the seconds after heal until the
+    # success rate recovers, and fund-seconds held by adversary jams.
+    attack_success_ratio = _FamilyMetric("resilience")
+    control_success_ratio = _FamilyMetric("resilience")
+    resilience_delta = _FamilyMetric("resilience")
+    recovery_half_life = _FamilyMetric("resilience")
+    adversary_escrow = _FamilyMetric("resilience")
+    # Fee market: total and median fee of successful payments, and the
+    # fees pocketed by the best-earning intermediary.
+    fee_paid_total = _FamilyMetric("fees")
+    fee_p50 = _FamilyMetric("fees")
+    hub_revenue = _FamilyMetric("fees")
+    # Multi-part payments: payments split into more than one part, their
+    # mean part count and success rate, sibling holds refunded by the
+    # all-or-nothing abort, and the p95 latency of settled ones.
+    mpp_payments = _FamilyMetric("mpp")
+    parts_per_payment = _FamilyMetric("mpp")
+    partial_release_count = _FamilyMetric("mpp")
+    mpp_success_ratio = _FamilyMetric("mpp")
+    mpp_latency_p95 = _FamilyMetric("mpp")
 
     def to_record(self) -> dict[str, float]:
         """Every persisted metric value as a flat float dict.
 
         This is the structured record the experiment store persists; it
         carries everything :meth:`AveragedMetrics.of` reads, so a stored
-        run can stand in for a live :class:`SimulationResult` when a
-        sweep resumes (see :class:`StoredResult`).  Concurrent-engine
-        runs additionally persist :data:`CONCURRENT_METRIC_FIELDS`;
-        sequential records are unchanged from the pre-concurrent format.
-        Runs with an injected fault plan append
-        :data:`RESILIENCE_METRIC_FIELDS`; fault-free records are
-        byte-identical to the pre-faults format.  Policy-aware runs
-        append :data:`FEE_METRIC_FIELDS`; policy-free records are
-        byte-identical to the pre-policy format.  MPP-enabled runs
-        append :data:`MPP_METRIC_FIELDS` last; MPP-free records are
+        run (see :meth:`from_record`) can stand in for a live one when a
+        sweep resumes.  Concurrent-engine runs additionally persist
+        :data:`CONCURRENT_METRIC_FIELDS`; sequential records are
+        unchanged from the pre-concurrent format.  Runs with an injected
+        fault plan append :data:`RESILIENCE_METRIC_FIELDS`; fault-free
+        records are byte-identical to the pre-faults format.
+        Policy-aware runs append :data:`FEE_METRIC_FIELDS`; policy-free
+        records are byte-identical to the pre-policy format.  MPP-enabled
+        runs append :data:`MPP_METRIC_FIELDS` last; MPP-free records are
         byte-identical to the pre-MPP format.
         """
         names = METRIC_FIELDS
@@ -411,6 +269,36 @@ class SimulationResult:
         if self.mpp:
             names = names + MPP_METRIC_FIELDS
         return {name: float(getattr(self, name)) for name in names}
+
+    @classmethod
+    def from_record(
+        cls, scheme: str, metrics: Mapping[str, float]
+    ) -> "SimulationResult":
+        """Rehydrate a run from a store record's ``metrics`` mapping.
+
+        Fills only the field families the record carries, so
+        ``from_record(s, r.to_record()).to_record() == r.to_record()``;
+        a record written before a family existed loads with that family
+        empty, its metrics reading 0.0.  Metrics are stored at full float
+        precision, which keeps resumed aggregates bit-identical to a
+        clean serial run.
+        """
+
+        def family(names: tuple[str, ...]) -> dict[str, float]:
+            if not any(name in metrics for name in names):
+                return {}
+            return {name: float(metrics[name]) for name in names}
+
+        concurrent = family(CONCURRENT_METRIC_FIELDS)
+        return cls(
+            scheme=scheme,
+            engine="concurrent" if concurrent else "sequential",
+            **{name: float(metrics[name]) for name in METRIC_FIELDS},
+            **concurrent,
+            resilience=family(RESILIENCE_METRIC_FIELDS),
+            fees=family(FEE_METRIC_FIELDS),
+            mpp=family(MPP_METRIC_FIELDS),
+        )
 
 
 class P2Quantile:
@@ -501,36 +389,62 @@ class P2Quantile:
         return self._heights[2]
 
 
-class StreamingMetricsAccumulator:
-    """Single-pass replacement for the ``records`` list of a run.
+class ExactQuantile:
+    """The list-backed counterpart of :class:`P2Quantile`.
 
-    The engines' streaming paths feed each finished
-    :class:`TransactionRecord` here and drop it, so a trace-scale run
-    never holds more than the in-flight window of transactions.  Running
-    sums and counts make every counter-style metric (success ratio,
-    volumes, message counts, per-class breakdowns) *exact*; the only
-    approximations are the quantile metrics (latency p50/p95, fee p50,
-    MPP latency p95), estimated by :class:`P2Quantile` — and the
+    Keeps every observed value and reports
+    :func:`~repro.traces.workload.percentile` over them (0.0 empty).
+    """
+
+    __slots__ = ("q", "values")
+
+    def __init__(self, q: float) -> None:
+        self.q = q
+        self.values: list[float] = []
+
+    def observe(self, value: float) -> None:
+        self.values.append(value)
+
+    @property
+    def value(self) -> float:
+        return percentile(self.values, self.q) if self.values else 0.0
+
+
+class StreamingMetricsAccumulator:
+    """The one metrics fold: records in, a :class:`SimulationResult` out.
+
+    Both engines feed every finished :class:`TransactionRecord` here, on
+    list-backed and streamed workloads alike.  Running sums and counts
+    make every counter-style metric (success ratio, volumes, message
+    counts, per-class breakdowns) exact; floats are summed left to right
+    in observe order.  ``keep_records=True`` (list-backed runs) keeps
+    each record for :attr:`SimulationResult.records` and each quantile's
+    values, so latency p50/p95, fee p50 and MPP latency p95 are exact.
+    Without it (streams) nothing per payment is held, so a trace-scale
+    run never holds more than the in-flight window of transactions, and
+    the quantiles are :class:`P2Quantile` estimates — as is the
     elephant–mice split itself when the classification threshold is
     estimated online rather than hinted.
 
-    ``track_fees`` / ``track_mpp`` mirror the conditions under which the
-    list-based path populates ``fees`` / ``mpp``, so
-    :meth:`result`'s record keeps the exact conditional field shape of
-    :meth:`SimulationResult.to_record`.
+    ``track_mpp`` adds the MPP family (:data:`MPP_METRIC_FIELDS`) to the
+    result; the fee family comes with a ``revenue_by_node`` passed to
+    :meth:`result`.
     """
 
     def __init__(
         self,
         scheme: str,
         engine: str = "sequential",
-        track_fees: bool = False,
         track_mpp: bool = False,
+        keep_records: bool = False,
     ) -> None:
         self.scheme = scheme
         self.engine = engine
-        self.track_fees = track_fees
         self.track_mpp = track_mpp
+        self.records: list[TransactionRecord] | None = (
+            [] if keep_records else None
+        )
+        quantile = ExactQuantile if keep_records else P2Quantile
         self.transactions = 0
         self.succeeded = 0
         self.attempted_volume = 0.0
@@ -543,18 +457,20 @@ class StreamingMetricsAccumulator:
         self._class_success_volume = [0.0, 0.0]
         self._class_probe_messages = [0, 0]
         self._latency_sum = 0.0
-        self._latency_p50 = P2Quantile(0.5)
-        self._latency_p95 = P2Quantile(0.95)
+        self._latency_p50 = quantile(0.5)
+        self._latency_p95 = quantile(0.95)
         self.retries_total = 0
         self.timeout_failures = 0
-        self._fee_p50 = P2Quantile(0.5)
+        self._fee_p50 = quantile(0.5)
         self._mpp_payments = 0
         self._mpp_parts_sum = 0
         self._mpp_settled = 0
         self._partial_releases = 0
-        self._mpp_latency_p95 = P2Quantile(0.95)
+        self._mpp_latency_p95 = quantile(0.95)
 
     def observe(self, record: TransactionRecord) -> None:
+        if self.records is not None:
+            self.records.append(record)
         self.transactions += 1
         self.attempted_volume += record.amount
         self.probe_messages += record.probe_messages
@@ -574,9 +490,9 @@ class StreamingMetricsAccumulator:
             self._latency_sum += record.latency
             self._latency_p50.observe(record.latency)
             self._latency_p95.observe(record.latency)
-            # Always tracked (one O(1) update per success): the dynamic
-            # engine may flip track_fees mid-run when a fee controller
-            # attaches the first policies at a gossip tick.
+            # Always tracked: whether the fee family is reported is only
+            # known at the end, because a fee controller may attach the
+            # first policies at a gossip tick mid-run.
             self._fee_p50.observe(record.fee)
         if self.track_mpp:
             self._partial_releases += record.partial_releases
@@ -591,49 +507,45 @@ class StreamingMetricsAccumulator:
         self,
         revenue_by_node: Mapping[object, float] | None = None,
         mice_threshold: float = 0.0,
-    ) -> "StreamingSimulationResult":
-        """Freeze the accumulated counters into a result object."""
+    ) -> SimulationResult:
+        """Freeze the fold into the run's result.
+
+        ``revenue_by_node`` (``None`` for a policy-free run) adds the fee
+        family; ``mice_threshold`` is the elephant–mice cutoff the run
+        classified against.
+        """
         fees: dict[str, float] = {}
-        if self.track_fees:
-            fees = {
-                "fee_paid_total": float(self.total_fees),
-                "fee_p50": float(self._fee_p50.value),
-                "hub_revenue": float(
-                    max(revenue_by_node.values(), default=0.0)
-                    if revenue_by_node
-                    else 0.0
-                ),
-            }
+        if revenue_by_node is not None:
+            fees = fee_metrics(
+                self.total_fees, self._fee_p50.value, revenue_by_node
+            )
         mpp: dict[str, float] = {}
         if self.track_mpp:
+            multi = self._mpp_payments
             mpp = {
-                "mpp_payments": float(self._mpp_payments),
+                "mpp_payments": float(multi),
                 "parts_per_payment": (
-                    self._mpp_parts_sum / self._mpp_payments
-                    if self._mpp_payments
-                    else 0.0
+                    self._mpp_parts_sum / multi if multi else 0.0
                 ),
                 "partial_release_count": float(self._partial_releases),
                 "mpp_success_ratio": (
-                    self._mpp_settled / self._mpp_payments
-                    if self._mpp_payments
-                    else 0.0
+                    self._mpp_settled / multi if multi else 0.0
                 ),
                 "mpp_latency_p95": float(self._mpp_latency_p95.value),
             }
         mice, elephants = self._class_count
-        return StreamingSimulationResult(
+        return SimulationResult(
             scheme=self.scheme,
             engine=self.engine,
-            transactions=float(self.transactions),
-            succeeded=float(self.succeeded),
+            transactions=self.transactions,
+            succeeded=self.succeeded,
             success_ratio=(
                 self.succeeded / self.transactions if self.transactions else 0.0
             ),
             attempted_volume=self.attempted_volume,
             success_volume=self.success_volume,
-            probe_messages=float(self.probe_messages),
-            payment_messages=float(self.payment_messages),
+            probe_messages=self.probe_messages,
+            payment_messages=self.payment_messages,
             total_fees=self.total_fees,
             fee_to_volume_percent=(
                 100.0 * self.total_fees / self.success_volume
@@ -648,204 +560,19 @@ class StreamingMetricsAccumulator:
             ),
             mice_success_volume=self._class_success_volume[0],
             elephant_success_volume=self._class_success_volume[1],
-            mice_probe_messages=float(self._class_probe_messages[0]),
-            elephant_probe_messages=float(self._class_probe_messages[1]),
+            mice_probe_messages=self._class_probe_messages[0],
+            elephant_probe_messages=self._class_probe_messages[1],
             latency_p50=self._latency_p50.value,
             latency_p95=self._latency_p95.value,
             latency_mean=(
                 self._latency_sum / self.succeeded if self.succeeded else 0.0
             ),
-            retries_total=float(self.retries_total),
-            timeout_failures=float(self.timeout_failures),
+            retries_total=self.retries_total,
+            timeout_failures=self.timeout_failures,
             mice_threshold=mice_threshold,
             fees=fees,
             mpp=mpp,
-        )
-
-
-@dataclass(frozen=True)
-class StreamingSimulationResult:
-    """A run aggregated on the fly — no per-transaction records held.
-
-    Carries the same metric names as :class:`SimulationResult` (plain
-    fields where that class computes properties over ``records``), so it
-    mixes transparently into :meth:`AveragedMetrics.of` and persists
-    through an identically-shaped :meth:`to_record`.  ``resilience`` is
-    always empty: fault plans need the full ordered record list (see
-    :func:`repro.sim.faults.resilience_metrics`), so streaming runs
-    refuse fault injection rather than approximate it.
-    """
-
-    scheme: str
-    engine: str
-    transactions: float
-    succeeded: float
-    success_ratio: float
-    attempted_volume: float
-    success_volume: float
-    probe_messages: float
-    payment_messages: float
-    total_fees: float
-    fee_to_volume_percent: float
-    mice_success_ratio: float
-    elephant_success_ratio: float
-    mice_success_volume: float
-    elephant_success_volume: float
-    mice_probe_messages: float
-    elephant_probe_messages: float
-    latency_p50: float = 0.0
-    latency_p95: float = 0.0
-    latency_mean: float = 0.0
-    retries_total: float = 0.0
-    timeout_failures: float = 0.0
-    #: The elephant–mice cutoff used for classification (hinted or
-    #: reservoir-estimated); informational, not persisted.
-    mice_threshold: float = 0.0
-    resilience: dict = field(default_factory=dict)
-    fees: dict = field(default_factory=dict)
-    mpp: dict = field(default_factory=dict)
-
-    @property
-    def fee_paid_total(self) -> float:
-        return float(self.fees.get("fee_paid_total", 0.0))
-
-    @property
-    def fee_p50(self) -> float:
-        return float(self.fees.get("fee_p50", 0.0))
-
-    @property
-    def hub_revenue(self) -> float:
-        return float(self.fees.get("hub_revenue", 0.0))
-
-    @property
-    def mpp_payments(self) -> float:
-        return float(self.mpp.get("mpp_payments", 0.0))
-
-    @property
-    def parts_per_payment(self) -> float:
-        return float(self.mpp.get("parts_per_payment", 0.0))
-
-    @property
-    def partial_release_count(self) -> float:
-        return float(self.mpp.get("partial_release_count", 0.0))
-
-    @property
-    def mpp_success_ratio(self) -> float:
-        return float(self.mpp.get("mpp_success_ratio", 0.0))
-
-    @property
-    def mpp_latency_p95(self) -> float:
-        return float(self.mpp.get("mpp_latency_p95", 0.0))
-
-    @property
-    def attack_success_ratio(self) -> float:
-        return float(self.resilience.get("attack_success_ratio", 0.0))
-
-    @property
-    def control_success_ratio(self) -> float:
-        return float(self.resilience.get("control_success_ratio", 0.0))
-
-    @property
-    def resilience_delta(self) -> float:
-        return float(self.resilience.get("resilience_delta", 0.0))
-
-    @property
-    def recovery_half_life(self) -> float:
-        return float(self.resilience.get("recovery_half_life", 0.0))
-
-    @property
-    def adversary_escrow(self) -> float:
-        return float(self.resilience.get("adversary_escrow", 0.0))
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "transactions": float(self.transactions),
-            "success_ratio": self.success_ratio,
-            "success_volume": self.success_volume,
-            "probe_messages": float(self.probe_messages),
-            "payment_messages": float(self.payment_messages),
-            "fee_to_volume_percent": self.fee_to_volume_percent,
-        }
-
-    def to_record(self) -> dict[str, float]:
-        """Same conditional field shape as
-        :meth:`SimulationResult.to_record`."""
-        names = METRIC_FIELDS
-        if self.engine == "concurrent":
-            names = METRIC_FIELDS + CONCURRENT_METRIC_FIELDS
-        if self.resilience:
-            names = names + RESILIENCE_METRIC_FIELDS
-        if self.fees:
-            names = names + FEE_METRIC_FIELDS
-        if self.mpp:
-            names = names + MPP_METRIC_FIELDS
-        return {name: float(getattr(self, name)) for name in names}
-
-
-@dataclass(frozen=True)
-class StoredResult:
-    """A run reloaded from the experiment store.
-
-    Field names mirror the :class:`SimulationResult` properties that
-    :meth:`AveragedMetrics.of` consumes, so stored and freshly-computed
-    runs mix transparently in one average.  Metrics are stored at full
-    float precision, which keeps resumed aggregates bit-identical to a
-    clean serial run.
-    """
-
-    scheme: str
-    transactions: float
-    success_ratio: float
-    success_volume: float
-    probe_messages: float
-    payment_messages: float
-    fee_to_volume_percent: float
-    mice_success_ratio: float
-    elephant_success_ratio: float
-    mice_success_volume: float
-    elephant_success_volume: float
-    mice_probe_messages: float
-    elephant_probe_messages: float
-    latency_p50: float = 0.0
-    latency_p95: float = 0.0
-    latency_mean: float = 0.0
-    retries_total: float = 0.0
-    timeout_failures: float = 0.0
-    attack_success_ratio: float = 0.0
-    control_success_ratio: float = 0.0
-    resilience_delta: float = 0.0
-    recovery_half_life: float = 0.0
-    adversary_escrow: float = 0.0
-    fee_paid_total: float = 0.0
-    fee_p50: float = 0.0
-    hub_revenue: float = 0.0
-    mpp_payments: float = 0.0
-    parts_per_payment: float = 0.0
-    partial_release_count: float = 0.0
-    mpp_success_ratio: float = 0.0
-    mpp_latency_p95: float = 0.0
-
-    @classmethod
-    def from_record(
-        cls, scheme: str, metrics: Mapping[str, float]
-    ) -> "StoredResult":
-        """Rehydrate from a store record's ``metrics`` mapping.
-
-        The concurrency, resilience, fee, and MPP fields default to
-        zero when absent, so records written by sequential, fault-free,
-        policy-free, or MPP-free runs (which do not persist them)
-        rehydrate unchanged.
-        """
-        return cls(
-            scheme=scheme,
-            **{name: float(metrics[name]) for name in METRIC_FIELDS},
-            **{
-                name: float(metrics.get(name, 0.0))
-                for name in CONCURRENT_METRIC_FIELDS
-                + RESILIENCE_METRIC_FIELDS
-                + FEE_METRIC_FIELDS
-                + MPP_METRIC_FIELDS
-            },
+            records=self.records if self.records is not None else [],
         )
 
 
@@ -855,6 +582,8 @@ class AveragedMetrics:
 
     The concurrency fields average to zero for sequential runs (every
     per-run value is zero there), so one dataclass serves both engines.
+    Every field after ``runs`` is the mean of the same-named
+    :class:`SimulationResult` metric.
     """
 
     scheme: str
@@ -894,7 +623,6 @@ class AveragedMetrics:
         schemes = {result.scheme for result in results}
         if len(schemes) != 1:
             raise ValueError(f"mixed schemes in average: {schemes}")
-        n = len(results)
 
         def mean(values: Iterable[float]) -> float:
             values = list(values)
@@ -902,44 +630,10 @@ class AveragedMetrics:
 
         return cls(
             scheme=results[0].scheme,
-            runs=n,
-            success_ratio=mean(r.success_ratio for r in results),
-            success_volume=mean(r.success_volume for r in results),
-            probe_messages=mean(r.probe_messages for r in results),
-            payment_messages=mean(r.payment_messages for r in results),
-            fee_to_volume_percent=mean(
-                r.fee_to_volume_percent for r in results
-            ),
-            mice_success_volume=mean(r.mice_success_volume for r in results),
-            elephant_success_volume=mean(
-                r.elephant_success_volume for r in results
-            ),
-            mice_probe_messages=mean(r.mice_probe_messages for r in results),
-            elephant_probe_messages=mean(
-                r.elephant_probe_messages for r in results
-            ),
-            latency_p50=mean(r.latency_p50 for r in results),
-            latency_p95=mean(r.latency_p95 for r in results),
-            latency_mean=mean(r.latency_mean for r in results),
-            retries_total=mean(r.retries_total for r in results),
-            timeout_failures=mean(r.timeout_failures for r in results),
-            attack_success_ratio=mean(
-                r.attack_success_ratio for r in results
-            ),
-            control_success_ratio=mean(
-                r.control_success_ratio for r in results
-            ),
-            resilience_delta=mean(r.resilience_delta for r in results),
-            recovery_half_life=mean(r.recovery_half_life for r in results),
-            adversary_escrow=mean(r.adversary_escrow for r in results),
-            fee_paid_total=mean(r.fee_paid_total for r in results),
-            fee_p50=mean(r.fee_p50 for r in results),
-            hub_revenue=mean(r.hub_revenue for r in results),
-            mpp_payments=mean(r.mpp_payments for r in results),
-            parts_per_payment=mean(r.parts_per_payment for r in results),
-            partial_release_count=mean(
-                r.partial_release_count for r in results
-            ),
-            mpp_success_ratio=mean(r.mpp_success_ratio for r in results),
-            mpp_latency_p95=mean(r.mpp_latency_p95 for r in results),
+            runs=len(results),
+            **{
+                spec.name: mean(getattr(r, spec.name) for r in results)
+                for spec in fields(cls)
+                if spec.name not in ("scheme", "runs")
+            },
         )

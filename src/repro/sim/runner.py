@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING
 from repro.network.dynamics import ChannelEvent, run_dynamic_simulation
 from repro.network.graph import ChannelGraph
 from repro.sim.engine import RouterFactory, run_simulation
-from repro.sim.metrics import AveragedMetrics, SimulationResult, StoredResult
+from repro.sim.metrics import AveragedMetrics, SimulationResult
 from repro.traces.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (eval -> sim)
@@ -628,7 +628,7 @@ def run_comparison(
             else:
                 record = stored[_cell(name, run_index)]
                 per_scheme[name].append(
-                    StoredResult.from_record(
+                    SimulationResult.from_record(
                         record.get("router", name), record["metrics"]
                     )
                 )

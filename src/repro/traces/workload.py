@@ -106,10 +106,10 @@ class WorkloadStream:
     a stream yields them one at a time in chronological order, so the
     engines can replay trace-scale workloads (~1M payments, the
     ``lightning-day`` scenario) in O(lookahead-window) memory.  Engines
-    detect a stream input and switch to their single-pass path with the
-    streaming metrics accumulator
-    (:class:`repro.sim.metrics.StreamingMetricsAccumulator`); list-backed
-    inputs take the unmodified list path, byte-identical to before
+    detect a stream input and take their single-pass path, where the
+    metrics fold (:class:`repro.sim.metrics.StreamingMetricsAccumulator`)
+    keeps no records and estimates quantiles; for a list-backed input it
+    keeps the records and exact quantiles, byte-identical to before
     streams existed.
 
     ``source`` is either

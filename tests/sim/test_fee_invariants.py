@@ -194,7 +194,7 @@ class TestFeeFreeRunsStayPinned:
         # must keep loading — fee metrics default to 0 — while priced
         # records round-trip their fee metrics exactly.  This is what
         # keeps old store directories resumable.
-        from repro.sim.metrics import StoredResult
+        from repro.sim.metrics import SimulationResult
 
         rng = random.Random(21)
         priced = _priced_scenario(rng)
@@ -203,7 +203,7 @@ class TestFeeFreeRunsStayPinned:
             priced, shortest_path_factory(), workload, rng=random.Random(1)
         )
         assert result.fees
-        restored = StoredResult.from_record("sp", result.to_record())
+        restored = SimulationResult.from_record("sp", result.to_record())
         assert restored.fee_paid_total == result.fees["fee_paid_total"]
         assert restored.fee_p50 == result.fees["fee_p50"]
         assert restored.hub_revenue == result.fees["hub_revenue"]
@@ -213,7 +213,7 @@ class TestFeeFreeRunsStayPinned:
             for key, value in result.to_record().items()
             if key not in FEE_METRIC_FIELDS
         }
-        pre_fee = StoredResult.from_record("sp", legacy)
+        pre_fee = SimulationResult.from_record("sp", legacy)
         assert pre_fee.fee_paid_total == 0.0
         assert pre_fee.fee_p50 == 0.0
         assert pre_fee.hub_revenue == 0.0

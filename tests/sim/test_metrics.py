@@ -1,12 +1,27 @@
 """Tests for simulation metrics and averaging."""
 
+import random
+
 import pytest
 
+from repro.network.feemarket import FeeMarketController, assign_market_policies
+from repro.network.topology import (
+    barabasi_albert_edges,
+    build_channel_graph,
+    uniform_sampler,
+)
+from repro.sim.concurrent import ConcurrencyConfig, run_concurrent_simulation
+from repro.sim.engine import run_simulation
+from repro.sim.factories import flash_factory, shortest_path_factory
+from repro.sim.faults import JammingSpec, compile_faults
 from repro.sim.metrics import (
     AveragedMetrics,
     SimulationResult,
+    StreamingMetricsAccumulator,
     TransactionRecord,
 )
+from repro.sim.mpp import MppConfig
+from repro.traces.generators import generate_ripple_workload
 
 
 def record(txid, amount, success, fee=0.0, elephant=False, probes=0, payments=0):
@@ -22,11 +37,19 @@ def record(txid, amount, success, fee=0.0, elephant=False, probes=0, payments=0)
     )
 
 
+def fold(scheme, records, keep_records=True):
+    """``records`` folded through the accumulator, as an engine run does."""
+    accumulator = StreamingMetricsAccumulator(scheme, keep_records=keep_records)
+    for finished in records:
+        accumulator.observe(finished)
+    return accumulator.result()
+
+
 @pytest.fixture
 def result():
-    return SimulationResult(
-        scheme="test",
-        records=[
+    return fold(
+        "test",
+        [
             record(0, 10.0, True, fee=0.1, probes=2),
             record(1, 20.0, False, probes=4),
             record(2, 1_000.0, True, fee=5.0, elephant=True, probes=10),
@@ -57,30 +80,117 @@ class TestSimulationResult:
         assert result.elephant_success_ratio == pytest.approx(1.0)
 
     def test_empty_result(self):
-        empty = SimulationResult(scheme="empty")
+        empty = fold("empty", [])
         assert empty.success_ratio == 0.0
         assert empty.fee_to_volume_percent == 0.0
 
-    def test_summary_keys(self, result):
-        summary = result.summary()
-        assert summary["transactions"] == 3.0
-        assert "probe_messages" in summary
+    @pytest.mark.parametrize("keep_records", (True, False), ids=("list", "stream"))
+    def test_sums_fold_left_to_right(self, keep_records):
+        # A compensated sum (Python 3.12's ``sum()``) of these amounts is
+        # 1.0000000000000002e16; the fold adds left to right on every
+        # interpreter, so list-backed and streamed runs agree bit-for-bit.
+        folded = fold(
+            "x",
+            [record(0, 1e16, True), record(1, 1.0, True), record(2, 1.0, True)],
+            keep_records=keep_records,
+        )
+        assert folded.success_volume == 1e16
 
 
 class TestAveragedMetrics:
     def test_mean_over_runs(self, result):
-        other = SimulationResult(
-            scheme="test", records=[record(0, 10.0, True, probes=4)]
-        )
+        other = fold("test", [record(0, 10.0, True, probes=4)])
         averaged = AveragedMetrics.of([result, other])
         assert averaged.runs == 2
         assert averaged.probe_messages == pytest.approx((16 + 4) / 2)
 
     def test_rejects_mixed_schemes(self, result):
-        other = SimulationResult(scheme="other")
+        other = fold("other", [])
         with pytest.raises(ValueError):
             AveragedMetrics.of([result, other])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             AveragedMetrics.of([])
+
+
+def _scenario(seed):
+    rng = random.Random(seed)
+    edges = barabasi_albert_edges(30, 2, rng)
+    graph = build_channel_graph(edges, uniform_sampler(60.0, 200.0), rng)
+    return graph, generate_ripple_workload(rng, graph.nodes, 40)
+
+
+def _sequential():
+    graph, workload = _scenario(1)
+    return run_simulation(
+        graph, shortest_path_factory(), workload, rng=random.Random(1)
+    )
+
+
+def _concurrent(faults=False):
+    graph, workload = _scenario(2)
+    plan = None
+    if faults:
+        plan = compile_faults(
+            JammingSpec(channels=2, samples=8),
+            graph,
+            random.Random(0),
+            workload[len(workload) - 1].time,
+        )
+    return run_concurrent_simulation(
+        graph,
+        flash_factory(k=4, m=2),
+        workload,
+        rng=random.Random(1),
+        config=ConcurrencyConfig(load=40.0),
+        faults=plan,
+    )
+
+
+def _fee_market():
+    graph, workload = _scenario(3)
+    assign_market_policies(
+        graph, random.Random(3), initial_rate=0.01, paper_mix=True
+    )
+    graph.fee_controller = FeeMarketController(sensitivity=6.0)
+    return run_simulation(
+        graph, shortest_path_factory(), workload, rng=random.Random(1)
+    )
+
+
+def _mpp():
+    graph, workload = _scenario(4)
+    return run_simulation(
+        graph,
+        flash_factory(k=4, m=2),
+        workload,
+        rng=random.Random(1),
+        mpp=MppConfig(threshold=5.0, max_parts=3),
+    )
+
+
+class TestStoreRoundTrip:
+    @pytest.mark.parametrize(
+        "run, engine, families",
+        [
+            (_sequential, "sequential", ()),
+            (_concurrent, "concurrent", ()),
+            (lambda: _concurrent(faults=True), "concurrent", ("resilience",)),
+            (_fee_market, "sequential", ("fees",)),
+            (_mpp, "sequential", ("mpp",)),
+        ],
+        ids=("sequential", "concurrent", "faults", "fees", "mpp"),
+    )
+    def test_from_record_round_trips_a_real_run(self, run, engine, families):
+        result = run()
+        assert result.engine == engine
+        assert {
+            name
+            for name in ("resilience", "fees", "mpp")
+            if getattr(result, name)
+        } == set(families)
+        stored = result.to_record()
+        restored = SimulationResult.from_record(result.scheme, stored)
+        assert restored.to_record() == stored
+        assert AveragedMetrics.of([restored]) == AveragedMetrics.of([result])

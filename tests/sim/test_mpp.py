@@ -26,9 +26,8 @@ from repro.sim.factories import flash_factory, shortest_path_factory
 from repro.sim.metrics import (
     MPP_METRIC_FIELDS,
     SimulationResult,
-    StoredResult,
+    StreamingMetricsAccumulator,
     TransactionRecord,
-    mpp_metrics,
 )
 from repro.sim.mpp import (
     MppConfig,
@@ -258,6 +257,16 @@ class TestExecutePartsAtomically:
         assert _snapshot(graph) == before
 
 
+def _fold(records, track_mpp=False):
+    """``records`` folded through the accumulator, as an engine run does."""
+    accumulator = StreamingMetricsAccumulator(
+        "x", track_mpp=track_mpp, keep_records=True
+    )
+    for record in records:
+        accumulator.observe(record)
+    return accumulator.result()
+
+
 class TestMppMetrics:
     def _record(self, parts, success, releases=0, latency=0.0):
         return TransactionRecord(
@@ -274,7 +283,7 @@ class TestMppMetrics:
             self._record(parts=1, success=True),  # enabled, not split
             self._record(parts=0, success=True),  # MPP-free record
         ]
-        metrics = mpp_metrics(records)
+        metrics = _fold(records, track_mpp=True).mpp
         assert metrics["mpp_payments"] == 2
         assert metrics["parts_per_payment"] == pytest.approx(3.0)
         assert metrics["mpp_success_ratio"] == pytest.approx(0.5)
@@ -282,7 +291,7 @@ class TestMppMetrics:
         assert metrics["mpp_latency_p95"] == pytest.approx(2.0)
 
     def test_empty_records(self):
-        metrics = mpp_metrics([])
+        metrics = _fold([], track_mpp=True).mpp
         assert metrics["mpp_payments"] == 0
         assert metrics["mpp_success_ratio"] == 0.0
 
@@ -291,13 +300,14 @@ class TestByteIdentityPins:
     """MPP-free runs serialize, hash, and store as before MPP existed."""
 
     def test_mpp_free_records_carry_no_mpp_fields(self):
-        result = SimulationResult(scheme="x")
-        result.records.append(
-            TransactionRecord(
-                txid=1, amount=5.0, success=True, fee=0.0,
-                is_elephant=False, probe_messages=0, payment_messages=0,
-                paths_used=1,
-            )
+        result = _fold(
+            [
+                TransactionRecord(
+                    txid=1, amount=5.0, success=True, fee=0.0,
+                    is_elephant=False, probe_messages=0, payment_messages=0,
+                    paths_used=1,
+                )
+            ]
         )
         record = result.to_record()
         assert not any(field in record for field in MPP_METRIC_FIELDS)
@@ -305,8 +315,7 @@ class TestByteIdentityPins:
         assert result.records[0].partial_releases == 0
 
     def test_mpp_run_appends_fields_last(self):
-        result = SimulationResult(scheme="x")
-        result.mpp = {field: 0.0 for field in MPP_METRIC_FIELDS}
+        result = _fold([], track_mpp=True)
         record = result.to_record()
         assert tuple(record)[-len(MPP_METRIC_FIELDS):] == MPP_METRIC_FIELDS
 
@@ -325,12 +334,12 @@ class TestByteIdentityPins:
         # Explicit defaults and omitted knobs hash identically.
         assert cell_digest(None, mpp_params={"max_parts": 4})[1] == digest
 
-    def test_legacy_store_records_load_with_zero_mpp_metrics(self):
+    def test_legacy_store_records_load_with_an_empty_mpp_family(self):
         from repro.sim.metrics import METRIC_FIELDS
 
         # A pre-MPP store record: every base field, no MPP keys.
         legacy = {name: 0.0 for name in METRIC_FIELDS}
-        stored = StoredResult.from_record("flash", legacy)
+        stored = SimulationResult.from_record("flash", legacy)
         assert stored.mpp_success_ratio == 0.0
         assert stored.parts_per_payment == 0.0
         assert stored.partial_release_count == 0.0
