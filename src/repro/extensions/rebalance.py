@@ -121,6 +121,9 @@ class Rebalancer:
             if report.cycles_executed >= max_cycles:
                 break
             report.channels_considered += 1
+            # The live channel: an earlier cycle may have written it,
+            # which swaps in a twin if it was shared with a graph copy.
+            channel = self.graph.channel(channel.a, channel.b)
             if channel.balance_ab >= channel.balance_ba:
                 rich, poor = channel.a, channel.b
             else:

@@ -15,6 +15,16 @@ engine (:mod:`repro.sim.concurrent`) keeps holds open across simulated
 time, so :meth:`Channel.balance` — which is defined **net of holds** —
 is what makes overlapping payments contend: every probe and every
 reservation sees ``available = deposit - in_flight``.
+
+A channel that lives in a :class:`~repro.network.graph.ChannelGraph` is
+written *through the graph* (``graph.channel(a, b)``, ``graph.hold``,
+``graph.execute`` ...).  Copies of a graph share their source's channel
+objects until one of them writes a channel (see
+:meth:`ChannelGraph.copy`), and each channel carries the
+:class:`OwnerCell` of the one graph allowed to write it in place.  Once
+that cell is retired the channel is shared, and every mutator here
+raises :class:`~repro.errors.ChannelError` rather than write into a
+sibling graph.
 """
 
 from __future__ import annotations
@@ -27,6 +37,23 @@ from repro.network.fees import FeePolicy, ZeroFee
 NodeId = int | str
 
 _EPS = 1e-9
+
+
+class OwnerCell:
+    """Write ownership shared by every channel one graph may write in place.
+
+    Live until :meth:`ChannelGraph.copy` retires it, which turns every
+    channel carrying it into a channel shared by the source and its copy.
+    """
+
+    __slots__ = ("live",)
+
+    def __init__(self) -> None:
+        self.live = True
+
+
+#: The cell of channels built outside any graph; never retired.
+_STANDALONE = OwnerCell()
 
 
 def _tolerance(amount: float) -> float:
@@ -53,6 +80,12 @@ class Channel:
         Initial directional balances (``a``'s and ``b``'s deposits).
     fee_ab, fee_ba:
         Fee policy charged for relaying through each direction.
+
+    Write a graph's channel through the graph.  A reference taken before
+    the graph is copied (from ``add_channel``, ``channel()`` or
+    ``channels()``), or from a copy's ``channels()``, may be shared by
+    the graphs, and the mutators of a shared channel raise
+    :class:`ChannelError`.
     """
 
     a: NodeId
@@ -69,6 +102,32 @@ class Channel:
             raise ChannelError("initial balances must be non-negative")
         self._held_ab = 0.0
         self._held_ba = 0.0
+        self._owner = _STANDALONE
+
+    def _twin(self, owner: OwnerCell, holds: bool = True) -> Channel:
+        """A private copy owned by ``owner``: deposits, fees and holds.
+
+        ``holds=False`` gives the copy no escrow.  The attributes are
+        assigned in the constructor's order, so the twin keeps the
+        instance layout of a constructed channel (CPython's inline
+        attribute values; copying ``__dict__`` would lose them).
+        """
+        twin = Channel.__new__(Channel)
+        twin.a = self.a
+        twin.b = self.b
+        twin.balance_ab = self.balance_ab
+        twin.balance_ba = self.balance_ba
+        twin.fee_ab = self.fee_ab
+        twin.fee_ba = self.fee_ba
+        twin._held_ab = self._held_ab if holds else 0.0
+        twin._held_ba = self._held_ba if holds else 0.0
+        twin._owner = owner
+        return twin
+
+    def _shared(self) -> ChannelError:
+        return ChannelError(
+            f"{self!r} is shared with a graph copy; write it through its graph"
+        )
 
     # ----------------------------------------------------------- accessors
 
@@ -105,6 +164,8 @@ class Channel:
         return self.fee_ab if self._check_direction(src, dst) else self.fee_ba
 
     def set_fee_policy(self, src: NodeId, dst: NodeId, policy: FeePolicy) -> None:
+        if not self._owner.live:
+            raise self._shared()
         if self._check_direction(src, dst):
             self.fee_ab = policy
         else:
@@ -114,6 +175,8 @@ class Channel:
 
     def transfer(self, src: NodeId, dst: NodeId, amount: float) -> None:
         """Atomically move ``amount`` from ``src``'s side to ``dst``'s side."""
+        if not self._owner.live:
+            raise self._shared()
         if amount < 0:
             raise ChannelError(f"negative transfer amount {amount!r}")
         if amount == 0:
@@ -132,6 +195,8 @@ class Channel:
 
     def hold(self, src: NodeId, dst: NodeId, amount: float) -> None:
         """Escrow ``amount`` in the ``src -> dst`` direction (2PC phase 1)."""
+        if not self._owner.live:
+            raise self._shared()
         if amount < 0:
             raise ChannelError(f"negative hold amount {amount!r}")
         available = self.balance(src, dst)
@@ -152,6 +217,8 @@ class Channel:
         self._release(src, dst, amount)
 
     def _release(self, src: NodeId, dst: NodeId, amount: float) -> None:
+        if not self._owner.live:
+            raise self._shared()
         if amount < 0:
             raise ChannelError(f"negative release amount {amount!r}")
         if self._check_direction(src, dst):

@@ -416,7 +416,10 @@ class GossipSchedule:
                     channel.release_hold(src, dst, residue)
             self.graph.remove_channel(event.a, event.b)
             return True
-        if self.graph.channel(event.a, event.b).total_held() > 0:
+        if (
+            self.graph.held(event.a, event.b) > 0
+            or self.graph.held(event.b, event.a) > 0
+        ):
             # A channel with in-flight escrow cannot cooperatively close
             # (pending HTLCs pin it open); dropping the event keeps the
             # concurrent engine's settle/release events valid and

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.network.channel import Channel, NodeId
+from repro.network.channel import NodeId
 from repro.network.compact import CompactTopology
 from repro.network.fees import ChannelPolicy, sample_paper_fee
 from repro.network.graph import ChannelGraph
@@ -82,16 +82,19 @@ def assign_market_policies(
 class PricedSlots:
     """The priced directions of one snapshot, in slot order per node.
 
-    ``slots[i]`` is the slot of the direction whose channel is
-    ``channels[i]``; ``directions`` maps each ``(u, v)`` to its slot.
-    Valid while ``snapshot`` is the graph's current one: any channel
-    open or close derives a new snapshot.
+    ``funded[i]`` tells whether the channel of the direction in slot
+    ``slots[i]`` holds any funds; ``directions`` maps each ``(u, v)`` to
+    its slot.  Valid while ``snapshot`` is the graph's current one: any
+    channel open or close derives a new snapshot.  Nothing else moves a
+    ``funded`` flag, because transfers and holds only move funds within
+    a channel and :meth:`ChannelGraph.scale_balances` scales them by a
+    positive factor.
     """
 
     snapshot: CompactTopology
     hubs: int
     slots: list[int]
-    channels: list[Channel]
+    funded: list[bool]
     directions: dict[tuple[NodeId, NodeId], int]
 
 
@@ -152,8 +155,8 @@ class FeeMarketController:
         # The factor of a direction with no traffic, computed exactly as
         # a loaded one's (``utilization`` is ``0.0 / capacity``).
         idle = decay + sensitivity * 0.0
-        for slot, channel in zip(priced.slots, priced.channels):
-            if channel.total_capacity() > 0:
+        for slot, funded in zip(priced.slots, priced.funded):
+            if funded:
                 new[slot] = min(high, max(low, rates[slot] * idle))
         directions = priced.directions
         for direction, volume in traffic.items():
@@ -189,15 +192,15 @@ class FeeMarketController:
         slot_rows = snapshot.slot_rows
         neighbor_idx = snapshot.neighbor_idx
         slots: list[int] = []
-        channels: list[Channel] = []
+        funded: list[bool] = []
         directions: dict[tuple[NodeId, NodeId], int] = {}
         for u in self.priced_nodes(graph):
             i = snapshot.index_of(u)
             for slot, j in zip(slot_rows[i], neighbor_idx[i]):
                 v = nodes[j]
                 slots.append(slot)
-                channels.append(graph.channel(u, v))
+                funded.append(graph.total_capacity(u, v) > 0)
                 directions[(u, v)] = slot
-        cached = PricedSlots(snapshot, self.hubs, slots, channels, directions)
+        cached = PricedSlots(snapshot, self.hubs, slots, funded, directions)
         graph.priced_slots = cached
         return cached

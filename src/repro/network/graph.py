@@ -26,7 +26,7 @@ from repro.errors import (
     InsufficientBalanceError,
     NoChannelError,
 )
-from repro.network.channel import Channel, NodeId
+from repro.network.channel import Channel, NodeId, OwnerCell
 from repro.network.compact import CompactTopology
 from repro.network.fees import (
     DEFAULT_POLICY,
@@ -81,7 +81,9 @@ class Transfer:
 class _SiblingSnapshot:
     """The compact snapshot that copies of one unchanged graph share.
 
-    ``snapshot`` is ``None`` until the first copy compacts.
+    ``snapshot`` is ``None`` until the first copy compacts.  Only the
+    topology is shared here; balances and fees live in the channels,
+    which the copies share until written (see :meth:`ChannelGraph.copy`).
     """
 
     __slots__ = ("snapshot",)
@@ -143,6 +145,9 @@ class ChannelGraph:
         #: On a copy: that shared record, until the first :meth:`compact`.
         #: Both are dropped by the next structural change.
         self._siblings: _SiblingSnapshot | None = None
+        #: The cell of the channels this graph may write in place; any
+        #: other channel in its rows is shared and twinned when written.
+        self._owner = OwnerCell()
 
     # ------------------------------------------------------------ topology
 
@@ -183,6 +188,7 @@ class ChannelGraph:
             fee_ab=fee_ab if fee_ab is not None else ZeroFee(),
             fee_ba=fee_ba if fee_ba is not None else ZeroFee(),
         )
+        channel._owner = self._owner
         self.add_node(a)
         self.add_node(b)
         self._adj[a][b] = channel
@@ -230,19 +236,56 @@ class ChannelGraph:
         return len(self._adj.get(node, {}))
 
     def channels(self) -> Iterator[Channel]:
-        """Iterate over each channel exactly once."""
-        seen: set[int] = set()
-        for nbrs in self._adj.values():
-            for channel in nbrs.values():
-                if id(channel) not in seen:
-                    seen.add(id(channel))
+        """Iterate over each channel exactly once, for reading.
+
+        Channels come node-major, each from the row of whichever of its
+        endpoints comes first.  A yielded channel may be shared with a
+        copy of the graph: write it through the graph, which may swap a
+        private twin into both rows during the walk; the walk still
+        yields each endpoint pair once.
+        """
+        walked: set[NodeId] = set()
+        for u, nbrs in self._adj.items():
+            walked.add(u)
+            for v, channel in nbrs.items():
+                if v not in walked:
                     yield channel
 
     def channel(self, a: NodeId, b: NodeId) -> Channel:
+        """The channel between ``a`` and ``b``, writable by this graph.
+
+        A channel still shared with a copy is first replaced by a
+        private twin.  To only read, use :meth:`balance`, :meth:`held`,
+        :meth:`total_capacity` or the policy readers, which copy a
+        channel only to bring a repriced record up to date.
+        """
+        try:
+            channel = self._adj[a][b]
+        except KeyError:
+            raise NoChannelError(a, b) from None
+        if channel._owner is not self._owner:
+            channel = self._own(channel)
+        return channel
+
+    def _owned_channels(self) -> Iterator[Channel]:
+        """:meth:`channels`, each made this graph's own for writing."""
+        owner = self._owner
+        for channel in self.channels():
+            yield channel if channel._owner is owner else self._own(channel)
+
+    def _lookup(self, a: NodeId, b: NodeId) -> Channel:
+        """The channel between ``a`` and ``b``, possibly shared: read only."""
         try:
             return self._adj[a][b]
         except KeyError:
             raise NoChannelError(a, b) from None
+
+    def _own(self, channel: Channel) -> Channel:
+        """Swap a private twin of shared ``channel`` into both rows."""
+        twin = channel._twin(self._owner)
+        self._adj[channel.a][channel.b] = twin
+        self._adj[channel.b][channel.a] = twin
+        return twin
 
     def adjacency(self) -> dict[NodeId, list[NodeId]]:
         """Structural topology: node -> neighbor list (stable order)."""
@@ -347,7 +390,12 @@ class ChannelGraph:
         ``deposit - held`` — the "available balance" of the concurrency
         model (docs/CONCURRENCY.md).
         """
-        return self.channel(src, dst).balance(src, dst)
+        # self._lookup(), inlined: every probe reads here.
+        try:
+            channel = self._adj[src][dst]
+        except KeyError:
+            raise NoChannelError(src, dst) from None
+        return channel.balance(src, dst)
 
     # --------------------------------------------------------------- holds
 
@@ -378,7 +426,7 @@ class ChannelGraph:
 
     def held(self, src: NodeId, dst: NodeId) -> float:
         """Funds currently escrowed on the directed edge."""
-        return self.channel(src, dst).held(src, dst)
+        return self._lookup(src, dst).held(src, dst)
 
     def total_held(self) -> float:
         """All funds currently escrowed network-wide (both directions).
@@ -389,14 +437,14 @@ class ChannelGraph:
         return sum(channel.total_held() for channel in self.channels())
 
     def total_capacity(self, a: NodeId, b: NodeId) -> float:
-        return self.channel(a, b).total_capacity()
+        return self._lookup(a, b).total_capacity()
 
     def network_funds(self) -> float:
         """Total funds locked across all channels — conserved by payments."""
         return sum(channel.total_capacity() for channel in self.channels())
 
     def fee_policy(self, src: NodeId, dst: NodeId) -> FeePolicy:
-        # self.channel(), inlined: every probe and fee recursion reads here.
+        # self._lookup(), inlined: every probe and fee recursion reads here.
         try:
             channel = self._adj[src][dst]
         except KeyError:
@@ -405,7 +453,7 @@ class ChannelGraph:
         if stale:
             slot = stale.pop((src, dst), None)
             if slot is not None:
-                self._build_record(channel, src, dst, slot)
+                channel = self._build_record(channel, src, dst, slot)
         return channel.fee_policy(src, dst)
 
     # ------------------------------------------------------- BOLT policies
@@ -497,8 +545,12 @@ class ChannelGraph:
 
     def _build_record(
         self, channel: Channel, src: NodeId, dst: NodeId, slot: int
-    ) -> None:
-        """Bring a stale direction's record up to the rate in ``slot``."""
+    ) -> Channel:
+        """Bring a stale direction's record up to the rate in ``slot``.
+
+        Returns the direction's channel: a twin if the record moved on a
+        channel shared with a copy.
+        """
         rate = self._compact.fee_rates[slot]
         # The direction exists, so its tail names the side (this is
         # Channel.fee_policy without the endpoint checks, on a hot path).
@@ -507,11 +559,14 @@ class ChannelGraph:
         if not isinstance(policy, ChannelPolicy):
             policy = DEFAULT_POLICY
         if rate != policy.fee_rate:
+            if channel._owner is not self._owner:
+                channel = self._own(channel)
             policy = policy.with_fee_rate(rate)
             if forward:
                 channel.fee_ab = policy
             else:
                 channel.fee_ba = policy
+        return channel
 
     def _build_records(self) -> None:
         """Bring every stale record up to its live rate."""
@@ -633,14 +688,14 @@ class ChannelGraph:
         """
         if factor <= 0:
             raise ChannelError(f"scale factor must be positive, got {factor!r}")
-        for channel in self.channels():
+        for channel in self._owned_channels():
             channel.balance_ab *= factor
             channel.balance_ba *= factor
 
     def assign_paper_fees(self, rng: random.Random) -> None:
         """Assign the Fig-9 fee mix independently to every channel direction."""
         self._overwrite_records()
-        for channel in self.channels():
+        for channel in self._owned_channels():
             channel.fee_ab = sample_paper_fee(rng)
             channel.fee_ba = sample_paper_fee(rng)
 
@@ -656,15 +711,23 @@ class ChannelGraph:
             self._policy_version += 1
 
     def copy(self) -> ChannelGraph:
-        """Deep copy of topology, balances, and fee policies.
+        """Copy of topology, balances, and fee policies; channels shared.
 
-        Channels are copied node-major (each when first met walking the
-        source's nodes and neighbor rows), with their deposits and fee
-        policies; holds do not carry over.  The clone's adjacency order
-        — and therefore BFS/Yen tie-breaking — can differ from the
-        source's insertion order, and its :attr:`topology_version` is
-        its node count plus its channel count, as if every node and then
-        every channel had been added one by one.
+        The clone's rows are built node-major (each channel when first
+        met walking the source's nodes and neighbor rows), but they
+        point at the source's :class:`Channel` objects: no channel is
+        allocated.  The source's :class:`OwnerCell` is retired, so every
+        channel becomes shared, and whichever graph first writes one
+        (through :meth:`channel`, the holds, :meth:`execute`, the policy
+        and fee writers, a repriced record's rebuild on read, or
+        :meth:`scale_balances`) swaps a private twin into its own rows;
+        other reads never copy.  Holds do not carry over: a
+        channel with escrow outstanding gets a zero-hold twin in the
+        clone right away.  The clone's adjacency order — and therefore
+        BFS/Yen tie-breaking — can differ from the source's insertion
+        order, and its :attr:`topology_version` is its node count plus
+        its channel count, as if every node and then every channel had
+        been added one by one.
 
         The source's own compact snapshot does not carry over: it
         follows the source's order, not the clone's.  Instead, every
@@ -677,24 +740,21 @@ class ChannelGraph:
         any graph does.
         """
         self._build_records()
+        self._owner.live = False
+        self._owner = OwnerCell()
         clone = ChannelGraph()
+        owner = clone._owner
         adjacency = clone._adj = {node: {} for node in self._adj}
         channels = 0
         for u, nbrs in self._adj.items():
             row = adjacency[u]
             for v, channel in nbrs.items():
-                if v in row:  # copied from v's side already
+                if v in row:  # shared from v's side already
                     continue
-                twin = Channel(
-                    channel.a,
-                    channel.b,
-                    channel.balance_ab,
-                    channel.balance_ba,
-                    fee_ab=channel.fee_ab,
-                    fee_ba=channel.fee_ba,
-                )
-                row[v] = twin
-                adjacency[v][u] = twin
+                if channel._held_ab or channel._held_ba:
+                    channel = channel._twin(owner, holds=False)
+                row[v] = channel
+                adjacency[v][u] = channel
                 channels += 1
         clone._topology_version = len(adjacency) + channels
         if self._copies is None:
@@ -788,6 +848,6 @@ def assign_uniform_fees(
     """Give every channel direction the same :class:`LinearFee`."""
     policy = LinearFee(base=base, rate=rate)
     graph._overwrite_records()
-    for channel in graph.channels():
+    for channel in graph._owned_channels():
         channel.fee_ab = policy
         channel.fee_ba = policy

@@ -78,9 +78,8 @@ class ProtocolNode:
             network.send(message.reply(MessageType.PROBE_ACK))
             return
         nxt = message.next_hop
-        channel = self.graph.channel(self.node_id, nxt)
-        forward = channel.balance(self.node_id, nxt)
-        reverse = channel.balance(nxt, self.node_id)
+        forward = self.graph.balance(self.node_id, nxt)
+        reverse = self.graph.balance(nxt, self.node_id)
         network.send(
             message.forwarded(capacity=message.capacity + ((forward, reverse),))
         )

@@ -370,10 +370,9 @@ class LiquidityDrainSpec(FaultSpec):
         end = min(horizon, start + self.duration_frac * horizon)
         targets = []
         for a, b in _top_channels_by_capacity(graph, self.channels):
-            channel = graph.channel(a, b)
             # Drain from the richer side, fixed at compile time so the
             # event stream is a pure function of the built graph.
-            if channel.balance(a, b) >= channel.balance(b, a):
+            if graph.balance(a, b) >= graph.balance(b, a):
                 targets.append((a, b))
             else:
                 targets.append((b, a))

@@ -1,10 +1,18 @@
 """Unit tests for the channel graph substrate."""
 
+import random
+
 import pytest
 
 from repro.errors import ChannelError, InsufficientBalanceError, NoChannelError
-from repro.network.fees import LinearFee
-from repro.network.graph import ChannelGraph, Transfer
+from repro.network.channel import Channel
+from repro.network.feemarket import assign_market_policies
+from repro.network.fees import ChannelPolicy, LinearFee, ZeroFee
+from repro.network.graph import ChannelGraph, Transfer, assign_uniform_fees
+from repro.network.topology import grid_topology
+from repro.network.view import NetworkView
+from repro.sim.factories import flash_factory
+from repro.traces.workload import Transaction, Workload
 
 
 class TestTopologyOperations:
@@ -174,6 +182,160 @@ class TestCopyAndInterop:
     def test_from_edges(self):
         graph = ChannelGraph.from_edges([("a", "b", 1.0, 2.0), ("b", "c", 3.0, 4.0)])
         assert graph.balance("b", "c") == 3.0
+
+
+_POLICY = ChannelPolicy(base_fee=0.5, fee_rate=0.01)
+
+#: Each Channel mutator, and the same write through the graph.
+_WRITES = {
+    "transfer": (
+        lambda channel: channel.transfer("a", "b", 5.0),
+        lambda graph: graph.execute_single(["a", "b"], 5.0),
+    ),
+    "hold": (
+        lambda channel: channel.hold("a", "b", 5.0),
+        lambda graph: graph.hold("a", "b", 5.0),
+    ),
+    "settle_hold": (
+        lambda channel: channel.settle_hold("a", "b", 4.0),
+        lambda graph: graph.settle_hold("a", "b", 4.0),
+    ),
+    "release_hold": (
+        lambda channel: channel.release_hold("a", "b", 4.0),
+        lambda graph: graph.release_hold("a", "b", 4.0),
+    ),
+    "set_fee_policy": (
+        lambda channel: channel.set_fee_policy("a", "b", _POLICY),
+        lambda graph: graph.set_channel_policy("a", "b", _POLICY),
+    ),
+}
+
+
+def _state(graph: ChannelGraph) -> list:
+    return [
+        (graph.balance(u, v), graph.held(u, v), graph.fee_policy(u, v))
+        for u, v in (("a", "b"), ("b", "a"))
+    ]
+
+
+@pytest.fixture
+def count_channels(monkeypatch):
+    """Record every constructed channel and every channel twinned."""
+    built: list[Channel] = []
+    twinned: list[Channel] = []
+    post_init = Channel.__post_init__
+    twin = Channel._twin
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_twin(self, *args, **kwargs):
+        twinned.append(self)
+        return twin(self, *args, **kwargs)
+
+    monkeypatch.setattr(Channel, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Channel, "_twin", counting_twin)
+    return built, twinned
+
+
+class TestCopyOnWrite:
+    """Copies share channels until one of them writes a channel."""
+
+    @pytest.mark.parametrize("taken_by", ["add_channel", "channel"])
+    @pytest.mark.parametrize("write", sorted(_WRITES))
+    def test_reference_from_before_a_copy_is_read_only(self, taken_by, write):
+        graph = ChannelGraph()
+        added = graph.add_channel("a", "b", 30.0, 10.0)
+        graph.add_channel("b", "c", 10.0, 10.0)
+        graph.hold("a", "b", 4.0)
+        channel = added if taken_by == "add_channel" else graph.channel("a", "b")
+        sibling = graph.copy()
+        mine, theirs = _state(graph), _state(sibling)
+        through_channel, through_graph = _WRITES[write]
+        with pytest.raises(ChannelError, match="shared"):
+            through_channel(channel)
+        assert _state(graph) == mine
+        through_graph(graph)
+        assert _state(graph) != mine
+        assert _state(sibling) == theirs
+        # The graph now writes its own twin; the old reference stays shut.
+        assert graph.channel("a", "b") is not channel
+        with pytest.raises(ChannelError, match="shared"):
+            through_channel(channel)
+
+    def test_copy_of_an_idle_graph_builds_no_channel(
+        self, grid_graph, rng, count_channels
+    ):
+        built, twinned = count_channels
+        clone = grid_graph.copy()
+        assert built == [] and twinned == []
+        # An elephant: Flash probes paths (reads) and splits it over two
+        # or more of them (writes), since no one path carries 150.
+        payment = Transaction(0, 0, 8, 150.0)
+        workload = Workload([payment, Transaction(1, 3, 5, 1.0)])
+        router = flash_factory()(NetworkView(clone), workload, rng)
+        outcome = router.route(payment)
+        assert outcome.success and router.view.counters.probe_messages > 0
+        written = {
+            frozenset(hop)
+            for path, _ in outcome.transfers
+            for hop in zip(path, path[1:])
+        }
+        assert len(twinned) == len(written) >= 2
+        assert {frozenset(channel.endpoints()) for channel in twinned} == written
+        assert built == []
+        # The source kept every channel; the clone swapped in its twins.
+        for channel in grid_graph.channels():
+            a, b = channel.endpoints()
+            assert grid_graph.balance(a, b) == 100.0
+            assert grid_graph.balance(b, a) == 100.0
+
+    def test_copy_with_holds_outstanding(self, line_graph):
+        line_graph.hold(0, 1, 30.0)
+        line_graph.hold(1, 2, 20.0)
+        clone = line_graph.copy()
+        assert clone.held(0, 1) == 0.0 and clone.held(1, 2) == 0.0
+        assert clone.balance(0, 1) == 100.0 and clone.total_held() == 0.0
+        line_graph.settle_hold(0, 1, 30.0)
+        line_graph.release_hold(1, 2, 20.0)
+        assert line_graph.total_held() == 0.0
+        assert line_graph.balance(0, 1) == 70.0
+        assert line_graph.balance(1, 0) == 130.0
+        assert line_graph.balance(1, 2) == 100.0
+        assert clone.balance(0, 1) == 100.0 and clone.balance(1, 0) == 100.0
+        # The clone can take holds of its own on the same channels.
+        clone.hold(0, 1, 90.0)
+        assert clone.balance(0, 1) == pytest.approx(10.0)
+        assert line_graph.balance(0, 1) == 70.0
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            lambda graph, rng: assign_market_policies(
+                graph, rng, paper_mix=True
+            ),
+            lambda graph, rng: graph.assign_paper_fees(rng),
+            lambda graph, rng: assign_uniform_fees(graph, 0.1, 0.01),
+            lambda graph, rng: graph.scale_balances(2.0),
+        ],
+        ids=["market", "paper_fees", "uniform_fees", "scale"],
+    )
+    def test_walkers_write_each_channel_once_after_a_copy(self, walk):
+        """A walk that twins as it goes still visits each channel once."""
+        copied, fresh = grid_topology(3, 3, 100.0), grid_topology(3, 3, 100.0)
+        sibling = copied.copy()
+        rngs = [random.Random(7), random.Random(7)]
+        walk(copied, rngs[0])
+        walk(fresh, rngs[1])
+        assert rngs[0].getstate() == rngs[1].getstate()
+        assert len(list(copied.channels())) == copied.num_channels()
+        for u, row in fresh.adjacency().items():
+            for v in row:
+                assert copied.fee_policy(u, v) == fresh.fee_policy(u, v)
+                assert copied.balance(u, v) == fresh.balance(u, v)
+                assert sibling.fee_policy(u, v) == ZeroFee()
+                assert sibling.balance(u, v) == 100.0
 
 
 class TestExecuteMixedNodeTypes:

@@ -1,0 +1,279 @@
+"""Differential fuzz: copy-on-write graph copies against deep copies.
+
+:meth:`ChannelGraph.copy` shares the source's :class:`Channel` objects
+with the clone, and a graph swaps in a private twin of a channel the
+first time it writes it.  The reference below is the copy that sharing
+replaced: it builds every channel of the clone anew.
+
+Each program runs two worlds side by side from one seed.  In one, graphs
+are made with ``copy()``; in the other, with :func:`deep_copy`.  Both
+make 3-5 graphs at random points, from the source or from a clone, and
+some copies are taken while holds are outstanding.  Every step is then
+applied to the same graph in both worlds: holds, settles, releases,
+``execute`` (some of them rejected), ``set_channel_policy``, fee-market
+ticks followed by reads of repriced records, channel opens and closes,
+and ``scale_balances``.  After every step each graph must equal its
+reference in adjacency order, ``topology_version``, per-direction
+``balance``, ``held`` and ``channel_policy``, and in the node and
+neighbor order of ``compact()``; and no channel object may be writable
+by two graphs.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.errors import InsufficientBalanceError
+from repro.network.channel import Channel
+from repro.network.feemarket import FeeMarketController, assign_market_policies
+from repro.network.fees import ChannelPolicy, LinearFee
+from repro.network.graph import ChannelGraph, _SiblingSnapshot
+
+
+def deep_copy(graph: ChannelGraph) -> ChannelGraph:
+    """The copy that sharing replaced: every channel built anew.
+
+    Channels are copied node-major, with their deposits and fee policies
+    but no holds, and the clone owns each of them.
+    """
+    graph._build_records()
+    clone = ChannelGraph()
+    adjacency = clone._adj = {node: {} for node in graph._adj}
+    channels = 0
+    for u, nbrs in graph._adj.items():
+        row = adjacency[u]
+        for v, channel in nbrs.items():
+            if v in row:  # copied from v's side already
+                continue
+            twin = Channel(
+                channel.a,
+                channel.b,
+                channel.balance_ab,
+                channel.balance_ba,
+                fee_ab=channel.fee_ab,
+                fee_ba=channel.fee_ba,
+            )
+            twin._owner = clone._owner
+            row[v] = twin
+            adjacency[v][u] = twin
+            channels += 1
+    clone._topology_version = len(adjacency) + channels
+    if graph._copies is None:
+        graph._copies = _SiblingSnapshot()
+    clone._siblings = graph._copies
+    clone._policy_version = graph._policy_version
+    clone.fee_controller = graph.fee_controller
+    return clone
+
+
+def _node_ids(n: int) -> list:
+    """Mixed int and str ids, so no sort order over nodes can be assumed."""
+    return [i if i % 3 else f"n{i}" for i in range(n)]
+
+
+def _random_policy(rng: random.Random) -> ChannelPolicy:
+    return ChannelPolicy(
+        base_fee=rng.choice([0.0, 0.1]),
+        fee_rate=rng.choice([0.0, 0.002, rng.uniform(0.0005, 0.05)]),
+        htlc_max=rng.choice([float("inf"), 200.0]),
+    )
+
+
+def _build(seed: int, market: bool) -> ChannelGraph:
+    """A source graph: a spanning tree, chords, one unfunded channel."""
+    rng = random.Random(seed)
+    nodes = _node_ids(rng.randrange(10, 18))
+    graph = ChannelGraph()
+    for node in nodes:
+        graph.add_node(node)
+    for i, a in enumerate(nodes[1:], start=1):
+        b = nodes[rng.randrange(i)]
+        graph.add_channel(a, b, rng.uniform(20, 120), rng.uniform(0, 120))
+    for _ in range(len(nodes)):
+        a, b = rng.sample(nodes, 2)
+        if not graph.has_channel(a, b):
+            fee = rng.choice([None, LinearFee(base=0.2, rate=0.01)])
+            graph.add_channel(
+                a, b, rng.uniform(20, 120), rng.uniform(20, 120),
+                fee_ab=fee, fee_ba=fee,
+            )
+    a, b = rng.sample(nodes, 2)
+    if not graph.has_channel(a, b):
+        graph.add_channel(a, b, 0.0, 0.0)
+    if market:
+        assign_market_policies(graph, rng, paper_mix=True)
+    return graph
+
+
+def _directions(graph: ChannelGraph) -> list[tuple]:
+    return [(u, v) for u, row in graph.adjacency().items() for v in row]
+
+
+def _walk(rng: random.Random, graph: ChannelGraph) -> list | None:
+    """A random simple path of 1-4 hops, or None."""
+    path = [rng.choice(graph.nodes)]
+    for _ in range(rng.randrange(1, 5)):
+        options = [v for v in graph.neighbors(path[-1]) if v not in path]
+        if not options:
+            break
+        path.append(rng.choice(options))
+    return path if len(path) > 1 else None
+
+
+def _assert_same(graph: ChannelGraph, reference: ChannelGraph) -> None:
+    adjacency = graph.adjacency()
+    assert list(adjacency.items()) == list(reference.adjacency().items())
+    assert graph.topology_version == reference.topology_version
+    for u, v in _directions(graph):
+        assert graph.balance(u, v) == reference.balance(u, v)
+        assert graph.held(u, v) == reference.held(u, v)
+        assert graph.channel_policy(u, v) == reference.channel_policy(u, v)
+    mine, theirs = graph.compact(), reference.compact()
+    assert list(mine.nodes) == list(theirs.nodes)
+    assert [mine[node] for node in mine.nodes] == [
+        theirs[node] for node in theirs.nodes
+    ]
+
+
+def _assert_single_writer(graphs: list[ChannelGraph]) -> None:
+    """Every channel in a graph's rows is its own or shared (retired)."""
+    writers: dict[int, int] = {}
+    for index, graph in enumerate(graphs):
+        for u, row in graph._adj.items():
+            for v, channel in row.items():
+                assert graph._adj[v][u] is channel
+                if channel._owner.live:
+                    assert channel._owner is graph._owner
+                    assert writers.setdefault(id(channel), index) == index
+                else:
+                    assert channel._owner is not graph._owner
+
+
+class _World:
+    """One world's graphs and the holds each has outstanding."""
+
+    def __init__(self, source: ChannelGraph, copier) -> None:
+        self.graphs = [source]
+        self.holds: list[list[tuple]] = [[]]
+        self.copier = copier
+
+    def copy(self, index: int) -> None:
+        self.graphs.append(self.copier(self.graphs[index]))
+        self.holds.append([])
+
+
+#: Step kinds and their weights; the fee steps run only in priced programs.
+_STEPS = {
+    "hold": 20,
+    "settle": 15,
+    "execute": 20,
+    "policy": 10,
+    "tick": 15,
+    "open": 7,
+    "close": 8,
+    "scale": 5,
+}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_copies_match_deep_copies(seed):
+    rng = random.Random(40_000 + seed)
+    # A third of the programs never price a channel: their graphs stay
+    # policy-free throughout, the rest start from a priced market.
+    priced = seed % 3 != 0
+    cow = _World(_build(seed, market=priced), ChannelGraph.copy)
+    ref = _World(_build(seed, market=priced), deep_copy)
+    controller = FeeMarketController(
+        hubs=rng.choice([0, 4]), decay=rng.choice([0.9, 1.0])
+    )
+    kinds = [
+        kind for kind in _STEPS if priced or kind not in ("policy", "tick")
+    ]
+    weights = [_STEPS[kind] for kind in kinds]
+    copies = rng.randrange(3, 6)
+    steps = 70
+    copy_at = sorted(rng.sample(range(1, steps), copies))
+    for step in range(steps):
+        index = rng.randrange(len(cow.graphs))
+        if step in copy_at:
+            cow.copy(index)
+            ref.copy(index)
+        else:
+            kind = rng.choices(kinds, weights)[0]
+            _apply(rng, kind, cow, ref, index, controller, float(step))
+        for graph, reference in zip(cow.graphs, ref.graphs):
+            _assert_same(graph, reference)
+        _assert_single_writer(cow.graphs)
+    assert len(cow.graphs) == copies + 1
+    assert all(graph.policy_aware == priced for graph in cow.graphs)
+
+
+def _apply(rng, kind, cow, ref, index, controller, now) -> None:
+    """One random step of ``kind`` on graph ``index`` of both worlds."""
+    graph, reference = cow.graphs[index], ref.graphs[index]
+    holds, ref_holds = cow.holds[index], ref.holds[index]
+    directions = _directions(graph)
+    if kind == "hold":
+        u, v = rng.choice(directions)
+        amount = graph.balance(u, v) * rng.choice([0.1, 0.5, 1.0])
+        if amount > 0:
+            graph.hold(u, v, amount)
+            reference.hold(u, v, amount)
+            holds.append((u, v, amount))
+            ref_holds.append((u, v, amount))
+    elif kind == "settle":
+        if holds:
+            pick = rng.randrange(len(holds))
+            u, v, amount = holds.pop(pick)
+            ref_holds.pop(pick)
+            if rng.random() < 0.5:
+                graph.settle_hold(u, v, amount)
+                reference.settle_hold(u, v, amount)
+            else:
+                graph.release_hold(u, v, amount)
+                reference.release_hold(u, v, amount)
+    elif kind == "execute":
+        path = _walk(rng, graph)
+        if path is not None:
+            bottleneck = graph.path_bottleneck(path)
+            # Some payments exceed the path's balance and are rejected.
+            amount = bottleneck * rng.choice([0.2, 0.7, 1.5]) + 1.0
+            outcomes = []
+            for each in (graph, reference):
+                try:
+                    each.execute_single(path, amount)
+                    outcomes.append(True)
+                except InsufficientBalanceError:
+                    outcomes.append(False)
+            assert outcomes[0] == outcomes[1]
+    elif kind == "policy":
+        u, v = rng.choice(directions)
+        policy = _random_policy(rng)
+        graph.set_channel_policy(u, v, policy)
+        reference.set_channel_policy(u, v, policy)
+    elif kind == "tick":
+        assert controller.update(graph, now) == controller.update(
+            reference, now
+        )
+        for u, v in rng.sample(directions, len(directions) // 3):
+            assert graph.channel_policy(u, v) == reference.channel_policy(u, v)
+    elif kind == "open":
+        a, b = rng.sample(graph.nodes, 2)
+        if not graph.has_channel(a, b):
+            balances = (rng.uniform(5, 60), rng.uniform(0, 60))
+            graph.add_channel(a, b, *balances)
+            reference.add_channel(a, b, *balances)
+    elif kind == "close":
+        busy = {frozenset((u, v)) for u, v, _ in holds}
+        idle = [(u, v) for u, v in directions if frozenset((u, v)) not in busy]
+        if idle:
+            a, b = rng.choice(idle)
+            graph.remove_channel(a, b)
+            reference.remove_channel(a, b)
+    else:
+        # Holds are not scaled: only grow balances while any are out.
+        factor = rng.choice([1.25, 3.0] if holds else [0.5, 1.25, 3.0])
+        graph.scale_balances(factor)
+        reference.scale_balances(factor)
