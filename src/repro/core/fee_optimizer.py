@@ -18,6 +18,7 @@ Fig 9, which uses paths in discovery order until the demand is met.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from repro.errors import OptimizationError
 from repro.network.fees import FeePolicy
 
 _EPS = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -206,14 +209,20 @@ def split_payment(
     optimize_fees: bool = True,
     convex: bool = False,
 ) -> PaymentSplit:
-    """Front door: LP (or convex) split with greedy fallback."""
+    """Front door: LP (or convex) split with greedy fallback.
+
+    A fallback is logged at WARNING with the solver's error text.
+    """
     if not optimize_fees:
         return split_payment_greedy(search, demand)
     try:
         if convex:
             return split_payment_convex(search, demand)
         return split_payment_lp(search, demand)
-    except OptimizationError:
+    except OptimizationError as error:
+        _log.warning(
+            "fee-minimising split failed, using the greedy split: %s", error
+        )
         return split_payment_greedy(search, demand)
 
 

@@ -39,9 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.network.channel import NodeId
-from repro.network.compact import CompactTopology
 from repro.network.fees import FeePolicy
-from repro.network.paths import Adjacency
+from repro.network.paths import Adjacency, _interned
 from repro.network.view import NetworkView
 
 _EPS = 1e-9
@@ -86,9 +85,10 @@ def find_elephant_paths(
     """Run Algorithm 1: probe up to ``k`` augmenting paths for ``demand``.
 
     ``view`` is used only for probing (messages are counted there); the
-    search never reads ground-truth balances directly.  ``topology`` may
-    be a plain adjacency mapping or a prebuilt
-    :class:`CompactTopology` — the latter skips the interning step.
+    search never reads ground-truth balances directly.  ``topology`` is
+    a :class:`~repro.network.compact.CompactTopology` or a mapping, which
+    is interned once per call; endpoints follow the rule of
+    :mod:`repro.network.paths`.
     """
     if demand < 0:
         raise ValueError(f"negative demand {demand!r}")
@@ -96,17 +96,10 @@ def find_elephant_paths(
         raise ValueError(f"k must be positive, got {k}")
 
     result = PathSearchResult(demand=demand)
-    if not isinstance(topology, CompactTopology) and (
-        source not in topology or target not in topology
-    ):
-        # Mapping contract: endpoints must be keys, not just dangling
-        # neighbor values (matches bfs_shortest_path).
+    interned = _interned(topology, source, target)
+    if interned is None:
         return result
-    ct = CompactTopology.from_adjacency(topology)
-    src = ct.index_of(source)
-    dst = ct.index_of(target)
-    if src is None or dst is None:
-        return result
+    ct, (src, dst) = interned
 
     capacity = result.capacity
     nodes = ct.nodes

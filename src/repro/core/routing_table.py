@@ -24,8 +24,12 @@ Beyond the per-pair entries, the table keeps one *structural BFS layer*
 per sender: the BFS spanning tree rooted at the sender, which yields the
 first (fewest-hop) path to **every** receiver.  A miss for a new receiver
 of a known sender then skips Yen's initial BFS, and the tree is shared
-across all ``(sender, *)`` pairs until the topology changes (detected via
-a topology token; :meth:`refresh` also drops the trees explicitly).
+across all ``(sender, *)`` pairs until the topology changes.  A tree is
+valid only for the topology object it was built on: the routers pass a
+:class:`~repro.network.compact.CompactTopology`, which never changes
+after it is built, and a new topology is a new object, so an ``is``
+check is the whole validation (:meth:`refresh` also drops the trees
+explicitly).
 
 Under churn the table supports **selective** maintenance
 (:meth:`RoutingTable.apply_events`): given the batch of channel events a
@@ -45,7 +49,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.network.channel import NodeId
-from repro.network.compact import CompactTopology
 from repro.network.dynamics import ChannelEvent, ChannelEventType
 from repro.network.paths import (
     Adjacency,
@@ -55,28 +58,6 @@ from repro.network.paths import (
 )
 
 Path = list[NodeId]
-
-
-def _topology_token(topology: Adjacency) -> tuple:
-    """Cheap change-detection token for the cached BFS trees.
-
-    The cache also keeps a strong reference to the topology object and
-    validates it with ``is`` (so a recycled ``id`` can never alias a new
-    object); the token only guards against *in-place* mutation.  Compact
-    topologies are immutable snapshots, so their build version suffices.
-    Plain mappings are fingerprinted by size and degree sum.  Callers
-    that rewire a mapping in place must call
-    :meth:`RoutingTable.refresh` (the paper's topology-update hook): the
-    token misses a rewiring that keeps those constant, and the entries'
-    Yen enumerations, keyed on the mapping object, would otherwise
-    resume on the old graph.
-    """
-    if isinstance(topology, CompactTopology):
-        return (topology.version, topology.num_slots)
-    return (
-        len(topology),
-        sum(len(neighbors) for neighbors in topology.values()),
-    )
 
 
 def _node_depth(parents: dict[NodeId, NodeId], node: NodeId) -> int | None:
@@ -100,10 +81,9 @@ def _node_depth(parents: dict[NodeId, NodeId], node: NodeId) -> int | None:
 
 @dataclass
 class _SourceLayer:
-    """One cached structural BFS layer: the spanning tree and its stamp."""
+    """One cached structural BFS layer: the topology and its spanning tree."""
 
     topology: Adjacency
-    token: tuple
     parents: dict[NodeId, NodeId]
 
 
@@ -135,7 +115,7 @@ class RoutingTable:
     entry_ttl: float = float("inf")
     max_entries: int | None = None
     _entries: dict[tuple[NodeId, NodeId], TableEntry] = field(default_factory=dict)
-    #: sender -> :class:`_SourceLayer` (topology object, token, BFS
+    #: sender -> :class:`_SourceLayer` (topology object, BFS
     #: spanning-tree parents).  The topology reference pins
     #: the object alive so identity checks are sound; the cache is
     #: bounded by MAX_SOURCE_LAYERS (oldest evicted).
@@ -162,16 +142,11 @@ class RoutingTable:
         self, sender: NodeId, topology: Adjacency
     ) -> dict[NodeId, NodeId]:
         """BFS parent pointers rooted at ``sender`` (cached per source)."""
-        token = _topology_token(topology)
         cached = self._source_layers.get(sender)
-        if (
-            cached is not None
-            and cached.topology is topology
-            and cached.token == token
-        ):
+        if cached is not None and cached.topology is topology:
             return cached.parents
         parents = bfs_tree_parents(topology, sender)
-        self._source_layers[sender] = _SourceLayer(topology, token, parents)
+        self._source_layers[sender] = _SourceLayer(topology, parents)
         while len(self._source_layers) > self.MAX_SOURCE_LAYERS:
             oldest = next(iter(self._source_layers))
             del self._source_layers[oldest]
@@ -294,7 +269,7 @@ class RoutingTable:
         """Recompute every entry against an updated topology (§3.3).
 
         Every entry's Yen enumeration is dropped: it belongs to the old
-        topology (or to a mapping that may have been rewired in place).
+        topology.
         """
         self.invalidate_structural_cache()
         for (sender, receiver), entry in list(self._entries.items()):
@@ -373,7 +348,6 @@ class RoutingTable:
             for event in events
             if event.kind is ChannelEventType.OPEN
         ]
-        token = _topology_token(topology)
         dropped: set[NodeId] = set()
         for sender, layer in list(self._source_layers.items()):
             if self._layer_touched(layer, closes, opens):
@@ -381,7 +355,6 @@ class RoutingTable:
                 dropped.add(sender)
             else:
                 layer.topology = topology
-                layer.token = token
         closed_channels = {frozenset((a, b)) for a, b in closes}
         # Snapshot the layerless senders *before* recomputing anything:
         # a recompute rebuilds its sender's layer as a side effect

@@ -204,7 +204,7 @@ def ablation_path_finding(
     shortest paths — Spider's usable capacity (Fig 5b's pathology)."""
     rng = random.Random(seed)
     graph, _ = build_scenario(config.with_scale(capacity_scale))(rng)
-    adjacency = graph.adjacency()
+    topology = graph.compact()
     nodes = graph.nodes
     exact_total = 0.0
     ek_total = 0.0
@@ -219,10 +219,10 @@ def ablation_path_finding(
         sampled += 1
         exact_total += exact
         view = NetworkView(graph)
-        search = find_elephant_paths(adjacency, view, a, b, float("inf"), k)
+        search = find_elephant_paths(topology, view, a, b, float("inf"), k)
         ek_total += search.max_flow
         probes_total += view.counters.probe_messages
-        disjoint = edge_disjoint_shortest_paths(adjacency, a, b, k)
+        disjoint = edge_disjoint_shortest_paths(topology, a, b, k)
         disjoint_total += sum(
             graph.path_bottleneck(path) for path in disjoint
         )

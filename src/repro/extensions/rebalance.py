@@ -64,7 +64,7 @@ def find_rebalancing_cycle(
             return False
         return graph.balance(u, v) >= amount - _EPS
 
-    detour = bfs_shortest_path(graph.adjacency(), poor, rich, edge_ok=edge_ok)
+    detour = bfs_shortest_path(graph.compact(), poor, rich, edge_ok=edge_ok)
     if detour is None or len(detour) < 2:
         return None
     return [rich] + detour

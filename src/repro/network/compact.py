@@ -21,9 +21,10 @@ path algorithms O(1) integer bookkeeping:
   edge needed for flow cancellation.
 
 A ``CompactTopology`` also implements the read-only ``Mapping`` protocol
-(node -> neighbor list), so it is a drop-in replacement anywhere the
-library accepts a plain adjacency mapping — routers that still index by
-node id keep working unchanged.
+(node -> neighbor tuple), so code that indexes by node id reads it like
+an adjacency dict.  It is the only graph the path algorithms of
+:mod:`repro.network.paths` walk: they intern a plain mapping into one
+per call.
 
 Instances are immutable snapshots.  :meth:`ChannelGraph.compact
 <repro.network.graph.ChannelGraph.compact>` caches one per graph;
@@ -165,7 +166,7 @@ class CompactTopology(Mapping):
 
     #: Below this many nodes the serial kernels win (bidirectional setup
     #: overhead dominates) and, more importantly, unit-test-scale graphs
-    #: keep bit-identical tie-breaking with the mapping-based BFS.
+    #: keep the tie-breaking of a plain one-sided BFS.
     BIDIRECTIONAL_MIN_NODES = 128
 
     #: At or above this many nodes the unconstrained full sweeps
@@ -267,9 +268,9 @@ class CompactTopology(Mapping):
         """Build from a ``node -> neighbors`` mapping.
 
         Node order follows the mapping's iteration order and neighbor
-        order is preserved, so BFS tie-breaking — and therefore every
-        path result — is identical to running the mapping-based
-        algorithms directly.  Neighbors that are not themselves keys
+        order is preserved, so below :attr:`BIDIRECTIONAL_MIN_NODES`
+        every path result is the one a one-sided BFS walking the
+        mapping's own lists finds.  Neighbors that are not themselves keys
         (dangling references) are interned with no outgoing edges.
         An input that is already a snapshot passes through unchanged.
         """
@@ -715,7 +716,7 @@ class CompactTopology(Mapping):
     # edge-disjoint selection), ``residual`` (flow-positive slots only —
     # Algorithm 1), and the generic ``idx`` form taking an arbitrary
     # ``slot_ok`` callback.  All four visit neighbors in CSR order, so
-    # they break ties identically to the mapping-based BFS.
+    # they break ties as a one-sided BFS over the adjacency lists does.
     #
     # On symmetric graphs of at least ``BIDIRECTIONAL_MIN_NODES`` nodes
     # the first three switch to *bidirectional* level-synchronous search:
@@ -725,8 +726,8 @@ class CompactTopology(Mapping):
     # dominant speedup of this module.  A bidirectional search returns *a*
     # fewest-hop path (deterministic, but its tie-break may differ from
     # the one-sided order), which is why small graphs — unit-test scale,
-    # where exact equality with the mapping algorithms is pinned — stay
-    # on the serial kernels.
+    # where the tests pin exact equality with a reference one-sided
+    # BFS — stay on the serial kernels.
 
     def _use_bidirectional(self) -> bool:
         return (

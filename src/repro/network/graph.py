@@ -309,10 +309,9 @@ class ChannelGraph:
         on an unchanged :meth:`copy` instead forks the snapshot its
         sibling copies share (see :meth:`copy`).  Either way the
         returned snapshot is a new object whose node and neighbor order
-        match :meth:`adjacency`, so path results on either form are
-        identical below the bidirectional kernel threshold and
-        equal-length (possibly different tie-breaks) above it — see
-        :mod:`repro.network.compact`.
+        match :meth:`adjacency`, so a path function gives the same
+        result on either form: it interns the mapping into the same
+        snapshot (see :mod:`repro.network.paths`).
         """
         cached = self._compact
         if cached is not None and cached.version == self._topology_version:

@@ -2,11 +2,14 @@
 
 All routers in this library (Flash and the baselines) plan on the hop-count
 metric over the *structural* adjacency — balances are unknown until probed.
-The functions here therefore take either a plain ``adjacency`` mapping
-(``node -> list of neighbors``) or a prebuilt
-:class:`~repro.network.compact.CompactTopology`, plus an optional
-``edge_ok(u, v)`` predicate that path searches must respect (Flash uses it
-to encode the residual capacity matrix of Algorithm 1).
+Every search here walks a
+:class:`~repro.network.compact.CompactTopology` (flat ``parent``/``seen``
+arrays, slot-id edge sets, a candidate heap for Yen).  The functions take
+that snapshot or a plain ``adjacency`` mapping (``node -> list of
+neighbors``), which they intern once per call and then search with the
+same kernels, plus an optional ``edge_ok(u, v)`` predicate that path
+searches must respect (Flash uses it to encode the residual capacity
+matrix of Algorithm 1).
 
 Implemented from scratch:
 
@@ -16,33 +19,27 @@ Implemented from scratch:
   more iteration;
 * k edge-disjoint shortest paths (Spider's path choice [30]).
 
-Passing a :class:`CompactTopology` routes every algorithm through the
-integer fast path (flat ``parent``/``seen`` arrays, slot-id edge sets, a
-candidate heap for Yen).  Mapping inputs keep the original dict-based BFS
-for single searches, while the multi-search algorithms (Yen,
-edge-disjoint) intern the mapping once up front and amortize the
-conversion over their many inner BFS runs.  Both code paths intern nodes
-in the same order, so below the bidirectional-search threshold
-(:attr:`CompactTopology.BIDIRECTIONAL_MIN_NODES`) results are bit-for-bit
-identical; at or above it the compact kernels may break ties between
-equal-length paths differently (lengths, reachability, and determinism
-are preserved).
+One endpoint rule holds for every function: an endpoint that is not a key
+of the input is unreachable.  A snapshot's keys are its interned nodes; a
+mapping's are its keys only, so a node that appears only as a neighbor
+value cannot be an endpoint (it is still interned, as a node with no
+outgoing edges, and searches may pass through to it).
 
-Sweep-kernel selection also lives behind the snapshot, not here: on
-snapshots of at least :attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES`
-nodes the full-sweep entry points (:func:`bfs_distances` without
-``edge_ok``, :func:`bfs_tree_parents` — the routing-table and embedding
-hot paths) run vectorized frontier batches, while the single-pair
-searches that Yen's spur loop and the disjoint-path selection issue
-stay on the serial kernels at every size.  Both sweep kernels return
-the same dicts in the same order, so callers never need to know which
+Kernel selection lives behind the snapshot, not here.  From
+:attr:`CompactTopology.BIDIRECTIONAL_MIN_NODES` nodes the single-pair
+searches run bidirectional: paths stay fewest-hop, but ties between
+equal-length paths may break differently than below the threshold.  From
+:attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES` nodes the full-sweep entry
+points (:func:`bfs_distances` without ``edge_ok``,
+:func:`bfs_tree_parents` — the routing-table and embedding hot paths) run
+vectorized frontier batches.  Both sweep kernels return the same dicts in
+the same order, BFS discovery order, so callers never need to know which
 one ran.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.network.channel import NodeId
@@ -68,6 +65,23 @@ def key_repr(key: tuple[NodeId, ...]) -> tuple[str, ...]:
     return tuple(repr(node) for node in key)
 
 
+def _interned(
+    adjacency: Adjacency, *endpoints: NodeId
+) -> tuple[CompactTopology, list[int]] | None:
+    """The snapshot a search walks and its endpoints' dense indices.
+
+    Every public search enters here.  A mapping is interned once per
+    call; a snapshot passes through.  ``None`` when an endpoint is not a
+    key of ``adjacency``, which makes it unreachable (see the module
+    docstring).
+    """
+    for node in endpoints:
+        if node not in adjacency:
+            return None
+    ct = CompactTopology.from_adjacency(adjacency)
+    return ct, [ct.index_of(node) for node in endpoints]
+
+
 def _slot_ok_from_edge_ok(ct: CompactTopology, edge_ok: EdgePredicate | None):
     """Lift a node-level edge predicate to a slot predicate."""
     if edge_ok is None:
@@ -80,6 +94,19 @@ def _slot_ok_from_edge_ok(ct: CompactTopology, edge_ok: EdgePredicate | None):
         return edge_ok(nodes[tail[slot]], nodes[head[slot]])
 
     return slot_ok
+
+
+def _blocked_bytes(
+    ct: CompactTopology, blocked_nodes: set[NodeId] | None
+) -> bytearray | None:
+    if not blocked_nodes:
+        return None
+    blocked = bytearray(ct.num_nodes)
+    for node in blocked_nodes:
+        i = ct.index_of(node)
+        if i is not None:
+            blocked[i] = 1
+    return blocked
 
 
 # ---------------------------------------------------------------------- BFS
@@ -97,61 +124,22 @@ def bfs_shortest_path(
     ``edge_ok(u, v)`` (if given) must return True for an edge to be usable;
     ``blocked_nodes`` are never entered (``source`` is exempt).
     """
-    if isinstance(adjacency, CompactTopology):
-        ct = adjacency
-        src = ct.index_of(source)
-        dst = ct.index_of(target)
-        if src is None or dst is None:
-            return None
-        blocked = None
-        if blocked_nodes:
-            blocked = bytearray(ct.num_nodes)
-            for node in blocked_nodes:
-                i = ct.index_of(node)
-                if i is not None:
-                    blocked[i] = 1
-        if edge_ok is None:
-            if blocked is None:
-                idx_path = ct.shortest_path_plain(src, dst)
-            else:
-                idx_path = ct.shortest_path_banned(src, dst, set(), blocked)
-            return None if idx_path is None else ct.path_nodes(idx_path)
+    interned = _interned(adjacency, source, target)
+    if interned is None:
+        return None
+    ct, (src, dst) = interned
+    blocked = _blocked_bytes(ct, blocked_nodes)
+    if edge_ok is None:
+        if blocked is None:
+            idx_path = ct.shortest_path_plain(src, dst)
+        else:
+            idx_path = ct.shortest_path_banned(src, dst, set(), blocked)
+    else:
         found = ct.shortest_path_idx(
             src, dst, slot_ok=_slot_ok_from_edge_ok(ct, edge_ok), blocked=blocked
         )
-        if found is None:
-            return None
-        return ct.path_nodes(found[0])
-
-    if source == target:
-        return [source]
-    if source not in adjacency or target not in adjacency:
-        return None
-    blocked_set = blocked_nodes or set()
-    parent: dict[NodeId, NodeId] = {source: source}
-    queue: deque[NodeId] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v in parent or v in blocked_set:
-                continue
-            if edge_ok is not None and not edge_ok(u, v):
-                continue
-            parent[v] = u
-            if v == target:
-                return _reconstruct(parent, source, target)
-            queue.append(v)
-    return None
-
-
-def _reconstruct(
-    parent: Mapping[NodeId, NodeId], source: NodeId, target: NodeId
-) -> Path:
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+        idx_path = None if found is None else found[0]
+    return None if idx_path is None else ct.path_nodes(idx_path)
 
 
 def bfs_distances(
@@ -159,30 +147,17 @@ def bfs_distances(
     source: NodeId,
     edge_ok: EdgePredicate | None = None,
 ) -> dict[NodeId, int]:
-    """Hop distance from ``source`` to every reachable node."""
-    if isinstance(adjacency, CompactTopology):
-        ct = adjacency
-        src = ct.index_of(source)
-        if src is None:
-            return {}
-        dist_idx = ct.distances_idx(
-            src, slot_ok=_slot_ok_from_edge_ok(ct, edge_ok)
-        )
-        nodes = ct.nodes
-        return {nodes[i]: d for i, d in dist_idx.items()}
+    """Hop distance from ``source`` to every reachable node.
 
-    dist = {source: 0}
-    queue: deque[NodeId] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency.get(u, ()):  # tolerate dangling references
-            if v in dist:
-                continue
-            if edge_ok is not None and not edge_ok(u, v):
-                continue
-            dist[v] = dist[u] + 1
-            queue.append(v)
-    return dist
+    The dict is in BFS discovery order, ``source`` first.
+    """
+    interned = _interned(adjacency, source)
+    if interned is None:
+        return {}
+    ct, (src,) = interned
+    nodes = ct.nodes
+    dist_idx = ct.distances_idx(src, slot_ok=_slot_ok_from_edge_ok(ct, edge_ok))
+    return {nodes[i]: d for i, d in dist_idx.items()}
 
 
 def bfs_tree_parents(
@@ -191,28 +166,17 @@ def bfs_tree_parents(
     """Parent pointers of a BFS spanning tree rooted at ``source``.
 
     Used by the SpeedyMurmurs embedding and by landmark routing.  The root
-    maps to itself.
+    maps to itself, and the dict is in BFS discovery order, root first.
     """
-    if isinstance(adjacency, CompactTopology):
-        ct = adjacency
-        src = ct.index_of(source)
-        if src is None:
-            return {}
-        nodes = ct.nodes
-        return {
-            nodes[child]: nodes[par]
-            for child, par in ct.tree_parents_idx(src).items()
-        }
-
-    parent = {source: source}
-    queue: deque[NodeId] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency.get(u, ()):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    return parent
+    interned = _interned(adjacency, source)
+    if interned is None:
+        return {}
+    ct, (src,) = interned
+    nodes = ct.nodes
+    return {
+        nodes[child]: nodes[par]
+        for child, par in ct.tree_parents_idx(src).items()
+    }
 
 
 # ---------------------------------------------------------------------- Yen
@@ -299,17 +263,10 @@ class YenState:
     ) -> None:
         """Reset to a new enumeration holding only its first path."""
         self._reset(adjacency, source, target, edge_ok)
-        if not isinstance(adjacency, CompactTopology) and (
-            source not in adjacency or target not in adjacency
-        ):
-            # Match bfs_shortest_path on mapping inputs: an endpoint that is
-            # only a dangling neighbor value, not a key, is unreachable.
+        interned = _interned(adjacency, source, target)
+        if interned is None:
             return
-        ct = CompactTopology.from_adjacency(adjacency)
-        src = ct.index_of(source)
-        dst = ct.index_of(target)
-        if src is None or dst is None:
-            return
+        ct, (src, dst) = interned
         base_ok = _slot_ok_from_edge_ok(ct, edge_ok)
 
         first_idx: list[int] | None = None
@@ -449,27 +406,7 @@ def yen_k_shortest_paths(
 # The cost-aware variants plan over BOLT #7 policies (base +
 # proportional fee, htlc bounds) installed on a snapshot by
 # ``ChannelGraph.compact()``.  Plain mapping inputs carry no policies,
-# so on them the searches degenerate to fewest-hops at zero fee — the
-# interning contract matches the hop-count functions above.
-
-
-def _compact_for(adjacency: Adjacency) -> CompactTopology:
-    if isinstance(adjacency, CompactTopology):
-        return adjacency
-    return CompactTopology.from_adjacency(adjacency)
-
-
-def _blocked_bytes(
-    ct: CompactTopology, blocked_nodes: set[NodeId] | None
-) -> bytearray | None:
-    if not blocked_nodes:
-        return None
-    blocked = bytearray(ct.num_nodes)
-    for node in blocked_nodes:
-        i = ct.index_of(node)
-        if i is not None:
-            blocked[i] = 1
-    return blocked
+# so on them the searches degenerate to fewest-hops at zero fee.
 
 
 def cheapest_path(
@@ -491,11 +428,10 @@ def cheapest_path(
     policy-installed snapshot, or the search degrades to the fee-free
     metric.
     """
-    ct = _compact_for(adjacency)
-    src = ct.index_of(source)
-    dst = ct.index_of(target)
-    if src is None or dst is None:
+    interned = _interned(adjacency, source, target)
+    if interned is None:
         return None
+    ct, (src, dst) = interned
     found = ct.cheapest_path_idx(
         src, dst, amount, blocked=_blocked_bytes(ct, blocked_nodes)
     )
@@ -528,15 +464,10 @@ def yen_cheapest_paths(
     """
     if k <= 0:
         return []
-    if not isinstance(adjacency, CompactTopology) and (
-        source not in adjacency or target not in adjacency
-    ):
+    interned = _interned(adjacency, source, target)
+    if interned is None:
         return []
-    ct = _compact_for(adjacency)
-    src = ct.index_of(source)
-    dst = ct.index_of(target)
-    if src is None or dst is None:
-        return []
+    ct, (src, dst) = interned
     n = ct.num_nodes
 
     found = ct.cheapest_path_idx(src, dst, amount)
@@ -621,16 +552,10 @@ def edge_disjoint_shortest_paths(
     """
     if k <= 0:
         return []
-    if not isinstance(adjacency, CompactTopology) and (
-        source not in adjacency or target not in adjacency
-    ):
-        # Same endpoint contract as bfs_shortest_path / Yen above.
+    interned = _interned(adjacency, source, target)
+    if interned is None:
         return []
-    ct = CompactTopology.from_adjacency(adjacency)
-    src = ct.index_of(source)
-    dst = ct.index_of(target)
-    if src is None or dst is None:
-        return []
+    ct, (src, dst) = interned
     base_ok = _slot_ok_from_edge_ok(ct, edge_ok)
     n = ct.num_nodes
     tail = ct.slot_tail

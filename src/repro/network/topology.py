@@ -26,6 +26,7 @@ from collections.abc import Callable
 from repro.errors import TopologyError
 from repro.network.channel import NodeId
 from repro.network.graph import ChannelGraph
+from repro.network.paths import bfs_distances
 
 CapacitySampler = Callable[[random.Random], float]
 
@@ -283,19 +284,11 @@ def grid_topology(rows: int, cols: int, balance: float = 100.0) -> ChannelGraph:
 
 def largest_component_nodes(graph: ChannelGraph) -> set[NodeId]:
     """Nodes of the largest connected component (undirected sense)."""
-    adjacency = graph.adjacency()
-    remaining = set(adjacency)
+    topology = graph.compact()
+    remaining = set(topology)
     best: set[NodeId] = set()
     while remaining:
-        start = next(iter(remaining))
-        component = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if v not in component:
-                    component.add(v)
-                    stack.append(v)
+        component = set(bfs_distances(topology, next(iter(remaining))))
         remaining -= component
         if len(component) > len(best):
             best = component

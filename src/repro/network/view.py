@@ -108,16 +108,13 @@ class NetworkView:
 
     # ------------------------------------------------------------ topology
 
-    def topology(self) -> dict[NodeId, list[NodeId]]:
-        """Structural adjacency (no balances) — locally available (§3.1)."""
-        return self._graph.adjacency()
-
     def compact_topology(self) -> "CompactTopology":
         """Interned CSR form of the structural topology (cached, §3.1).
 
-        A drop-in mapping replacement for :meth:`topology` that the path
-        algorithms run on without per-node hashing; see
-        :mod:`repro.network.compact`.  Under churn the cached snapshot
+        The structural adjacency (no balances) is locally available, so
+        reading it costs no messages.  The snapshot is a read-only
+        ``node -> neighbors`` mapping that every path algorithm walks;
+        see :mod:`repro.network.compact`.  Under churn the cached snapshot
         is maintained *incrementally* (closed channels tombstoned,
         opened ones arena-appended) rather than rebuilt, so calling
         this after an event batch is cheap; a previously returned
@@ -235,7 +232,19 @@ class PaymentSession:
             # every downstream hop's fee, so intermediaries are paid on
             # settle.  ``amount`` stays the *delivered* amount in the
             # transfer record — fee accounting reads ``path_fee``.
-            hop_amounts = self._graph.path_hop_amounts(list(path), amount)
+            try:
+                hop_amounts = self._graph.path_hop_amounts(list(path), amount)
+            except NoChannelError:
+                # A channel closed since the router's last gossip tick
+                # has no policy to price the escrow with: the attempt
+                # bounces there, as at any dead hop, and holds nothing.
+                self._counters.payment_attempts += 1
+                self._counters.payment_messages += 1 + next(
+                    index
+                    for index, (u, v) in enumerate(zip(path, path[1:]))
+                    if not self._graph.has_channel(u, v)
+                )
+                return False
         else:
             hop_amounts = None
         placed: list[_StagedHop] = []

@@ -16,7 +16,8 @@ from repro.core.fee_optimizer import split_payment
 from repro.core.maxflow import find_elephant_paths
 from repro.core.routing_table import RoutingTable
 from repro.network.channel import NodeId
-from repro.network.paths import Adjacency, bfs_shortest_path, edge_disjoint_shortest_paths
+from repro.network.compact import CompactTopology
+from repro.network.paths import bfs_shortest_path, edge_disjoint_shortest_paths
 from repro.network.view import ProbeResult
 from repro.baselines.spider import SPIDER_NUM_PATHS, waterfill
 from repro.protocol.driver import PaymentDriver, SubPayment
@@ -64,7 +65,7 @@ class TestbedStrategy(abc.ABC):
     def __init__(self, network: ProtocolNetwork, rng: random.Random) -> None:
         self.network = network
         self.rng = rng
-        self.topology: Adjacency = network.graph.adjacency()
+        self.topology: CompactTopology = network.graph.compact()
 
     def execute(self, transaction: Transaction, is_mouse: bool) -> TestbedOutcome:
         """Run the full protocol for one payment; time it in simulated time."""

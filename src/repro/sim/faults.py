@@ -37,10 +37,12 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.network.channel import NodeId
 from repro.network.dynamics import ChannelEvent, ChannelEventType
 from repro.network.graph import ChannelGraph
+from repro.network.paths import bfs_distances, bfs_tree_parents
 
 #: Sliding-window width (transactions) for the recovery-half-life
 #: success-rate estimate, and the tolerance band around the pre-attack
@@ -122,27 +124,19 @@ def approximate_edge_betweenness(
     staying O(samples * (V + E)).  Deterministic for a given ``rng``
     state and graph construction order.
     """
-    adjacency = graph.adjacency()
+    topology = graph.compact()
     nodes = graph.nodes
     sources = (
         rng.sample(nodes, samples) if len(nodes) > samples else list(nodes)
     )
     scores: dict[tuple, float] = {}
     for source in sources:
-        parent: dict[NodeId, NodeId | None] = {source: None}
-        order = [source]
-        head = 0
-        while head < len(order):
-            node = order[head]
-            head += 1
-            for neighbor in adjacency.get(node, ()):
-                if neighbor not in parent:
-                    parent[neighbor] = node
-                    order.append(neighbor)
-        weight = {node: 1.0 for node in order}
-        for node in reversed(order):
-            up = parent[node]
-            if up is None:
+        # Parents in BFS discovery order: reversed, every subtree is
+        # folded into its root edge before that edge is scored.
+        parent = bfs_tree_parents(topology, source)
+        weight = dict.fromkeys(parent, 1.0)
+        for node, up in reversed(parent.items()):
+            if node == source:
                 continue
             key = _pair_key(up, node)
             scores[key] = scores.get(key, 0.0) + weight[node]
@@ -441,21 +435,8 @@ class PartitionSpec(FaultSpec):
             nodes, key=lambda node: (graph.degree(node), _sort_key(node))
         )
         region_size = max(1, int(self.fraction * len(nodes)))
-        region = {seed}
-        frontier = [seed]
-        adjacency = graph.adjacency()
-        while frontier and len(region) < region_size:
-            next_frontier = []
-            for node in frontier:
-                for neighbor in adjacency.get(node, ()):
-                    if neighbor not in region:
-                        region.add(neighbor)
-                        next_frontier.append(neighbor)
-                        if len(region) >= region_size:
-                            break
-                if len(region) >= region_size:
-                    break
-            frontier = next_frontier
+        # The first ``region_size`` nodes a BFS from the seed discovers.
+        region = set(islice(bfs_distances(graph.compact(), seed), region_size))
         events: list[ChannelEvent] = []
         for channel in graph.channels():
             if (channel.a in region) == (channel.b in region):

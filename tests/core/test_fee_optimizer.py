@@ -1,7 +1,10 @@
 """Tests for program (1): fee-minimizing payment splitting."""
 
+import logging
+
 import pytest
 
+from repro.core import fee_optimizer
 from repro.core.fee_optimizer import (
     split_payment,
     split_payment_convex,
@@ -143,3 +146,22 @@ class TestFrontDoor:
         search.flows.reverse()
         split = split_payment(search, 80.0, optimize_fees=True)
         assert dict(split.transfers)[(0, 1, 3)] == pytest.approx(80.0)
+
+    def test_solver_failure_falls_back_to_greedy_with_a_warning(
+        self, monkeypatch, caplog
+    ):
+        def failing(search, demand):
+            raise OptimizationError("solver gave up")
+
+        monkeypatch.setattr(fee_optimizer, "split_payment_lp", failing)
+        search = two_path_search()
+        search.paths.reverse()
+        search.flows.reverse()
+        with caplog.at_level(logging.WARNING, logger=fee_optimizer.__name__):
+            split = split_payment(search, 80.0, optimize_fees=True)
+        # Greedy takes the (now first) pricey path, which the LP would not.
+        assert split == split_payment_greedy(search, 80.0)
+        assert dict(split.transfers)[(0, 2, 3)] == pytest.approx(80.0)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "solver gave up" in record.getMessage()

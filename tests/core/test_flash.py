@@ -81,7 +81,7 @@ class TestMiceRouting:
         router, _ = make_router(diamond_graph, threshold=1_000.0)
         router.route(txn(5.0, txid=0))
         router.route(txn(5.0, txid=1))
-        entry = router.table.lookup(0, 3, router.view.topology())
+        entry = router.table.lookup(0, 3, router.view.compact_topology())
         assert entry.hits >= 2
 
     def test_mice_failure_after_m_paths(self, diamond_graph):
@@ -91,17 +91,17 @@ class TestMiceRouting:
 
     def test_dead_path_replacement(self, grid_graph):
         router, _ = make_router(grid_graph, threshold=1_000.0, m=2)
-        adjacency = router.view.topology()
+        topology = router.view.compact_topology()
         original = [
             list(path)
-            for path in router.table.lookup(0, 8, adjacency).paths
+            for path in router.table.lookup(0, 8, topology).paths
         ]
         # Drain channel 0->1 so paths through it probe dead.
         grid_graph.channel(0, 1).transfer(0, 1, 100.0)
         dead_originals = [path for path in original if path[1] == 1]
         assert dead_originals, "expected the top Yen paths to use 0->1"
         router.route(txn(50.0, receiver=8, txid=0))
-        entry = router.table.lookup(0, 8, adjacency)
+        entry = router.table.lookup(0, 8, topology)
         # Every probed-dead path was swapped for the next-ranked Yen path.
         for dead in dead_originals:
             assert dead not in entry.paths
@@ -158,7 +158,7 @@ class TestStats:
         router.route(txn(5.0, receiver=8))
         grid_graph.remove_channel(0, 1)
         router.on_topology_update()
-        entry = router.table.lookup(0, 8, router.view.topology())
+        entry = router.table.lookup(0, 8, router.view.compact_topology())
         assert all(path[1] == 3 for path in entry.paths)
 
     def test_invalid_k_rejected(self, diamond_graph):

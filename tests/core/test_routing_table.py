@@ -117,7 +117,7 @@ class TestStructuralBfsLayer:
         assert list(table._source_layers) == [0]
 
     def test_first_path_matches_bfs(self, grid_graph):
-        from repro.network.paths import bfs_shortest_path
+        from bfs_reference import bfs_shortest_path
 
         table = RoutingTable(m=4)
         adjacency = grid_graph.adjacency()
@@ -145,12 +145,22 @@ class TestStructuralBfsLayer:
         assert all(path[1] == 3 for path in entry.paths)
 
     def test_compact_topology_token_uses_version(self, grid_graph):
+        # A snapshot never changes, so the layer is validated by the
+        # snapshot's identity alone: the same object reuses the tree, and
+        # the next version (a new object) builds a new one.
         table = RoutingTable(m=2)
         compact = grid_graph.compact()
         table.lookup(0, 8, compact)
         layer = table._source_layers[0]
         assert layer.topology is compact
-        assert layer.token == (compact.version, compact.num_slots)
+        table.lookup(0, 5, compact)
+        assert table._source_layers[0] is layer
+        grid_graph.remove_channel(0, 1)
+        updated = grid_graph.compact()
+        assert updated.version != compact.version
+        table.lookup(0, 7, updated)
+        assert table._source_layers[0].topology is updated
+        assert table._source_layers[0].parents[1] == 4
 
     def test_lru_bound_interplay_with_structural_cache(self, grid_graph):
         # Entry eviction (max_entries) must not corrupt the shared tree:

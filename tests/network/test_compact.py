@@ -1,7 +1,14 @@
-"""Tests for the CSR compact topology and its fast-path equivalence."""
+"""Tests for the CSR compact topology and its fast-path equivalence.
+
+The equivalence tests compare the kernels with the dict-walking loops of
+``tests/bfs_reference.py``, which share no code with them.  A mapping
+passed to a path function is interned into a snapshot first, so each
+function is checked on both inputs.
+"""
 
 import random
 
+import bfs_reference as reference
 import pytest
 
 from repro.network.compact import CompactTopology
@@ -72,10 +79,13 @@ class TestMappingProtocol:
 
     def test_works_as_adjacency_argument(self, grid_graph, grid_compact):
         adjacency = grid_graph.adjacency()
-        assert bfs_distances(grid_compact, 0) == bfs_distances(adjacency, 0)
-        assert bfs_tree_parents(grid_compact, 4) == bfs_tree_parents(
-            adjacency, 4
-        )
+        for topology in (grid_compact, adjacency):
+            assert list(bfs_distances(topology, 0).items()) == list(
+                reference.bfs_distances(adjacency, 0).items()
+            )
+            assert list(bfs_tree_parents(topology, 4).items()) == list(
+                reference.bfs_tree_parents(adjacency, 4).items()
+            )
 
 
 class TestGraphCache:
@@ -108,60 +118,70 @@ class TestGraphCache:
 
 
 class TestSmallGraphEquivalence:
-    """Below the bidirectional threshold results are bit-identical."""
+    """Below the bidirectional threshold results are bit-identical to the
+    reference loops, on the snapshot and on the mapping alike."""
+
+    @staticmethod
+    def _inputs(graph):
+        return graph.adjacency(), (graph.compact(), graph.adjacency())
 
     def test_bfs_identical(self, grid_graph):
-        adjacency = grid_graph.adjacency()
-        compact = grid_graph.compact()
-        for target in range(9):
-            assert bfs_shortest_path(adjacency, 0, target) == (
-                bfs_shortest_path(compact, 0, target)
-            )
+        adjacency, inputs = self._inputs(grid_graph)
+        for topology in inputs:
+            for target in range(9):
+                assert bfs_shortest_path(topology, 0, target) == (
+                    reference.bfs_shortest_path(adjacency, 0, target)
+                )
 
     def test_bfs_blocked_identical(self, grid_graph):
-        adjacency = grid_graph.adjacency()
-        compact = grid_graph.compact()
-        assert bfs_shortest_path(
-            adjacency, 0, 8, blocked_nodes={1, 4}
-        ) == bfs_shortest_path(compact, 0, 8, blocked_nodes={1, 4})
+        adjacency, inputs = self._inputs(grid_graph)
+        for topology in inputs:
+            assert bfs_shortest_path(
+                topology, 0, 8, blocked_nodes={1, 4}
+            ) == reference.bfs_shortest_path(
+                adjacency, 0, 8, blocked_nodes={1, 4}
+            )
 
     def test_bfs_edge_ok_identical(self, grid_graph):
-        adjacency = grid_graph.adjacency()
-        compact = grid_graph.compact()
+        adjacency, inputs = self._inputs(grid_graph)
 
         def edge_ok(u, v):
             return (u, v) != (0, 1) and (u, v) != (3, 6)
 
-        assert bfs_shortest_path(
-            adjacency, 0, 8, edge_ok=edge_ok
-        ) == bfs_shortest_path(compact, 0, 8, edge_ok=edge_ok)
+        for topology in inputs:
+            assert bfs_shortest_path(
+                topology, 0, 8, edge_ok=edge_ok
+            ) == reference.bfs_shortest_path(adjacency, 0, 8, edge_ok=edge_ok)
+            assert list(bfs_distances(topology, 0, edge_ok).items()) == list(
+                reference.bfs_distances(adjacency, 0, edge_ok).items()
+            )
 
     def test_yen_identical(self, grid_graph):
-        adjacency = grid_graph.adjacency()
-        compact = grid_graph.compact()
-        assert yen_k_shortest_paths(adjacency, 0, 8, 6) == (
-            yen_k_shortest_paths(compact, 0, 8, 6)
-        )
+        adjacency, inputs = self._inputs(grid_graph)
+        for topology in inputs:
+            assert yen_k_shortest_paths(topology, 0, 8, 6) == (
+                reference.yen_k_shortest_paths(adjacency, 0, 8, 6)
+            )
 
     def test_edge_disjoint_identical(self, grid_graph):
-        adjacency = grid_graph.adjacency()
-        compact = grid_graph.compact()
-        assert edge_disjoint_shortest_paths(adjacency, 0, 8, 3) == (
-            edge_disjoint_shortest_paths(compact, 0, 8, 3)
-        )
+        adjacency, inputs = self._inputs(grid_graph)
+        for topology in inputs:
+            assert edge_disjoint_shortest_paths(topology, 0, 8, 3) == (
+                reference.edge_disjoint_shortest_paths(adjacency, 0, 8, 3)
+            )
 
     def test_mixed_node_types(self):
         graph = grid_topology(2, 2)
         graph.add_channel(0, "hub", 10.0, 10.0)
         graph.add_channel("hub", 3, 10.0, 10.0)
-        adjacency = graph.adjacency()
-        compact = graph.compact()
-        assert bfs_shortest_path(adjacency, 0, 3) == bfs_shortest_path(
-            compact, 0, 3
-        )
-        assert yen_k_shortest_paths(adjacency, 0, 3, 4) == (
-            yen_k_shortest_paths(compact, 0, 3, 4)
-        )
+        adjacency, inputs = self._inputs(graph)
+        for topology in inputs:
+            assert bfs_shortest_path(topology, 0, 3) == (
+                reference.bfs_shortest_path(adjacency, 0, 3)
+            )
+            assert yen_k_shortest_paths(topology, 0, 3, 4) == (
+                reference.yen_k_shortest_paths(adjacency, 0, 3, 4)
+            )
 
 
 class TestLargeGraphFastPath:
@@ -185,7 +205,7 @@ class TestLargeGraphFastPath:
         rng = random.Random(5)
         for _ in range(50):
             a, b = rng.randrange(300), rng.randrange(300)
-            slow = bfs_shortest_path(adjacency, a, b)
+            slow = reference.bfs_shortest_path(adjacency, a, b)
             fast = bfs_shortest_path(compact, a, b)
             assert (slow is None) == (fast is None)
             if fast is None:
@@ -206,7 +226,7 @@ class TestLargeGraphFastPath:
         for _ in range(10):
             a, b = rng.randrange(300), rng.randrange(300)
             fast = yen_k_shortest_paths(compact, a, b, 4)
-            slow = yen_k_shortest_paths(adjacency, a, b, 4)
+            slow = reference.yen_k_shortest_paths(adjacency, a, b, 4)
             assert [len(p) for p in fast] == [len(p) for p in slow]
             assert len({tuple(p) for p in fast}) == len(fast)
             for path in fast:
@@ -221,17 +241,23 @@ class TestLargeGraphFastPath:
         adjacency, compact = big
         assert bfs_shortest_path(compact, 0, 9, blocked_nodes={9}) is None
         assert bfs_shortest_path(adjacency, 0, 9, blocked_nodes={9}) is None
+        assert (
+            reference.bfs_shortest_path(adjacency, 0, 9, blocked_nodes={9})
+            is None
+        )
 
     def test_blocked_source_stays_exempt(self, big):
         adjacency, compact = big
-        slow = bfs_shortest_path(adjacency, 0, 9, blocked_nodes={0})
+        slow = reference.bfs_shortest_path(adjacency, 0, 9, blocked_nodes={0})
         fast = bfs_shortest_path(compact, 0, 9, blocked_nodes={0})
         assert slow is not None and fast is not None
         assert len(slow) == len(fast)
 
     def test_distances_match_mapping(self, big):
         adjacency, compact = big
-        assert bfs_distances(compact, 17) == bfs_distances(adjacency, 17)
+        assert list(bfs_distances(compact, 17).items()) == list(
+            reference.bfs_distances(adjacency, 17).items()
+        )
 
 
 class TestPerfbenchBackendCalls:

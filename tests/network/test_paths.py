@@ -2,15 +2,21 @@
 
 import pytest
 
+from repro.core.maxflow import find_elephant_paths
+from repro.network.compact import CompactTopology
+from repro.network.graph import ChannelGraph
 from repro.network.paths import (
     bfs_distances,
     bfs_shortest_path,
     bfs_tree_parents,
+    cheapest_path,
     edge_disjoint_shortest_paths,
     is_simple_path,
     path_edges,
+    yen_cheapest_paths,
     yen_k_shortest_paths,
 )
+from repro.network.view import NetworkView
 
 
 @pytest.fixture
@@ -213,9 +219,92 @@ class TestEdgeDisjointEdgeOk:
                 used.add(hop)
 
 
+#: Every public path function, as ``(topology, source, target) ->
+#: result``, with its answer for an unreachable endpoint.
+SEARCHES = {
+    "bfs_shortest_path": (
+        lambda t, s, d: bfs_shortest_path(t, s, d),
+        None,
+    ),
+    "bfs_distances": (lambda t, s, d: bfs_distances(t, s), {}),
+    "bfs_tree_parents": (lambda t, s, d: bfs_tree_parents(t, s), {}),
+    "yen_k_shortest_paths": (
+        lambda t, s, d: yen_k_shortest_paths(t, s, d, 3),
+        [],
+    ),
+    "edge_disjoint_shortest_paths": (
+        lambda t, s, d: edge_disjoint_shortest_paths(t, s, d, 3),
+        [],
+    ),
+    "cheapest_path": (lambda t, s, d: cheapest_path(t, s, d, 1.0), None),
+    "yen_cheapest_paths": (
+        lambda t, s, d: yen_cheapest_paths(t, s, d, 1.0, 3),
+        [],
+    ),
+    "find_elephant_paths": (
+        lambda t, s, d: find_elephant_paths(
+            t, NetworkView(ChannelGraph()), s, d, 1.0, 3
+        ).paths,
+        [],
+    ),
+}
+
+#: The bad endpoint as source, as target, or as both (the two
+#: single-source sweeps read no target).
+ENDPOINT_CASES = [
+    pytest.param(name, role, id=f"{name}-{role}")
+    for name in SEARCHES
+    for role in ("source", "target", "both")
+    if not (role == "target" and name in ("bfs_distances", "bfs_tree_parents"))
+]
+
+#: Node 3 is dangling: a neighbor value of 2, not a key.
+DANGLING_ADJ = {0: [1, 2], 1: [0], 2: [0, 3]}
+
+
+def _endpoints(role: str, bad) -> tuple:
+    return {"source": (bad, 0), "target": (0, bad), "both": (bad, bad)}[role]
+
+
 class TestDanglingEndpointContract:
-    """Endpoints that are only neighbor values, not mapping keys, are
-    unreachable — uniformly across every path algorithm."""
+    """An endpoint that is not a key of the input is unreachable,
+    uniformly across every path algorithm and both input forms.
+
+    A snapshot interns a mapping's dangling neighbor as a key without
+    outgoing edges, so on the snapshot it is an ordinary endpoint."""
+
+    @pytest.mark.parametrize("form", ["mapping", "snapshot"])
+    @pytest.mark.parametrize(("name", "role"), ENDPOINT_CASES)
+    def test_unknown_endpoint_is_unreachable(self, form, name, role):
+        topology = DANGLING_ADJ
+        if form == "snapshot":
+            topology = CompactTopology.from_adjacency(DANGLING_ADJ)
+        search, unreachable = SEARCHES[name]
+        assert search(topology, *_endpoints(role, 99)) == unreachable
+
+    @pytest.mark.parametrize(("name", "role"), ENDPOINT_CASES)
+    def test_dangling_endpoint_of_a_mapping_is_unreachable(self, name, role):
+        search, unreachable = SEARCHES[name]
+        assert search(DANGLING_ADJ, *_endpoints(role, 3)) == unreachable
+
+    @pytest.mark.parametrize(
+        ("name", "role"),
+        # A known node as both endpoints is a self-payment, which
+        # Algorithm 1 does not plan (it has no hop to probe).
+        [case for case in ENDPOINT_CASES if case.values[1] != "both"],
+    )
+    def test_snapshot_keys_its_dangling_neighbors(self, name, role):
+        search, _ = SEARCHES[name]
+        snapshot = CompactTopology.from_adjacency(DANGLING_ADJ)
+        keyed = {**DANGLING_ADJ, 3: []}
+        endpoints = _endpoints(role, 3)
+        assert search(snapshot, *endpoints) == search(keyed, *endpoints)
+
+    def test_snapshot_reaches_a_dangling_target(self):
+        snapshot = CompactTopology.from_adjacency(DANGLING_ADJ)
+        assert 3 in snapshot and 3 not in DANGLING_ADJ
+        assert bfs_shortest_path(snapshot, 0, 3) == [0, 2, 3]
+        assert bfs_distances(snapshot, 3) == {3: 0}
 
     def test_yen_dangling_target(self):
         adj = {0: [1]}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
+from repro.network.fees import ChannelPolicy
 from repro.network.view import NetworkView
 
 
@@ -22,7 +23,7 @@ class TestProbing:
 
     def test_topology_is_free(self, line_graph):
         view = NetworkView(line_graph)
-        topology = view.topology()
+        topology = view.compact_topology()
         assert view.counters.probe_messages == 0
         assert sorted(topology[1]) == [0, 2]
 
@@ -61,6 +62,27 @@ class TestSession:
             assert not session.try_reserve([0, 1, 2, 3], 30.0)
             # Holds on 0-1 and 1-2 must have been released.
             assert session.probe([0, 1, 2]).balances == (100.0, 100.0)
+
+    @pytest.mark.parametrize("policy_aware", [False, True])
+    @pytest.mark.parametrize("closed_hop", [1, 2])
+    def test_closed_hop_bounces_the_attempt(
+        self, line_graph, closed_hop, policy_aware
+    ):
+        # A path planned before a channel closed.  A policy-aware graph
+        # cannot price the escrow over the closed hop; the attempt must
+        # still bounce there as on a fee-free graph, holding nothing.
+        if policy_aware:
+            line_graph.set_channel_policy(
+                0, 1, ChannelPolicy(base_fee=0.5, fee_rate=0.01)
+            )
+        line_graph.remove_channel(closed_hop, closed_hop + 1)
+        view = NetworkView(line_graph)
+        with view.open_session() as session:
+            assert not session.try_reserve([0, 1, 2, 3], 10.0)
+            assert session.reserved_total == 0.0
+        assert line_graph.total_held() == 0.0
+        assert view.counters.payment_attempts == 1
+        assert view.counters.payment_messages == closed_hop + 1
 
     def test_reservations_interact_within_session(self, line_graph):
         view = NetworkView(line_graph)

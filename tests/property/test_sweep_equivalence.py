@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 
+import bfs_reference as reference
 import pytest
 
 from repro.network.compact import CompactTopology
@@ -201,10 +202,10 @@ class TestDispatch:
         ]
         for src in (0, 1, n_nodes - 1):
             assert list(bfs_distances(snapshot, src).items()) == list(
-                bfs_distances(adjacency, src).items()
+                reference.bfs_distances(adjacency, src).items()
             )
             assert list(bfs_tree_parents(snapshot, src).items()) == list(
-                bfs_tree_parents(adjacency, src).items()
+                reference.bfs_tree_parents(adjacency, src).items()
             )
 
 
