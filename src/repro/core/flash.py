@@ -47,8 +47,6 @@ class FlashRouter(Router):
         optimize_fees: bool = True,
         convex_fees: bool = False,
         shuffle_mice_paths: bool = True,
-        table_ttl: float = float("inf"),
-        max_table_entries: int | None = None,
     ) -> None:
         super().__init__(view)
         if k <= 0:
@@ -64,9 +62,7 @@ class FlashRouter(Router):
         self.optimize_fees = optimize_fees
         self.convex_fees = convex_fees
         self.shuffle_mice_paths = shuffle_mice_paths
-        self.table = RoutingTable(
-            m=m, entry_ttl=table_ttl, max_entries=max_table_entries
-        )
+        self.table = RoutingTable(m=m)
         # The interned CSR snapshot: every BFS/Yen below runs its integer
         # fast path, and the mapping protocol keeps it API-compatible.
         self._topology = view.compact_topology()
@@ -139,10 +135,7 @@ class FlashRouter(Router):
     def _route_mice(self, transaction: Transaction) -> RoutingOutcome:
         """Routing-table lookup + randomized trial-and-error loop."""
         entry = self.table.lookup(
-            transaction.sender,
-            transaction.receiver,
-            self._topology,
-            now=transaction.time,
+            transaction.sender, transaction.receiver, self._topology
         )
         if not entry.paths:
             return RoutingOutcome.failure()

@@ -88,7 +88,8 @@ def find_elephant_paths(
     search never reads ground-truth balances directly.  ``topology`` is
     a :class:`~repro.network.compact.CompactTopology` or a mapping, which
     is interned once per call; endpoints follow the rule of
-    :mod:`repro.network.paths`.
+    :mod:`repro.network.paths`.  A self-payment has no hop to probe, so
+    it finds no path and sends no probe.
     """
     if demand < 0:
         raise ValueError(f"negative demand {demand!r}")
@@ -100,6 +101,8 @@ def find_elephant_paths(
     if interned is None:
         return result
     ct, (src, dst) = interned
+    if src == dst:
+        return result
 
     capacity = result.capacity
     nodes = ct.nodes

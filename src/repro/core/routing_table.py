@@ -3,8 +3,8 @@
 Each node keeps a table of precomputed paths per *receiver*.  On first
 contact with a receiver the node computes the top-``m`` shortest paths with
 Yen's algorithm on its local topology and caches them; recurring payments
-(the vast majority, §2.2) become pure table lookups.  The table supports
-the three maintenance behaviours the paper describes:
+(the vast majority, §2.2) become pure table lookups.  The paper describes
+three maintenance behaviours; the table models the first two:
 
 * **refresh** — recompute every entry when the gossiped topology changes;
 * **replacement** — when a payment finds a cached path dead (zero
@@ -13,8 +13,11 @@ the three maintenance behaviours the paper describes:
   (:class:`~repro.network.paths.YenState`), so the next path costs one
   more Yen iteration, not a re-run of every earlier one; the topology
   hooks below drop these enumerations;
-* **timeout** — entries untouched for longer than ``entry_ttl`` are
-  evicted to bound the table size.
+* **timeout** — the paper evicts entries left unused for a while, to
+  bound each node's table.  This is not modelled: a run's table holds at
+  most one entry per sender–receiver pair of its workload, which fits in
+  memory, the paper gives no timeout value to reproduce, and an evicted
+  entry would only be recomputed on its next use.
 
 Our library manages one logical network, so the table is keyed by
 ``(sender, receiver)`` — each sender's slice is exactly the per-node table
@@ -92,7 +95,6 @@ class TableEntry:
     """Cached paths for one (sender, receiver) pair."""
 
     paths: list[Path]
-    last_used: float = 0.0
     #: How many Yen paths have been consumed for this pair, including
     #: replaced ones — lets replacement continue where the ranking left off.
     yen_cursor: int = 0
@@ -112,8 +114,6 @@ class RoutingTable:
     """Per-(sender, receiver) cache of top-``m`` shortest paths."""
 
     m: int = 4
-    entry_ttl: float = float("inf")
-    max_entries: int | None = None
     _entries: dict[tuple[NodeId, NodeId], TableEntry] = field(default_factory=dict)
     #: sender -> :class:`_SourceLayer` (topology object, BFS
     #: spanning-tree parents).  The topology reference pins
@@ -210,23 +210,20 @@ class RoutingTable:
         sender: NodeId,
         receiver: NodeId,
         topology: Adjacency,
-        now: float = 0.0,
     ) -> TableEntry:
         """Fetch (or compute on first use) the entry for a pair."""
         pair = (sender, receiver)
         entry = self._entries.get(pair)
         if entry is None:
-            entry = TableEntry(paths=[], last_used=now)
+            entry = TableEntry(paths=[])
             entry.paths = self._ranked_paths(
                 sender, receiver, topology, self.m, entry
             )
             entry.yen_cursor = len(entry.paths)
             entry.misses += 1
             self._entries[pair] = entry
-            self._enforce_capacity()
         else:
             entry.hits += 1
-            entry.last_used = now
         return entry
 
     def replace_path(
@@ -383,26 +380,6 @@ class RoutingTable:
                 entry.yen_cursor = len(paths)
                 recomputed += 1
         return len(dropped), recomputed
-
-    def evict_stale(self, now: float) -> int:
-        """Drop entries idle for longer than ``entry_ttl``; returns count."""
-        if self.entry_ttl == float("inf"):
-            return 0
-        stale = [
-            pair
-            for pair, entry in self._entries.items()
-            if now - entry.last_used > self.entry_ttl
-        ]
-        for pair in stale:
-            del self._entries[pair]
-        return len(stale)
-
-    def _enforce_capacity(self) -> None:
-        if self.max_entries is None:
-            return
-        while len(self._entries) > self.max_entries:
-            oldest = min(self._entries, key=lambda pair: self._entries[pair].last_used)
-            del self._entries[oldest]
 
     @property
     def hit_ratio(self) -> float:

@@ -50,20 +50,12 @@ escrow.  The full delta lifecycle is documented in
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.network.channel import NodeId
 
 __all__ = ["CompactTopology"]
-
-#: Per-slot policy defaults for directions without a gossip record —
-#: must match ``repro.network.fees.DEFAULT_POLICY`` (free,
-#: unconstrained forwarding); kept as literals so the kernel module
-#: does not import the fee model.
-_DEFAULT_CLTV = 40
-_INF = float("inf")
 
 
 def get_default_backend() -> str:
@@ -161,7 +153,7 @@ class CompactTopology(Mapping):
         "_np_stamp",
         "_np_epoch",
         "policy_version",
-        "_policy_arrays",
+        "fee_rates",
     )
 
     #: Below this many nodes the serial kernels win (bidirectional setup
@@ -253,9 +245,9 @@ class CompactTopology(Mapping):
         self._np_seen = None
         self._np_stamp = None
         self._np_epoch = 0
-        # Per-slot BOLT policy arrays (see install_policies); 0 = none.
+        # Per-slot fee_rate array (see set_fee_rates); None until set.
         self.policy_version = 0
-        self._policy_arrays = None
+        self.fee_rates: list[float] | None = None
 
     # ------------------------------------------------------------ building
 
@@ -309,7 +301,7 @@ class CompactTopology(Mapping):
         return projected > max(self.COMPACT_MIN_SLOTS, self._base_slots // 4)
 
     def apply_delta(
-        self, ops: Sequence[tuple], version: int = 0, policy_of=None
+        self, ops: Sequence[tuple], version: int = 0, rate_of=None
     ) -> "CompactTopology":
         """Derive the snapshot after a batch of channel ops — O(touched).
 
@@ -336,10 +328,9 @@ class CompactTopology(Mapping):
         property suite in ``tests/property/test_compact_incremental.py``
         fuzzes.
 
-        When policy arrays are installed, each opened slot takes the
-        record ``policy_of(src, dst)`` returns, or the default (free,
-        unconstrained) policy when there is no lookup or it returns
-        ``None``.
+        When a ``fee_rate`` array is installed, each opened slot takes
+        the rate ``rate_of(src, dst)`` returns, or 0.0 when there is no
+        lookup.
         """
         nbrs = list(self.neighbor_idx)
         rows = list(self.slot_rows)
@@ -354,7 +345,7 @@ class CompactTopology(Mapping):
         neighbor_lists = dict(self._neighbor_lists)
         dead = self._dead_count
         arena = self._arena_count
-        policy_arrays = self._policy_arrays
+        fee_rates = self.fee_rates
         touched: set[int] = set()
 
         def own(i: int) -> None:
@@ -388,28 +379,12 @@ class CompactTopology(Mapping):
                 slot_map[(ia, ib)] = s_ab
                 slot_map[(ib, ia)] = s_ba
                 arena += 2
-                if policy_arrays is not None:
-                    # Keep the per-slot policy arrays aligned with the
-                    # arena.  Appending at the tail is safe for the base
-                    # snapshot — its kernels never index past its own
-                    # slot count.
-                    for src, dst in ((a, b), (b, a)):
-                        policy = (
-                            None if policy_of is None else policy_of(src, dst)
-                        )
-                        values = (
-                            (0.0, 0.0, _DEFAULT_CLTV, 0.0, _INF)
-                            if policy is None
-                            else (
-                                policy.base_fee,
-                                policy.fee_rate,
-                                policy.cltv_delta,
-                                policy.htlc_min,
-                                policy.htlc_max,
-                            )
-                        )
-                        for array, value in zip(policy_arrays, values):
-                            array.append(value)
+                if fee_rates is not None:
+                    # Keep the rate array aligned with the arena.
+                    # Appending at the tail is safe for the base
+                    # snapshot: it never indexes past its own slot count.
+                    fee_rates.append(0.0 if rate_of is None else rate_of(a, b))
+                    fee_rates.append(0.0 if rate_of is None else rate_of(b, a))
             elif kind == "close":
                 _, a, b = op
                 ia = index[a]
@@ -450,7 +425,7 @@ class CompactTopology(Mapping):
         # Vector mirrors never carry over: a derived snapshot's live rows
         # differ from the base CSR, so the mirrors are rebuilt (lazily,
         # on the first vectorized sweep) from the rows themselves.
-        # Policy arrays are append-only and slot-parallel, so they are
+        # The rate array is append-only and slot-parallel, so it is
         # shared like the other slot arrays.
         return self._derive(
             nodes=nodes,
@@ -471,7 +446,7 @@ class CompactTopology(Mapping):
             symmetric=True if self._symmetric is True else None,
             np_arrays=None,
             policy_version=self.policy_version,
-            policy_arrays=policy_arrays,
+            fee_rates=fee_rates,
         )
 
     def fork(self) -> "CompactTopology":
@@ -485,7 +460,7 @@ class CompactTopology(Mapping):
         gets its own ``indices``/``slot_tail``/``reverse_slot``, cut at
         this snapshot's :attr:`num_slots`, because ``apply_delta``
         appends to those in place: sibling forks then grow their arenas
-        independently.  Scratch buffers start fresh and no policy arrays
+        independently.  Scratch buffers start fresh and no fee rates
         are installed (:meth:`ChannelGraph.compact` installs the owning
         graph's own).  O(V + E) list copies at C speed, with none of the
         per-edge interning loops of a rebuild.
@@ -508,7 +483,7 @@ class CompactTopology(Mapping):
             symmetric=self.is_symmetric,
             np_arrays=self._np_arrays,
             policy_version=0,
-            policy_arrays=None,
+            fee_rates=None,
         )
 
     def _derive(
@@ -530,7 +505,7 @@ class CompactTopology(Mapping):
         symmetric: bool | None,
         np_arrays,
         policy_version: int,
-        policy_arrays,
+        fee_rates: list[float] | None,
     ) -> "CompactTopology":
         """Assemble a snapshot over this one's base CSR, fresh scratch."""
         derived = object.__new__(CompactTopology)
@@ -568,7 +543,7 @@ class CompactTopology(Mapping):
         derived._np_stamp = None
         derived._np_epoch = 0
         derived.policy_version = policy_version
-        derived._policy_arrays = policy_arrays
+        derived.fee_rates = fee_rates
         return derived
 
     # ---------------------------------------------------- mapping protocol
@@ -1381,172 +1356,35 @@ class CompactTopology(Mapping):
                     queue.append(v)
         return parent
 
-    # ------------------------------------------------- fee-policy kernels
+    # ----------------------------------------------------------- fee rates
 
-    def install_policies(self, lookup, version: int) -> None:
-        """Install per-slot BOLT policy arrays from ``lookup``.
+    def fee_rates_from(self, lookup) -> list[float]:
+        """The per-slot ``fee_rate`` array of the records ``lookup`` reads.
 
         ``lookup(u, v)`` returns the :class:`~repro.network.fees.ChannelPolicy`
         of the directed channel ``u -> v`` (node ids, not indices).
-        Slots are filled from the live rows; tombstoned slots keep the
-        default (free) policy, which is harmless — the kernels never
-        touch them.  ``version`` stamps the graph's policy counter so
-        :meth:`ChannelGraph.compact` can skip reinstalling when nothing
-        changed.
+        Slots are filled from the live rows; tombstoned slots read 0.0,
+        and nothing indexes them.
         """
-        self._policy_arrays = self.policy_arrays_from(lookup)
-        self.policy_version = version
-
-    @property
-    def fee_rates(self) -> list[float] | None:
-        """The installed per-slot ``fee_rate`` array, or ``None``."""
-        arrays = self._policy_arrays
-        return None if arrays is None else arrays[1]
-
-    def set_fee_rates(self, rates: list[float], version: int) -> None:
-        """Replace the installed ``fee_rate`` array, stamped ``version``.
-
-        ``rates`` must be a new list, never the old one edited in place:
-        snapshots derived by :meth:`apply_delta` share the arrays, and
-        the ones the new list supersedes keep the old one.
-        """
-        base, _, cltv, hmin, hmax = self._policy_arrays
-        self._policy_arrays = (base, rates, cltv, hmin, hmax)
-        self.policy_version = version
-
-    def policy_arrays_from(self, lookup) -> tuple[list, ...]:
-        """The arrays :meth:`install_policies` installs, without installing."""
-        num = self._num_slots
-        base = [0.0] * num
-        rate = [0.0] * num
-        cltv = [_DEFAULT_CLTV] * num
-        hmin = [0.0] * num
-        hmax = [_INF] * num
+        rates = [0.0] * self._num_slots
         nodes = self.nodes
         for u, (srow, nrow) in enumerate(
             zip(self.slot_rows, self.neighbor_idx)
         ):
             u_node = nodes[u]
             for s, v in zip(srow, nrow):
-                policy = lookup(u_node, nodes[v])
-                base[s] = policy.base_fee
-                rate[s] = policy.fee_rate
-                cltv[s] = policy.cltv_delta
-                hmin[s] = policy.htlc_min
-                hmax[s] = policy.htlc_max
-        return (base, rate, cltv, hmin, hmax)
+                rates[s] = lookup(u_node, nodes[v]).fee_rate
+        return rates
 
-    def path_cost_idx(
-        self, idx_path: Sequence[int], amount: float
-    ) -> float | None:
-        """Total sent delivering ``amount`` along ``idx_path``, or ``None``.
+    def set_fee_rates(self, rates: list[float], version: int) -> None:
+        """Install ``rates`` as the per-slot ``fee_rate`` array.
 
-        Walks the path receiver-to-sender applying each live slot's
-        policy with the same association as the Dijkstra relax (fee
-        first, then add), so a path returned by
-        :meth:`cheapest_path_idx` re-prices to exactly its reported
-        total.  ``None`` when an edge is missing (stale path after
-        churn) or a policy rejects the carried amount.  The sender's
-        own edge charges nothing but its htlc bounds still apply.
+        ``rates`` must be a new list, never the installed one edited in
+        place: snapshots derived by :meth:`apply_delta` share it, and
+        the ones the new list supersedes keep the old one.  ``version``
+        stamps the graph's policy counter so
+        :meth:`ChannelGraph.compact` can skip reinstalling when nothing
+        changed.
         """
-        slots = self.path_slots(idx_path)
-        if slots is None:
-            return None
-        arrays = self._policy_arrays
-        if arrays is None:
-            return amount
-        base, rate, _cltv, hmin, hmax = arrays
-        a = amount
-        for j in range(len(slots) - 1, -1, -1):
-            s = slots[j]
-            if amount < hmin[s] or a > hmax[s]:
-                return None
-            if j > 0 and a > 0.0:
-                fee = base[s] + rate[s] * a
-                a = a + fee
-        return a
-
-    def cheapest_path_idx(
-        self,
-        src: int,
-        dst: int,
-        amount: float,
-        banned: set[int] | None = None,
-        blocked: bytearray | None = None,
-        free_source_edge: bool = True,
-    ) -> tuple[list[int], float] | None:
-        """Cheapest feasible path delivering ``amount`` from src to dst.
-
-        Dijkstra run *backwards* from the receiver: a node's label is
-        the amount that must arrive there for ``amount`` to reach
-        ``dst``, so relaxing the payment edge ``v -> u`` compounds the
-        BOLT fee recursion of :func:`~repro.network.fees.hop_amounts`
-        exactly (the sender's own edge charges nothing).  An edge is
-        feasible when its ``htlc_max`` admits the carried label and its
-        ``htlc_min`` admits the *delivered* amount — the static check
-        that keeps label dominance exact (see ``ChannelPolicy.admits``).
-        Ties (equal send amount) break by hop count, then by the
-        lexicographically smallest dense-index path — the same total
-        order the brute-force oracle in ``tests/property/test_fee_oracle``
-        sorts by, which is what makes the two bit-identical.
-
-        ``banned`` holds directed-edge codes ``u * n + v`` naming the
-        *payment* direction; ``blocked`` marks nodes that must not relay
-        (``src`` exempt).  Returns ``(index_path, total_sent)`` — path
-        in payment order, ``total_sent - amount`` is the fee — or
-        ``None`` when no feasible path exists.  Without installed
-        policy arrays every edge is free and unconstrained, so the
-        result degenerates to fewest-hops with ``total_sent == amount``.
-        ``free_source_edge=False`` makes the edge out of ``src`` charge
-        like any other — Yen's spur searches use it, since a spur node
-        mid-path is an intermediate hop, not the sender.
-        """
-        if src == dst:
-            return [src], amount
-        if blocked is not None and blocked[dst]:
-            return None
-        arrays = self._policy_arrays
-        if arrays is not None:
-            base, rate, _cltv, hmin, hmax = arrays
-        rev = self.reverse_slot
-        srows = self.slot_rows
-        nbrs = self.neighbor_idx
-        n = len(self.nodes)
-        self._epoch += 1
-        epoch = self._epoch
-        seen = self._seen
-        heap = [(amount, 0, (dst,))]
-        while heap:
-            label, hops, path = heappop(heap)
-            u = path[0]
-            if seen[u] == epoch:
-                continue
-            seen[u] = epoch
-            if u == src:
-                return list(path), label
-            next_hops = hops + 1
-            for s, v in zip(srows[u], nbrs[u]):
-                if seen[v] == epoch:
-                    continue
-                rs = rev[s]
-                if rs < 0:
-                    continue
-                if blocked is not None and v != src and blocked[v]:
-                    continue
-                if banned is not None and v * n + u in banned:
-                    continue
-                if arrays is not None:
-                    if amount < hmin[rs] or label > hmax[rs]:
-                        continue
-                    if (free_source_edge and v == src) or label <= 0.0:
-                        cand = label
-                    else:
-                        # fee first, then add: the same association as
-                        # ``a + policy.fee(a)`` in ``hop_amounts``,
-                        # keeping the two bit-identical.
-                        fee = base[rs] + rate[rs] * label
-                        cand = label + fee
-                else:
-                    cand = label
-                heappush(heap, (cand, next_hops, (v,) + path))
-        return None
+        self.fee_rates = rates
+        self.policy_version = version

@@ -46,8 +46,6 @@ def assign_market_policies(
     base_fee: float = 0.0,
     initial_rate: float = 0.005,
     paper_mix: bool = False,
-    htlc_min: float = 0.0,
-    htlc_max: float = float("inf"),
 ) -> int:
     """Install initial :class:`ChannelPolicy` records on every direction.
 
@@ -65,14 +63,7 @@ def assign_market_policies(
                 sample_paper_fee(rng).rate if paper_mix else initial_rate
             )
             graph.set_channel_policy(
-                src,
-                dst,
-                ChannelPolicy(
-                    base_fee=base_fee,
-                    fee_rate=rate,
-                    htlc_min=htlc_min,
-                    htlc_max=htlc_max,
-                ),
+                src, dst, ChannelPolicy(base_fee=base_fee, fee_rate=rate)
             )
             priced += 1
     return priced

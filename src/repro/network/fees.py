@@ -100,8 +100,10 @@ class ChannelPolicy:
     function matches :class:`LinearFee`, so a policy slots anywhere a
     :class:`FeePolicy` is accepted (fee optimizer, ``path_fee``), but —
     unlike the legacy policies — its *presence* switches a graph into
-    policy-aware mode: compounded BOLT fee recursion, feasibility
-    pruning, and fee-aware escrow (see :func:`hop_amounts`).
+    policy-aware mode: compounded BOLT fee recursion and fee-aware
+    escrow (see :func:`hop_amounts`).  ``cltv_delta``, ``htlc_min`` and
+    ``htlc_max`` are parsed, validated and kept on the record, but no
+    router or engine enforces them.
     """
 
     base_fee: float = 0.0
@@ -143,18 +145,6 @@ class ChannelPolicy:
         fields["fee_rate"] = fee_rate
         return record
 
-    def admits(self, amount: float, delivered: float) -> bool:
-        """Feasibility of forwarding ``amount`` for a ``delivered`` payment.
-
-        ``htlc_max`` is checked against the hop amount actually carried;
-        ``htlc_min`` is checked against the *delivered* amount (the
-        routing target), not the hop amount — a deliberate deviation
-        from BOLT #7 that keeps feasibility monotone in the hop amount,
-        which is what makes Dijkstra label dominance exact (see
-        ``docs/ARCHITECTURE.md`` and ``tests/property/test_fee_oracle``).
-        """
-        return delivered >= self.htlc_min and amount <= self.htlc_max
-
 
 #: The policy of a channel direction with no gossip record: free,
 #: unconstrained forwarding.  Used for slots opened by churn after the
@@ -173,9 +163,8 @@ def hop_amounts(
     arriving at node ``i+1``; the sender's own edge adds no fee.  The
     returned list has one entry per edge; ``amounts[0] - amount`` is
     the total fee the sender pays.  The accumulation order (receiver to
-    sender) is the canonical one — the routing kernels and the
-    brute-force oracle both follow it, which is what makes their costs
-    bit-identical.
+    sender) is the canonical one: escrow and the fee metrics both price
+    through here, and ``tests/core/test_fee_arithmetic.py`` pins it.
     """
     amounts = [0.0] * len(policies)
     a = amount

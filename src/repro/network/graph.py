@@ -315,7 +315,7 @@ class ChannelGraph:
         """
         cached = self._compact
         if cached is not None and cached.version == self._topology_version:
-            self._refresh_policies(cached)
+            self._refresh_fee_rates(cached)
             return cached
         siblings = self._siblings
         self._siblings = None
@@ -336,9 +336,7 @@ class ChannelGraph:
             snapshot = cached.apply_delta(
                 pending,
                 version=self._topology_version,
-                policy_of=(
-                    self._opened_policy if self._policy_version else None
-                ),
+                rate_of=self._opened_rate,
             )
         else:
             # A rebuild renumbers the slots the stale records point at.
@@ -346,14 +344,14 @@ class ChannelGraph:
             snapshot = self._rebuild()
         self._pending_deltas = []
         self._compact = snapshot
-        self._refresh_policies(snapshot)
+        self._refresh_fee_rates(snapshot)
         return snapshot
 
-    def _opened_policy(self, src: NodeId, dst: NodeId) -> ChannelPolicy | None:
-        """A delta-opened slot's record (``None`` if closed again since)."""
+    def _opened_rate(self, src: NodeId, dst: NodeId) -> float:
+        """A delta-opened slot's record rate (0.0 if closed again since)."""
         if not self.has_channel(src, dst):
-            return None
-        return self.channel_policy(src, dst)
+            return 0.0
+        return self.channel_policy(src, dst).fee_rate
 
     def _rebuild(self) -> CompactTopology:
         """A full snapshot, interned from the adjacency."""
@@ -362,21 +360,22 @@ class ChannelGraph:
             version=self._topology_version,
         )
 
-    def _refresh_policies(self, snapshot: CompactTopology) -> None:
-        """Install per-slot policy arrays from the records when stale.
+    def _refresh_fee_rates(self, snapshot: CompactTopology) -> None:
+        """Install the snapshot's ``fee_rate`` array from the records.
 
         O(E), but only runs on policy-aware graphs whose snapshot's
-        arrays predate :attr:`policy_version`: a fresh rebuild or fork
-        (both are policy-free), or a :meth:`set_channel_policy` since.
+        rates predate :attr:`policy_version`: a fresh rebuild or fork
+        (neither carries rates), or a :meth:`set_channel_policy` since.
         A :meth:`reprice` stamps the snapshot it writes, and
-        delta-derived snapshots share their base's arrays with opened
+        delta-derived snapshots share their base's array with opened
         slots filled in, so neither reinstalls here.
         """
         if self._policy_version and (
             snapshot.policy_version != self._policy_version
         ):
-            snapshot.install_policies(
-                self.channel_policy, version=self._policy_version
+            snapshot.set_fee_rates(
+                snapshot.fee_rates_from(self.channel_policy),
+                self._policy_version,
             )
 
     # ------------------------------------------------------------ balances
@@ -462,7 +461,7 @@ class ChannelGraph:
         """True once any :class:`ChannelPolicy` was assigned.
 
         Gates every fee-aware branch (compounded fees, per-hop escrow
-        amounts, kernel policy arrays): graphs that never saw a policy
+        amounts, the snapshot's rate array): graphs that never saw a policy
         behave byte-identically to the pre-policy library.
         """
         return self._policy_version > 0
@@ -482,7 +481,7 @@ class ChannelGraph:
         """Assign the ``src -> dst`` direction's BOLT #7 policy record.
 
         Bumps :attr:`policy_version`, so the next :meth:`compact`
-        reinstalls the snapshot's per-slot policy arrays from the
+        reinstalls the snapshot's per-slot ``fee_rate`` array from the
         records — which are first brought up to date with any
         :meth:`reprice` they lag.
         """
@@ -516,7 +515,7 @@ class ChannelGraph:
         snapshot = self.compact()
         rates = snapshot.fee_rates
         if rates is None:
-            rates = snapshot.policy_arrays_from(self.channel_policy)[1]
+            rates = snapshot.fee_rates_from(self.channel_policy)
         return snapshot, rates
 
     def reprice(
@@ -535,10 +534,6 @@ class ChannelGraph:
         :meth:`set_channel_policy` or a full snapshot rebuild.
         """
         self._policy_version += 1
-        if snapshot.fee_rates is None:
-            snapshot.install_policies(
-                self.channel_policy, version=self._policy_version
-            )
         snapshot.set_fee_rates(rates, self._policy_version)
         self._stale_records.update(directions)
 
@@ -703,7 +698,7 @@ class ChannelGraph:
 
         Stale records are dropped, not built, and a policy-aware graph
         moves :attr:`policy_version` so the next :meth:`compact`
-        reinstalls its policy arrays from the new records.
+        reinstalls its ``fee_rate`` array from the new records.
         """
         self._stale_records.clear()
         if self._policy_version:

@@ -401,138 +401,6 @@ def yen_k_shortest_paths(
     return [[nodes[j] for j in idx_path] for idx_path in accepted[:k]]
 
 
-# --------------------------------------------------------------- fee-aware
-#
-# The cost-aware variants plan over BOLT #7 policies (base +
-# proportional fee, htlc bounds) installed on a snapshot by
-# ``ChannelGraph.compact()``.  Plain mapping inputs carry no policies,
-# so on them the searches degenerate to fewest-hops at zero fee.
-
-
-def cheapest_path(
-    adjacency: Adjacency,
-    source: NodeId,
-    target: NodeId,
-    amount: float,
-    blocked_nodes: set[NodeId] | None = None,
-) -> tuple[Path, float] | None:
-    """Cheapest feasible path delivering ``amount``, with its send total.
-
-    Returns ``(path, total_sent)`` — ``total_sent - amount`` is the fee
-    the sender pays — or ``None`` when no policy-feasible path exists.
-    Cost ties break by hop count, then lexicographic dense-index path
-    (see :meth:`CompactTopology.cheapest_path_idx`).
-
-    Policies ride on :class:`CompactTopology` (installed by
-    ``ChannelGraph.compact()``), not on adjacency dicts — pass a
-    policy-installed snapshot, or the search degrades to the fee-free
-    metric.
-    """
-    interned = _interned(adjacency, source, target)
-    if interned is None:
-        return None
-    ct, (src, dst) = interned
-    found = ct.cheapest_path_idx(
-        src, dst, amount, blocked=_blocked_bytes(ct, blocked_nodes)
-    )
-    if found is None:
-        return None
-    idx_path, total = found
-    return ct.path_nodes(idx_path), total
-
-
-def yen_cheapest_paths(
-    adjacency: Adjacency,
-    source: NodeId,
-    target: NodeId,
-    amount: float,
-    k: int,
-) -> list[tuple[Path, float]]:
-    """Yen's algorithm on the fee metric: up to ``k`` cheapest paths.
-
-    Returns ``(path, total_sent)`` pairs in non-decreasing send-total
-    order (ties by hop count, then ``repr`` node sequence — the same
-    deterministic order as :func:`yen_k_shortest_paths`).  Spur
-    searches charge the spur node's outgoing edge
-    (``free_source_edge=False``) because a spur node mid-path is an
-    intermediate hop, so each spur is the true cheapest continuation;
-    candidates are then re-priced over the full path, which also
-    enforces prefix feasibility (a prefix whose htlc bounds reject the
-    compounded amount drops the candidate — like classic Yen, the
-    enumeration is exact on the spur metric and filters infeasible
-    composites).
-    """
-    if k <= 0:
-        return []
-    interned = _interned(adjacency, source, target)
-    if interned is None:
-        return []
-    ct, (src, dst) = interned
-    n = ct.num_nodes
-
-    found = ct.cheapest_path_idx(src, dst, amount)
-    if found is None:
-        return []
-    first_idx, first_total = found
-
-    reprs = ct.repr_keys
-    accepted: list[tuple[int, ...]] = [tuple(first_idx)]
-    totals: list[float] = [first_total]
-    pushed: set[tuple[int, ...]] = {accepted[0]}
-    heap: list[
-        tuple[float, int, tuple[str, ...], tuple[int, ...]]
-    ] = []
-
-    while len(accepted) < k:
-        prev_idx = accepted[-1]
-        for i in range(len(prev_idx) - 1):
-            root = prev_idx[: i + 1]
-            removed: set[int] = set()
-            for other_idx in accepted:
-                if len(other_idx) > i + 1 and other_idx[: i + 1] == root:
-                    removed.add(other_idx[i] * n + other_idx[i + 1])
-            blocked = bytearray(n)
-            for node in root[:-1]:
-                blocked[node] = 1
-            spur = ct.cheapest_path_idx(
-                root[i],
-                dst,
-                amount,
-                banned=removed,
-                blocked=blocked,
-                free_source_edge=(i == 0),
-            )
-            if spur is None:
-                continue
-            candidate = root[:-1] + tuple(spur[0])
-            if candidate in pushed:
-                continue
-            total = ct.path_cost_idx(candidate, amount)
-            if total is None:
-                continue
-            pushed.add(candidate)
-            heapq.heappush(
-                heap,
-                (
-                    total,
-                    len(candidate),
-                    tuple(reprs[j] for j in candidate),
-                    candidate,
-                ),
-            )
-        if not heap:
-            break
-        total, _, _, candidate = heapq.heappop(heap)
-        accepted.append(candidate)
-        totals.append(total)
-
-    nodes = ct.nodes
-    return [
-        ([nodes[j] for j in idx_path], total)
-        for idx_path, total in zip(accepted, totals)
-    ]
-
-
 # ------------------------------------------------------------ edge-disjoint
 
 
@@ -548,7 +416,9 @@ def edge_disjoint_shortest_paths(
     This is the path choice of Spider [30]: repeatedly take the current
     shortest path and remove its (directed) edges.  Greedy edge-disjoint
     selection is not guaranteed maximal but matches the behaviour the paper
-    ascribes to Spider, including the Fig 5(b) pathology.
+    ascribes to Spider, including the Fig 5(b) pathology.  With
+    ``source == target`` the one trivial path is the answer, as for
+    :func:`yen_k_shortest_paths`.
     """
     if k <= 0:
         return []
@@ -556,6 +426,10 @@ def edge_disjoint_shortest_paths(
     if interned is None:
         return []
     ct, (src, dst) = interned
+    if src == dst:
+        # The trivial path uses no edge, so removing its edges would
+        # leave it available to every later round.
+        return [[source]]
     base_ok = _slot_ok_from_edge_ok(ct, edge_ok)
     n = ct.num_nodes
     tail = ct.slot_tail

@@ -70,14 +70,6 @@ class MessageCounters:
         self.payment_messages = 0
         self.payment_attempts = 0
 
-    def merged_with(self, other: "MessageCounters") -> "MessageCounters":
-        return MessageCounters(
-            probe_messages=self.probe_messages + other.probe_messages,
-            probe_operations=self.probe_operations + other.probe_operations,
-            payment_messages=self.payment_messages + other.payment_messages,
-            payment_attempts=self.payment_attempts + other.payment_attempts,
-        )
-
 
 @dataclass(frozen=True)
 class ProbeResult:

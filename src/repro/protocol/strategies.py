@@ -216,10 +216,7 @@ class FlashStrategy(TestbedStrategy):
 
     def _run_mouse(self, driver: PaymentDriver, transaction: Transaction) -> bool:
         entry = self.table.lookup(
-            transaction.sender,
-            transaction.receiver,
-            self.topology,
-            now=transaction.time,
+            transaction.sender, transaction.receiver, self.topology
         )
         if not entry.paths:
             return False

@@ -32,7 +32,9 @@ where each channel object carries ``src``/``dst`` plus either
 row by row).  A channel object may also carry ``policy_src`` /
 ``policy_dst`` dicts with any of the :class:`ChannelPolicy` fields
 (``base_fee``, ``fee_rate``, ``cltv_delta``, ``htlc_min``,
-``htlc_max``) for the corresponding direction.
+``htlc_max``) for the corresponding direction.  ``cltv_delta``,
+``htlc_min`` and ``htlc_max`` are parsed, validated and kept on the
+records, but no router or engine enforces them.
 
 Node ids may mix integers and numeric strings across rows (crawls often
 do); digit-only ids are canonicalized to ``int`` so ``7`` and ``"7"``

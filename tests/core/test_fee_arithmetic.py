@@ -1,8 +1,8 @@
 """Seeded property tests for the BOLT #7 fee arithmetic.
 
 :func:`hop_amounts` is the single definition of "what a path costs" —
-the routing kernels, the escrow layer, the fee optimizer, and the
-metrics all reduce to it.  These properties pin its algebra on random
+the escrow layer, the fee optimizer and the metrics all reduce to
+it.  These properties pin its algebra on random
 policy vectors so a refactor of any consumer can lean on the shared
 contract:
 

@@ -43,6 +43,20 @@ class TestBasics:
         assert not search.satisfied
         assert search.paths == []
 
+    @pytest.mark.parametrize("form", ["mapping", "snapshot"])
+    def test_self_payment_finds_nothing_and_probes_nothing(
+        self, line_graph, form
+    ):
+        topology = line_graph.adjacency()
+        if form == "snapshot":
+            topology = line_graph.compact()
+        view = NetworkView(line_graph)
+        search = find_elephant_paths(topology, view, 1, 1, 5.0, 3)
+        assert search.paths == [] and search.flows == []
+        assert search.max_flow == 0.0 and not search.satisfied
+        assert view.counters.probe_messages == 0
+        assert view.counters.probe_operations == 0
+
     def test_validation(self, line_graph):
         view = NetworkView(line_graph)
         with pytest.raises(ValueError):

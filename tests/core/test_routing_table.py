@@ -80,29 +80,6 @@ class TestMaintenance:
         table.refresh(grid_graph.adjacency())
         assert all(path[1] == 3 for path in entry.paths)
 
-    def test_ttl_eviction(self, grid_graph):
-        table = RoutingTable(m=2, entry_ttl=100.0)
-        adjacency = grid_graph.adjacency()
-        table.lookup(0, 8, adjacency, now=0.0)
-        table.lookup(0, 5, adjacency, now=150.0)
-        assert table.evict_stale(now=200.0) == 1
-        assert (0, 8) not in table
-        assert (0, 5) in table
-
-    def test_infinite_ttl_never_evicts(self, grid_graph):
-        table = RoutingTable(m=2)
-        table.lookup(0, 8, grid_graph.adjacency(), now=0.0)
-        assert table.evict_stale(now=1e12) == 0
-
-    def test_max_entries_lru(self, grid_graph):
-        table = RoutingTable(m=1, max_entries=2)
-        adjacency = grid_graph.adjacency()
-        table.lookup(0, 8, adjacency, now=0.0)
-        table.lookup(0, 5, adjacency, now=1.0)
-        table.lookup(0, 7, adjacency, now=2.0)
-        assert len(table) == 2
-        assert (0, 8) not in table
-
 
 class TestStructuralBfsLayer:
     """The per-source BFS tree shared across (src, dst) pairs."""
@@ -161,20 +138,6 @@ class TestStructuralBfsLayer:
         table.lookup(0, 7, updated)
         assert table._source_layers[0].topology is updated
         assert table._source_layers[0].parents[1] == 4
-
-    def test_lru_bound_interplay_with_structural_cache(self, grid_graph):
-        # Entry eviction (max_entries) must not corrupt the shared tree:
-        # a re-looked-up evicted pair recomputes the same paths.
-        table = RoutingTable(m=2, max_entries=2)
-        adjacency = grid_graph.adjacency()
-        original = list(table.lookup(0, 8, adjacency, now=0.0).paths)
-        table.lookup(0, 5, adjacency, now=1.0)
-        table.lookup(0, 7, adjacency, now=2.0)  # evicts (0, 8)
-        assert (0, 8) not in table
-        recomputed = table.lookup(0, 8, adjacency, now=3.0)
-        assert recomputed.paths == original
-        assert recomputed.misses == 1
-        assert len(table) == 2
 
     def test_replacement_consistent_with_seeded_yen(self, grid_graph):
         from repro.network.paths import yen_k_shortest_paths

@@ -12,6 +12,8 @@ import bfs_reference as reference
 import pytest
 
 from repro.network.compact import CompactTopology
+from repro.network.fees import ChannelPolicy
+from repro.network.graph import ChannelGraph
 from repro.network.paths import (
     bfs_distances,
     bfs_shortest_path,
@@ -258,6 +260,72 @@ class TestLargeGraphFastPath:
         assert list(bfs_distances(compact, 17).items()) == list(
             reference.bfs_distances(adjacency, 17).items()
         )
+
+
+class TestFeeRates:
+    """The snapshot's one policy list: ``fee_rate`` per directed slot."""
+
+    @pytest.fixture
+    def priced(self):
+        graph = ChannelGraph()
+        graph.add_channel("a", "b", 10.0, 10.0)
+        graph.add_channel("b", "c", 10.0, 10.0)
+        graph.set_channel_policy("a", "b", ChannelPolicy(fee_rate=0.01))
+        graph.set_channel_policy("b", "a", ChannelPolicy(fee_rate=0.02))
+        graph.set_channel_policy("b", "c", ChannelPolicy(fee_rate=0.03))
+        return graph
+
+    @staticmethod
+    def _rate(snapshot, u, v):
+        slot = snapshot.slot_of(snapshot.index_of(u), snapshot.index_of(v))
+        return snapshot.fee_rates[slot]
+
+    def test_each_direction_reads_its_own_record(self, priced):
+        snapshot = CompactTopology.from_adjacency(priced.adjacency())
+        assert snapshot.fee_rates is None and snapshot.policy_version == 0
+        rates = snapshot.fee_rates_from(priced.channel_policy)
+        assert len(rates) == snapshot.num_slots
+        snapshot.set_fee_rates(rates, 7)
+        assert snapshot.policy_version == 7
+        expected = {
+            ("a", "b"): 0.01,
+            ("b", "a"): 0.02,
+            ("b", "c"): 0.03,
+            ("c", "b"): 0.0,  # no record: the default policy's rate
+        }
+        for (u, v), rate in expected.items():
+            assert self._rate(snapshot, u, v) == rate
+        # The graph's own snapshot carries the same array.
+        assert priced.compact().fee_rates == rates
+
+    def test_opened_slots_take_the_looked_up_rates(self, priced):
+        base = CompactTopology.from_adjacency(priced.adjacency())
+        base.set_fee_rates(base.fee_rates_from(priced.channel_policy), 4)
+        kept = list(base.fee_rates)
+        opened = {("a", "c"): 0.05, ("c", "a"): 0.06}
+        derived = base.apply_delta(
+            [("open", "a", "c")], version=1, rate_of=lambda u, v: opened[u, v]
+        )
+        assert derived.policy_version == 4
+        assert len(derived.fee_rates) == derived.num_slots
+        for (u, v), rate in opened.items():
+            assert self._rate(derived, u, v) == rate
+        assert self._rate(derived, "b", "a") == 0.02
+        # The base snapshot's own slots keep their rates.
+        assert base.fee_rates[: base.num_slots] == kept
+        # Without a lookup an opened slot is free.
+        other = CompactTopology.from_adjacency(priced.adjacency())
+        other.set_fee_rates(other.fee_rates_from(priced.channel_policy), 4)
+        bare = other.apply_delta([("open", "a", "c")], version=1)
+        assert self._rate(bare, "a", "c") == 0.0
+        assert self._rate(bare, "c", "a") == 0.0
+
+    def test_fork_carries_no_rates(self, priced):
+        snapshot = priced.compact()
+        assert snapshot.fee_rates is not None
+        fork = snapshot.fork()
+        assert fork.fee_rates is None and fork.policy_version == 0
+        assert snapshot.fee_rates is not None
 
 
 class TestPerfbenchBackendCalls:

@@ -113,21 +113,21 @@ class TestControllerUpdate:
         graph = _star()
         _price_all(graph, rate=0.01)
         graph.compact()
-        installs = []
-        install = CompactTopology.install_policies
+        rebuilds = []
+        rates_from = CompactTopology.fee_rates_from
 
-        def counting(snapshot, lookup, version):
-            installs.append(version)
-            install(snapshot, lookup, version)
+        def counting(snapshot, lookup):
+            rebuilds.append(snapshot)
+            return rates_from(snapshot, lookup)
 
-        monkeypatch.setattr(CompactTopology, "install_policies", counting)
+        monkeypatch.setattr(CompactTopology, "fee_rates_from", counting)
         controller = FeeMarketController(decay=0.9)
         before = graph.policy_version
         for tick in range(1, 4):
             assert controller.update(graph, 0.0) is True
             assert graph.policy_version == before + tick
             assert graph.compact().policy_version == graph.policy_version
-        assert installs == []
+        assert rebuilds == []
 
     def test_controller_is_stateless_across_graphs(self):
         controller = FeeMarketController(decay=0.5)

@@ -9,11 +9,9 @@ from repro.network.paths import (
     bfs_distances,
     bfs_shortest_path,
     bfs_tree_parents,
-    cheapest_path,
     edge_disjoint_shortest_paths,
     is_simple_path,
     path_edges,
-    yen_cheapest_paths,
     yen_k_shortest_paths,
 )
 from repro.network.view import NetworkView
@@ -236,11 +234,6 @@ SEARCHES = {
         lambda t, s, d: edge_disjoint_shortest_paths(t, s, d, 3),
         [],
     ),
-    "cheapest_path": (lambda t, s, d: cheapest_path(t, s, d, 1.0), None),
-    "yen_cheapest_paths": (
-        lambda t, s, d: yen_cheapest_paths(t, s, d, 1.0, 3),
-        [],
-    ),
     "find_elephant_paths": (
         lambda t, s, d: find_elephant_paths(
             t, NetworkView(ChannelGraph()), s, d, 1.0, 3
@@ -287,12 +280,7 @@ class TestDanglingEndpointContract:
         search, unreachable = SEARCHES[name]
         assert search(DANGLING_ADJ, *_endpoints(role, 3)) == unreachable
 
-    @pytest.mark.parametrize(
-        ("name", "role"),
-        # A known node as both endpoints is a self-payment, which
-        # Algorithm 1 does not plan (it has no hop to probe).
-        [case for case in ENDPOINT_CASES if case.values[1] != "both"],
-    )
+    @pytest.mark.parametrize(("name", "role"), ENDPOINT_CASES)
     def test_snapshot_keys_its_dangling_neighbors(self, name, role):
         search, _ = SEARCHES[name]
         snapshot = CompactTopology.from_adjacency(DANGLING_ADJ)
@@ -316,3 +304,27 @@ class TestDanglingEndpointContract:
 
     def test_bfs_dangling_target(self):
         assert bfs_shortest_path({0: [1]}, 0, 1) is None
+
+
+#: Each pair search's answer when one known node is both endpoints: the
+#: trivial path, except Algorithm 1, which has no hop to probe.
+SELF_PAYMENT = {
+    "bfs_shortest_path": [0],
+    "yen_k_shortest_paths": [[0]],
+    "edge_disjoint_shortest_paths": [[0]],
+    "find_elephant_paths": [],
+}
+
+
+class TestSelfPaymentContract:
+    """A known node as both endpoints gets one answer on both input
+    forms; no search repeats the trivial path, which uses no edge."""
+
+    @pytest.mark.parametrize("form", ["mapping", "snapshot"])
+    @pytest.mark.parametrize("name", sorted(SELF_PAYMENT))
+    def test_known_node_as_both_endpoints(self, form, name):
+        topology = DANGLING_ADJ
+        if form == "snapshot":
+            topology = CompactTopology.from_adjacency(DANGLING_ADJ)
+        search, _ = SEARCHES[name]
+        assert search(topology, 0, 0) == SELF_PAYMENT[name]

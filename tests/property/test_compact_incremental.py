@@ -13,7 +13,10 @@ stdlib :mod:`random` only, so every failure reproduces from its seed.
 
 The same contract holds for sibling copies: every ``ChannelGraph.copy``
 of one unchanged source forks one shared snapshot, and each copy then
-churns (and reprices) on its own without disturbing its siblings.
+churns (and reprices) on its own without disturbing its siblings.  On
+a policy-aware graph the snapshot's ``fee_rate`` array must match the
+rebuild's too, including on slots opened by a delta with records of
+their own.
 
 The second half pins the engine-level guarantee behind the
 ``ChannelGraph.incremental_compact`` flag: full simulations over churn
@@ -63,14 +66,26 @@ def _random_graph(rng: random.Random, n_nodes: int) -> ChannelGraph:
     return build_channel_graph(edges, uniform_sampler(50.0, 150.0), rng)
 
 
-def _random_op(rng: random.Random, graph: ChannelGraph) -> str:
-    """Mutate (or refuse to mutate) the graph with one random event."""
+def _random_op(rng: random.Random, graph: ChannelGraph, record=None) -> str:
+    """Mutate (or refuse to mutate) the graph with one random event.
+
+    ``record(rng)``, when given, draws the policy record each direction
+    of an opened channel carries; otherwise opens carry none.
+    """
+
+    def records() -> dict:
+        if record is None:
+            return {}
+        return {"fee_ab": record(rng), "fee_ba": record(rng)}
+
     choice = rng.random()
     nodes = graph.nodes
     if choice < 0.35:  # open between existing nodes (skip duplicates)
         a, b = rng.sample(nodes, 2)
         if not graph.has_channel(a, b):
-            graph.add_channel(a, b, rng.uniform(10, 50), rng.uniform(10, 50))
+            graph.add_channel(
+                a, b, rng.uniform(10, 50), rng.uniform(10, 50), **records()
+            )
             return "open"
         # Duplicate open refused through the gossip path: must be a no-op.
         version = graph.topology_version
@@ -105,14 +120,14 @@ def _random_op(rng: random.Random, graph: ChannelGraph) -> str:
         return "close-refused"
     if choice < 0.9:  # brand-new node joins with one channel
         new_node = f"n{graph.num_nodes()}-{rng.randrange(1_000_000)}"
-        graph.add_channel(new_node, rng.choice(nodes), 25.0, 25.0)
+        graph.add_channel(new_node, rng.choice(nodes), 25.0, 25.0, **records())
         return "open-new-node"
     # Reopen: close then immediately reopen the same channel (the
     # neighbor moves to the end of both rows, like a dict del + re-add).
     channel = rng.choice(list(graph.channels()))
     a, b = channel.a, channel.b
     graph.remove_channel(a, b)
-    graph.add_channel(a, b, 30.0, 30.0)
+    graph.add_channel(a, b, 30.0, 30.0, **records())
     return "reopen"
 
 
@@ -254,7 +269,7 @@ def _random_policy_update(rng: random.Random, graph: ChannelGraph) -> None:
 def _assert_matches_rebuild(
     snapshot: CompactTopology, graph: ChannelGraph, rng: random.Random
 ) -> None:
-    """Observable identity plus slot space and policy arrays."""
+    """Observable identity plus slot space and the fee-rate array."""
     _assert_observably_identical(snapshot, graph, rng)
     rebuilt = CompactTopology.from_adjacency(
         graph.adjacency(), version=graph.topology_version
@@ -266,22 +281,54 @@ def _assert_matches_rebuild(
     assert len(snapshot.slot_tail) == snapshot.num_slots
     assert len(snapshot.reverse_slot) == snapshot.num_slots
     if not graph.policy_aware:
-        assert snapshot._policy_arrays is None
+        assert snapshot.fee_rates is None
         return
-    rebuilt.install_policies(graph.channel_policy, version=graph.policy_version)
+    reference = rebuilt.fee_rates_from(graph.channel_policy)
     assert snapshot.policy_version == graph.policy_version
-    for array in snapshot._policy_arrays:
-        assert len(array) == snapshot.num_slots  # slot-parallel, unshared
+    rates = snapshot.fee_rates
+    assert len(rates) == snapshot.num_slots  # slot-parallel, unshared
     for node, neighbors in graph.adjacency().items():
         u = snapshot.index_of(node)
         ref_u = rebuilt.index_of(node)
         for neighbor in neighbors:
             slot = snapshot.slot_of(u, snapshot.index_of(neighbor))
             ref = rebuilt.slot_of(ref_u, rebuilt.index_of(neighbor))
-            for mine, theirs in zip(
-                snapshot._policy_arrays, rebuilt._policy_arrays
-            ):
-                assert mine[slot] == theirs[ref]
+            assert rates[slot] == reference[ref]
+
+
+def _random_record(rng: random.Random) -> ChannelPolicy:
+    """A policy record whose drawn rate almost surely no other
+    direction shares."""
+    return ChannelPolicy(
+        base_fee=rng.uniform(0.0, 2.0), fee_rate=rng.uniform(0.001, 0.05)
+    )
+
+
+class TestPolicyAwareChurn:
+    """Delta-opened slots carry their own records' rates.
+
+    Every open here gives each direction a record of its own, so a slot
+    that :meth:`CompactTopology.apply_delta` fills with anything but its
+    record's rate (0.0, the other direction's, a closed channel's)
+    differs from the rebuild.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_nodes", GRAPH_SIZES)
+    def test_opened_slots_take_their_records_rates(self, seed, n_nodes):
+        rng = random.Random(3_000 * n_nodes + seed)
+        graph = _random_graph(rng, n_nodes)
+        for _ in range(5):
+            _random_policy_update(rng, graph)
+        graph.compact()  # rates installed; deltas are logged from here
+        derived = 0
+        for _batch in range(8):
+            for _ in range(rng.randrange(1, 6)):
+                _random_op(rng, graph, record=_random_record)
+            snapshot = graph.compact()
+            derived += snapshot._arena_count > 0
+            _assert_matches_rebuild(snapshot, graph, rng)
+        assert derived, "no batch took the delta path"
 
 
 @pytest.fixture

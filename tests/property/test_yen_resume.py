@@ -237,20 +237,16 @@ class FromScratchTable(RoutingTable):
     a replacement with ``k = yen_cursor + 1``.
     """
 
-    def lookup(self, sender, receiver, topology, now=0.0):
+    def lookup(self, sender, receiver, topology):
         pair = (sender, receiver)
         entry = self._entries.get(pair)
         if entry is None:
             paths = self._ranked_paths(sender, receiver, topology, self.m)
-            entry = TableEntry(
-                paths=paths, last_used=now, yen_cursor=len(paths)
-            )
+            entry = TableEntry(paths=paths, yen_cursor=len(paths))
             entry.misses += 1
             self._entries[pair] = entry
-            self._enforce_capacity()
         else:
             entry.hits += 1
-            entry.last_used = now
         return entry
 
     def replace_path(self, sender, receiver, dead_path, topology):
@@ -341,8 +337,8 @@ def test_table_matches_from_scratch_replacement(seed, form):
         roll = rng.random()
         if roll < 0.3 or not table._entries:
             sender, receiver = rng.choice(pairs)
-            got = table.lookup(sender, receiver, topology, now=step)
-            want = reference.lookup(sender, receiver, topology, now=step)
+            got = table.lookup(sender, receiver, topology)
+            want = reference.lookup(sender, receiver, topology)
             assert got.paths == want.paths, step
             kinds.add("lookup")
         elif roll < 0.85:
