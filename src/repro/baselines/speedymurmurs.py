@@ -11,6 +11,19 @@ The payment is split evenly into one share per tree; each share walks its
 own greedy path.  Like all static schemes it never probes — a share simply
 fails when a hop lacks balance, and the payment fails (atomically) when
 any share fails.
+
+A walk's step depends only on the tree, the target and the node it stands
+on: the node's strictly closer neighbors at the least tree distance, in
+neighbor order, from which ``rng`` draws on a tie.  No visited set is
+needed, because the distance strictly decreases along a walk, so a node
+already walked is never closer than the current one.  The router
+therefore memoizes each node's candidate tuple per (tree, target), and a
+recurring receiver's walk costs one dict read per hop with the same
+draws.  The memo depends on the snapshot the trees were built on: it is
+dropped with the embeddings when a gossip tick brings a new snapshot,
+and kept, with them, across a tick that changed no structure (a fee-only
+repricing).  It is also dropped before a payment once it holds
+``_NEXT_HOP_LIMIT`` entries over all trees.
 """
 
 from __future__ import annotations
@@ -28,6 +41,10 @@ _EPS = 1e-9
 
 #: Number of landmarks/trees ([29] via §4.1).
 SPEEDYMURMURS_LANDMARKS = 3
+
+#: Memoized next-hop entries, over every tree and target, at which a
+#: router drops its memo (checked before each payment).
+_NEXT_HOP_LIMIT = 1 << 16
 
 Coordinate = tuple[NodeId, ...]
 
@@ -100,6 +117,9 @@ class SpeedyMurmursRouter(Router):
         self.rng = rng if rng is not None else random.Random(0)
         self._topology = view.compact_topology()
         self._embeddings: list[_TreeCoordinates] = []
+        #: Per tree: target -> node -> the node's next-hop candidates.
+        self._next_hops: list[dict[NodeId, dict[NodeId, tuple[NodeId, ...]]]] = []
+        self._next_hop_entries = 0
         self._build_embeddings()
 
     def _build_embeddings(self) -> None:
@@ -107,7 +127,7 @@ class SpeedyMurmursRouter(Router):
 
         Landmarks rank by degree, then ``repr``, exactly as sorting every
         node would; each tree's coordinates are computed as routing
-        reads them.
+        reads them.  The next-hop memo starts empty.
         """
         topology = self._topology
         degree = topology.degree_idx
@@ -122,53 +142,89 @@ class SpeedyMurmursRouter(Router):
             _TreeCoordinates(bfs_tree_parents(topology, nodes[i]), nodes[i])
             for i in landmarks
         ]
+        self._drop_next_hops()
+
+    def _drop_next_hops(self) -> None:
+        self._next_hops = [{} for _ in self._embeddings]
+        self._next_hop_entries = 0
 
     def on_topology_update(self, events=None) -> None:
-        """Re-embed all spanning trees on the gossiped topology.
+        """Re-embed all spanning trees if the gossiped snapshot is new.
 
         Tree embeddings are global (any structural change can move
-        coordinates), so this router keeps the wholesale rebuild; the
-        ``events`` batch is accepted for hook uniformity.
+        coordinates), so a new snapshot gets the wholesale rebuild; the
+        ``events`` batch is accepted for hook uniformity.  A tick that
+        changed no structure (a fee-only repricing) hands back the
+        snapshot already embedded, and the trees and the next-hop memo,
+        which depend only on it, stay.
         """
-        self._topology = self.view.compact_topology()
+        topology = self.view.compact_topology()
+        if topology is self._topology:
+            return
+        self._topology = topology
         self._build_embeddings()
 
+    def _closer_neighbors(
+        self, embedding: _TreeCoordinates, node: NodeId, target: NodeId
+    ) -> tuple[NodeId, ...]:
+        """``node``'s strictly closer neighbors at the least tree distance.
+
+        In neighbor order; every neighbor is in the tree, which spans its
+        component of the same snapshot.
+        """
+        target_coord = embedding[target]
+        node_distance = tree_distance(embedding[node], target_coord)
+        best = node_distance
+        closest: list[NodeId] = []
+        for neighbor in self._topology[node]:
+            distance = tree_distance(embedding[neighbor], target_coord)
+            if distance < best:
+                best = distance
+                closest = [neighbor]
+            elif distance == best and distance < node_distance:
+                closest.append(neighbor)
+        return tuple(closest)
+
     def _greedy_path(
-        self, embedding: _TreeCoordinates, source: NodeId, target: NodeId
+        self,
+        embedding: _TreeCoordinates,
+        next_hops: dict[NodeId, dict[NodeId, tuple[NodeId, ...]]],
+        source: NodeId,
+        target: NodeId,
     ) -> list[NodeId] | None:
-        """Greedy strictly-decreasing-distance walk; None if stuck."""
+        """Greedy strictly-decreasing-distance walk; None if stuck.
+
+        ``next_hops`` is the tree's memo; each step reads (or fills) the
+        current node's candidates toward ``target``.
+        """
         in_tree = embedding.parents
         if target not in in_tree or source not in in_tree:
             return None
-        target_coord = embedding[target]
+        hops = next_hops.get(target)
+        if hops is None:
+            hops = next_hops[target] = {}
         path = [source]
         current = source
-        visited = {source}
         while current != target:
-            current_distance = tree_distance(embedding[current], target_coord)
-            candidates = []
-            for neighbor in self._topology[current]:
-                if neighbor in visited or neighbor not in in_tree:
-                    continue
-                distance = tree_distance(embedding[neighbor], target_coord)
-                if distance < current_distance:
-                    candidates.append((distance, neighbor))
-            if not candidates:
+            choices = hops.get(current)
+            if choices is None:
+                choices = self._closer_neighbors(embedding, current, target)
+                hops[current] = choices
+                self._next_hop_entries += 1
+            if not choices:
                 return None
-            best = min(distance for distance, _ in candidates)
-            choices = [n for distance, n in candidates if distance == best]
-            nxt = choices[0] if len(choices) == 1 else self.rng.choice(choices)
-            path.append(nxt)
-            visited.add(nxt)
-            current = nxt
+            current = choices[0] if len(choices) == 1 else self.rng.choice(choices)
+            path.append(current)
         return path
 
     def _route(self, transaction: Transaction) -> RoutingOutcome:
+        if self._next_hop_entries >= _NEXT_HOP_LIMIT:
+            self._drop_next_hops()
         share = transaction.amount / len(self._embeddings)
         shares: list[tuple[list[NodeId], float]] = []
-        for embedding in self._embeddings:
+        for embedding, next_hops in zip(self._embeddings, self._next_hops):
             path = self._greedy_path(
-                embedding, transaction.sender, transaction.receiver
+                embedding, next_hops, transaction.sender, transaction.receiver
             )
             if path is None:
                 return RoutingOutcome.failure()

@@ -156,6 +156,24 @@ class Channel:
             return self.balance_ab - self._held_ab
         return self.balance_ba - self._held_ba
 
+    def readings(self, src: NodeId) -> tuple[float, float, FeePolicy]:
+        """What a probe leaving endpoint ``src`` reads off the channel.
+
+        The balance out of ``src``, the balance back into it (both net of
+        holds) and the fee policy out of it; ``src`` must be an endpoint.
+        """
+        if src == self.a:
+            return (
+                self.balance_ab - self._held_ab,
+                self.balance_ba - self._held_ba,
+                self.fee_ab,
+            )
+        return (
+            self.balance_ba - self._held_ba,
+            self.balance_ab - self._held_ab,
+            self.fee_ba,
+        )
+
     def total_capacity(self) -> float:
         """Total funds locked in the channel (directional sum, holds included)."""
         return self.balance_ab + self.balance_ba

@@ -43,6 +43,9 @@ _EPS = 1e-9
 
 Path = list[NodeId]
 
+#: What a probe reads at a closed hop: no capacity either way, no fee.
+_CLOSED_HOP = (0.0, 0.0, ZeroFee())
+
 
 def _canonical_direction(
     u: NodeId, v: NodeId
@@ -453,6 +456,39 @@ class ChannelGraph:
             if slot is not None:
                 channel = self._build_record(channel, src, dst, slot)
         return channel.fee_policy(src, dst)
+
+    def probe_readings(
+        self, path: Path
+    ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[FeePolicy, ...]]:
+        """Per-hop forward balances, reverse balances and forward fees.
+
+        What a probe walking ``path`` observes: each hop's channel is
+        looked up once, both balances are net of holds, and a forward
+        record a :meth:`reprice` left stale is rebuilt first, exactly as
+        :meth:`fee_policy` rebuilds it.  A closed hop reads 0.0 both ways
+        and :class:`ZeroFee` rather than erroring: the paper treats "no
+        connectivity" as zero effective capacity (§3.3), which triggers
+        path replacement.  A path of fewer than two nodes raises
+        :class:`NoChannelError`.
+        """
+        if len(path) < 2:
+            raise NoChannelError(path[0] if path else None, None)
+        adjacency = self._adj
+        stale = self._stale_records
+        readings = []
+        for u, v in zip(path, path[1:]):
+            try:
+                channel = adjacency[u][v]
+            except KeyError:
+                readings.append(_CLOSED_HOP)
+                continue
+            if stale:
+                slot = stale.pop((u, v), None)
+                if slot is not None:
+                    channel = self._build_record(channel, u, v, slot)
+            readings.append(channel.readings(u))
+        balances, reverse_balances, fees = zip(*readings)
+        return balances, reverse_balances, fees
 
     # ------------------------------------------------------- BOLT policies
 

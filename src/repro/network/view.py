@@ -14,45 +14,22 @@ through a :class:`NetworkView`, which
 * issues :class:`PaymentSession` objects that stage partial payments with
   channel *holds* and commit or abort them atomically (the AMP assumption).
 
-Because probes read :meth:`Channel.balance`, which is net of holds,
-routers automatically plan against ``available = balance - in_flight``
-whichever engine drives them.  The concurrent engine
-(:mod:`repro.sim.concurrent`) subclasses this view to *defer*
-settlement: its sessions place the same holds but hand them to the
-event loop on commit instead of settling instantly.
+Because probes read balances net of holds, routers automatically plan
+against ``available = balance - in_flight`` whichever engine drives
+them.  The concurrent engine (:mod:`repro.sim.concurrent`) subclasses
+this view to *defer* settlement: its sessions place the same holds but
+hand them to the event loop on commit instead of settling instantly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import InsufficientBalanceError, NoChannelError, ProtocolError
 from repro.network.channel import NodeId
 from repro.network.compact import CompactTopology
-from repro.network.fees import FeePolicy, ZeroFee
+from repro.network.fees import FeePolicy
 from repro.network.graph import ChannelGraph, Path
-
-
-def _observe_hops(graph: ChannelGraph, hops):
-    """Per-hop (forward, reverse, fee) readings — closed channels are dead.
-
-    A probe that reaches a closed channel observes zero capacity rather
-    than erroring: the paper treats "no connectivity" the same as zero
-    effective capacity (§3.3), which triggers path replacement.
-    """
-    balances = []
-    reverse_balances = []
-    fees = []
-    for u, v in hops:
-        if graph.has_channel(u, v):
-            balances.append(graph.balance(u, v))
-            reverse_balances.append(graph.balance(v, u))
-            fees.append(graph.fee_policy(u, v))
-        else:
-            balances.append(0.0)
-            reverse_balances.append(0.0)
-            fees.append(ZeroFee())
-    return balances, reverse_balances, fees
 
 
 @dataclass
@@ -91,6 +68,20 @@ class ProbeResult:
         return min(self.balances)
 
 
+def _probe(
+    graph: ChannelGraph, counters: MessageCounters, path: Path
+) -> ProbeResult:
+    """Read ``path`` off ``graph`` and count one message per hop.
+
+    A path without a hop raises :class:`NoChannelError` and counts
+    nothing.
+    """
+    balances, reverse_balances, fees = graph.probe_readings(path)
+    counters.probe_operations += 1
+    counters.probe_messages += len(balances)
+    return ProbeResult(tuple(path), balances, reverse_balances, fees)
+
+
 class NetworkView:
     """A node's interface to the offchain network."""
 
@@ -115,28 +106,16 @@ class NetworkView:
         """
         return self._graph.compact()
 
-    def has_channel(self, a: NodeId, b: NodeId) -> bool:
-        return self._graph.has_channel(a, b)
-
-    def num_nodes(self) -> int:
-        return self._graph.num_nodes()
-
     # ------------------------------------------------------------- probing
 
     def probe_path(self, path: Path) -> ProbeResult:
         """Probe every channel on ``path`` for live balance and fees.
 
-        Costs ``len(path) - 1`` probe messages (one per hop).
+        Costs ``len(path) - 1`` probe messages (one per hop).  A closed
+        hop reads zero capacity both ways; a path without a hop raises
+        :class:`NoChannelError`.
         """
-        hops = list(zip(path, path[1:]))
-        if not hops:
-            raise NoChannelError(path[0] if path else None, None)
-        balances, reverse_balances, fees = _observe_hops(self._graph, hops)
-        self.counters.probe_operations += 1
-        self.counters.probe_messages += len(hops)
-        return ProbeResult(
-            tuple(path), tuple(balances), tuple(reverse_balances), tuple(fees)
-        )
+        return _probe(self._graph, self.counters, path)
 
     def path_fee(self, path: Path, amount: float) -> float:
         """Fee of routing ``amount`` over ``path``.
@@ -260,13 +239,7 @@ class PaymentSession:
     def probe(self, path: Path) -> ProbeResult:
         """Probe within the session (sees balances net of our own holds)."""
         self._check_open()
-        hops = list(zip(path, path[1:]))
-        balances, reverse_balances, fees = _observe_hops(self._graph, hops)
-        self._counters.probe_operations += 1
-        self._counters.probe_messages += len(hops)
-        return ProbeResult(
-            tuple(path), tuple(balances), tuple(reverse_balances), tuple(fees)
-        )
+        return _probe(self._graph, self._counters, path)
 
     @property
     def reserved_total(self) -> float:

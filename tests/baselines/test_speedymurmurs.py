@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from repro.baselines import speedymurmurs
 from repro.baselines.speedymurmurs import (
     SpeedyMurmursRouter,
     tree_coordinates,
     tree_distance,
 )
+from repro.network.dynamics import ChannelEvent, ChannelEventType, GossipSchedule
+from repro.network.feemarket import FeeMarketController, assign_market_policies
 from repro.network.graph import ChannelGraph
 from repro.network.topology import (
     barabasi_albert_edges,
@@ -185,3 +188,72 @@ class TestLazyEmbedding:
         assert [_root(e) for e in router._embeddings] == (
             self._expected_landmarks(graph, count)
         )
+
+
+class TestNextHopMemo:
+    """The memo lives as long as the snapshot the trees were built on."""
+
+    PAIRS = [(0, 8), (2, 6), (6, 8), (0, 8), (1, 7)]
+
+    def _routed(self, graph):
+        router = SpeedyMurmursRouter(NetworkView(graph), rng=random.Random(0))
+        for txid, (sender, receiver) in enumerate(self.PAIRS):
+            router.route(txn(5.0, sender, receiver, txid))
+        return router
+
+    @staticmethod
+    def _memo(router):
+        return [
+            {target: dict(hops) for target, hops in tree.items()}
+            for tree in router._next_hops
+        ]
+
+    def test_fee_only_tick_keeps_embeddings_and_memo(self, grid_graph):
+        assign_market_policies(grid_graph, random.Random(0), initial_rate=0.01)
+        grid_graph.fee_controller = FeeMarketController(decay=0.5)
+        router = self._routed(grid_graph)
+        embeddings, memo = router._embeddings, self._memo(router)
+        entries = router._next_hop_entries
+        assert entries > 0
+        schedule = GossipSchedule(grid_graph, events=[], gossip_period=100.0)
+        schedule.register(router)
+        before = grid_graph.policy_version
+        schedule.advance_to(100.0)
+        assert grid_graph.policy_version > before  # the tick repriced
+        assert router._embeddings is embeddings
+        assert self._memo(router) == memo
+        assert router._next_hop_entries == entries
+
+    def test_structural_tick_rebuilds_embeddings_and_memo(self, grid_graph):
+        router = self._routed(grid_graph)
+        embeddings = router._embeddings
+        assert router._next_hop_entries > 0
+        schedule = GossipSchedule(
+            grid_graph,
+            events=[
+                ChannelEvent(10.0, ChannelEventType.CLOSE, 0, 1),
+                ChannelEvent(10.0, ChannelEventType.OPEN, 0, 4, 100.0, 100.0),
+            ],
+            gossip_period=100.0,
+        )
+        schedule.register(router)
+        schedule.advance_to(100.0)
+        assert router._topology is grid_graph.compact()
+        assert len(router._embeddings) == len(embeddings)
+        assert all(
+            new is not old for new, old in zip(router._embeddings, embeddings)
+        )
+        assert self._memo(router) == [{}, {}, {}]
+        assert router._next_hop_entries == 0
+
+    def test_memo_is_dropped_at_its_limit(self, grid_graph, monkeypatch):
+        monkeypatch.setattr(speedymurmurs, "_NEXT_HOP_LIMIT", 1)
+        router = SpeedyMurmursRouter(NetworkView(grid_graph), rng=random.Random(0))
+        for txid, (sender, receiver) in enumerate(self.PAIRS * 3):
+            router.route(txn(1.0, sender, receiver, txid))
+            held = sum(
+                len(hops) for tree in router._next_hops for hops in tree.values()
+            )
+            assert held == router._next_hop_entries
+            # Only this payment's entries: three walks of at most 4 steps.
+            assert 0 < held <= 3 * 4

@@ -1,10 +1,15 @@
 """Unit tests for the probing view and payment sessions."""
 
+import random
+
 import pytest
 
-from repro.errors import ProtocolError
-from repro.network.fees import ChannelPolicy
-from repro.network.view import NetworkView
+from repro.errors import NoChannelError, ProtocolError
+from repro.network.channel import Channel
+from repro.network.feemarket import FeeMarketController, assign_market_policies
+from repro.network.fees import ChannelPolicy, LinearFee, ZeroFee
+from repro.network.graph import ChannelGraph
+from repro.network.view import MessageCounters, NetworkView
 
 
 class TestProbing:
@@ -31,6 +36,124 @@ class TestProbing:
         view = NetworkView(line_graph)
         assert view.path_fee([0, 1, 2], 10.0) == 0.0
         assert view.counters.probe_messages == 0
+
+
+def _crossed_graph() -> ChannelGraph:
+    """0 - 1 - 2 - 3 with the middle channel stored as 2 -> 1.
+
+    Every direction has its own balance and fee, so a reading taken from
+    the wrong side of a channel shows.
+    """
+    graph = ChannelGraph()
+    graph.add_channel(0, 1, 10.0, 20.0, LinearFee(1.0, 0.0), LinearFee(2.0, 0.0))
+    graph.add_channel(2, 1, 30.0, 40.0, LinearFee(3.0, 0.0), LinearFee(4.0, 0.0))
+    graph.add_channel(2, 3, 50.0, 60.0, LinearFee(5.0, 0.0), LinearFee(6.0, 0.0))
+    return graph
+
+
+def _per_hop(graph: ChannelGraph, path):
+    """The readings, one graph read per hop direction."""
+    hops = list(zip(path, path[1:]))
+    return (
+        tuple(graph.balance(u, v) for u, v in hops),
+        tuple(graph.balance(v, u) for u, v in hops),
+        tuple(graph.fee_policy(u, v) for u, v in hops),
+    )
+
+
+def _readings(probe):
+    return probe.balances, probe.reverse_balances, probe.fees
+
+
+class TestProbeRead:
+    """A probe reads each hop's channel once, as per-hop reads would."""
+
+    @pytest.mark.parametrize("path", [[0, 1, 2, 3], [3, 2, 1, 0], [1, 2]])
+    def test_channels_in_both_stored_orientations(self, path):
+        probe = NetworkView(_crossed_graph()).probe_path(path)
+        assert _readings(probe) == _per_hop(_crossed_graph(), path)
+        if path == [0, 1, 2, 3]:
+            assert probe.balances == (10.0, 40.0, 50.0)
+            assert probe.reverse_balances == (20.0, 30.0, 60.0)
+            assert probe.fees == (
+                LinearFee(1.0, 0.0), LinearFee(4.0, 0.0), LinearFee(5.0, 0.0)
+            )
+
+    def test_hold_outstanding(self):
+        graph = _crossed_graph()
+        graph.hold(1, 2, 15.0)
+        view = NetworkView(graph)
+        assert view.probe_path([0, 1, 2, 3]).balances == (10.0, 25.0, 50.0)
+        back = view.probe_path([3, 2, 1, 0])
+        assert back.reverse_balances == (50.0, 25.0, 10.0)
+        assert _readings(back) == _per_hop(graph, [3, 2, 1, 0])
+
+    def test_closed_hop_reads_dead(self):
+        graph = _crossed_graph()
+        graph.remove_channel(1, 2)
+        view = NetworkView(graph)
+        probe = view.probe_path([0, 1, 2, 3])
+        assert probe.balances == (10.0, 0.0, 50.0)
+        assert probe.reverse_balances == (20.0, 0.0, 60.0)
+        assert probe.fees[1] == ZeroFee()
+        assert probe.bottleneck == 0.0
+        # The probe still walks, and pays for, every hop.
+        assert view.counters.probe_messages == 3
+        assert view.counters.probe_operations == 1
+
+    def test_shared_copy_makes_no_twin(self, grid_graph, monkeypatch):
+        twinned = []
+        twin = Channel._twin
+
+        def counting_twin(channel, *args, **kwargs):
+            twinned.append(channel)
+            return twin(channel, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "_twin", counting_twin)
+        grid_graph.hold(1, 2, 5.0)
+        clone = grid_graph.copy()
+        twinned.clear()  # the held channel's zero-hold twin in the clone
+        path = [0, 1, 2, 5, 8]
+        for graph in (grid_graph, clone):
+            probe = NetworkView(graph).probe_path(path)
+            assert _readings(probe) == _per_hop(graph, path)
+        assert twinned == []
+        assert clone._adj[0][1] is grid_graph._adj[0][1]
+        assert not clone._adj[0][1]._owner.live
+
+    def test_stale_records_read_like_per_hop_reads(self):
+        graphs = []
+        for _ in range(2):
+            graph = _crossed_graph()
+            graph.add_channel(3, 4, 70.0, 80.0)
+            assign_market_policies(graph, random.Random(0), initial_rate=0.02)
+            assert FeeMarketController(decay=0.5).update(graph, 0.0)
+            graphs.append(graph)
+        probed, reference = graphs
+        stale = dict(probed._stale_records)
+        path = [0, 1, 2, 3]
+        hops = list(zip(path, path[1:]))
+        assert all(hop in stale for hop in hops)
+        probe = NetworkView(probed).probe_path(path)
+        assert _readings(probe) == _per_hop(reference, path)
+        assert [policy.fee_rate for policy in probe.fees] == [0.01] * 3
+        # The probed directions' records were rebuilt; every other
+        # direction, the reverse ones included, is still pending.
+        assert probed._stale_records == {
+            hop: slot for hop, slot in stale.items() if hop not in hops
+        }
+        assert probed._stale_records == reference._stale_records
+        assert all((v, u) in probed._stale_records for u, v in hops)
+
+    @pytest.mark.parametrize("path", [[], [0]])
+    def test_hopless_probe_raises_and_counts_nothing(self, line_graph, path):
+        view = NetworkView(line_graph)
+        with pytest.raises(NoChannelError):
+            view.probe_path(path)
+        with view.open_session() as session:
+            with pytest.raises(NoChannelError):
+                session.probe(path)
+        assert view.counters == MessageCounters()
 
 
 class TestSession:
