@@ -34,7 +34,7 @@ from _common import save_result, save_timed_snapshot
 
 import repro.scenarios as scenarios
 from repro.sim.factories import paper_benchmark_factories
-from repro.sim.metrics import FEE_METRIC_FIELDS
+from repro.sim.metrics import FEE_FAMILY
 from repro.sim.runner import run_comparison
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
@@ -91,7 +91,7 @@ def _run_market(name: str, dynamics_overrides=None):
             "success_volume": metrics.success_volume,
             **{
                 field: getattr(metrics, field)
-                for field in FEE_METRIC_FIELDS
+                for field in FEE_FAMILY.fields
             },
         }
         for scheme, metrics in comparison.metrics.items()

@@ -37,7 +37,7 @@ from _common import save_result, save_timed_snapshot
 
 import repro.scenarios as scenarios
 from repro.sim.factories import paper_benchmark_factories
-from repro.sim.metrics import MPP_METRIC_FIELDS
+from repro.sim.metrics import MPP_FAMILY
 from repro.sim.runner import run_comparison
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
@@ -89,7 +89,7 @@ def _run_arm(scenario, mpp_params):
             "latency_p95": metrics.latency_p95,
             **{
                 field: getattr(metrics, field)
-                for field in MPP_METRIC_FIELDS
+                for field in MPP_FAMILY.fields
             },
         }
         for scheme, metrics in comparison.metrics.items()
@@ -109,7 +109,7 @@ def test_bench_mpp():
     # Control arm: disabling MPP leaves no trace — every MPP metric
     # is exactly zero for every scheme.
     for scheme, metrics in results["single-path"].items():
-        for field in MPP_METRIC_FIELDS:
+        for field in MPP_FAMILY.fields:
             assert metrics[field] == 0.0, (scheme, field, metrics[field])
 
     # MPP arm: live and internally consistent on every scheme.

@@ -14,6 +14,7 @@ from _common import once, save_result
 
 from repro.eval.report import TABLES, generate_report, report_factories
 from repro.eval.store import ExperimentStore
+from repro.sim.metrics import BASE_FAMILY, CONCURRENCY_FAMILY
 
 
 def test_report_generation(benchmark):
@@ -33,9 +34,7 @@ def test_report_generation(benchmark):
     # tables) but no fault scenario (no resilience tables).
     assert set(artifacts.tables) == {
         table.slug
-        for table in TABLES
-        if not table.optional_metric
-        or table.slug in ("latency_p95", "timeout_failures")
+        for table in BASE_FAMILY.tables + CONCURRENCY_FAMILY.tables
     }
     # Figures for the headline metrics (PNG with matplotlib, else SVG).
     assert {slug for slug in artifacts.figures} == {

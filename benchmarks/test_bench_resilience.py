@@ -30,7 +30,7 @@ from _common import save_result, save_timed_snapshot
 
 import repro.scenarios as scenarios
 from repro.sim.factories import paper_benchmark_factories
-from repro.sim.metrics import RESILIENCE_METRIC_FIELDS
+from repro.sim.metrics import RESILIENCE_FAMILY
 from repro.sim.runner import run_comparison
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
@@ -83,7 +83,7 @@ def _run_attacks() -> dict[str, dict[str, dict[str, float]]]:
                 "success_ratio": metrics.success_ratio,
                 **{
                     field: getattr(metrics, field)
-                    for field in RESILIENCE_METRIC_FIELDS
+                    for field in RESILIENCE_FAMILY.fields
                 },
             }
             for scheme, metrics in comparison.metrics.items()

@@ -91,9 +91,9 @@ from repro.eval.scenarios import ScenarioConfig, build_scenario
 from repro.sim import (
     format_table,
     paper_benchmark_factories,
-    run_comparison,
     run_simulation,
 )
+from repro.sim.metrics import BASE_FAMILY, RUN_ORDER, SWEEP_ORDER
 
 
 def _config(args) -> ScenarioConfig:
@@ -267,24 +267,38 @@ def _cmd_list_scenarios(args) -> int:
     return 0
 
 
-#: CLI flag -> ConcurrencyConfig knob for the concurrent engine.
+#: ConcurrencyConfig knob -> (type, help) of its same-named CLI flag.
 _ENGINE_FLAGS = {
-    "load": "load",
-    "timeout": "timeout",
-    "hop_latency": "hop_latency",
-    "max_retries": "max_retries",
-    "retry_delay": "retry_delay",
-    "retry_backoff": "retry_backoff",
-    "retry_jitter": "retry_jitter",
+    "load": (
+        float,
+        "offered-load multiplier: compress all arrival times N-fold",
+    ),
+    "timeout": (
+        float,
+        "seconds an in-flight hold may live before it is released",
+    ),
+    "hop_latency": (float, "per-hop message latency in seconds"),
+    "max_retries": (int, "engine-level re-attempts for failed reservations"),
+    "retry_delay": (float, "seconds between engine-level retries"),
+    "retry_backoff": (
+        float,
+        "exponential multiplier on successive retry waits; 1.0 keeps "
+        "every wait at --retry-delay",
+    ),
+    "retry_jitter": (
+        float,
+        "stretch each retry wait by a seeded uniform factor in "
+        "[1, 1+J], de-synchronizing retry storms",
+    ),
 }
 
 
 def _engine_overrides(args) -> dict[str, object]:
     """Concurrent-engine knobs the user actually passed on the CLI."""
     return {
-        knob: getattr(args, flag)
-        for flag, knob in _ENGINE_FLAGS.items()
-        if getattr(args, flag, None) is not None
+        knob: getattr(args, knob)
+        for knob in _ENGINE_FLAGS
+        if getattr(args, knob, None) is not None
     }
 
 
@@ -296,53 +310,13 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help="simulation engine (default: the scenario's registered engine)",
     )
-    subparser.add_argument(
-        "--load",
-        type=float,
-        default=None,
-        help="offered-load multiplier: compress all arrival times N-fold "
-        "(concurrent engine)",
-    )
-    subparser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="seconds an in-flight hold may live before it is released "
-        "(concurrent engine)",
-    )
-    subparser.add_argument(
-        "--hop-latency",
-        type=float,
-        default=None,
-        help="per-hop message latency in seconds (concurrent engine)",
-    )
-    subparser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="engine-level re-attempts for failed reservations "
-        "(concurrent engine)",
-    )
-    subparser.add_argument(
-        "--retry-delay",
-        type=float,
-        default=None,
-        help="seconds between engine-level retries (concurrent engine)",
-    )
-    subparser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=None,
-        help="exponential multiplier on successive retry waits; 1.0 keeps "
-        "every wait at --retry-delay (concurrent engine)",
-    )
-    subparser.add_argument(
-        "--retry-jitter",
-        type=float,
-        default=None,
-        help="stretch each retry wait by a seeded uniform factor in "
-        "[1, 1+J], de-synchronizing retry storms (concurrent engine)",
-    )
+    for knob, (kind, text) in _ENGINE_FLAGS.items():
+        subparser.add_argument(
+            "--" + knob.replace("_", "-"),
+            type=kind,
+            default=None,
+            help=f"{text} (concurrent engine)",
+        )
 
 
 def _add_mpp_flags(subparser: argparse.ArgumentParser) -> None:
@@ -368,9 +342,9 @@ def _mpp_overrides(args) -> dict[str, str] | None:
     """The CLI's MPP knob mapping, or ``None`` when MPP flags are absent.
 
     ``None`` defers to the scenario's registered ``mpp_params`` (via
-    :func:`repro.sim.runner.resolve_mpp`); a mapping — even an empty one
-    from a bare ``--mpp`` — enables MPP with these knobs layered over
-    the scenario's.
+    :func:`repro.sim.runner.resolve_run_config`); a mapping — even an
+    empty one from a bare ``--mpp`` — enables MPP with these knobs
+    layered over the scenario's.
     """
     params = _parse_param_overrides(getattr(args, "mpp_param", None))
     if params or getattr(args, "mpp", False):
@@ -413,9 +387,16 @@ def _apply_fault_flag(scenario, fault_name: str | None):
     return dataclasses.replace(scenario, faults=fault_name, fault_params={})
 
 
+def _knob_note(label: str, knobs: dict) -> str:
+    """The run header's ``label (k=v, ...)`` note, or the bare label."""
+    if not knobs:
+        return label
+    return f"{label} ({', '.join(f'{k}={v}' for k, v in sorted(knobs.items()))})"
+
+
 def _cmd_run(args) -> int:
     import repro.scenarios as scenarios
-    from repro.sim.runner import resolve_engine, resolve_mpp
+    from repro.sim.runner import compare_schemes, resolve_run_config
 
     try:
         scenario = _apply_fault_flag(
@@ -433,15 +414,11 @@ def _cmd_run(args) -> int:
             dynamics_overrides=dynamics_overrides,
             fault_overrides=fault_overrides,
         )
-        engine, engine_params = resolve_engine(
-            args.name, args.engine, _engine_overrides(args)
+        engine_overrides = _engine_overrides(args)
+        mpp_overrides = _mpp_overrides(args)
+        config = resolve_run_config(
+            args.name, args.engine, engine_overrides, mpp_overrides
         )
-        mpp_params = resolve_mpp(args.name, _mpp_overrides(args))
-        if mpp_params is not None:
-            from repro.sim.mpp import MppConfig
-
-            # Validate knob names/values eagerly, before any run starts.
-            MppConfig.from_params(mpp_params)
     except (scenarios.ScenarioError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -455,21 +432,20 @@ def _cmd_run(args) -> int:
         # snapshotting, so recovered cells count as resumed, not new.
         store.merge_shards()
         cells_before = len(store)
-    engine_note = ""
-    if engine == "concurrent":
-        knobs = ", ".join(
-            f"{key}={value}" for key, value in sorted(engine_params.items())
+    # The header names the knobs as layered: the CLI's over the
+    # scenario's registered ones.
+    notes = ""
+    if config.concurrency is not None:
+        notes += _knob_note(
+            " engine=concurrent", {**scenario.engine_params, **engine_overrides}
         )
-        engine_note = f" engine=concurrent ({knobs})" if knobs else " engine=concurrent"
-    mpp_note = ""
-    if mpp_params is not None:
-        knobs = ", ".join(
-            f"{key}={value}" for key, value in sorted(mpp_params.items())
+    if config.mpp is not None:
+        notes += _knob_note(
+            " mpp=on", {**(scenario.mpp_params or {}), **(mpp_overrides or {})}
         )
-        mpp_note = f" mpp=on ({knobs})" if knobs else " mpp=on"
     print(
         f"scenario={scenario.name} ({scenario.ingredients()}) "
-        f"runs={args.runs} seed={args.seed}{engine_note}{mpp_note}"
+        f"runs={args.runs} seed={args.seed}{notes}"
     )
     try:
         selected = _filter_factories(
@@ -479,9 +455,10 @@ def _cmd_run(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:
-        comparison = run_comparison(
+        comparison = compare_schemes(
             factory,
             selected,
+            config,
             runs=args.runs,
             base_seed=args.seed,
             workers=args.workers,
@@ -490,9 +467,8 @@ def _cmd_run(args) -> int:
             # The cell key covers the CLI overrides *and* the scenario's
             # registered defaults, so editing the catalog invalidates
             # stale records instead of silently resuming from them.
-            # (run_comparison folds engine + resolved knobs in itself.)
-            cell_params=_scenario_cell_params(
-                scenario,
+            # (The runner folds the run config in itself.)
+            cell_params=scenario.cell_params(
                 topo_overrides,
                 workload_overrides,
                 dynamics_overrides,
@@ -500,9 +476,6 @@ def _cmd_run(args) -> int:
             )
             if store is not None
             else None,
-            engine=engine,
-            engine_params=engine_params,
-            mpp_params=mpp_params,
         )
     except (ReproError, ValueError) as error:
         # Overrides that pass type coercion can still violate a builder's
@@ -510,99 +483,22 @@ def _cmd_run(args) -> int:
         # when the factory runs; report them on the same error path.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    concurrent = engine == "concurrent"
-    faulted = scenario.faults is not None
-    mpp_on = mpp_params is not None
-    # Policy-priced runs (fee-market dynamics, fee-column snapshots)
-    # carry the BOLT fee metrics; fee-free runs never grow columns.
-    priced = any(
-        metrics.fee_paid_total or metrics.hub_revenue
-        for metrics in comparison.metrics.values()
+    columns = BASE_FAMILY.run_columns + tuple(
+        column
+        for family in RUN_ORDER
+        if _carried(family, comparison.metrics.values())
+        for column in family.run_columns
     )
-    rows = [
-        [
-            name,
-            f"{100 * metrics.success_ratio:.1f}",
-            f"{metrics.success_volume:.4g}",
-            f"{metrics.probe_messages:.0f}",
-            f"{metrics.fee_to_volume_percent:.2f}",
-        ]
-        + (
-            [
-                f"{metrics.fee_paid_total:.4g}",
-                f"{metrics.fee_p50:.4g}",
-                f"{metrics.hub_revenue:.4g}",
-            ]
-            if priced
-            else []
-        )
-        + (
-            [
-                f"{metrics.latency_p50:.2f}",
-                f"{metrics.latency_p95:.2f}",
-                f"{metrics.retries_total:.0f}",
-                f"{metrics.timeout_failures:.0f}",
-            ]
-            if concurrent
-            else []
-        )
-        + (
-            [
-                f"{100 * metrics.attack_success_ratio:.1f}",
-                f"{100 * metrics.control_success_ratio:.1f}",
-                f"{100 * metrics.resilience_delta:+.1f}",
-                f"{metrics.recovery_half_life:.0f}",
-                f"{metrics.adversary_escrow:.3g}",
-            ]
-            if faulted
-            else []
-        )
-        + (
-            [
-                f"{100 * metrics.mpp_success_ratio:.1f}",
-                f"{metrics.parts_per_payment:.2f}",
-                f"{metrics.partial_release_count:.0f}",
-            ]
-            if mpp_on
-            else []
-        )
-        for name, metrics in comparison.metrics.items()
-    ]
     table = format_table(
+        ["scheme"] + [column.header for column in columns],
         [
-            "scheme",
-            "succ. ratio (%)",
-            "succ. volume",
-            "probe msgs",
-            "fee/volume (%)",
-        ]
-        + (
-            ["fee paid", "fee p50", "hub revenue"]
-            if priced
-            else []
-        )
-        + (
-            ["p50 lat (s)", "p95 lat (s)", "retries", "timeouts"]
-            if concurrent
-            else []
-        )
-        + (
-            [
-                "attacked sr (%)",
-                "control sr (%)",
-                "delta (pp)",
-                "recovery (s)",
-                "adv. escrow",
+            [name]
+            + [
+                f"{column.scale * getattr(metrics, column.metric):{column.spec}}"
+                for column in columns
             ]
-            if faulted
-            else []
-        )
-        + (
-            ["mpp sr (%)", "parts/pay", "part refunds"]
-            if mpp_on
-            else []
-        ),
-        rows,
+            for name, metrics in comparison.metrics.items()
+        ],
     )
     print(table)
     if store is not None:
@@ -615,6 +511,11 @@ def _cmd_run(args) -> int:
         expected = args.runs * len(comparison.metrics)
         print(_records_line(store, cells_before, expected))
     return 0
+
+
+def _carried(family, averaged) -> bool:
+    """Whether any of the averaged results carries ``family``."""
+    return any(family.name in metrics.families for metrics in averaged)
 
 
 def _filter_factories(factories: dict, names: list[str] | None) -> dict:
@@ -647,27 +548,6 @@ def _filter_factories(factories: dict, names: list[str] | None) -> dict:
     return {key: value for key, value in factories.items() if key in chosen}
 
 
-def _scenario_cell_params(scenario, topo, workload, dynamics, fault=None) -> dict:
-    """The store cell key for a CLI run: overrides + registered defaults.
-
-    The ``faults`` section is only present when a fault ingredient is
-    active, so every pre-existing fault-free record keeps its digest
-    (and ``--resume`` keeps recognising it).
-    """
-    params = {
-        "topology": {**dict(scenario.topology_params), **topo},
-        "workload": {**dict(scenario.workload_params), **workload},
-        "dynamics": {**dict(scenario.dynamics_params), **dynamics},
-    }
-    if scenario.faults is not None:
-        params["faults"] = {
-            "model": scenario.faults,
-            **dict(scenario.fault_params),
-            **(fault or {}),
-        }
-    return params
-
-
 def _records_line(store, cells_before: int, expected: int) -> str:
     """One status line making store reuse visible, never silent.
 
@@ -698,7 +578,7 @@ _SWEEP_ROLES = (
 
 def _cmd_sweep(args) -> int:
     import repro.scenarios as scenarios
-    from repro.sim.runner import resolve_engine, resolve_mpp, sweep as run_sweep
+    from repro.sim.runner import resolve_run_config, sweep as run_sweep
     from repro.sim import format_series
 
     try:
@@ -748,48 +628,36 @@ def _cmd_sweep(args) -> int:
                     raise scenarios.ScenarioError(
                         f"bad fault axis value {value!r}: {exc}"
                     ) from exc
-        engine, engine_params = resolve_engine(
-            args.name, args.engine, _engine_overrides(args)
+        engine_overrides = _engine_overrides(args)
+        mpp_overrides = _mpp_overrides(args)
+        base = resolve_run_config(
+            args.name, args.engine, engine_overrides, mpp_overrides
         )
-        engine_params_for = None
-        if role == "engine":
-            if engine != "concurrent":
-                raise scenarios.ScenarioError(
-                    "--axis engine.KEY needs the concurrent engine (pass "
-                    "--engine concurrent or pick a concurrent scenario)"
-                )
-            from repro.sim.concurrent import ConcurrencyConfig
-
-            # Validate the axis key and every value eagerly, before any
-            # run starts (from_params raises on unknown keys/bad values).
-            for value in values:
-                ConcurrencyConfig.from_params({**engine_params, key: value})
-
-            def engine_params_for(value, _base=dict(engine_params)):
-                return {**_base, key: value}
-
-        mpp_params = resolve_mpp(args.name, _mpp_overrides(args))
-        mpp_params_for = None
-        if role == "mpp":
-            if mpp_params is None:
-                raise scenarios.ScenarioError(
-                    "--axis mpp.KEY needs multi-part payments on (pass "
-                    "--mpp or pick an MPP scenario)"
-                )
-            from repro.sim.mpp import MppConfig
-
-            # Validate the axis key and every value eagerly, before any
-            # run starts (from_params raises on unknown keys/bad values).
-            for value in values:
-                MppConfig.from_params({**mpp_params, key: value})
-
-            def mpp_params_for(value, _base=dict(mpp_params)):
-                return {**_base, key: value}
-
-        elif mpp_params is not None:
-            from repro.sim.mpp import MppConfig
-
-            MppConfig.from_params(mpp_params)
+        if role == "engine" and base.concurrency is None:
+            raise scenarios.ScenarioError(
+                "--axis engine.KEY needs the concurrent engine (pass "
+                "--engine concurrent or pick a concurrent scenario)"
+            )
+        if role == "mpp" and base.mpp is None:
+            raise scenarios.ScenarioError(
+                "--axis mpp.KEY needs multi-part payments on (pass "
+                "--mpp or pick an MPP scenario)"
+            )
+        # One run config per value, resolved (and so validated) before
+        # any run starts; only the engine and mpp axes vary it.
+        configs = {
+            value: resolve_run_config(
+                args.name,
+                args.engine,
+                {**engine_overrides, key: value}
+                if role == "engine"
+                else engine_overrides,
+                {**(mpp_overrides or {}), key: value}
+                if role == "mpp"
+                else mpp_overrides,
+            )
+            for value in values
+        }
     except (scenarios.ScenarioError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -838,12 +706,12 @@ def _cmd_sweep(args) -> int:
     print(
         f"sweep scenario={scenario.name} axis={args.axis} "
         f"values={','.join(values)} runs={args.runs} seed={args.seed}"
-        + (" engine=concurrent" if engine == "concurrent" else "")
-        + (" mpp=on" if mpp_params is not None else "")
+        + (" engine=concurrent" if base.concurrency is not None else "")
+        + (" mpp=on" if base.mpp is not None else "")
     )
     cell_params = {
         "axis": args.axis,
-        "base": _scenario_cell_params(scenario, {}, {}, {}, fault_overrides),
+        "base": scenario.cell_params(fault_overrides=fault_overrides),
     }
     if args.transactions is not None:
         cell_params["transactions"] = args.transactions
@@ -858,60 +726,30 @@ def _cmd_sweep(args) -> int:
             store=store,
             experiment=scenario.name,
             cell_params=cell_params,
-            engine=engine,
-            engine_params=engine_params,
-            engine_params_for=engine_params_for,
-            mpp_params=mpp_params,
-            mpp_params_for=mpp_params_for,
+            config_for=configs.__getitem__,
         )
     except (ReproError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    metric_blocks = [
-        ("success ratio (%)", "success_ratio", 100.0),
-        ("succeeded volume", "success_volume", 1.0),
-        ("probe messages", "probe_messages", 1.0),
-    ]
-    if engine == "concurrent":
-        metric_blocks += [
-            ("p95 latency (s)", "latency_p95", 1.0),
-            ("timeout failures", "timeout_failures", 1.0),
-        ]
-    if any(
-        metrics.fee_paid_total or metrics.hub_revenue
-        for metric_list in series.values()
-        for metrics in metric_list
-    ):
-        metric_blocks += [
-            ("fee paid (total)", "fee_paid_total", 1.0),
-            ("fee p50", "fee_p50", 1.0),
-            ("hub revenue", "hub_revenue", 1.0),
-        ]
-    if scenario.faults is not None:
-        metric_blocks += [
-            ("attacked success ratio (%)", "attack_success_ratio", 100.0),
-            ("resilience delta (pp)", "resilience_delta", 100.0),
-            ("adversary escrow (fund-s)", "adversary_escrow", 1.0),
-        ]
-    if mpp_params is not None:
-        metric_blocks += [
-            ("MPP success ratio (%)", "mpp_success_ratio", 100.0),
-            ("parts per payment", "parts_per_payment", 1.0),
-            ("partial releases", "partial_release_count", 1.0),
-        ]
-    blocks = []
-    for label, metric, scale in metric_blocks:
-        blocks.append(
-            format_series(
-                args.axis,
-                values,
-                {
-                    name: [scale * getattr(m, metric) for m in metrics]
-                    for name, metrics in series.items()
-                },
-                label,
-            )
+    averaged = [m for per_value in series.values() for m in per_value]
+    blocks = [
+        format_series(
+            args.axis,
+            values,
+            {
+                name: [block.scale * getattr(m, block.metric) for m in metrics]
+                for name, metrics in series.items()
+            },
+            block.label,
         )
+        for block in BASE_FAMILY.sweep_blocks
+        + tuple(
+            block
+            for family in SWEEP_ORDER
+            if _carried(family, averaged)
+            for block in family.sweep_blocks
+        )
+    ]
     output = "\n\n".join(blocks)
     print(output)
     if store is not None:

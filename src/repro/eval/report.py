@@ -42,7 +42,8 @@ from repro.eval.store import (
     machine_provenance,
 )
 from repro.sim.factories import landmark_factory, paper_benchmark_factories
-from repro.sim.runner import cell_digest, run_comparison
+from repro.sim.metrics import BASE_FAMILY, FAMILIES, TableSpec
+from repro.sim.runner import cell_digest, compare_schemes, resolve_run_config
 
 #: Default output directory (repo-relative), per the results methodology.
 DEFAULT_OUT = "results"
@@ -59,188 +60,15 @@ def report_factories():
     return {**paper_benchmark_factories(), "Landmark": landmark_factory()}
 
 
-@dataclass(frozen=True)
-class TableSpec:
-    """One report table: a metric pivot with fixed display formatting.
-
-    ``optional_metric=True`` restricts the pivot to records that carry
-    the metric — concurrent-engine cells for the concurrency fields,
-    fault-scenario cells for the resilience fields (other records do
-    not persist them); the table is skipped entirely when no such
-    records exist, so fault-free/sequential-only reports (including the
-    golden-checked smoke subset) are unchanged by these tables.
-    """
-
-    slug: str
-    title: str
-    metric: str
-    spec: str
-    scale: float = 1.0
-    figure: str = ""
-    chart: bool = False
-    optional_metric: bool = False
-
-
-#: The headline tables, in report order.  ``figure`` maps each table to
-#: the paper figure it reproduces (documented in docs/RESULTS.md).
-TABLES: tuple[TableSpec, ...] = (
-    TableSpec(
-        "success_ratio",
-        "Success ratio (%)",
-        "success_ratio",
-        ".2f",
-        scale=100.0,
-        figure="paper Fig 6 (success ratio vs capacity)",
-        chart=True,
-    ),
-    TableSpec(
-        "success_volume",
-        "Succeeded volume",
-        "success_volume",
-        ".6g",
-        figure="paper Figs 6-7 (succeeded volume)",
-        chart=True,
-    ),
-    TableSpec(
-        "probing_overhead",
-        "Probing messages",
-        "probe_messages",
-        ".1f",
-        figure="paper Fig 8 (probing overhead)",
-        chart=True,
-    ),
-    TableSpec(
-        "mice_success_volume",
-        "Mice succeeded volume",
-        "mice_success_volume",
-        ".6g",
-        figure="paper Fig 11a (mice breakdown)",
-        chart=True,
-    ),
-    TableSpec(
-        "elephant_success_volume",
-        "Elephant succeeded volume",
-        "elephant_success_volume",
-        ".6g",
-        figure="paper Fig 11a (elephant breakdown)",
-        chart=True,
-    ),
-    TableSpec(
-        "mice_probe_messages",
-        "Mice probing messages",
-        "mice_probe_messages",
-        ".1f",
-        figure="paper Fig 11b (mice probing)",
-    ),
-    TableSpec(
-        "elephant_probe_messages",
-        "Elephant probing messages",
-        "elephant_probe_messages",
-        ".1f",
-        figure="paper Fig 11b (elephant probing)",
-    ),
-    TableSpec(
-        "latency_p95",
-        "p95 payment latency (s)",
-        "latency_p95",
-        ".3f",
-        figure="concurrent engine (docs/CONCURRENCY.md)",
-        optional_metric=True,
-    ),
-    TableSpec(
-        "timeout_failures",
-        "Timeout failures",
-        "timeout_failures",
-        ".2f",
-        figure="concurrent engine (docs/CONCURRENCY.md)",
-        optional_metric=True,
-    ),
-    TableSpec(
-        "attack_success_ratio",
-        "Success ratio under attack (%)",
-        "attack_success_ratio",
-        ".2f",
-        scale=100.0,
-        figure="fault injection (docs/RESILIENCE.md)",
-        chart=True,
-        optional_metric=True,
-    ),
-    TableSpec(
-        "resilience_delta",
-        "Resilience delta (pp, control − attacked)",
-        "resilience_delta",
-        ".2f",
-        scale=100.0,
-        figure="fault injection (docs/RESILIENCE.md)",
-        optional_metric=True,
-    ),
-    TableSpec(
-        "recovery_half_life",
-        "Recovery half-life after heal (s)",
-        "recovery_half_life",
-        ".1f",
-        figure="fault injection (docs/RESILIENCE.md)",
-        optional_metric=True,
-    ),
-    TableSpec(
-        "adversary_escrow",
-        "Adversary-captured escrow (fund-seconds)",
-        "adversary_escrow",
-        ".6g",
-        figure="fault injection (docs/RESILIENCE.md)",
-        optional_metric=True,
-    ),
-    TableSpec(
-        "fee_paid_total",
-        "Total fees paid by senders",
-        "fee_paid_total",
-        ".4f",
-        figure="fee market (paper Fig 9, made dynamic)",
-        chart=True,
-        optional_metric=True,
-    ),
-    TableSpec(
-        "fee_p50",
-        "Median fee per successful payment",
-        "fee_p50",
-        ".6f",
-        figure="fee market (paper Fig 9, made dynamic)",
-        optional_metric=True,
-    ),
-    TableSpec(
-        "hub_revenue",
-        "Top-earning node fee revenue",
-        "hub_revenue",
-        ".4f",
-        figure="fee market (paper Fig 9, made dynamic)",
-        optional_metric=True,
-    ),
-    TableSpec(
-        "mpp_success_ratio",
-        "Multi-part payment success ratio (%)",
-        "mpp_success_ratio",
-        ".2f",
-        scale=100.0,
-        figure="multi-part payments (docs/CONCURRENCY.md)",
-        chart=True,
-        optional_metric=True,
-    ),
-    TableSpec(
-        "parts_per_payment",
-        "Parts per multi-part payment",
-        "parts_per_payment",
-        ".2f",
-        figure="multi-part payments (docs/CONCURRENCY.md)",
-        optional_metric=True,
-    ),
-    TableSpec(
-        "partial_release_count",
-        "Sibling part holds refunded on abort",
-        "partial_release_count",
-        ".1f",
-        figure="multi-part payments (docs/CONCURRENCY.md)",
-        optional_metric=True,
-    ),
+#: The headline tables, in report order: the paper's metrics, then each
+#: optional metric family's tables (:data:`repro.sim.metrics.FAMILIES`).
+#: ``figure`` maps each table to the paper figure it reproduces
+#: (documented in docs/RESULTS.md).  A table shows the scenarios whose
+#: records carry its metric and is skipped when none does: the smoke
+#: goldens hold the concurrency tables of ``payment-storm`` and no other
+#: family's.
+TABLES: tuple[TableSpec, ...] = tuple(
+    table for family in (BASE_FAMILY, *FAMILIES) for table in family.tables
 )
 
 
@@ -256,25 +84,8 @@ class ReportArtifacts:
 
 
 def _report_cell_params(scenario, transactions: int) -> dict[str, object]:
-    """The cell-parameter mapping a report run is keyed by.
-
-    Includes the scenario's *registered* ingredient defaults, so editing
-    the catalog invalidates stale records instead of silently resuming
-    from them (same rationale as the CLI's run/sweep keying).  The
-    ``faults`` section only exists for fault scenarios, so every
-    fault-free record written before the fault layer keeps its digest.
-    """
-    base: dict[str, object] = {
-        "topology": dict(scenario.topology_params),
-        "workload": dict(scenario.workload_params),
-        "dynamics": dict(scenario.dynamics_params),
-    }
-    if scenario.faults is not None:
-        base["faults"] = {
-            "model": scenario.faults,
-            **dict(scenario.fault_params),
-        }
-    return {"transactions": transactions, "base": base}
+    """The cell-parameter mapping a report run is keyed by."""
+    return {"transactions": transactions, "base": scenario.cell_params()}
 
 
 def generate_report(
@@ -317,6 +128,9 @@ def generate_report(
     factories = report_factories()
     schemes = list(factories)
     configs: dict[str, tuple[int, int]] = {}
+    run_configs = {
+        scenario.name: resolve_run_config(scenario.name) for scenario in selected
+    }
     for scenario in selected:
         matrix_runs, matrix_transactions = scenario.eval_matrix.config(smoke)
         n_runs = runs if runs is not None else matrix_runs
@@ -333,20 +147,18 @@ def generate_report(
                 else ""
             )
         )
-        run_comparison(
+        compare_schemes(
             scenario.factory(
                 workload_overrides={"transactions": n_transactions}
             ),
             factories,
+            run_configs[scenario.name],
             runs=n_runs,
             base_seed=seed,
             workers=workers,
             store=store,
             experiment=scenario.name,
             cell_params=_report_cell_params(scenario, n_transactions),
-            engine=scenario.engine,
-            engine_params=scenario.engine_params,
-            mpp_params=scenario.mpp_params,
         )
 
     # ------------------------------------------------ aggregate + render
@@ -354,13 +166,11 @@ def generate_report(
     wanted: dict[str, tuple[str, int]] = {}
     for scenario in selected:
         n_runs, n_transactions = configs[scenario.name]
-        # Same recipe run_comparison keys its records by — never
-        # re-derive the mapping here (a mismatch selects zero records).
+        # Same recipe the runner keys its records by — never re-derive
+        # the mapping here (a mismatch selects zero records).
         _, digest = cell_digest(
             _report_cell_params(scenario, n_transactions),
-            engine=scenario.engine,
-            engine_params=scenario.engine_params,
-            mpp_params=scenario.mpp_params,
+            config=run_configs[scenario.name],
         )
         wanted[scenario.name] = (digest, n_runs)
     records = [
@@ -394,20 +204,13 @@ def generate_report(
     summary: dict[str, dict] = {}
     sections: list[str] = []
     for table in TABLES:
-        table_records = records
-        table_scenarios = scenario_order
-        if table.optional_metric:
-            table_records = [
-                record
-                for record in records
-                if table.metric in record["metrics"]
-            ]
-            present = {record["scenario"] for record in table_records}
-            table_scenarios = [
-                name for name in scenario_order if name in present
-            ]
-            if not table_scenarios:
-                continue
+        table_records = [
+            record for record in records if table.metric in record["metrics"]
+        ]
+        present = {record["scenario"] for record in table_records}
+        table_scenarios = [name for name in scenario_order if name in present]
+        if not table_scenarios:
+            continue
         pivot = pivot_metric(table_records, table.metric)
         body = pivot_markdown(
             pivot,

@@ -211,19 +211,24 @@ class Channel:
 
     # ------------------------------------------------------------- holds
 
-    def hold(self, src: NodeId, dst: NodeId, amount: float) -> None:
-        """Escrow ``amount`` in the ``src -> dst`` direction (2PC phase 1)."""
+    def hold(self, src: NodeId, dst: NodeId, amount: float) -> bool:
+        """Escrow ``amount`` in the ``src -> dst`` direction (2PC phase 1).
+
+        Returns ``False``, holding nothing, when the direction's balance
+        net of holds cannot cover ``amount``: a refused hold is an
+        everyday outcome of routing, so it is a value, not an exception.
+        """
         if not self._owner.live:
             raise self._shared()
         if amount < 0:
             raise ChannelError(f"negative hold amount {amount!r}")
-        available = self.balance(src, dst)
-        if amount > available + _tolerance(amount):
-            raise InsufficientBalanceError(src, dst, amount, available)
+        if amount > self.balance(src, dst) + _tolerance(amount):
+            return False
         if self._check_direction(src, dst):
             self._held_ab += amount
         else:
             self._held_ba += amount
+        return True
 
     def settle_hold(self, src: NodeId, dst: NodeId, amount: float) -> None:
         """Convert a prior hold into a transfer (2PC commit)."""

@@ -446,10 +446,8 @@ class GossipSchedule:
         holds = self._jam_holds.setdefault(event.tag, [])
         for src, dst in ((channel.a, channel.b), (channel.b, channel.a)):
             amount = event.fraction * channel.balance(src, dst)
-            if amount <= 0:
-                continue
-            channel.hold(src, dst, amount)
-            holds.append((src, dst, amount, event.time))
+            if amount > 0 and channel.hold(src, dst, amount):
+                holds.append((src, dst, amount, event.time))
 
     def _apply_drain(self, event: ChannelEvent) -> None:
         """Shift ``fraction`` of the a->b available balance to b's side.

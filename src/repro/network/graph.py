@@ -400,9 +400,13 @@ class ChannelGraph:
 
     # --------------------------------------------------------------- holds
 
-    def hold(self, src: NodeId, dst: NodeId, amount: float) -> None:
-        """Escrow ``amount`` on the directed edge (HTLC lock phase)."""
-        self.channel(src, dst).hold(src, dst, amount)
+    def hold(self, src: NodeId, dst: NodeId, amount: float) -> bool:
+        """Escrow ``amount`` on the directed edge (HTLC lock phase).
+
+        ``False`` (nothing held) when the balance cannot cover it; see
+        :meth:`Channel.hold`.
+        """
+        return self.channel(src, dst).hold(src, dst, amount)
 
     def settle_hold(self, src: NodeId, dst: NodeId, amount: float) -> None:
         """Convert a prior hold on the directed edge into a transfer."""

@@ -224,8 +224,10 @@ class PaymentSession:
             self._counters.payment_messages += 1
             hop_amount = amount if hop_amounts is None else hop_amounts[index]
             try:
-                self._graph.channel(u, v).hold(u, v, hop_amount)
-            except (InsufficientBalanceError, NoChannelError):
+                held = self._graph.channel(u, v).hold(u, v, hop_amount)
+            except NoChannelError:
+                held = False
+            if not held:
                 for hop in reversed(placed):
                     self._graph.channel(hop.src, hop.dst).release_hold(
                         hop.src, hop.dst, hop.amount

@@ -10,25 +10,17 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from repro.errors import EventBudgetError
 
 Action = Callable[[], None]
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    action: Action = field(compare=False)
-
-
 class EventQueue:
     """Deterministic simulated-time event loop."""
 
     def __init__(self) -> None:
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, Action]] = []
         self._sequence = 0
         self.now = 0.0
         self.processed = 0
@@ -37,7 +29,7 @@ class EventQueue:
         """Run ``action`` at ``now + delay`` (delays must be non-negative)."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        heapq.heappush(self._heap, _Event(self.now + delay, self._sequence, action))
+        heapq.heappush(self._heap, (self.now + delay, self._sequence, action))
         self._sequence += 1
 
     def run_until_idle(
@@ -59,9 +51,8 @@ class EventQueue:
                     raise EventBudgetError(
                         f"event budget of {limit} exhausted - livelock?"
                     )
-            event = heapq.heappop(self._heap)
-            self.now = event.time
-            event.action()
+            self.now, _, action = heapq.heappop(self._heap)
+            action()
             count += 1
         self.processed += count
         return count

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ChannelError, InsufficientBalanceError, ProtocolError
+from repro.errors import ChannelError, ProtocolError
 from repro.network.channel import NodeId
 from repro.network.graph import ChannelGraph
 from repro.protocol.messages import Message, MessageType
@@ -99,8 +99,10 @@ class ProtocolNode:
         nxt = message.next_hop
         try:
             channel = self.graph.channel(self.node_id, nxt)
-            channel.hold(self.node_id, nxt, message.commit)
-        except (InsufficientBalanceError, ChannelError):
+            held = channel.hold(self.node_id, nxt, message.commit)
+        except ChannelError:
+            held = False
+        if not held:
             network.send(message.reply(MessageType.COMMIT_NACK))
             return
         self.holds[message.trans_id] = _Hold(self.node_id, nxt, message.commit)

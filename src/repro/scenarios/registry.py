@@ -262,10 +262,11 @@ class Scenario:
 
     ``engine`` selects the scenario's default simulation engine
     (``"sequential"`` or ``"concurrent"``); ``engine_params`` are its
-    default :class:`~repro.sim.concurrent.ConcurrencyConfig` knobs.
-    The runner and CLI pick both up automatically for registered names
-    and let callers override them (see
-    :func:`repro.sim.runner.resolve_engine`).
+    default :class:`~repro.sim.concurrent.ConcurrencyConfig` knobs and
+    ``mpp_params`` (``None``: MPP off) its
+    :class:`~repro.sim.mpp.MppConfig` knobs.  The runner and CLI pick
+    them up for registered names and let callers override them (see
+    :func:`repro.sim.runner.resolve_run_config`).
 
     ``faults`` names a registered fault model (:data:`FAULTS`) whose
     compiled plan the factory attaches to every build — the scenario
@@ -301,6 +302,34 @@ class Scenario:
         if self.mpp_params is not None:
             parts += " / mpp"
         return parts
+
+    def cell_params(
+        self,
+        topology_overrides: Mapping[str, object] | None = None,
+        workload_overrides: Mapping[str, object] | None = None,
+        dynamics_overrides: Mapping[str, object] | None = None,
+        fault_overrides: Mapping[str, object] | None = None,
+    ) -> dict[str, object]:
+        """The ingredient parameters a store cell of this scenario is keyed by.
+
+        The overrides layered over the *registered* defaults, so editing
+        the catalog invalidates stale records instead of silently
+        resuming from them.  The ``faults`` section exists only for a
+        scenario with a fault ingredient, so every fault-free record
+        written before the fault layer keeps its digest.
+        """
+        params: dict[str, object] = {
+            "topology": {**self.topology_params, **(topology_overrides or {})},
+            "workload": {**self.workload_params, **(workload_overrides or {})},
+            "dynamics": {**self.dynamics_params, **(dynamics_overrides or {})},
+        }
+        if self.faults is not None:
+            params["faults"] = {
+                "model": self.faults,
+                **self.fault_params,
+                **(fault_overrides or {}),
+            }
+        return params
 
     def factory(
         self,
@@ -438,38 +467,16 @@ def register_scenario(
         raise ScenarioError(
             f"scenario {name!r} marks smoke=True without report=True"
         )
-    if engine not in ("sequential", "concurrent"):
-        raise ScenarioError(
-            f"scenario {name!r} names unknown engine {engine!r} "
-            "(known: sequential, concurrent)"
-        )
-    if engine == "sequential" and engine_params:
-        raise ScenarioError(
-            f"scenario {name!r} sets engine_params "
-            f"{sorted(engine_params)} but engine='sequential'"
-        )
-    if engine == "concurrent":
-        # Validate knob names and ranges eagerly via the config's own
-        # coercion (imported lazily: repro.sim pulls no scenario code).
-        from repro.sim.concurrent import ConcurrencyConfig
+    # Engine and MPP knobs go through the runner's one resolver
+    # (imported lazily: repro.sim pulls no scenario code).
+    from repro.sim.runner import resolve_run_config
 
-        try:
-            ConcurrencyConfig.from_params(engine_params)
-        except ValueError as exc:
-            raise ScenarioError(
-                f"scenario {name!r} has bad engine_params: {exc}"
-            ) from exc
-    if mpp_params is not None:
-        # Same eager-coercion treatment as engine_params (lazy import
-        # for the same reason: repro.sim pulls no scenario code).
-        from repro.sim.mpp import MppConfig
-
-        try:
-            MppConfig.from_params(mpp_params)
-        except ValueError as exc:
-            raise ScenarioError(
-                f"scenario {name!r} has bad mpp_params: {exc}"
-            ) from exc
+    try:
+        resolve_run_config(None, engine, engine_params, mpp_params)
+    except ValueError as exc:
+        raise ScenarioError(
+            f"scenario {name!r} has a bad engine or MPP setting: {exc}"
+        ) from exc
     scenario = Scenario(
         name=name,
         description=description,

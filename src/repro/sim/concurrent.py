@@ -66,7 +66,7 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
 
-from repro.errors import InsufficientBalanceError, NoChannelError, ProtocolError
+from repro.errors import NoChannelError, ProtocolError
 from repro.network.channel import NodeId
 from repro.network.dynamics import (
     ChannelEvent,
@@ -315,10 +315,12 @@ class ConcurrentNetworkView(NetworkView):
                     amount if hop_amounts is None else hop_amounts[index]
                 )
                 try:
-                    self._graph.hold(u, v, hop_amount)
-                except (InsufficientBalanceError, NoChannelError):
-                    for uu, vv, held in reversed(placed):
-                        self._graph.release_hold(uu, vv, held)
+                    held = self._graph.hold(u, v, hop_amount)
+                except NoChannelError:
+                    held = False
+                if not held:
+                    for uu, vv, amount_held in reversed(placed):
+                        self._graph.release_hold(uu, vv, amount_held)
                     return False
                 placed.append((u, v, hop_amount))
         self._ledger.add(
@@ -478,12 +480,12 @@ def run_concurrent_simulation(
 
     The returned result has ``engine="concurrent"``, which adds the
     latency/retry/timeout metrics to its stored record (see
-    :data:`repro.sim.metrics.CONCURRENT_METRIC_FIELDS`).  When a
+    :data:`repro.sim.metrics.CONCURRENCY_FAMILY`).  When a
     compiled ``faults`` plan is passed, its adversarial events are
     merged into the (compressed) churn stream, force-closed channels
     release their in-flight escrow through the engine's registry, and
     ``result.resilience`` carries
-    :data:`repro.sim.metrics.RESILIENCE_METRIC_FIELDS` — with the
+    the fields of :data:`repro.sim.metrics.RESILIENCE_FAMILY` — with the
     adversary-escrow integral converted back to uncompressed trace
     seconds, so the metric is comparable across ``load`` settings.
 
@@ -499,7 +501,7 @@ def run_concurrent_simulation(
     payment started (ties at the deadline instant abort — the deadline
     event is scheduled first, so the queue's sequence tie-break fires it
     before any same-time settle).  ``result.mpp`` then carries
-    :data:`repro.sim.metrics.MPP_METRIC_FIELDS`.  With ``mpp=None``
+    :data:`repro.sim.metrics.MPP_FAMILY`.  With ``mpp=None``
     (the default) the engine is byte-identical to the pre-MPP engine.
 
     A :class:`~repro.traces.workload.WorkloadStream` input switches to

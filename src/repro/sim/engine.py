@@ -108,7 +108,7 @@ def run_simulation(
     splitting threshold) fan out into parts that escrow independently
     and settle all-or-nothing through
     :func:`~repro.sim.mpp.execute_parts_atomically`; ``result.mpp``
-    then carries :data:`~repro.sim.metrics.MPP_METRIC_FIELDS`.
+    then carries :data:`~repro.sim.metrics.MPP_FAMILY`.
 
     Every per-transaction record is folded through a
     :class:`~repro.sim.metrics.StreamingMetricsAccumulator`, which

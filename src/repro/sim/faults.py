@@ -510,7 +510,7 @@ def resilience_metrics(
     uncompressed seconds) matching ``records`` (anything with a
     ``success`` attribute, e.g.
     :class:`~repro.sim.metrics.TransactionRecord`).  Returns a dict with
-    exactly :data:`repro.sim.metrics.RESILIENCE_METRIC_FIELDS`:
+    exactly the fields of :data:`repro.sim.metrics.RESILIENCE_FAMILY`:
 
     * ``attack_success_ratio`` — success rate of transactions inside
       any attack window;

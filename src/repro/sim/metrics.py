@@ -12,80 +12,389 @@ is a list or a stream, and the fold returns the run's
 so they do not depend on how the interpreter's ``sum()`` adds floats;
 quantiles are exact for list-backed runs and P² estimates for streams.
 
-Runs produced by the concurrent engine
-(:mod:`repro.sim.concurrent`) also carry per-payment latency, retry
-counts, and timeout failures; those extra fields
-(:data:`CONCURRENT_METRIC_FIELDS`) are appended to the stored record
-only when ``engine="concurrent"`` so sequential store records stay
-byte-identical to the pre-concurrent format.
+Every metric belongs to one :class:`MetricFamily`: the paper's
+(:data:`BASE_FAMILY`), which every run carries, or one of the optional
+:data:`FAMILIES` (concurrency, resilience, fees, MPP), which a run
+carries only when its engine, fault plan, channel policies or MPP
+setting produce them.  The family table is the one place that says
+what a family records and what ``repro run``, ``repro sweep`` and
+``repro report`` print for it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from repro.traces.workload import percentile
 
-#: The per-run metric fields persisted to the experiment store
-#: (:mod:`repro.eval.store`) and consumed by :meth:`AveragedMetrics.of`.
-#: Order is the canonical column order of generated reports.
-METRIC_FIELDS: tuple[str, ...] = (
-    "transactions",
-    "success_ratio",
-    "success_volume",
-    "probe_messages",
-    "payment_messages",
-    "fee_to_volume_percent",
-    "mice_success_ratio",
-    "elephant_success_ratio",
-    "mice_success_volume",
-    "elephant_success_volume",
-    "mice_probe_messages",
-    "elephant_probe_messages",
+
+@dataclass(frozen=True)
+class TableSpec:
+    """One report table: a metric pivot with fixed display formatting.
+
+    ``figure`` maps the table to the paper figure it reproduces
+    (docs/RESULTS.md); ``chart`` also draws it as grouped bars.
+    """
+
+    slug: str
+    title: str
+    metric: str
+    spec: str
+    scale: float = 1.0
+    figure: str = ""
+    chart: bool = False
+
+
+class Column(NamedTuple):
+    """One ``repro run`` column: ``scale * metric`` formatted by ``spec``."""
+
+    header: str
+    metric: str
+    spec: str
+    scale: float = 1.0
+
+
+class Block(NamedTuple):
+    """One ``repro sweep`` series block: ``scale * metric`` per value."""
+
+    label: str
+    metric: str
+    scale: float = 1.0
+
+
+@dataclass(frozen=True)
+class MetricFamily:
+    """A set of per-run metrics and everything that shows them.
+
+    ``fields`` are the metrics in store-record order; ``run_columns``,
+    ``sweep_blocks`` and ``tables`` are what ``repro run``, ``repro
+    sweep`` and ``repro report`` print for the family.  Every surface
+    shows an optional family exactly where the results carry it (see
+    :meth:`SimulationResult.families`), so no surface names a family.
+    """
+
+    name: str
+    fields: tuple[str, ...]
+    run_columns: tuple[Column, ...] = ()
+    sweep_blocks: tuple[Block, ...] = ()
+    tables: tuple[TableSpec, ...] = ()
+
+
+_CONCURRENCY_DOC = "concurrent engine (docs/CONCURRENCY.md)"
+_RESILIENCE_DOC = "fault injection (docs/RESILIENCE.md)"
+_FEE_DOC = "fee market (paper Fig 9, made dynamic)"
+_MPP_DOC = "multi-part payments (docs/CONCURRENCY.md)"
+
+#: The paper's metrics (§4.1), which every run carries.  Its fields are
+#: the per-run metric fields persisted to the experiment store
+#: (:mod:`repro.eval.store`) and consumed by :meth:`AveragedMetrics.of`,
+#: in the canonical column order of generated reports.
+BASE_FAMILY = MetricFamily(
+    "base",
+    fields=(
+        "transactions",
+        "success_ratio",
+        "success_volume",
+        "probe_messages",
+        "payment_messages",
+        "fee_to_volume_percent",
+        "mice_success_ratio",
+        "elephant_success_ratio",
+        "mice_success_volume",
+        "elephant_success_volume",
+        "mice_probe_messages",
+        "elephant_probe_messages",
+    ),
+    run_columns=(
+        Column("succ. ratio (%)", "success_ratio", ".1f", 100.0),
+        Column("succ. volume", "success_volume", ".4g"),
+        Column("probe msgs", "probe_messages", ".0f"),
+        Column("fee/volume (%)", "fee_to_volume_percent", ".2f"),
+    ),
+    sweep_blocks=(
+        Block("success ratio (%)", "success_ratio", 100.0),
+        Block("succeeded volume", "success_volume"),
+        Block("probe messages", "probe_messages"),
+    ),
+    tables=(
+        TableSpec(
+            "success_ratio",
+            "Success ratio (%)",
+            "success_ratio",
+            ".2f",
+            scale=100.0,
+            figure="paper Fig 6 (success ratio vs capacity)",
+            chart=True,
+        ),
+        TableSpec(
+            "success_volume",
+            "Succeeded volume",
+            "success_volume",
+            ".6g",
+            figure="paper Figs 6-7 (succeeded volume)",
+            chart=True,
+        ),
+        TableSpec(
+            "probing_overhead",
+            "Probing messages",
+            "probe_messages",
+            ".1f",
+            figure="paper Fig 8 (probing overhead)",
+            chart=True,
+        ),
+        TableSpec(
+            "mice_success_volume",
+            "Mice succeeded volume",
+            "mice_success_volume",
+            ".6g",
+            figure="paper Fig 11a (mice breakdown)",
+            chart=True,
+        ),
+        TableSpec(
+            "elephant_success_volume",
+            "Elephant succeeded volume",
+            "elephant_success_volume",
+            ".6g",
+            figure="paper Fig 11a (elephant breakdown)",
+            chart=True,
+        ),
+        TableSpec(
+            "mice_probe_messages",
+            "Mice probing messages",
+            "mice_probe_messages",
+            ".1f",
+            figure="paper Fig 11b (mice probing)",
+        ),
+        TableSpec(
+            "elephant_probe_messages",
+            "Elephant probing messages",
+            "elephant_probe_messages",
+            ".1f",
+            figure="paper Fig 11b (elephant probing)",
+        ),
+    ),
 )
 
-#: Extra per-run fields recorded only by the concurrent engine
-#: (latencies in simulated seconds, over *successful* payments).
-CONCURRENT_METRIC_FIELDS: tuple[str, ...] = (
-    "latency_p50",
-    "latency_p95",
-    "latency_mean",
-    "retries_total",
-    "timeout_failures",
+#: Alias of ``BASE_FAMILY.fields``, the fields every record carries.
+METRIC_FIELDS: tuple[str, ...] = BASE_FAMILY.fields
+
+#: Carried by concurrent-engine runs: latencies in simulated seconds,
+#: over *successful* payments, engine retries and timeout failures.
+CONCURRENCY_FAMILY = MetricFamily(
+    "concurrency",
+    fields=(
+        "latency_p50",
+        "latency_p95",
+        "latency_mean",
+        "retries_total",
+        "timeout_failures",
+    ),
+    run_columns=(
+        Column("p50 lat (s)", "latency_p50", ".2f"),
+        Column("p95 lat (s)", "latency_p95", ".2f"),
+        Column("retries", "retries_total", ".0f"),
+        Column("timeouts", "timeout_failures", ".0f"),
+    ),
+    sweep_blocks=(
+        Block("p95 latency (s)", "latency_p95"),
+        Block("timeout failures", "timeout_failures"),
+    ),
+    tables=(
+        TableSpec(
+            "latency_p95",
+            "p95 payment latency (s)",
+            "latency_p95",
+            ".3f",
+            figure=_CONCURRENCY_DOC,
+        ),
+        TableSpec(
+            "timeout_failures",
+            "Timeout failures",
+            "timeout_failures",
+            ".2f",
+            figure=_CONCURRENCY_DOC,
+        ),
+    ),
 )
 
-#: Resilience fields recorded only when a fault plan was injected
-#: (:mod:`repro.sim.faults`).  Appended after the engine's field set, so
-#: fault-free records — sequential and concurrent — keep their exact
-#: pre-faults shape and store digests.
-RESILIENCE_METRIC_FIELDS: tuple[str, ...] = (
-    "attack_success_ratio",
-    "control_success_ratio",
-    "resilience_delta",
-    "recovery_half_life",
-    "adversary_escrow",
+#: Carried by runs with a fault plan (:mod:`repro.sim.faults`): attack-
+#: and control-window success rates, their difference, the seconds after
+#: heal until the success rate recovers, and fund-seconds held by
+#: adversary jams.
+RESILIENCE_FAMILY = MetricFamily(
+    "resilience",
+    fields=(
+        "attack_success_ratio",
+        "control_success_ratio",
+        "resilience_delta",
+        "recovery_half_life",
+        "adversary_escrow",
+    ),
+    run_columns=(
+        Column("attacked sr (%)", "attack_success_ratio", ".1f", 100.0),
+        Column("control sr (%)", "control_success_ratio", ".1f", 100.0),
+        Column("delta (pp)", "resilience_delta", "+.1f", 100.0),
+        Column("recovery (s)", "recovery_half_life", ".0f"),
+        Column("adv. escrow", "adversary_escrow", ".3g"),
+    ),
+    sweep_blocks=(
+        Block("attacked success ratio (%)", "attack_success_ratio", 100.0),
+        Block("resilience delta (pp)", "resilience_delta", 100.0),
+        Block("adversary escrow (fund-s)", "adversary_escrow"),
+    ),
+    tables=(
+        TableSpec(
+            "attack_success_ratio",
+            "Success ratio under attack (%)",
+            "attack_success_ratio",
+            ".2f",
+            scale=100.0,
+            figure=_RESILIENCE_DOC,
+            chart=True,
+        ),
+        TableSpec(
+            "resilience_delta",
+            "Resilience delta (pp, control − attacked)",
+            "resilience_delta",
+            ".2f",
+            scale=100.0,
+            figure=_RESILIENCE_DOC,
+        ),
+        TableSpec(
+            "recovery_half_life",
+            "Recovery half-life after heal (s)",
+            "recovery_half_life",
+            ".1f",
+            figure=_RESILIENCE_DOC,
+        ),
+        TableSpec(
+            "adversary_escrow",
+            "Adversary-captured escrow (fund-seconds)",
+            "adversary_escrow",
+            ".6g",
+            figure=_RESILIENCE_DOC,
+        ),
+    ),
 )
 
-#: Fee-market fields recorded only for policy-aware runs (BOLT #7
-#: channel policies assigned — see :mod:`repro.network.fees`).  Appended
-#: after the resilience set, so fee-free records keep their exact
-#: pre-policy shape and store digests.
-FEE_METRIC_FIELDS: tuple[str, ...] = (
-    "fee_paid_total",
-    "fee_p50",
-    "hub_revenue",
+#: Carried by policy-aware runs (BOLT #7 channel policies, see
+#: :mod:`repro.network.fees`): total and median fee of successful
+#: payments, and the fees pocketed by the best-earning intermediary.
+FEE_FAMILY = MetricFamily(
+    "fees",
+    fields=("fee_paid_total", "fee_p50", "hub_revenue"),
+    run_columns=(
+        Column("fee paid", "fee_paid_total", ".4g"),
+        Column("fee p50", "fee_p50", ".4g"),
+        Column("hub revenue", "hub_revenue", ".4g"),
+    ),
+    sweep_blocks=(
+        Block("fee paid (total)", "fee_paid_total"),
+        Block("fee p50", "fee_p50"),
+        Block("hub revenue", "hub_revenue"),
+    ),
+    tables=(
+        TableSpec(
+            "fee_paid_total",
+            "Total fees paid by senders",
+            "fee_paid_total",
+            ".4f",
+            figure=_FEE_DOC,
+            chart=True,
+        ),
+        TableSpec(
+            "fee_p50",
+            "Median fee per successful payment",
+            "fee_p50",
+            ".6f",
+            figure=_FEE_DOC,
+        ),
+        TableSpec(
+            "hub_revenue",
+            "Top-earning node fee revenue",
+            "hub_revenue",
+            ".4f",
+            figure=_FEE_DOC,
+        ),
+    ),
 )
 
-#: Multi-part payment fields recorded only when MPP is enabled
-#: (:mod:`repro.sim.mpp`).  Appended after the fee set, so MPP-free
-#: records keep their exact pre-MPP shape and store digests.
-MPP_METRIC_FIELDS: tuple[str, ...] = (
-    "mpp_payments",
-    "parts_per_payment",
-    "partial_release_count",
-    "mpp_success_ratio",
-    "mpp_latency_p95",
+#: Carried by MPP-enabled runs (:mod:`repro.sim.mpp`): payments split
+#: into more than one part, their mean part count and success rate,
+#: sibling holds refunded by the all-or-nothing abort, and the p95
+#: latency of settled ones.
+MPP_FAMILY = MetricFamily(
+    "mpp",
+    fields=(
+        "mpp_payments",
+        "parts_per_payment",
+        "partial_release_count",
+        "mpp_success_ratio",
+        "mpp_latency_p95",
+    ),
+    run_columns=(
+        Column("mpp sr (%)", "mpp_success_ratio", ".1f", 100.0),
+        Column("parts/pay", "parts_per_payment", ".2f"),
+        Column("part refunds", "partial_release_count", ".0f"),
+    ),
+    sweep_blocks=(
+        Block("MPP success ratio (%)", "mpp_success_ratio", 100.0),
+        Block("parts per payment", "parts_per_payment"),
+        Block("partial releases", "partial_release_count"),
+    ),
+    tables=(
+        TableSpec(
+            "mpp_success_ratio",
+            "Multi-part payment success ratio (%)",
+            "mpp_success_ratio",
+            ".2f",
+            scale=100.0,
+            figure=_MPP_DOC,
+            chart=True,
+        ),
+        TableSpec(
+            "parts_per_payment",
+            "Parts per multi-part payment",
+            "parts_per_payment",
+            ".2f",
+            figure=_MPP_DOC,
+        ),
+        TableSpec(
+            "partial_release_count",
+            "Sibling part holds refunded on abort",
+            "partial_release_count",
+            ".1f",
+            figure=_MPP_DOC,
+        ),
+    ),
+)
+
+#: The optional families in store-record order: a record appends each
+#: family it carries after :data:`METRIC_FIELDS`, so a record without a
+#: family keeps the exact shape, and digest, it had before the family
+#: existed.  The report lists their tables in this order too.
+FAMILIES: tuple[MetricFamily, ...] = (
+    CONCURRENCY_FAMILY,
+    RESILIENCE_FAMILY,
+    FEE_FAMILY,
+    MPP_FAMILY,
+)
+
+#: The order ``repro run`` shows the families' columns in and ``repro
+#: sweep`` their blocks in; both orders predate the record order.
+RUN_ORDER: tuple[MetricFamily, ...] = (
+    FEE_FAMILY,
+    CONCURRENCY_FAMILY,
+    RESILIENCE_FAMILY,
+    MPP_FAMILY,
+)
+SWEEP_ORDER: tuple[MetricFamily, ...] = (
+    CONCURRENCY_FAMILY,
+    FEE_FAMILY,
+    RESILIENCE_FAMILY,
+    MPP_FAMILY,
 )
 
 
@@ -94,7 +403,7 @@ def fee_metrics(
     fee_p50: float,
     revenue_by_node: Mapping[object, float],
 ) -> dict[str, float]:
-    """The :data:`FEE_METRIC_FIELDS` values for one policy-aware run.
+    """The :data:`FEE_FAMILY` values for one policy-aware run.
 
     ``fee_paid_total`` and ``fee_p50`` are the fold's total and median of
     the fees senders paid for successful payments.  ``revenue_by_node``
@@ -145,16 +454,14 @@ class TransactionRecord:
 
 
 class _FamilyMetric:
-    """One metric of a conditional family, read from the result's dict.
+    """One metric of an optional family, read from the result's dict.
 
     Reads 0.0 when the family is absent, so every result answers every
     metric name :class:`AveragedMetrics` averages.
     """
 
-    def __init__(self, family: str) -> None:
+    def __init__(self, family: str, name: str) -> None:
         self.family = family
-
-    def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
 
     def __get__(self, result, owner=None):
@@ -172,16 +479,15 @@ class SimulationResult:
     in a fresh run and floats once read back from the store.
 
     ``engine`` names the engine that produced the run (``"sequential"``
-    or ``"concurrent"``); it selects which field set :meth:`to_record`
-    persists.  ``resilience`` is populated (with exactly
-    :data:`RESILIENCE_METRIC_FIELDS`) only when the run injected a
-    fault plan; ``fees`` (exactly :data:`FEE_METRIC_FIELDS`, see
-    :func:`fee_metrics`) only when the run's graph carried BOLT channel
-    policies; ``mpp`` (exactly :data:`MPP_METRIC_FIELDS`) only when the
-    run enabled multi-part payments.  All stay empty — and invisible to
-    :meth:`to_record` — otherwise.  ``records`` holds a list-backed run's
-    per-payment records in workload order; it is empty for a streamed
-    run and for a stored one.
+    or ``"concurrent"``); a concurrent run carries
+    :data:`CONCURRENCY_FAMILY`.  ``resilience``, ``fees`` and ``mpp``
+    hold exactly the fields of the family of that name when the run
+    injected a fault plan, ran on a graph with BOLT channel policies,
+    or enabled multi-part payments; otherwise they stay empty and the
+    family is absent (see :meth:`families`).  Each of their metrics is
+    also an attribute reading 0.0 when absent.  ``records`` holds a
+    list-backed run's per-payment records in workload order; it is
+    empty for a streamed run and for a stored one.
     """
 
     scheme: str
@@ -221,27 +527,17 @@ class SimulationResult:
     mpp: dict = field(default_factory=dict)
     records: list[TransactionRecord] = field(default_factory=list)
 
-    # Resilience (:mod:`repro.sim.faults`): attack- and control-window
-    # success rates, their difference, the seconds after heal until the
-    # success rate recovers, and fund-seconds held by adversary jams.
-    attack_success_ratio = _FamilyMetric("resilience")
-    control_success_ratio = _FamilyMetric("resilience")
-    resilience_delta = _FamilyMetric("resilience")
-    recovery_half_life = _FamilyMetric("resilience")
-    adversary_escrow = _FamilyMetric("resilience")
-    # Fee market: total and median fee of successful payments, and the
-    # fees pocketed by the best-earning intermediary.
-    fee_paid_total = _FamilyMetric("fees")
-    fee_p50 = _FamilyMetric("fees")
-    hub_revenue = _FamilyMetric("fees")
-    # Multi-part payments: payments split into more than one part, their
-    # mean part count and success rate, sibling holds refunded by the
-    # all-or-nothing abort, and the p95 latency of settled ones.
-    mpp_payments = _FamilyMetric("mpp")
-    parts_per_payment = _FamilyMetric("mpp")
-    partial_release_count = _FamilyMetric("mpp")
-    mpp_success_ratio = _FamilyMetric("mpp")
-    mpp_latency_p95 = _FamilyMetric("mpp")
+    def families(self) -> tuple[MetricFamily, ...]:
+        """The optional families this run carries, in record order."""
+        return tuple(
+            family
+            for family in FAMILIES
+            if (
+                self.engine == "concurrent"
+                if family is CONCURRENCY_FAMILY
+                else getattr(self, family.name)
+            )
+        )
 
     def to_record(self) -> dict[str, float]:
         """Every persisted metric value as a flat float dict.
@@ -249,25 +545,14 @@ class SimulationResult:
         This is the structured record the experiment store persists; it
         carries everything :meth:`AveragedMetrics.of` reads, so a stored
         run (see :meth:`from_record`) can stand in for a live one when a
-        sweep resumes.  Concurrent-engine runs additionally persist
-        :data:`CONCURRENT_METRIC_FIELDS`; sequential records are
-        unchanged from the pre-concurrent format.  Runs with an injected
-        fault plan append :data:`RESILIENCE_METRIC_FIELDS`; fault-free
-        records are byte-identical to the pre-faults format.
-        Policy-aware runs append :data:`FEE_METRIC_FIELDS`; policy-free
-        records are byte-identical to the pre-policy format.  MPP-enabled
-        runs append :data:`MPP_METRIC_FIELDS` last; MPP-free records are
-        byte-identical to the pre-MPP format.
+        sweep resumes.  :data:`METRIC_FIELDS` come first, then the fields
+        of each family the run carries, in :data:`FAMILIES` order; a
+        record without a family is byte-identical to the format that
+        predates it.
         """
-        names = METRIC_FIELDS
-        if self.engine == "concurrent":
-            names = METRIC_FIELDS + CONCURRENT_METRIC_FIELDS
-        if self.resilience:
-            names = names + RESILIENCE_METRIC_FIELDS
-        if self.fees:
-            names = names + FEE_METRIC_FIELDS
-        if self.mpp:
-            names = names + MPP_METRIC_FIELDS
+        names = METRIC_FIELDS + tuple(
+            name for family in self.families() for name in family.fields
+        )
         return {name: float(getattr(self, name)) for name in names}
 
     @classmethod
@@ -284,21 +569,30 @@ class SimulationResult:
         clean serial run.
         """
 
-        def family(names: tuple[str, ...]) -> dict[str, float]:
-            if not any(name in metrics for name in names):
+        def values(family: MetricFamily) -> dict[str, float]:
+            if not any(name in metrics for name in family.fields):
                 return {}
-            return {name: float(metrics[name]) for name in names}
+            return {name: float(metrics[name]) for name in family.fields}
 
-        concurrent = family(CONCURRENT_METRIC_FIELDS)
+        concurrent = values(CONCURRENCY_FAMILY)
         return cls(
             scheme=scheme,
             engine="concurrent" if concurrent else "sequential",
             **{name: float(metrics[name]) for name in METRIC_FIELDS},
             **concurrent,
-            resilience=family(RESILIENCE_METRIC_FIELDS),
-            fees=family(FEE_METRIC_FIELDS),
-            mpp=family(MPP_METRIC_FIELDS),
+            **{
+                family.name: values(family)
+                for family in FAMILIES
+                if family is not CONCURRENCY_FAMILY
+            },
         )
+
+
+# Every metric of a dict-held family is also an attribute of the result.
+for _family in FAMILIES:
+    if _family is not CONCURRENCY_FAMILY:
+        for _name in _family.fields:
+            setattr(SimulationResult, _name, _FamilyMetric(_family.name, _name))
 
 
 class P2Quantile:
@@ -426,8 +720,8 @@ class StreamingMetricsAccumulator:
     elephant–mice split itself when the classification threshold is
     estimated online rather than hinted.
 
-    ``track_mpp`` adds the MPP family (:data:`MPP_METRIC_FIELDS`) to the
-    result; the fee family comes with a ``revenue_by_node`` passed to
+    ``track_mpp`` adds :data:`MPP_FAMILY` to the result;
+    :data:`FEE_FAMILY` comes with a ``revenue_by_node`` passed to
     :meth:`result`.
     """
 
@@ -580,10 +874,12 @@ class StreamingMetricsAccumulator:
 class AveragedMetrics:
     """Mean of the headline metrics over several runs (paper: 5 runs).
 
-    The concurrency fields average to zero for sequential runs (every
-    per-run value is zero there), so one dataclass serves both engines.
-    Every field after ``runs`` is the mean of the same-named
-    :class:`SimulationResult` metric.
+    A family's fields average to zero over runs that do not carry it
+    (every per-run value reads zero there), so one dataclass serves
+    every configuration.  Every field between ``runs`` and ``families``
+    is the mean of the same-named :class:`SimulationResult` metric;
+    ``families`` names the optional families any of the runs carries,
+    in record order, which is what the CLI shows.
     """
 
     scheme: str
@@ -615,6 +911,7 @@ class AveragedMetrics:
     partial_release_count: float = 0.0
     mpp_success_ratio: float = 0.0
     mpp_latency_p95: float = 0.0
+    families: tuple[str, ...] = ()
 
     @classmethod
     def of(cls, results: Sequence[SimulationResult]) -> "AveragedMetrics":
@@ -628,12 +925,16 @@ class AveragedMetrics:
             values = list(values)
             return sum(values) / len(values)
 
+        carried = {family for result in results for family in result.families()}
         return cls(
             scheme=results[0].scheme,
             runs=len(results),
+            families=tuple(
+                family.name for family in FAMILIES if family in carried
+            ),
             **{
                 spec.name: mean(getattr(r, spec.name) for r in results)
                 for spec in fields(cls)
-                if spec.name not in ("scheme", "runs")
+                if spec.name not in ("scheme", "runs", "families")
             },
         )

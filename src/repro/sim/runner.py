@@ -4,17 +4,17 @@ The paper reports the average of 5 independent runs (§4.1).  A *scenario*
 here is a callable building (graph, workload) from a seed; the runner
 replays every scheme on identical scenarios and averages the metrics.
 
-Both entry points select between the two simulation engines via
-``engine="sequential"`` (default — :func:`repro.sim.engine.run_simulation`,
-byte-identical to the pre-concurrent behaviour; scenarios with churn
-events, a fault plan or a fee controller enter it through its
-event-first delegate :func:`repro.network.dynamics.run_dynamic_simulation`)
-and ``engine="concurrent"`` (:mod:`repro.sim.concurrent` — discrete-event
-in-flight holds with latency/timeout metrics; knobs via
-``engine_params``).  Registered scenarios may carry their own engine
-default, which ``engine=None`` picks up; concurrent cells fold the
-fully-resolved knob set into their store key (see :func:`cell_digest`),
-while sequential cell keys are unchanged so existing stores resume.
+Every comparison runs under one :class:`RunConfig`, which
+:func:`resolve_run_config` builds from a registered scenario's defaults
+and the caller's knobs: the sequential engine
+(:func:`repro.sim.engine.run_simulation`; scenarios with churn events, a
+fault plan or a fee controller enter it through its event-first delegate
+:func:`repro.network.dynamics.run_dynamic_simulation`) or the concurrent
+one (:mod:`repro.sim.concurrent` — discrete-event in-flight holds with
+latency/timeout metrics), with or without multi-part payments
+(:mod:`repro.sim.mpp`).  The config also keys the store cells (see
+:func:`cell_digest`): sequential, MPP-free cells add nothing to their
+key, so stores written before either feature existed still resume.
 
 Runs are independent by construction (each derives its RNGs from
 ``base_seed`` and its run index alone), so ``run_comparison`` and
@@ -50,8 +50,11 @@ from typing import TYPE_CHECKING
 
 from repro.network.dynamics import ChannelEvent, run_dynamic_simulation
 from repro.network.graph import ChannelGraph
+from repro.sim import concurrent
+from repro.sim.concurrent import ConcurrencyConfig
 from repro.sim.engine import RouterFactory, run_simulation
 from repro.sim.metrics import AveragedMetrics, SimulationResult
+from repro.sim.mpp import MppConfig
 from repro.traces.workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (eval -> sim)
@@ -84,110 +87,105 @@ DEFAULT_MICE_FRACTION = 0.9
 ENGINES: tuple[str, ...] = ("sequential", "concurrent")
 
 
-def cell_digest(
-    cell_params: Mapping[str, object] | None,
-    reference_mice_fraction: float = DEFAULT_MICE_FRACTION,
-    engine: str = "sequential",
+@dataclass(frozen=True)
+class RunConfig:
+    """The validated knob sets one comparison runs with.
+
+    ``concurrency`` is ``None`` for the sequential engine and the
+    concurrent engine's knobs otherwise; ``mpp`` is ``None`` without
+    multi-part payments.  Build one with :func:`resolve_run_config`.
+    """
+
+    concurrency: ConcurrencyConfig | None = None
+    mpp: MppConfig | None = None
+
+    def digest_params(self) -> dict[str, object]:
+        """What this config adds to a store cell's parameters.
+
+        A concurrent cell adds the engine name and its fully resolved
+        knobs (an omitted knob and its explicit default hash the same),
+        an MPP cell its resolved MPP knobs; a sequential, MPP-free cell
+        adds nothing.  So stores written before either feature existed
+        still resume.
+        """
+        params: dict[str, object] = {}
+        if self.concurrency is not None:
+            params["engine"] = "concurrent"
+            params["engine_params"] = self.concurrency.to_params()
+        if self.mpp is not None:
+            params["mpp"] = self.mpp.to_params()
+        return params
+
+
+def resolve_run_config(
+    scenario: "ScenarioFactory | str | None" = None,
+    engine: str | None = None,
     engine_params: Mapping[str, object] | None = None,
     mpp_params: Mapping[str, object] | None = None,
-) -> tuple[dict[str, object], str]:
-    """The ``(params, hash)`` a comparison's store cells are keyed by.
+) -> RunConfig:
+    """Layer and validate the engine and MPP knobs of one comparison.
 
-    Single source of truth for the hash recipe: :func:`run_comparison`
-    keys its records through this, and readers (e.g. the report
-    generator) must call it too rather than re-deriving the mapping —
-    a recipe mismatch would silently select zero records.
-
-    Concurrent cells fold the engine name and the **fully-resolved**
-    knob set into the key (an omitted knob and its explicit default
-    hash identically); sequential cells add nothing, so stores written
-    before the concurrent engine existed still resume.  MPP-enabled
-    cells (``mpp_params`` not ``None``) likewise fold the resolved
-    :class:`~repro.sim.mpp.MppConfig` knob set under ``"mpp"``;
-    MPP-free cells add nothing, keeping pre-MPP digests.
+    Every entry point that takes these knobs (the runner, the CLI, the
+    report, scenario registration) resolves them here.  A registered
+    scenario name supplies defaults: ``engine=None`` takes
+    its engine, its ``engine_params`` sit under the passed ones, and its
+    ``mpp_params`` under the passed MPP knobs (``mpp_params=None`` keeps
+    its MPP setting as registered).  Factory callables and ``None`` have
+    no defaults: sequential, MPP off.  Any MPP mapping, even ``{}``,
+    turns MPP on.  Unknown engines, unknown or out-of-range knobs, and
+    engine knobs on the sequential engine, which would be silently
+    ignored, raise :class:`ValueError`.
     """
-    from repro.eval.store import params_hash
-
-    params = dict(cell_params or {})
-    params["reference_mice_fraction"] = reference_mice_fraction
-    if engine != "sequential":
-        from repro.sim.concurrent import ConcurrencyConfig
-
-        params["engine"] = engine
-        params["engine_params"] = ConcurrencyConfig.from_params(
-            engine_params
-        ).to_params()
-    if mpp_params is not None:
-        from repro.sim.mpp import MppConfig
-
-        params["mpp"] = MppConfig.from_params(mpp_params).to_params()
-    return params, params_hash(params)
-
-
-def resolve_engine(
-    scenario: "ScenarioFactory | str",
-    engine: str | None,
-    engine_params: Mapping[str, object] | None,
-) -> tuple[str, dict[str, object]]:
-    """The effective ``(engine, engine_params)`` for one comparison.
-
-    ``engine=None`` defers to the registered scenario's default engine
-    (plain ``"sequential"`` for factory callables).  A registered
-    concurrent scenario's ``engine_params`` act as defaults under any
-    explicitly passed ones, so CLI knobs override the catalog without
-    discarding it.  Unknown engine names — and explicit engine
-    parameters whose effective engine is sequential, which would
-    otherwise be silently ignored — raise :class:`ValueError`.
-    """
-    scenario_engine = "sequential"
-    scenario_params: dict[str, object] = {}
+    registered = None
     if isinstance(scenario, str):
         from repro.scenarios import get_scenario
 
         registered = get_scenario(scenario)
-        scenario_engine = registered.engine
-        scenario_params = dict(registered.engine_params)
-    resolved = engine if engine is not None else scenario_engine
-    if resolved not in ENGINES:
+    if engine is None:
+        engine = registered.engine if registered else "sequential"
+    if engine not in ENGINES:
         raise ValueError(
-            f"unknown engine {resolved!r} (known: {', '.join(ENGINES)})"
+            f"unknown engine {engine!r} (known: {', '.join(ENGINES)})"
         )
-    if resolved == "sequential" and engine_params:
+    if engine == "sequential" and engine_params:
         raise ValueError(
             "engine parameters "
             f"{sorted(engine_params)} have no effect with "
             "engine='sequential'; pass engine='concurrent' to use them"
         )
-    params: dict[str, object] = {}
-    if resolved == "concurrent" and resolved == scenario_engine:
-        params.update(scenario_params)
-    params.update(dict(engine_params or {}))
-    return resolved, params
+    concurrency = None
+    if engine == "concurrent":
+        # A sequential scenario registers no engine knobs, so its
+        # (empty) ones can be layered whichever engine the caller picks.
+        defaults = registered.engine_params if registered else {}
+        concurrency = ConcurrencyConfig.from_params(
+            {**defaults, **(engine_params or {})}
+        )
+    if registered is not None and registered.mpp_params is not None:
+        mpp_params = {**registered.mpp_params, **(mpp_params or {})}
+    mpp = None if mpp_params is None else MppConfig.from_params(mpp_params)
+    return RunConfig(concurrency, mpp)
 
 
-def resolve_mpp(
-    scenario: "ScenarioFactory | str",
-    mpp_params: Mapping[str, object] | None,
-) -> dict[str, object] | None:
-    """The effective MPP knob mapping for one comparison, or ``None``.
+def cell_digest(
+    cell_params: Mapping[str, object] | None,
+    reference_mice_fraction: float = DEFAULT_MICE_FRACTION,
+    config: RunConfig = RunConfig(),
+) -> tuple[dict[str, object], str]:
+    """The ``(params, hash)`` a comparison's store cells are keyed by.
 
-    ``None`` disables MPP; any mapping (even ``{}``) enables it with
-    the defaults of :class:`~repro.sim.mpp.MppConfig` underneath.
-    ``mpp_params=None`` defers to the registered scenario's
-    ``mpp_params`` (``None`` for factory callables); a registered
-    MPP scenario's knobs act as defaults under any explicitly passed
-    ones, mirroring :func:`resolve_engine`.
+    Single source of truth for the hash recipe: the runner keys its
+    records through this, and readers (e.g. the report generator) must
+    call it too rather than re-deriving the mapping — a recipe mismatch
+    would silently select zero records.  ``config`` adds its
+    :meth:`RunConfig.digest_params`.
     """
-    scenario_params: Mapping[str, object] | None = None
-    if isinstance(scenario, str):
-        from repro.scenarios import get_scenario
+    from repro.eval.store import params_hash
 
-        scenario_params = get_scenario(scenario).mpp_params
-    if mpp_params is None:
-        return dict(scenario_params) if scenario_params is not None else None
-    resolved = dict(scenario_params or {})
-    resolved.update(dict(mpp_params))
-    return resolved
+    params = dict(cell_params or {})
+    params["reference_mice_fraction"] = reference_mice_fraction
+    params.update(config.digest_params())
+    return params, params_hash(params)
 
 
 def resolve_scenario(scenario: ScenarioFactory | str) -> ScenarioFactory:
@@ -225,9 +223,7 @@ def _single_run(
     base_seed: int,
     reference_mice_fraction: float,
     run_index: int,
-    engine: str = "sequential",
-    engine_params: Mapping[str, object] | None = None,
-    mpp_params: Mapping[str, object] | None = None,
+    config: RunConfig = RunConfig(),
     skip: set[str] | None = None,
     on_result: Callable[[str, SimulationResult], None] | None = None,
 ) -> dict[str, SimulationResult]:
@@ -239,8 +235,8 @@ def _single_run(
     :func:`~repro.network.dynamics.run_dynamic_simulation` (churn
     interleaved by timestamp, same event stream for every scheme), and
     a fault plan additionally injects its adversarial events and
-    attaches resilience metrics.
-    ``engine="concurrent"`` routes every scheme through
+    attaches resilience metrics.  A concurrent ``config`` routes every
+    scheme through
     :func:`repro.sim.concurrent.run_concurrent_simulation` instead
     (which handles events and faults natively); seeds are derived the
     same way for both engines.
@@ -262,35 +258,23 @@ def _single_run(
     else:
         graph, workload = built
         events = None
-    config = None
-    if engine == "concurrent":
-        from repro.sim.concurrent import ConcurrencyConfig
-
-        config = ConcurrencyConfig.from_params(engine_params)
-    mpp = None
-    if mpp_params is not None:
-        from repro.sim.mpp import MppConfig
-
-        mpp = MppConfig.from_params(mpp_params)
     results: dict[str, SimulationResult] = {}
     for name, factory in factories.items():
         if skip and name in skip:
             continue
         name_salt = zlib.crc32(name.encode("utf-8")) % 7_919
         router_rng = random.Random(base_seed + 7_919 * run_index + name_salt)
-        if config is not None:
-            from repro.sim.concurrent import run_concurrent_simulation
-
-            results[name] = run_concurrent_simulation(
+        if config.concurrency is not None:
+            results[name] = concurrent.run_concurrent_simulation(
                 graph,
                 factory,
                 workload,
                 rng=router_rng,
-                config=config,
+                config=config.concurrency,
                 events=events,
                 reference_mice_fraction=reference_mice_fraction,
                 faults=faults,
-                mpp=mpp,
+                mpp=config.mpp,
             )
         elif (
             events
@@ -308,7 +292,7 @@ def _single_run(
                 rng=router_rng,
                 reference_mice_fraction=reference_mice_fraction,
                 faults=faults,
-                mpp=mpp,
+                mpp=config.mpp,
             )
         else:
             results[name] = run_simulation(
@@ -317,7 +301,7 @@ def _single_run(
                 workload,
                 rng=router_rng,
                 reference_mice_fraction=reference_mice_fraction,
-                mpp=mpp,
+                mpp=config.mpp,
             )
         if on_result is not None:
             on_result(name, results[name])
@@ -367,23 +351,14 @@ def _forked_run(run_index: int) -> dict[str, SimulationResult]:
         factories,
         base_seed,
         reference_mice_fraction,
+        config,
         store_directory,
         experiment,
         digest,
         params,
-        engine,
-        engine_params,
-        mpp_params,
     ) = _FORK_STATE
     results = _single_run(
-        scenario,
-        factories,
-        base_seed,
-        reference_mice_fraction,
-        run_index,
-        engine=engine,
-        engine_params=engine_params,
-        mpp_params=mpp_params,
+        scenario, factories, base_seed, reference_mice_fraction, run_index, config
     )
     if store_directory is not None:
         # Persist into a per-process shard before returning: if a later
@@ -412,14 +387,12 @@ def _run_parallel(
     run_indices: Sequence[int],
     base_seed: int,
     reference_mice_fraction: float,
+    config: RunConfig,
     processes: int,
     store: "ExperimentStore | None" = None,
     experiment: str | None = None,
     digest: str | None = None,
     params: Mapping[str, object] | None = None,
-    engine: str = "sequential",
-    engine_params: Mapping[str, object] | None = None,
-    mpp_params: Mapping[str, object] | None = None,
 ) -> list[dict[str, SimulationResult]] | None:
     """Fan runs out over fork workers; ``None`` if fork is unavailable."""
     global _FORK_STATE
@@ -435,13 +408,11 @@ def _run_parallel(
                 factories,
                 base_seed,
                 reference_mice_fraction,
+                config,
                 store_directory,
                 experiment,
                 digest,
                 params,
-                engine,
-                engine_params,
-                mpp_params,
             )
             try:
                 pool = context.Pool(processes=processes)
@@ -474,46 +445,67 @@ def run_comparison(
     """Average each scheme over ``runs`` seeded replications.
 
     ``scenario`` is a factory callable or a registered scenario name
-    (see :func:`resolve_scenario`).  Every scheme within a run sees the
-    *same* graph copy and workload, so differences are attributable to
-    routing alone.  ``workers=N`` (N > 1) executes the seeded runs in up
-    to N parallel processes, no more than there are pending runs or
-    usable CPUs (one left means the serial path); seeds, result order,
-    and therefore every averaged metric are identical to the serial
-    path.
+    (see :func:`resolve_scenario`); a name also keys the store records
+    when ``experiment`` is not given.  ``engine``, ``engine_params`` and
+    ``mpp_params`` go through :func:`resolve_run_config`, so a
+    registered scenario's own engine and MPP knobs apply unless
+    overridden.  Everything else is :func:`compare_schemes`.
+    """
+    if experiment is None and isinstance(scenario, str):
+        experiment = scenario
+    config = resolve_run_config(scenario, engine, engine_params, mpp_params)
+    return compare_schemes(
+        resolve_scenario(scenario),
+        factories,
+        config,
+        runs=runs,
+        base_seed=base_seed,
+        reference_mice_fraction=reference_mice_fraction,
+        workers=workers,
+        store=store,
+        experiment=experiment,
+        cell_params=cell_params,
+    )
 
-    ``engine``/``engine_params`` select the simulation engine (see
-    :func:`resolve_engine`): ``None`` uses the registered scenario's
-    default, ``"concurrent"`` runs the discrete-event in-flight-hold
-    engine with the given :class:`~repro.sim.concurrent.ConcurrencyConfig`
-    knobs.
+
+def compare_schemes(
+    scenario: ScenarioFactory,
+    factories: dict[str, RouterFactory],
+    config: RunConfig,
+    runs: int = DEFAULT_RUNS,
+    base_seed: int = 0,
+    reference_mice_fraction: float = DEFAULT_MICE_FRACTION,
+    workers: int | None = None,
+    store: "ExperimentStore | None" = None,
+    experiment: str | None = None,
+    cell_params: Mapping[str, object] | None = None,
+) -> ComparisonResult:
+    """Average each scheme over ``runs`` seeded replications under ``config``.
+
+    Every scheme within a run sees the *same* graph copy and workload,
+    so differences are attributable to routing alone.  ``workers=N``
+    (N > 1) executes the seeded runs in up to N parallel processes, no
+    more than there are pending runs or usable CPUs (one left means the
+    serial path); seeds, result order, and therefore every averaged
+    metric are identical to the serial path.
 
     ``store`` persists every (scheme, run) cell as it completes and
     **skips cells the store already holds**, making re-invocations
-    resumable.  Cells are keyed by ``experiment`` (defaults to the
-    scenario name when ``scenario`` is a registered name), the scheme
-    name, ``base_seed``, the run index, and a hash of ``cell_params``
-    (include anything that changes the scenario's behaviour — overrides,
-    swept values — so different configurations never collide); the
-    engine and its resolved knobs are folded into that hash for
-    concurrent runs automatically, and the resolved MPP knobs likewise
-    when MPP is enabled (``mpp_params`` mapping, or a registered
-    scenario default — see :func:`resolve_mpp`).
+    resumable.  Cells are keyed by ``experiment`` (required with a
+    store), the scheme name, ``base_seed``, the run index, and a hash of
+    ``cell_params`` and ``config`` (see :func:`cell_digest`); include in
+    ``cell_params`` anything else that changes the scenario's behaviour
+    (overrides, swept values) so different configurations never collide.
     """
     if runs <= 0:
         raise ValueError(f"runs must be positive, got {runs}")
     if workers is not None and workers <= 0:
         raise ValueError(f"workers must be positive, got {workers}")
     if store is not None and experiment is None:
-        if not isinstance(scenario, str):
-            raise ValueError(
-                "run_comparison(store=...) needs experiment= to key the "
-                "records when the scenario is a callable"
-            )
-        experiment = scenario
-    engine, engine_params = resolve_engine(scenario, engine, engine_params)
-    mpp_params = resolve_mpp(scenario, mpp_params)
-    scenario = resolve_scenario(scenario)
+        raise ValueError(
+            "run_comparison(store=...) needs experiment= to key the "
+            "records when the scenario is a callable"
+        )
 
     digest = ""
     params: dict[str, object] = {}
@@ -522,11 +514,7 @@ def run_comparison(
         from repro.eval.store import cell_id
 
         params, digest = cell_digest(
-            cell_params,
-            reference_mice_fraction,
-            engine=engine,
-            engine_params=engine_params,
-            mpp_params=mpp_params,
+            cell_params, reference_mice_fraction, config
         )
         # Fold in shards orphaned by a killed parent (the pool's own
         # merge in `finally` never ran), so those completed runs count
@@ -558,14 +546,12 @@ def run_comparison(
                 pending,
                 base_seed,
                 reference_mice_fraction,
+                config,
                 processes,
                 store=store,
                 experiment=experiment,
                 digest=digest,
                 params=params,
-                engine=engine,
-                engine_params=engine_params,
-                mpp_params=mpp_params,
             )
         if parallel_results is not None:
             fresh = dict(zip(pending, parallel_results))
@@ -605,19 +591,16 @@ def run_comparison(
                             store.append(record)
                             stored[record["cell"]] = record
 
-                results = _single_run(
+                fresh[run_index] = _single_run(
                     scenario,
                     factories,
                     base_seed,
                     reference_mice_fraction,
                     run_index,
-                    engine=engine,
-                    engine_params=engine_params,
-                    mpp_params=mpp_params,
+                    config,
                     skip=done,
                     on_result=_checkpoint,
                 )
-                fresh[run_index] = results
 
     per_scheme: dict[str, list] = {name: [] for name in factories}
     for run_index in range(runs):
@@ -642,7 +625,7 @@ def run_comparison(
 
 def sweep(
     values: Sequence,
-    scenario_for: Callable[[object], ScenarioFactory],
+    scenario_for: Callable[[object], ScenarioFactory | str],
     factories: dict[str, RouterFactory],
     runs: int = DEFAULT_RUNS,
     base_seed: int = 0,
@@ -650,24 +633,18 @@ def sweep(
     store: "ExperimentStore | None" = None,
     experiment: str | None = None,
     cell_params: Mapping[str, object] | None = None,
-    engine: str | None = None,
-    engine_params: Mapping[str, object] | None = None,
-    engine_params_for: Callable[[object], Mapping[str, object]] | None = None,
-    mpp_params: Mapping[str, object] | None = None,
-    mpp_params_for: Callable[[object], Mapping[str, object]] | None = None,
+    config_for: Callable[[object], RunConfig] | None = None,
 ) -> dict[str, list[AveragedMetrics]]:
     """Run a parameter sweep: one comparison per value.
 
     Returns ``{scheme: [AveragedMetrics per swept value]}`` — exactly the
     series shape of the paper's line plots (Figs 6, 7, 10, 11).
     ``scenario_for`` may return a factory callable *or* a registered
-    scenario name per value; ``workers``, ``engine``, and
-    ``engine_params`` are forwarded to every :func:`run_comparison`.
-    ``engine_params_for`` makes the *engine* itself sweepable (the
-    concurrency axes: load, timeout, ...): when given, it maps each
-    swept value to that comparison's engine knobs, overriding
-    ``engine_params``.  ``mpp_params``/``mpp_params_for`` do the same
-    for the multi-part payment knobs (the ``mpp.*`` axes).
+    scenario name per value; ``workers`` is forwarded to every
+    comparison.  ``config_for`` maps each swept value to its
+    :class:`RunConfig`, which makes the engine and MPP knobs sweepable
+    (the ``engine.*`` and ``mpp.*`` axes); without it each value runs
+    with :func:`resolve_run_config` of its scenario.
 
     With ``store`` the sweep is **resumable**: each swept value's cells
     carry the value inside their parameter hash, so re-invoking an
@@ -685,22 +662,18 @@ def sweep(
         value_params: dict[str, object] | None = None
         if store is not None:
             value_params = {**dict(cell_params or {}), "sweep_value": value}
-        comparison = run_comparison(
-            scenario,
+        comparison = compare_schemes(
+            resolve_scenario(scenario),
             factories,
+            config_for(value)
+            if config_for is not None
+            else resolve_run_config(scenario),
             runs=runs,
             base_seed=base_seed,
             workers=workers,
             store=store,
             experiment=label,
             cell_params=value_params,
-            engine=engine,
-            engine_params=engine_params_for(value)
-            if engine_params_for is not None
-            else engine_params,
-            mpp_params=mpp_params_for(value)
-            if mpp_params_for is not None
-            else mpp_params,
         )
         for name in factories:
             series[name].append(comparison[name])

@@ -9,6 +9,7 @@ from repro.eval.report import (
     generate_report,
     report_factories,
 )
+from repro.sim.metrics import BASE_FAMILY, CONCURRENCY_FAMILY
 
 from pathlib import Path
 
@@ -60,10 +61,7 @@ class TestGeneratedArtifacts:
         # and timeout tables) but no fault scenario, so the resilience
         # tables are skipped and the goldens stay fault-free.
         expected = {
-            t.slug
-            for t in TABLES
-            if not t.optional_metric
-            or t.slug in ("latency_p95", "timeout_failures")
+            t.slug for t in BASE_FAMILY.tables + CONCURRENCY_FAMILY.tables
         }
         assert set(smoke_report.tables) == expected
         for path in smoke_report.tables.values():

@@ -105,11 +105,15 @@ class TestHolds:
         assert channel.balance("bob", "alice") == 20.0
         assert channel.total_capacity() == 60.0
 
-    def test_hold_overdraft_rejected(self):
+    def test_hold_overdraft_refused(self):
         channel = make_channel()
-        channel.hold("alice", "bob", 30.0)
-        with pytest.raises(InsufficientBalanceError):
-            channel.hold("alice", "bob", 15.0)
+        assert channel.hold("alice", "bob", 30.0) is True
+        # A refused hold is a return value and leaves the channel as it was.
+        assert channel.hold("alice", "bob", 15.0) is False
+        assert channel.held("alice", "bob") == 30.0
+        assert channel.balance("alice", "bob") == 10.0
+        # Within the float tolerance the exact remainder still fits.
+        assert channel.hold("alice", "bob", 10.0) is True
 
     def test_settle_hold_transfers(self):
         channel = make_channel()

@@ -149,6 +149,16 @@ class TestExecute:
         )
         assert diamond_graph.network_funds() == pytest.approx(funds)
 
+    def test_hold_reports_a_refusal_by_its_return_value(self, line_graph):
+        assert line_graph.hold(0, 1, 60.0) is True
+        assert line_graph.hold(0, 1, 60.0) is False
+        assert line_graph.held(0, 1) == 60.0
+        assert line_graph.balance(0, 1) == 40.0
+
+    def test_hold_on_a_missing_channel_raises(self, line_graph):
+        with pytest.raises(NoChannelError):
+            line_graph.hold(0, 2, 1.0)
+
 
 class TestCopyAndInterop:
     def test_copy_is_deep(self, line_graph):

@@ -158,7 +158,7 @@ class TestScenarioEngine:
         assert "tmp-dangling-engine-params" not in scenarios.SCENARIOS
 
     def test_bad_engine_params_rejected_eagerly(self):
-        with pytest.raises(ScenarioError, match="bad engine_params"):
+        with pytest.raises(ScenarioError, match="unknown concurrency parameter"):
             scenarios.register_scenario(
                 "tmp-bad-engine-params",
                 "broken",

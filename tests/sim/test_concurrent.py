@@ -28,7 +28,7 @@ from repro.sim.factories import (
     paper_benchmark_factories,
     shortest_path_factory,
 )
-from repro.sim.metrics import CONCURRENT_METRIC_FIELDS, METRIC_FIELDS
+from repro.sim.metrics import CONCURRENCY_FAMILY, METRIC_FIELDS
 from repro.traces.workload import Transaction, Workload
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "sequential_engine.json"
@@ -369,7 +369,7 @@ class TestDeterminism:
             config=ConcurrencyConfig.from_params(scenario.engine_params),
         )
         record = result.to_record()
-        for name in METRIC_FIELDS + CONCURRENT_METRIC_FIELDS:
+        for name in METRIC_FIELDS + CONCURRENCY_FAMILY.fields:
             assert name in record
 
 
@@ -408,7 +408,7 @@ class TestSequentialEquivalence:
             graph, shortest_path_factory(), payments(("A", "C", 10.0, 0.0))
         )
         assert result.engine == "sequential"
-        for name in CONCURRENT_METRIC_FIELDS:
+        for name in CONCURRENCY_FAMILY.fields:
             assert name not in result.to_record()
 
     def test_run_comparison_engine_sequential_is_default_path(self):

@@ -33,7 +33,7 @@ from repro.sim.faults import (
     compile_faults,
     resilience_metrics,
 )
-from repro.sim.metrics import RESILIENCE_METRIC_FIELDS
+from repro.sim.metrics import RESILIENCE_FAMILY
 from repro.sim.runner import run_comparison
 from repro.traces.workload import Transaction, Workload
 
@@ -297,10 +297,10 @@ class TestMidFlightClose:
             faults=plan,
             copy_graph=False,
         )
-        assert set(result.resilience) == set(RESILIENCE_METRIC_FIELDS)
+        assert set(result.resilience) == set(RESILIENCE_FAMILY.fields)
         assert graph.total_held() == pytest.approx(0.0)
         record = result.to_record()
-        for name in RESILIENCE_METRIC_FIELDS:
+        for name in RESILIENCE_FAMILY.fields:
             assert name in record
 
 
@@ -407,4 +407,4 @@ class TestResilienceMetrics:
         metrics = resilience_metrics(
             [], [], plan, adversary_escrow_seconds=0.0, horizon=0.0
         )
-        assert all(metrics[name] == 0.0 for name in RESILIENCE_METRIC_FIELDS)
+        assert all(metrics[name] == 0.0 for name in RESILIENCE_FAMILY.fields)

@@ -31,7 +31,7 @@ from repro.network.view import NetworkView
 from repro.sim.concurrent import ConcurrencyConfig, run_concurrent_simulation
 from repro.sim.engine import run_simulation
 from repro.sim.factories import shortest_path_factory
-from repro.sim.metrics import FEE_METRIC_FIELDS
+from repro.sim.metrics import FEE_FAMILY
 from repro.traces.generators import generate_ripple_workload
 from repro.traces.workload import Transaction, Workload
 
@@ -186,7 +186,7 @@ class TestFeeFreeRunsStayPinned:
         )
         assert result.fees == {}
         record = result.to_record()
-        for field in FEE_METRIC_FIELDS:
+        for field in FEE_FAMILY.fields:
             assert field not in record
 
     def test_stored_result_roundtrip_both_shapes(self):
@@ -211,7 +211,7 @@ class TestFeeFreeRunsStayPinned:
         legacy = {
             key: value
             for key, value in result.to_record().items()
-            if key not in FEE_METRIC_FIELDS
+            if key not in FEE_FAMILY.fields
         }
         pre_fee = SimulationResult.from_record("sp", legacy)
         assert pre_fee.fee_paid_total == 0.0
@@ -228,4 +228,4 @@ class TestFeeFreeRunsStayPinned:
             graph, shortest_path_factory(), workload, rng=random.Random(1)
         )
         assert result.fees == {}
-        assert set(FEE_METRIC_FIELDS).isdisjoint(result.to_record())
+        assert set(FEE_FAMILY.fields).isdisjoint(result.to_record())

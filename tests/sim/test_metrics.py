@@ -1,5 +1,6 @@
 """Tests for simulation metrics and averaging."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,12 @@ from repro.sim.engine import run_simulation
 from repro.sim.factories import flash_factory, shortest_path_factory
 from repro.sim.faults import JammingSpec, compile_faults
 from repro.sim.metrics import (
+    BASE_FAMILY,
+    CONCURRENCY_FAMILY,
+    FAMILIES,
+    METRIC_FIELDS,
+    RUN_ORDER,
+    SWEEP_ORDER,
     AveragedMetrics,
     SimulationResult,
     StreamingMetricsAccumulator,
@@ -112,6 +119,55 @@ class TestAveragedMetrics:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             AveragedMetrics.of([])
+
+
+class TestMetricFamilies:
+    def test_every_surface_shows_its_own_fields(self):
+        for family in (BASE_FAMILY, *FAMILIES):
+            shown = (
+                {column.metric for column in family.run_columns}
+                | {block.metric for block in family.sweep_blocks}
+                | {table.metric for table in family.tables}
+            )
+            assert shown <= set(family.fields), family.name
+
+    def test_every_family_field_is_averaged_and_reads_zero_when_absent(self):
+        averaged = {spec.name for spec in dataclasses.fields(AveragedMetrics)}
+        absent = SimulationResult(scheme="x")
+        assert absent.families() == ()
+        for family in FAMILIES:
+            for name in family.fields:
+                assert name in averaged
+                assert getattr(absent, name) == 0.0
+
+    def test_display_orders_list_every_family_once(self):
+        for order in (RUN_ORDER, SWEEP_ORDER):
+            assert sorted(family.name for family in order) == sorted(
+                family.name for family in FAMILIES
+            )
+
+    def test_records_append_carried_families_in_table_order(self):
+        def values(family):
+            return {name: 1.0 for name in family.fields}
+
+        everything = SimulationResult(
+            scheme="x",
+            engine="concurrent",
+            **{
+                family.name: values(family)
+                for family in FAMILIES
+                if family is not CONCURRENCY_FAMILY
+            },
+        )
+        assert everything.families() == FAMILIES
+        assert tuple(everything.to_record()) == METRIC_FIELDS + tuple(
+            name for family in FAMILIES for name in family.fields
+        )
+        # Averages name every family any run carries, in table order.
+        fees_only = SimulationResult(scheme="x", fees={"fee_p50": 2.0})
+        averaged = AveragedMetrics.of([fees_only, everything])
+        assert averaged.families == tuple(family.name for family in FAMILIES)
+        assert AveragedMetrics.of([fees_only]).families == ("fees",)
 
 
 def _scenario(seed):

@@ -24,7 +24,7 @@ from repro.sim.concurrent import ConcurrentNetworkView, HoldLedger
 from repro.sim.engine import run_simulation
 from repro.sim.factories import flash_factory, shortest_path_factory
 from repro.sim.metrics import (
-    MPP_METRIC_FIELDS,
+    MPP_FAMILY,
     SimulationResult,
     StreamingMetricsAccumulator,
     TransactionRecord,
@@ -35,7 +35,12 @@ from repro.sim.mpp import (
     execute_parts_atomically,
     split_amounts,
 )
-from repro.sim.runner import cell_digest, resolve_mpp, run_comparison
+from repro.sim.runner import (
+    RunConfig,
+    cell_digest,
+    resolve_run_config,
+    run_comparison,
+)
 from repro.traces.generators import generate_ripple_workload
 from repro.traces.workload import Transaction, Workload
 from repro.network.topology import (
@@ -310,14 +315,14 @@ class TestByteIdentityPins:
             ]
         )
         record = result.to_record()
-        assert not any(field in record for field in MPP_METRIC_FIELDS)
+        assert not any(field in record for field in MPP_FAMILY.fields)
         assert result.records[0].parts == 0
         assert result.records[0].partial_releases == 0
 
     def test_mpp_run_appends_fields_last(self):
         result = _fold([], track_mpp=True)
         record = result.to_record()
-        assert tuple(record)[-len(MPP_METRIC_FIELDS):] == MPP_METRIC_FIELDS
+        assert tuple(record)[-len(MPP_FAMILY.fields):] == MPP_FAMILY.fields
 
     def test_cell_digest_pinned_without_mpp(self):
         # The exact pre-MPP recipe: any change to this hash invalidates
@@ -327,12 +332,13 @@ class TestByteIdentityPins:
         assert digest == "7ca9816f6f6a"
 
     def test_cell_digest_folds_mpp_only_when_enabled(self):
-        params, digest = cell_digest(None, mpp_params={})
+        params, digest = cell_digest(None, config=RunConfig(mpp=MppConfig()))
         assert params["mpp"] == MppConfig().to_params()
         assert digest == "56e5c544d2e6"
         assert digest != "7ca9816f6f6a"
         # Explicit defaults and omitted knobs hash identically.
-        assert cell_digest(None, mpp_params={"max_parts": 4})[1] == digest
+        explicit = resolve_run_config(mpp_params={"max_parts": 4})
+        assert cell_digest(None, config=explicit)[1] == digest
 
     def test_legacy_store_records_load_with_an_empty_mpp_family(self):
         from repro.sim.metrics import METRIC_FIELDS
@@ -355,7 +361,7 @@ class TestScenarioRegistryWiring:
 
     def test_register_validates_mpp_params_eagerly(self):
         with pytest.raises(
-            scenarios_mod.ScenarioError, match="bad mpp_params"
+            scenarios_mod.ScenarioError, match="max_parts must be >= 1"
         ):
             scenarios_mod.register_scenario(
                 "bad-mpp-test", "bad mpp knobs",
@@ -365,16 +371,19 @@ class TestScenarioRegistryWiring:
         assert "bad-mpp-test" not in scenarios_mod.scenario_names()
 
     def test_resolve_mpp_merges_over_scenario_defaults(self):
-        assert resolve_mpp("payment-storm", None) is None
-        registered = resolve_mpp("mpp-storm", None)
-        assert registered is not None and registered["split"] == "equal"
-        merged = resolve_mpp("mpp-storm", {"split": "flash"})
-        assert merged["split"] == "flash"
-        assert merged["max_parts"] == registered["max_parts"]
-        assert resolve_mpp(lambda rng: None, None) is None
-        assert resolve_mpp(lambda rng: None, {"split": "flash"}) == {
-            "split": "flash"
-        }
+        assert resolve_run_config("payment-storm").mpp is None
+        registered = resolve_run_config("mpp-storm").mpp
+        assert registered is not None and registered.split == "equal"
+        merged = resolve_run_config(
+            "mpp-storm", mpp_params={"split": "flash"}
+        ).mpp
+        assert merged.split == "flash"
+        assert merged.max_parts == registered.max_parts
+        assert merged.deadline == registered.deadline
+        assert resolve_run_config(lambda rng: None).mpp is None
+        assert resolve_run_config(
+            lambda rng: None, mpp_params={"split": "flash"}
+        ).mpp == MppConfig(split="flash")
 
 
 def _tiny_scenario(rng: random.Random):
