@@ -248,10 +248,10 @@ def test_bench_perf_routing(monkeypatch):
     # (serial) and at its real value (vectorized at full scale).
     # Single-pair searches always run the serial kernels (vectorizing
     # them measured 10-20x slower), so only the sweeps are timed; the
-    # identity asserts pin the dict *insertion order* too, which is the
-    # BFS discovery order.  Runs last: its larger graph would otherwise
-    # skew the allocator state the end-to-end timings above are
-    # recorded under.
+    # identity asserts pin the distance dict's *insertion order* and the
+    # tree's discovery-order array too, both BFS discovery order.  Runs
+    # last: its larger graph would otherwise skew the allocator state
+    # the end-to-end timings above are recorded under.
     threshold = CompactTopology.VECTOR_SWEEP_MIN_NODES
     sweep_rng = random.Random(20_260_808)
     sweep_edges = barabasi_albert_edges(SWEEP_NODES, BA_ATTACH, sweep_rng)
@@ -276,12 +276,12 @@ def test_bench_perf_routing(monkeypatch):
     def _time_sweeps():
         # Warm the lazy vector mirrors and scratch first.
         sweep_snap.distances_idx(sweep_sources[0])
-        sweep_snap.tree_parents_idx(sweep_sources[0])
+        sweep_snap.bfs_tree(sweep_sources[0])
         dists, dist_ms = _best_of(
             lambda: [sweep_snap.distances_idx(s) for s in sweep_sources]
         )
         trees, tree_ms = _best_of(
-            lambda: [sweep_snap.tree_parents_idx(s) for s in sweep_sources]
+            lambda: [sweep_snap.bfs_tree(s) for s in sweep_sources]
         )
         return dists, dist_ms, trees, tree_ms
 
@@ -296,7 +296,8 @@ def test_bench_perf_routing(monkeypatch):
     for d_serial, d_sized in zip(serial_dists, sized_dists):
         assert list(d_serial.items()) == list(d_sized.items())
     for t_serial, t_sized in zip(serial_trees, sized_trees):
-        assert list(t_serial.items()) == list(t_sized.items())
+        for a_serial, a_sized in zip(t_serial, t_sized):
+            assert a_serial.tolist() == a_sized.tolist()
     dist_speedup = (
         serial_dist_ms / sized_dist_ms if sized_dist_ms else float("inf")
     )

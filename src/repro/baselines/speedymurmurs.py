@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Mapping
 
 from repro.core.base import Router, RoutingOutcome
 from repro.network.channel import NodeId
@@ -61,7 +62,7 @@ class _TreeCoordinates(dict):
 
     __slots__ = ("parents",)
 
-    def __init__(self, parents: dict[NodeId, NodeId], root: NodeId) -> None:
+    def __init__(self, parents: Mapping[NodeId, NodeId], root: NodeId) -> None:
         super().__init__({root: (root,)})
         self.parents = parents
 
@@ -126,16 +127,19 @@ class SpeedyMurmursRouter(Router):
         """Pick the highest-degree nodes as landmarks (as in [29]) and embed.
 
         Landmarks rank by degree, then ``repr``, exactly as sorting every
-        node would; each tree's coordinates are computed as routing
-        reads them.  The next-hop memo starts empty.
+        node would.  Only a node whose degree reaches the
+        ``num_landmarks``-th largest degree can rank that high, so only
+        those candidates are ranked.  Each tree's coordinates are
+        computed as routing reads them.  The next-hop memo starts empty.
         """
         topology = self._topology
-        degree = topology.degree_idx
+        degrees = list(map(len, topology.neighbor_idx))
+        floor = min(heapq.nlargest(self.num_landmarks, degrees), default=0)
         keys = topology.repr_keys
         landmarks = heapq.nsmallest(
             self.num_landmarks,
-            range(topology.num_nodes),
-            key=lambda i: (-degree(i), keys[i]),
+            [i for i, degree in enumerate(degrees) if degree >= floor],
+            key=lambda i: (-degrees[i], keys[i]),
         )
         nodes = topology.nodes
         self._embeddings = [

@@ -252,16 +252,16 @@ def _cmd_list_scenarios(args) -> int:
             sections.append(("fault", scenarios.FAULTS.get(scenario.faults)))
         for role, entry in sections:
             print(f"  {role} = {entry.name}: {entry.description}")
-            defaults = {
-                "topology": scenario.topology_params,
-                "workload": scenario.workload_params,
-                "dynamics": scenario.dynamics_params,
-                "fault": scenario.fault_params,
+            flag, defaults = {
+                "topology": ("--topo-param", scenario.topology_params),
+                "workload": ("--workload-param", scenario.workload_params),
+                "dynamics": ("--dynamics-param", scenario.dynamics_params),
+                "fault": ("--fault-param", scenario.fault_params),
             }[role]
             for spec in entry.params:
                 default = defaults.get(spec.name, spec.default)
                 print(
-                    f"    --{role}-param {spec.name}={default!r}"
+                    f"    {flag} {spec.name}={default!r}"
                     f"  ({spec.kind.__name__}) {spec.help}"
                 )
     return 0

@@ -30,7 +30,7 @@ vectorizing the single-pair residual probe loses 10-20x because the
 search touches a tiny fraction of the graph while every frontier would
 pay ndarray call overhead.  The residual/stamp scratch is therefore a
 plain float list; only the full sweeps
-(``distances_idx``/``tree_parents_idx``) vectorize, on large graphs
+(``distances_idx``/``bfs_tree``) vectorize, on large graphs
 (see :attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES`).
 """
 

@@ -6,7 +6,10 @@ Yen's algorithm on its local topology and caches them; recurring payments
 (the vast majority, §2.2) become pure table lookups.  The paper describes
 three maintenance behaviours; the table models the first two:
 
-* **refresh** — recompute every entry when the gossiped topology changes;
+* **refresh** — recompute every entry when the gossiped topology changes
+  (each entry's first path is read off the sender's BFS layer at once,
+  and the Yen run that ranks the rest waits for the entry's first read;
+  see :class:`TableEntry`);
 * **replacement** — when a payment finds a cached path dead (zero
   effective capacity or broken connectivity), replace it with the *next*
   shortest path.  Each entry keeps its Yen enumeration
@@ -41,15 +44,17 @@ touched are dropped (a close that the tree does not use cannot shorten
 or break any tree path; an open whose endpoints sit on neighboring BFS
 levels cannot change any distance), and only the entries whose cached
 paths cross a closed channel — or whose sender's layer was dropped —
-are recomputed.  Everything else survives, re-stamped against the new
-topology snapshot.  The precise survival rules are tabulated in
-``docs/ARCHITECTURE.md`` ("Incremental topology maintenance").
+are recomputed, again with their Yen runs deferred.  Everything else
+survives, re-stamped against the new topology snapshot.  The precise
+survival rules are tabulated in ``docs/ARCHITECTURE.md`` ("Incremental
+topology maintenance").
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.network.channel import NodeId
 from repro.network.dynamics import ChannelEvent, ChannelEventType
@@ -63,7 +68,7 @@ from repro.network.paths import (
 Path = list[NodeId]
 
 
-def _node_depth(parents: dict[NodeId, NodeId], node: NodeId) -> int | None:
+def _node_depth(parents: Mapping[NodeId, NodeId], node: NodeId) -> int | None:
     """Depth of ``node`` in a BFS tree, or ``None`` when outside it.
 
     Walks the parent chain up to the root (which maps to itself, at
@@ -87,26 +92,93 @@ class _SourceLayer:
     """One cached structural BFS layer: the topology and its spanning tree."""
 
     topology: Adjacency
-    parents: dict[NodeId, NodeId]
+    parents: Mapping[NodeId, NodeId]
 
 
-@dataclass
+class _Deferred(NamedTuple):
+    """A re-ranking whose Yen run waits for the entry's first read."""
+
+    topology: Adjacency
+    sender: NodeId
+    receiver: NodeId
+    k: int
+    first: Path
+
+
 class TableEntry:
-    """Cached paths for one (sender, receiver) pair."""
+    """Cached paths for one (sender, receiver) pair.
 
-    paths: list[Path]
-    #: How many Yen paths have been consumed for this pair, including
-    #: replaced ones — lets replacement continue where the ranking left off.
-    yen_cursor: int = 0
-    hits: int = 0
-    misses: int = 0
-    #: The pair's Yen enumeration, which :meth:`RoutingTable.replace_path`
-    #: resumes for the next ranked path.  A lookup miss fills it to ``m``
-    #: paths; :meth:`RoutingTable.refresh` and
-    #: :meth:`RoutingTable.apply_events` reset it to ``None`` (the next
-    #: replacement then starts a new one), so it is dropped with the
-    #: topology it was computed on.
-    yen: YenState | None = field(default=None, repr=False, compare=False)
+    ``paths`` are the ranked paths and ``yen_cursor`` counts how many
+    Yen paths have been consumed for this pair, including replaced
+    ones, so that replacement continues where the ranking left off.
+    Both may be *deferred*: :meth:`RoutingTable.refresh` and
+    :meth:`RoutingTable.apply_events` re-rank a stale entry by reading
+    its first path off the sender's BFS layer at once and recording the
+    Yen run that ranks the rest on that batch's topology.  The run
+    happens when ``paths`` or ``yen_cursor`` is first read or written,
+    with exactly the inputs it would have had at batch time, so a
+    deferred entry reads the same as one ranked at once.
+
+    ``yen`` is the pair's Yen enumeration, which
+    :meth:`RoutingTable.replace_path` resumes for the next ranked path.
+    A lookup miss fills it to ``m`` paths; ``refresh`` and
+    ``apply_events`` reset it to ``None`` (the next replacement then
+    starts a new one), so it is dropped with the topology it was
+    computed on.
+    """
+
+    __slots__ = ("_paths", "_yen_cursor", "hits", "misses", "yen", "_deferred")
+
+    def __init__(
+        self,
+        paths: list[Path],
+        yen_cursor: int = 0,
+        hits: int = 0,
+        misses: int = 0,
+        yen: YenState | None = None,
+    ) -> None:
+        self._paths = paths
+        self._yen_cursor = yen_cursor
+        self.hits = hits
+        self.misses = misses
+        self.yen = yen
+        self._deferred: _Deferred | None = None
+
+    def _rank(self) -> None:
+        """Run the deferred Yen run, if any."""
+        deferred = self._deferred
+        if deferred is None:
+            return
+        self._deferred = None
+        paths = yen_k_shortest_paths(
+            deferred.topology,
+            deferred.sender,
+            deferred.receiver,
+            deferred.k,
+            first=deferred.first,
+        )
+        self._paths = paths
+        self._yen_cursor = len(paths)
+
+    @property
+    def paths(self) -> list[Path]:
+        self._rank()
+        return self._paths
+
+    @paths.setter
+    def paths(self, paths: list[Path]) -> None:
+        self._rank()
+        self._paths = paths
+
+    @property
+    def yen_cursor(self) -> int:
+        self._rank()
+        return self._yen_cursor
+
+    @yen_cursor.setter
+    def yen_cursor(self, cursor: int) -> None:
+        self._rank()
+        self._yen_cursor = cursor
 
 
 @dataclass
@@ -140,7 +212,7 @@ class RoutingTable:
 
     def _source_tree(
         self, sender: NodeId, topology: Adjacency
-    ) -> dict[NodeId, NodeId]:
+    ) -> Mapping[NodeId, NodeId]:
         """BFS parent pointers rooted at ``sender`` (cached per source)."""
         cached = self._source_layers.get(sender)
         if cached is not None and cached.topology is topology:
@@ -262,18 +334,43 @@ class RoutingTable:
         entry.paths[index] = replacement
         return replacement
 
+    def _rerank(
+        self,
+        entry: TableEntry,
+        sender: NodeId,
+        receiver: NodeId,
+        topology: Adjacency,
+    ) -> None:
+        """Re-rank ``entry`` on ``topology``, deferring its Yen run.
+
+        The first path is read off the sender's layer now, so the layer
+        cache (what is built, its insertion order, what is evicted)
+        changes exactly as an immediate re-ranking would change it.
+        The Yen run that ranks the rest waits in the entry
+        (:class:`TableEntry`) and replaces any run still waiting there,
+        whose result nothing could have read.
+        """
+        entry.yen = None
+        first = None
+        if self.m > 0:
+            first = self._first_path(sender, receiver, topology)
+        if first is None:
+            entry._deferred = None
+            entry._paths = []
+            entry._yen_cursor = 0
+        else:
+            entry._deferred = _Deferred(topology, sender, receiver, self.m, first)
+
     def refresh(self, topology: Adjacency) -> None:
-        """Recompute every entry against an updated topology (§3.3).
+        """Re-rank every entry against an updated topology (§3.3).
 
         Every entry's Yen enumeration is dropped: it belongs to the old
-        topology.
+        topology.  Each entry's Yen run is deferred to its first read
+        (see :meth:`_rerank`).
         """
         self.invalidate_structural_cache()
         for (sender, receiver), entry in list(self._entries.items()):
-            entry.yen = None
-            paths = self._ranked_paths(sender, receiver, topology, self.m)
-            entry.paths = paths
-            entry.yen_cursor = len(paths)
+            self._rerank(entry, sender, receiver, topology)
 
     def _layer_touched(
         self,
@@ -328,9 +425,14 @@ class RoutingTable:
         incremental contract, covered at run time by the paper's
         trial-and-error replacement and by the next full refresh.
 
-        Every entry's Yen enumeration is dropped, as in :meth:`refresh`,
-        so none keeps a superseded snapshot alive; a surviving entry's
-        next replacement starts a new one on ``topology``.
+        A recomputed entry's Yen run is deferred to its first read (see
+        :meth:`_rerank`).  A surviving entry whose run is still deferred
+        from an earlier batch runs it now, on that batch's topology, and
+        an entry recomputed again replaces its deferred run; so no entry
+        keeps a superseded snapshot alive.  Every entry's Yen
+        enumeration is dropped, as in :meth:`refresh`, for the same
+        reason; a surviving entry's next replacement starts a new one on
+        ``topology``.
 
         Returns ``(layers_dropped, entries_recomputed)`` for tests and
         diagnostics.
@@ -364,21 +466,23 @@ class RoutingTable:
         }
         recomputed = 0
         for (sender, receiver), entry in list(self._entries.items()):
-            entry.yen = None
             stale = sender in dropped
             if not stale and opens and sender in layerless:
                 stale = True
             if not stale and closed_channels:
+                # Reading the paths runs a deferred ranking on its own
+                # batch's topology, as if it had run then.
                 stale = any(
                     frozenset((u, v)) in closed_channels
                     for path in entry.paths
                     for u, v in zip(path, path[1:])
                 )
             if stale:
-                paths = self._ranked_paths(sender, receiver, topology, self.m)
-                entry.paths = paths
-                entry.yen_cursor = len(paths)
+                self._rerank(entry, sender, receiver, topology)
                 recomputed += 1
+            else:
+                entry.yen = None
+                entry._rank()
         return len(dropped), recomputed
 
     @property

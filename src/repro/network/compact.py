@@ -49,7 +49,7 @@ escrow.  The full delta lifecycle is documented in
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import ItemsView, Mapping, Sequence
 
 import numpy as np
 
@@ -162,17 +162,18 @@ class CompactTopology(Mapping):
     BIDIRECTIONAL_MIN_NODES = 128
 
     #: At or above this many nodes the unconstrained full sweeps
-    #: (:meth:`distances_idx` without ``slot_ok``, :meth:`tree_parents_idx`)
+    #: (:meth:`distances_idx` without ``slot_ok``, :meth:`bfs_tree`)
     #: run vectorized, one whole BFS frontier per numpy pass; below it
     #: they run the serial loops.  A vectorized level pays a fixed
     #: ndarray call overhead that only a wide frontier amortizes: on
     #: BA graphs the vectorized sweeps ran 0.26-0.44x the serial speed
     #: at 100 nodes and beat it on every graph measured from 2,000 up
     #: (table in docs/ARCHITECTURE.md, "Kernel selection").  Both
-    #: kernels return the same dict in the same insertion order, so the
-    #: choice never changes a result.  Single-pair searches (Yen's spur
-    #: loop, Algorithm 1) stay serial at every size: they visit a small
-    #: share of the graph, and vectorizing them measured 10-20x slower.
+    #: kernels return the same dict or arrays, in the same discovery
+    #: order, so the choice never changes a result.  Single-pair
+    #: searches (Yen's spur loop, Algorithm 1) stay serial at every
+    #: size: they visit a small share of the graph, and vectorizing them
+    #: measured 10-20x slower.
     VECTOR_SWEEP_MIN_NODES = 2_000
 
     #: Compaction trigger: once tombstoned + arena slots exceed
@@ -601,10 +602,6 @@ class CompactTopology(Mapping):
         """Slot of directed edge ``u -> v`` (by dense index), or ``None``."""
         return self.slot_map.get((u_idx, v_idx))
 
-    def degree_idx(self, i: int) -> int:
-        """Out-degree of the node at dense index ``i``."""
-        return len(self.neighbor_idx[i])
-
     @property
     def repr_keys(self) -> list[str]:
         """Per-node ``repr`` strings — the deterministic Yen tie-break key."""
@@ -795,20 +792,22 @@ class CompactTopology(Mapping):
             dist.update(dict.fromkeys(frontier.tolist(), depth))
         return dist
 
-    def _tree_parents_idx_np(self, src: int) -> dict[int, int]:
-        """Vectorized BFS spanning-tree sweep.
+    def _bfs_tree_np(self, src: int) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized BFS spanning-tree sweep (see :meth:`bfs_tree`).
 
         Same frontier batching and first-occurrence stamping as
         :meth:`_distances_idx_np`, additionally carrying each edge's
         tail so the surviving heads adopt exactly the parent the serial
-        kernel would assign.
+        kernel would assign.  The parent array doubles as the seen set,
+        and the order is the levels' frontiers end to end.
         """
         row_ptr, flat, deg = self._np()
-        seen, stamp, epoch = self._np_scratch()
-        seen[src] = epoch
-        parent = {src: src}
+        stamp = self._np_scratch()[1]
+        parent = np.full(len(self.nodes), -1, dtype=np.int64)
+        parent[src] = src
         frontier = np.full(1, src, dtype=np.int64)
-        while frontier.size:
+        levels = [frontier]
+        while True:
             counts = deg[frontier]
             total = int(counts.sum())
             if not total:
@@ -819,7 +818,7 @@ class CompactTopology(Mapping):
                 np.repeat(row_ptr[frontier] - (cum - counts), counts) + pos
             ]
             par = np.repeat(frontier, counts)
-            mask = seen[neigh] != epoch
+            mask = parent[neigh] < 0
             neigh = neigh[mask]
             if not neigh.size:
                 break
@@ -828,9 +827,9 @@ class CompactTopology(Mapping):
             stamp[neigh[::-1]] = pos[::-1]
             keep = stamp[neigh] == pos
             frontier = neigh[keep]
-            seen[frontier] = epoch
-            parent.update(zip(frontier.tolist(), par[keep].tolist()))
-        return parent
+            parent[frontier] = par[keep]
+            levels.append(frontier)
+        return parent, np.concatenate(levels)
 
     def flow_scratch(self) -> tuple[list[float], list[int], int]:
         """Per-slot ``(residual, stamp, epoch)`` scratch for Algorithm 1.
@@ -1334,27 +1333,32 @@ class CompactTopology(Mapping):
                 queue.append(v)
         return dist
 
-    def tree_parents_idx(self, src: int) -> dict[int, int]:
-        """BFS spanning-tree parent pointers (root maps to itself).
+    def bfs_tree(self, src: int) -> tuple[np.ndarray, np.ndarray]:
+        """BFS spanning tree rooted at ``src``: ``(parent, order)``.
 
-        Vectorized on snapshots of at least :attr:`VECTOR_SWEEP_MIN_NODES`
-        nodes — identical result, including dict insertion order (see
-        :meth:`_tree_parents_idx_np`).
+        ``parent[i]`` is the dense index from which the sweep first
+        reached ``i`` (``src`` is its own parent, -1 where unreached),
+        and ``order`` lists the reached indices in BFS discovery order,
+        ``src`` first; both are ``int64`` arrays.  Serial below
+        :attr:`VECTOR_SWEEP_MIN_NODES` nodes, vectorized at or above it
+        (:meth:`_bfs_tree_np`), with identical arrays either way.
+        :class:`TreeParents` reads them by node id.
         """
         if len(self.nodes) >= self.VECTOR_SWEEP_MIN_NODES:
-            return self._tree_parents_idx_np(src)
-        parent = {src: src}
+            return self._bfs_tree_np(src)
+        parent = [-1] * len(self.nodes)
+        parent[src] = src
+        order = [src]
         nbrs = self.neighbor_idx
-        queue = [src]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+        for u in order:  # visits what the loop appends: the BFS queue
             for v in nbrs[u]:
-                if v not in parent:
+                if parent[v] < 0:
                     parent[v] = u
-                    queue.append(v)
-        return parent
+                    order.append(v)
+        return (
+            np.array(parent, dtype=np.int64),
+            np.array(order, dtype=np.int64),
+        )
 
     # ----------------------------------------------------------- fee rates
 
@@ -1388,3 +1392,86 @@ class CompactTopology(Mapping):
         """
         self.fee_rates = rates
         self.policy_version = version
+
+
+class TreeParents(Mapping):
+    """Read-only ``node -> parent`` view of one :meth:`CompactTopology.bfs_tree`.
+
+    Reads translate node ids through the snapshot's interning table:
+    ``get``, ``[]`` and ``in`` cost one dict lookup and one array read,
+    and ``len`` is the number of reached nodes.  The root maps to
+    itself; an unreached or unknown node is not a key (``[]`` raises
+    ``KeyError``).  Iteration, ``items()`` and ``reversed`` follow BFS
+    discovery order, root first, exactly as the dict the view replaces
+    did.  No per-node dict is built.
+
+    The view holds the snapshot's node list and interning table, which
+    derived snapshots share until a node is added, but not the snapshot
+    itself, so a cached tree does not keep a superseded snapshot's
+    scratch and mirrors alive.
+    """
+
+    __slots__ = ("_nodes", "_index", "_parent", "_order")
+
+    def __init__(
+        self, topology: CompactTopology, parent: np.ndarray, order: np.ndarray
+    ) -> None:
+        self._nodes = topology.nodes
+        self._index = topology._index
+        # Memoryviews: an item read returns a plain int, which is
+        # cheaper than an ndarray scalar to compare and to index with.
+        self._parent = parent.data
+        self._order = order.data
+
+    def __getitem__(self, node: NodeId) -> NodeId:
+        i = self._index.get(node)
+        if i is not None:
+            p = self._parent[i]
+            if p >= 0:
+                return self._nodes[p]
+        raise KeyError(node)
+
+    def get(self, node: NodeId, default=None):
+        """``node``'s parent, or ``default`` when it is not in the tree."""
+        i = self._index.get(node)
+        if i is not None:
+            p = self._parent[i]
+            if p >= 0:
+                return self._nodes[p]
+        return default
+
+    def __contains__(self, node: object) -> bool:
+        i = self._index.get(node)
+        return i is not None and self._parent[i] >= 0
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self):
+        return map(self._nodes.__getitem__, self._order)
+
+    def __reversed__(self):
+        return map(self._nodes.__getitem__, reversed(self._order))
+
+    def items(self) -> "_TreeItems":
+        """``(node, parent)`` pairs in discovery order, reversible."""
+        return _TreeItems(self)
+
+    def _pairs(self, order) -> "zip[tuple[NodeId, NodeId]]":
+        nodes = self._nodes
+        parents = map(self._parent.__getitem__, order)
+        return zip(
+            map(nodes.__getitem__, order), map(nodes.__getitem__, parents)
+        )
+
+
+class _TreeItems(ItemsView):
+    """The items view of :class:`TreeParents`, with ``reversed``."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._pairs(self._mapping._order)
+
+    def __reversed__(self):
+        return self._mapping._pairs(self._mapping._order[::-1])

@@ -32,9 +32,13 @@ equal-length paths may break differently than below the threshold.  From
 :attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES` nodes the full-sweep entry
 points (:func:`bfs_distances` without ``edge_ok``,
 :func:`bfs_tree_parents` — the routing-table and embedding hot paths) run
-vectorized frontier batches.  Both sweep kernels return the same dicts in
-the same order, BFS discovery order, so callers never need to know which
-one ran.
+vectorized frontier batches.  Both sweep kernels return the same results
+in the same order, BFS discovery order, so callers never need to know
+which one ran.  :func:`bfs_distances` returns a dict;
+:func:`bfs_tree_parents` returns a read-only
+:class:`~repro.network.compact.TreeParents` view over the tree kernel's
+two index arrays (parent per dense index, discovery order), which reads
+like the ``node -> parent`` dict it replaces without building one.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import heapq
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.network.channel import NodeId
-from repro.network.compact import CompactTopology
+from repro.network.compact import CompactTopology, TreeParents
 
 Adjacency = Mapping[NodeId, Sequence[NodeId]]
 EdgePredicate = Callable[[NodeId, NodeId], bool]
@@ -162,21 +166,21 @@ def bfs_distances(
 
 def bfs_tree_parents(
     adjacency: Adjacency, source: NodeId
-) -> dict[NodeId, NodeId]:
+) -> Mapping[NodeId, NodeId]:
     """Parent pointers of a BFS spanning tree rooted at ``source``.
 
-    Used by the SpeedyMurmurs embedding and by landmark routing.  The root
-    maps to itself, and the dict is in BFS discovery order, root first.
+    Used by the routing table's BFS layers, the SpeedyMurmurs embedding
+    and the edge betweenness of the jamming faults.  The root maps to
+    itself, and iteration is in BFS discovery order, root first.  The
+    result is a read-only :class:`~repro.network.compact.TreeParents`
+    view over the snapshot kernel's index arrays; an unknown ``source``
+    gives an empty mapping.
     """
     interned = _interned(adjacency, source)
     if interned is None:
         return {}
     ct, (src,) = interned
-    nodes = ct.nodes
-    return {
-        nodes[child]: nodes[par]
-        for child, par in ct.tree_parents_idx(src).items()
-    }
+    return TreeParents(ct, *ct.bfs_tree(src))
 
 
 # ---------------------------------------------------------------------- Yen

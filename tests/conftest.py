@@ -23,7 +23,7 @@ def vector_sweeps(monkeypatch):
     ``CompactTopology`` picks the vectorized full sweeps only from
     ``VECTOR_SWEEP_MIN_NODES`` nodes up, far above test-scale graphs.
     After ``force()`` the threshold is 0 for the rest of the test, so
-    every unconstrained ``distances_idx``/``tree_parents_idx`` runs the
+    every unconstrained ``distances_idx``/``bfs_tree`` sweep runs the
     vectorized kernel whatever the graph size.  A test may compute a
     reference first and force afterwards.
     """

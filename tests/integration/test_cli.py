@@ -94,6 +94,28 @@ class TestListScenarios:
         assert "--workload-param transactions=" in out
         assert "--dynamics-param preset=" in out
 
+    def test_every_printed_override_parses_as_a_run_flag(self, capsys):
+        # Each "--<flag> KEY=VALUE  (type) help" line under a scenario
+        # must be accepted by `repro run <scenario>` as printed.
+        assert main(["list-scenarios", "--verbose"]) == 0
+        out = capsys.readouterr().out
+        parser = build_parser()
+        scenario = None
+        overrides = 0
+        for line in out.splitlines():
+            if line and not line.startswith(" ") and line.endswith(":"):
+                scenario = line[:-1]
+                continue
+            words = line.split()
+            if not words or not words[0].endswith("-param"):
+                continue
+            flag, override = words[0], words[1]
+            args = parser.parse_args(["run", scenario, flag, override])
+            assert args.name == scenario
+            assert getattr(args, flag[2:].replace("-", "_")) == [override]
+            overrides += 1
+        assert scenario is not None and overrides > 100
+
 
 class TestRunScenario:
     def test_runs_registered_scenario(self, capsys):

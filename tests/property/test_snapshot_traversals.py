@@ -3,7 +3,7 @@
 Three traversals outside ``repro.network.paths`` used to walk
 ``graph.adjacency()`` with their own BFS/DFS loops.  They now call
 ``bfs_tree_parents``/``bfs_distances`` on ``graph.compact()``, whose
-dicts are in BFS discovery order:
+results (a tree view, a dict) are in BFS discovery order:
 
 * ``approximate_edge_betweenness`` — the scores *and* their insertion
   order, because the jamming target ranking reads them;
@@ -13,7 +13,8 @@ dicts are in BFS discovery order:
 
 Each is compared with the deleted loop, kept in ``tests/bfs_reference.py``,
 on seeded BA graphs below and above ``VECTOR_SWEEP_MIN_NODES``, so both
-sweep kernels are exercised without forcing the threshold.
+sweep kernels are exercised without forcing the threshold.  So is the
+tree view itself, forwards and reversed, as edge betweenness reads it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import pytest
 from repro.network.compact import CompactTopology
 from repro.network.dynamics import ChannelEventType
 from repro.network.graph import ChannelGraph
+from repro.network.paths import bfs_tree_parents
 from repro.network.topology import (
     barabasi_albert_edges,
     build_channel_graph,
@@ -55,6 +57,19 @@ def _ba_graph(n_nodes: int, seed: int) -> ChannelGraph:
 @pytest.fixture(scope="module", params=SIZES, ids=lambda n: f"n{n}")
 def graphs(request) -> list[ChannelGraph]:
     return [_ba_graph(request.param, seed) for seed in SEEDS]
+
+
+def test_tree_parents_match_the_dict_loop(graphs):
+    for graph in graphs:
+        adjacency = graph.adjacency()
+        snapshot = graph.compact()
+        for source in graph.nodes[:: len(graph.nodes) // 4]:
+            tree = bfs_tree_parents(snapshot, source)
+            expected = reference.bfs_tree_parents(adjacency, source)
+            assert list(tree.items()) == list(expected.items())
+            assert list(reversed(tree.items())) == list(
+                reversed(expected.items())
+            )
 
 
 def test_edge_betweenness_scores_and_order(graphs):

@@ -1,16 +1,18 @@
 """Differential fuzz layer: the vectorized sweeps must be *bit-identical*.
 
 :class:`~repro.network.compact.CompactTopology` runs its unconstrained
-full sweeps (``distances_idx``, ``tree_parents_idx``) vectorized on
+full sweeps (``distances_idx``, ``bfs_tree``) vectorized on
 graphs of at least ``VECTOR_SWEEP_MIN_NODES`` nodes and serially below.
 The serial sweeps are the reference every golden was recorded under;
 the vectorized ones may take over only because this suite proves, on
 seeded random inputs with the threshold forced to 0, that they are
 observationally indistinguishable:
 
-* ``distances_idx`` / ``tree_parents_idx`` return **the same dict in the
-  same insertion order** (insertion order *is* BFS discovery order, and
-  downstream tie-breaks depend on it), on fresh snapshots, on
+* ``distances_idx`` returns **the same dict in the same insertion
+  order** (insertion order *is* BFS discovery order, and downstream
+  tie-breaks depend on it), ``bfs_tree`` the same parent and
+  discovery-order arrays, and the ``bfs_tree_parents`` view over them
+  the same items in the same order, on fresh snapshots, on
   delta-derived ones (tombstones + arena rows) and on ``fork()``ed
   sibling snapshots;
 * end-to-end ``run_comparison`` metrics are equal across {serial with
@@ -72,14 +74,16 @@ def _churn(rng: random.Random, graph: ChannelGraph, ops: int) -> None:
 
 
 def _sweeps(snapshot: CompactTopology, sources) -> list:
-    """Both sweeps from every source, as ordered item lists.
+    """Both sweeps from every source, as ordered lists.
 
-    ``==`` on dicts ignores order; ``items()`` pins discovery order too.
+    ``==`` on mappings ignores order; ``items()`` pins discovery order
+    too.  The tree kernel's arrays and the view over them are both read.
     """
     return [
         (
             list(snapshot.distances_idx(src).items()),
-            list(snapshot.tree_parents_idx(src).items()),
+            [array.tolist() for array in snapshot.bfs_tree(src)],
+            list(bfs_tree_parents(snapshot, snapshot.nodes[src]).items()),
         )
         for src in sources
     ]
@@ -161,7 +165,7 @@ class TestDispatch:
     def entered(self, monkeypatch) -> list[str]:
         """Names of the vectorized kernels entered, in call order."""
         calls: list[str] = []
-        for name in ("_distances_idx_np", "_tree_parents_idx_np"):
+        for name in ("_distances_idx_np", "_bfs_tree_np"):
             kernel = getattr(CompactTopology, name)
 
             def spy(self, src, _kernel=kernel, _name=name):
@@ -175,7 +179,7 @@ class TestDispatch:
         for src in (0, 1, snapshot.num_nodes - 1):
             snapshot.distances_idx(src)
             snapshot.distances_idx(src, slot_ok=lambda slot: True)
-            snapshot.tree_parents_idx(src)
+            snapshot.bfs_tree(src)
             node = snapshot.nodes[src]
             bfs_distances(snapshot, node)
             bfs_distances(snapshot, node, edge_ok=lambda u, v: True)
@@ -196,9 +200,9 @@ class TestDispatch:
         # Every unconstrained sweep, never a slot_ok/edge_ok one.
         assert entered == 3 * [
             "_distances_idx_np",
-            "_tree_parents_idx_np",
+            "_bfs_tree_np",
             "_distances_idx_np",
-            "_tree_parents_idx_np",
+            "_bfs_tree_np",
         ]
         for src in (0, 1, n_nodes - 1):
             assert list(bfs_distances(snapshot, src).items()) == list(
