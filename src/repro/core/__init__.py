@@ -8,7 +8,6 @@ from repro.core.classifier import (
 from repro.core.fee_optimizer import (
     PaymentSplit,
     split_payment,
-    split_payment_convex,
     split_payment_greedy,
     split_payment_lp,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "find_elephant_paths",
     "route_mice_payment",
     "split_payment",
-    "split_payment_convex",
     "split_payment_greedy",
     "split_payment_lp",
 ]

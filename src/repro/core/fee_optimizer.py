@@ -8,12 +8,12 @@ optimization program (1):
     subject to  sum_p r_p = d
                 sum_{p ni (u,v)} r_p - sum_{p ni (v,u)} r_p <= C(u,v)
 
-With the practical linear fee policies the program is an LP, solved here
-with ``scipy.optimize.linprog`` (HiGHS).  General convex policies are
-handled by successive linear approximation (re-linearizing marginal rates
-at the current split).  A greedy sequential filler provides both the
-fallback when the solver fails and the "w/o optimization" baseline of
-Fig 9, which uses paths in discovery order until the demand is met.
+The paper only asks ``f`` to be convex; every fee policy here is linear
+(a base fee plus a proportional rate, §3.2), so the program is an LP,
+solved with ``scipy.optimize.linprog`` (HiGHS).  A greedy sequential
+filler provides both the fallback when the solver fails and the "w/o
+optimization" baseline of Fig 9, which uses paths in discovery order
+until the demand is met.
 """
 
 from __future__ import annotations
@@ -120,54 +120,6 @@ def split_payment_lp(
     return _build_split(paths, list(amounts), search.fees)
 
 
-def split_payment_convex(
-    search: PathSearchResult,
-    demand: float,
-    iterations: int = 30,
-) -> PaymentSplit:
-    """Successive linearization for convex (non-linear) fee policies.
-
-    Repeatedly solves the LP with marginal rates evaluated at the previous
-    split and averages iterates (a Frank–Wolfe step), which converges for
-    the convex separable objectives the paper assumes.
-    """
-    from scipy.optimize import linprog
-
-    paths = [path for path, flow in zip(search.paths, search.flows) if flow > _EPS]
-    if not paths:
-        raise OptimizationError("no usable paths to split over")
-    a_ub, b_ub = _channel_constraints(paths, search.capacity)
-    a_eq = np.ones((1, len(paths)))
-    b_eq = np.array([demand])
-    current = np.full(len(paths), demand / len(paths))
-    for iteration in range(max(1, iterations)):
-        cost = np.array(
-            [
-                _path_rate(path, search.fees, max(current[i], _EPS))
-                for i, path in enumerate(paths)
-            ]
-        )
-        solution = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(0.0, None)] * len(paths),
-            method="highs",
-        )
-        if not solution.success:
-            raise OptimizationError(f"linprog failed: {solution.message}")
-        step = 2.0 / (iteration + 2.0)
-        current = (1.0 - step) * current + step * np.maximum(solution.x, 0.0)
-    # Renormalize tiny drift so the demand constraint holds exactly.
-    total = current.sum()
-    if total <= _EPS:
-        raise OptimizationError("degenerate convex split")
-    current *= demand / total
-    return _build_split(paths, list(current), search.fees)
-
-
 def split_payment_greedy(
     search: PathSearchResult,
     demand: float,
@@ -207,17 +159,14 @@ def split_payment(
     search: PathSearchResult,
     demand: float,
     optimize_fees: bool = True,
-    convex: bool = False,
 ) -> PaymentSplit:
-    """Front door: LP (or convex) split with greedy fallback.
+    """Front door: LP split with greedy fallback.
 
     A fallback is logged at WARNING with the solver's error text.
     """
     if not optimize_fees:
         return split_payment_greedy(search, demand)
     try:
-        if convex:
-            return split_payment_convex(search, demand)
         return split_payment_lp(search, demand)
     except OptimizationError as error:
         _log.warning(

@@ -45,7 +45,6 @@ class FlashRouter(Router):
         m: int = DEFAULT_M,
         rng: random.Random | None = None,
         optimize_fees: bool = True,
-        convex_fees: bool = False,
         shuffle_mice_paths: bool = True,
     ) -> None:
         super().__init__(view)
@@ -60,7 +59,6 @@ class FlashRouter(Router):
         self.m = m
         self.rng = rng if rng is not None else random.Random(0)
         self.optimize_fees = optimize_fees
-        self.convex_fees = convex_fees
         self.shuffle_mice_paths = shuffle_mice_paths
         self.table = RoutingTable(m=m)
         # The interned CSR snapshot: every BFS/Yen below runs its integer
@@ -116,7 +114,6 @@ class FlashRouter(Router):
             search,
             transaction.amount,
             optimize_fees=self.optimize_fees,
-            convex=self.convex_fees,
         )
         if split.total + _EPS < transaction.amount:
             return RoutingOutcome.failure()

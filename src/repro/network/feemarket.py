@@ -18,9 +18,9 @@ Two pieces:
   by every scheme's run of a sweep without leaking state across them:
   :attr:`ChannelGraph.traffic` accrues settled volume and is cleared
   each tick, the live rates are the ``fee_rate`` array of the graph's
-  compact snapshot (:meth:`ChannelGraph.reprice`), and
-  :attr:`ChannelGraph.priced_slots` indexes the priced directions of
-  that snapshot.
+  compact snapshot (:meth:`ChannelGraph.reprice`), which the graph's
+  fee readers read them from, and :attr:`ChannelGraph.priced_slots`
+  indexes the priced directions of that snapshot.
 
 The controller is ticked by
 :meth:`~repro.network.dynamics.GossipSchedule.advance_to` on the gossip
@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.network.channel import NodeId
 from repro.network.compact import CompactTopology
@@ -71,21 +73,21 @@ def assign_market_policies(
 
 @dataclass(frozen=True, eq=False)
 class PricedSlots:
-    """The priced directions of one snapshot, in slot order per node.
+    """The priced directions of one snapshot.
 
-    ``funded[i]`` tells whether the channel of the direction in slot
-    ``slots[i]`` holds any funds; ``directions`` maps each ``(u, v)`` to
-    its slot.  Valid while ``snapshot`` is the graph's current one: any
-    channel open or close derives a new snapshot.  Nothing else moves a
-    ``funded`` flag, because transfers and holds only move funds within
-    a channel and :meth:`ChannelGraph.scale_balances` scales them by a
-    positive factor.
+    ``directions`` maps each priced ``(u, v)`` to its slot, and
+    ``funded`` holds, as one index array, the slots of those whose
+    channel holds any funds.  Valid while ``snapshot`` is the graph's
+    current one: any channel open or close derives a new snapshot.
+    Nothing else funds or drains a channel, because transfers and holds
+    only move funds within a channel and
+    :meth:`ChannelGraph.scale_balances` scales them by a positive
+    factor.
     """
 
     snapshot: CompactTopology
     hubs: int
-    slots: list[int]
-    funded: list[bool]
+    funded: np.ndarray
     directions: dict[tuple[NodeId, NodeId], int]
 
 
@@ -111,10 +113,12 @@ class FeeMarketController:
     :class:`~repro.network.dynamics.GossipSchedule` treats as pending
     ``channel_update`` gossip.
 
-    A tick is one pass over the slot-indexed ``fee_rate`` array of the
-    graph's compact snapshot, writing a new array that
-    :meth:`ChannelGraph.reprice` installs; the channels' policy records
-    catch up when read.
+    A tick writes a new slot-indexed ``fee_rate`` array for the graph's
+    compact snapshot, which :meth:`ChannelGraph.reprice` installs: the
+    idle decay of every funded priced slot is one array operation, and
+    only the directions with traffic are priced one by one.  No policy
+    record is written; the graph's fee readers take each live rate
+    from the array.
     """
 
     hubs: int = 0
@@ -138,17 +142,19 @@ class FeeMarketController:
         traffic = graph.traffic
         snapshot, rates = graph.fee_rates()
         priced = self._priced_slots(graph, snapshot)
-        new = list(rates)
         decay = self.decay
         sensitivity = self.sensitivity
         low = self.min_rate
         high = self.max_rate
         # The factor of a direction with no traffic, computed exactly as
-        # a loaded one's (``utilization`` is ``0.0 / capacity``).
+        # a loaded one's (``utilization`` is ``0.0 / capacity``).  On
+        # float64 the clamp gives the bits of ``min(high, max(low, x))``:
+        # rates are never NaN.
         idle = decay + sensitivity * 0.0
-        for slot, funded in zip(priced.slots, priced.funded):
-            if funded:
-                new[slot] = min(high, max(low, rates[slot] * idle))
+        array = np.array(rates, dtype=np.float64)
+        funded = priced.funded
+        array[funded] = np.minimum(high, np.maximum(low, array[funded] * idle))
+        new = array.tolist()
         directions = priced.directions
         for direction, volume in traffic.items():
             slot = directions.get(direction)
@@ -165,7 +171,7 @@ class FeeMarketController:
         traffic.clear()
         if new == rates:
             return False
-        graph.reprice(snapshot, new, directions)
+        graph.reprice(snapshot, new)
         return True
 
     def _priced_slots(
@@ -182,16 +188,20 @@ class FeeMarketController:
         nodes = snapshot.nodes
         slot_rows = snapshot.slot_rows
         neighbor_idx = snapshot.neighbor_idx
-        slots: list[int] = []
-        funded: list[bool] = []
+        funded: list[int] = []
         directions: dict[tuple[NodeId, NodeId], int] = {}
         for u in self.priced_nodes(graph):
             i = snapshot.index_of(u)
             for slot, j in zip(slot_rows[i], neighbor_idx[i]):
                 v = nodes[j]
-                slots.append(slot)
-                funded.append(graph.total_capacity(u, v) > 0)
+                if graph.total_capacity(u, v) > 0:
+                    funded.append(slot)
                 directions[(u, v)] = slot
-        cached = PricedSlots(snapshot, self.hubs, slots, funded, directions)
+        cached = PricedSlots(
+            snapshot,
+            self.hubs,
+            np.array(funded, dtype=np.intp),
+            directions,
+        )
         graph.priced_slots = cached
         return cached

@@ -26,7 +26,8 @@ class FeePolicy(Protocol):
         ...
 
     def marginal_rate(self, amount: float) -> float:
-        """Derivative of the fee at ``amount`` (used by convex solvers)."""
+        """Derivative of the fee at ``amount``: a path's cost per unit in
+        the fee-minimising LP."""
         ...
 
 
@@ -62,31 +63,6 @@ class LinearFee:
 
     def marginal_rate(self, amount: float) -> float:
         return self.rate
-
-
-@dataclass(frozen=True)
-class QuadraticFee:
-    """``fee(r) = base + rate * r + quad * r**2`` — a convex policy.
-
-    Exercises the convex branch of the optimizer; the paper only requires
-    ``f`` convex, so this is the stress-test policy.
-    """
-
-    base: float = 0.0
-    rate: float = 0.0
-    quad: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.base < 0 or self.rate < 0 or self.quad < 0:
-            raise ValueError("fee parameters must be non-negative")
-
-    def fee(self, amount: float) -> float:
-        if amount <= 0:
-            return 0.0
-        return self.base + self.rate * amount + self.quad * amount * amount
-
-    def marginal_rate(self, amount: float) -> float:
-        return self.rate + 2.0 * self.quad * amount
 
 
 @dataclass(frozen=True)
@@ -132,8 +108,8 @@ class ChannelPolicy:
         """``dataclasses.replace(self, fee_rate=fee_rate)``, at a third of
         the cost.
 
-        A fee-market tick leaves most records to be rebuilt this way on
-        the routers' first read, so the copy skips the dataclass
+        A probe of a repriced direction reads its record this way (see
+        :meth:`ChannelGraph.fee_policy`), so the copy skips the dataclass
         machinery; only the new rate needs checking, because every
         other field comes from a record that was checked already.
         """
@@ -163,8 +139,9 @@ def hop_amounts(
     arriving at node ``i+1``; the sender's own edge adds no fee.  The
     returned list has one entry per edge; ``amounts[0] - amount`` is
     the total fee the sender pays.  The accumulation order (receiver to
-    sender) is the canonical one: escrow and the fee metrics both price
-    through here, and ``tests/core/test_fee_arithmetic.py`` pins it.
+    sender) is the canonical one: ``tests/core/test_fee_arithmetic.py``
+    pins it, and :meth:`ChannelGraph.path_hop_amounts`, which escrow and
+    the fee metrics price through, keeps it over the live rates.
     """
     amounts = [0.0] * len(policies)
     a = amount
@@ -179,13 +156,17 @@ def hop_amounts(
 def fee_breakdown(
     path: list, policies: list[FeePolicy], amount: float
 ) -> dict:
-    """Per-node fee revenue for delivering ``amount`` along ``path``.
+    """Per-node fee revenue for delivering ``amount`` along ``path``."""
+    return hop_revenue(path, hop_amounts(policies, amount))
+
+
+def hop_revenue(path: list, amounts: list[float]) -> dict:
+    """Per-node fee revenue of the per-edge ``amounts`` along ``path``.
 
     Node ``path[i]`` (intermediate) pockets the difference between what
     arrives on its inbound edge and what it forwards — zero entries are
     omitted.  The sender and receiver never earn.
     """
-    amounts = hop_amounts(policies, amount)
     revenue: dict = {}
     for i in range(1, len(amounts)):
         earned = amounts[i - 1] - amounts[i]

@@ -34,8 +34,7 @@ from repro.network.fees import (
     FeePolicy,
     LinearFee,
     ZeroFee,
-    fee_breakdown,
-    hop_amounts,
+    hop_revenue,
     sample_paper_fee,
 )
 
@@ -45,6 +44,19 @@ Path = list[NodeId]
 
 #: What a probe reads at a closed hop: no capacity either way, no fee.
 _CLOSED_HOP = (0.0, 0.0, ZeroFee())
+
+
+def _carrying(record: FeePolicy, rate: float | None) -> FeePolicy:
+    """``record`` as read at its live ``rate`` (``None``: ``record`` holds it).
+
+    The record itself while the rate is the one it carries; otherwise a
+    copy of it, or of :data:`DEFAULT_POLICY` for a legacy record, with
+    the live rate.
+    """
+    if rate is None:
+        return record
+    policy = record if isinstance(record, ChannelPolicy) else DEFAULT_POLICY
+    return record if rate == policy.fee_rate else policy.with_fee_rate(rate)
 
 
 def _canonical_direction(
@@ -126,11 +138,10 @@ class ChannelGraph:
         #: assigned, and every fee- and policy-aware branch in the
         #: library stays dormant (the golden-pinned legacy behaviour).
         self._policy_version = 0
-        #: Directions whose channel record lags the snapshot's live
-        #: ``fee_rate`` array since a :meth:`reprice`: direction -> slot.
-        #: :meth:`channel_policy` and :meth:`fee_policy` rebuild a
-        #: direction's record on first read (see :meth:`_build_records`).
-        self._stale_records: dict[tuple[NodeId, NodeId], int] = {}
+        #: Directions opened since the cached snapshot was built.  That
+        #: snapshot has no slot for them, or a closed channel's, so their
+        #: records hold their rates (see :meth:`_live_rate`).
+        self._unslotted: set[tuple[NodeId, NodeId]] = set()
         #: Per-directed-hop volume settled since the last fee-controller
         #: tick — the observed load a fee-market dynamics model prices
         #: against.  Only populated on policy-aware graphs.
@@ -164,6 +175,9 @@ class ChannelGraph:
         self._copies = self._siblings = None
         if self._compact is not None:
             self._pending_deltas.append(op)
+            if op[0] == "open":
+                _, a, b = op
+                self._unslotted.update(((a, b), (b, a)))
 
     def add_node(self, node: NodeId) -> None:
         if node not in self._adj:
@@ -206,11 +220,6 @@ class ChannelGraph:
             raise NoChannelError(a, b)
         del self._adj[a][b]
         del self._adj[b][a]
-        if self._stale_records:
-            # The closed channel's records go with it; a reopened
-            # channel starts from its own.
-            self._stale_records.pop((a, b), None)
-            self._stale_records.pop((b, a), None)
         self._topology_version += 1
         self._log_delta(("close", a, b))
 
@@ -259,8 +268,8 @@ class ChannelGraph:
 
         A channel still shared with a copy is first replaced by a
         private twin.  To only read, use :meth:`balance`, :meth:`held`,
-        :meth:`total_capacity` or the policy readers, which copy a
-        channel only to bring a repriced record up to date.
+        :meth:`total_capacity` or the policy readers, which never copy
+        one.
         """
         try:
             channel = self._adj[a][b]
@@ -342,12 +351,12 @@ class ChannelGraph:
                 rate_of=self._opened_rate,
             )
         else:
-            # A rebuild renumbers the slots the stale records point at.
-            self._build_records()
             snapshot = self._rebuild()
-        self._pending_deltas = []
-        self._compact = snapshot
+        # Before the switch: the live rates are read off the old snapshot.
         self._refresh_fee_rates(snapshot)
+        self._pending_deltas = []
+        self._unslotted = set()
+        self._compact = snapshot
         return snapshot
 
     def _opened_rate(self, src: NodeId, dst: NodeId) -> float:
@@ -364,14 +373,16 @@ class ChannelGraph:
         )
 
     def _refresh_fee_rates(self, snapshot: CompactTopology) -> None:
-        """Install the snapshot's ``fee_rate`` array from the records.
+        """Install the snapshot's ``fee_rate`` array from the live rates.
 
         O(E), but only runs on policy-aware graphs whose snapshot's
         rates predate :attr:`policy_version`: a fresh rebuild or fork
         (neither carries rates), or a :meth:`set_channel_policy` since.
         A :meth:`reprice` stamps the snapshot it writes, and
         delta-derived snapshots share their base's array with opened
-        slots filled in, so neither reinstalls here.
+        slots filled in, so neither reinstalls here.  Each rate is read
+        as :meth:`channel_policy` reads it, so a rebuild, which
+        renumbers every slot, carries the cached snapshot's rates over.
         """
         if self._policy_version and (
             snapshot.policy_version != self._policy_version
@@ -449,17 +460,24 @@ class ChannelGraph:
         return sum(channel.total_capacity() for channel in self.channels())
 
     def fee_policy(self, src: NodeId, dst: NodeId) -> FeePolicy:
-        # self._lookup(), inlined: every probe and fee recursion reads here.
+        """The direction's fee record, carrying its live rate.
+
+        The channel's own record while the fee market has not moved the
+        direction's rate; otherwise a copy of it (of
+        :data:`DEFAULT_POLICY` for a legacy record) at the live rate.
+        Nothing is written back.
+        """
+        # self._lookup(), inlined, and no rate lookup on a graph that is
+        # not policy-aware: every payment's fee on such a graph reads here.
         try:
             channel = self._adj[src][dst]
         except KeyError:
             raise NoChannelError(src, dst) from None
-        stale = self._stale_records
-        if stale:
-            slot = stale.pop((src, dst), None)
-            if slot is not None:
-                channel = self._build_record(channel, src, dst, slot)
-        return channel.fee_policy(src, dst)
+        record = channel.fee_ab if src == channel.a else channel.fee_ba
+        snapshot = self._rate_snapshot() if self._policy_version else None
+        if snapshot is None:
+            return record
+        return _carrying(record, self._live_rate(snapshot, src, dst))
 
     def probe_readings(
         self, path: Path
@@ -467,18 +485,19 @@ class ChannelGraph:
         """Per-hop forward balances, reverse balances and forward fees.
 
         What a probe walking ``path`` observes: each hop's channel is
-        looked up once, both balances are net of holds, and a forward
-        record a :meth:`reprice` left stale is rebuilt first, exactly as
-        :meth:`fee_policy` rebuilds it.  A closed hop reads 0.0 both ways
-        and :class:`ZeroFee` rather than erroring: the paper treats "no
-        connectivity" as zero effective capacity (§3.3), which triggers
-        path replacement.  A path of fewer than two nodes raises
-        :class:`NoChannelError`.
+        looked up once, both balances are net of holds, and the forward
+        fee is the record :meth:`fee_policy` returns.  A closed hop reads
+        0.0 both ways and :class:`ZeroFee` rather than erroring: the
+        paper treats "no connectivity" as zero effective capacity
+        (§3.3), which triggers path replacement.  A path of fewer than
+        two nodes raises :class:`NoChannelError`.
         """
         if len(path) < 2:
             raise NoChannelError(path[0] if path else None, None)
         adjacency = self._adj
-        stale = self._stale_records
+        # No rate lookup on a graph that is not policy-aware, which every
+        # probe of the fee-free workloads reads.
+        snapshot = self._rate_snapshot() if self._policy_version else None
         readings = []
         for u, v in zip(path, path[1:]):
             try:
@@ -486,11 +505,12 @@ class ChannelGraph:
             except KeyError:
                 readings.append(_CLOSED_HOP)
                 continue
-            if stale:
-                slot = stale.pop((u, v), None)
-                if slot is not None:
-                    channel = self._build_record(channel, u, v, slot)
-            readings.append(channel.readings(u))
+            reading = channel.readings(u)
+            if snapshot is not None:
+                balance, reverse, record = reading
+                rate = self._live_rate(snapshot, u, v)
+                reading = (balance, reverse, _carrying(record, rate))
+            readings.append(reading)
         balances, reverse_balances, fees = zip(*readings)
         return balances, reverse_balances, fees
 
@@ -520,16 +540,16 @@ class ChannelGraph:
     ) -> None:
         """Assign the ``src -> dst`` direction's BOLT #7 policy record.
 
-        Bumps :attr:`policy_version`, so the next :meth:`compact`
-        reinstalls the snapshot's per-slot ``fee_rate`` array from the
-        records — which are first brought up to date with any
-        :meth:`reprice` they lag.
+        Bumps :attr:`policy_version`, which makes the records the home
+        of every rate until the next :meth:`compact` reinstalls the
+        snapshot's per-slot ``fee_rate`` array from them; so every live
+        rate is first written into its record.
         """
         if not isinstance(policy, ChannelPolicy):
             raise ChannelError(
                 f"set_channel_policy needs a ChannelPolicy, got {policy!r}"
             )
-        self._build_records()
+        self._write_rates()
         self.channel(src, dst).set_fee_policy(src, dst, policy)
         self._policy_version += 1
 
@@ -539,9 +559,9 @@ class ChannelGraph:
         Legacy :class:`FeePolicy` assignments (``assign_paper_fees``)
         are *not* policy records: on a policy-aware graph they read as
         :data:`DEFAULT_POLICY`, keeping the two fee systems disjoint.
-        Read records through the graph: a :meth:`reprice` leaves the
-        channels' own records behind until this (or :meth:`fee_policy`)
-        reads them.
+        The record carries the direction's live rate (see
+        :meth:`fee_policy`); a :class:`Channel`'s own fields can lag
+        the fee market, so read records through the graph.
         """
         policy = self.fee_policy(src, dst)
         return policy if isinstance(policy, ChannelPolicy) else DEFAULT_POLICY
@@ -558,66 +578,96 @@ class ChannelGraph:
             rates = snapshot.fee_rates_from(self.channel_policy)
         return snapshot, rates
 
-    def reprice(
-        self,
-        snapshot: CompactTopology,
-        rates: list[float],
-        directions: dict[tuple[NodeId, NodeId], int],
-    ) -> None:
+    def reprice(self, snapshot: CompactTopology, rates: list[float]) -> None:
         """Make ``rates`` the live per-slot ``fee_rate`` array: one epoch.
 
         ``snapshot`` is the one :meth:`fee_rates` just returned, and
         ``rates`` a new list (older snapshots keep the old one).
-        :attr:`policy_version` moves once.  The records of
-        ``directions`` (direction -> slot) are rebuilt from ``rates``
-        when first read, or before a :meth:`copy`, a
-        :meth:`set_channel_policy` or a full snapshot rebuild.
+        :attr:`policy_version` moves once.  No record is written: the
+        fee readers read each rate off the array.
         """
         self._policy_version += 1
         snapshot.set_fee_rates(rates, self._policy_version)
-        self._stale_records.update(directions)
 
-    def _build_record(
-        self, channel: Channel, src: NodeId, dst: NodeId, slot: int
-    ) -> Channel:
-        """Bring a stale direction's record up to the rate in ``slot``.
+    def _rate_snapshot(self) -> CompactTopology | None:
+        """The snapshot whose ``fee_rate`` array holds the live rates.
 
-        Returns the direction's channel: a twin if the record moved on a
-        channel shared with a copy.
+        ``None`` while the records hold every rate: on a graph that is
+        not policy-aware, before its first :meth:`compact`, and from a
+        :meth:`set_channel_policy` or a legacy assigner until the next
+        :meth:`compact` reinstalls the array.
         """
-        rate = self._compact.fee_rates[slot]
-        # The direction exists, so its tail names the side (this is
-        # Channel.fee_policy without the endpoint checks, on a hot path).
-        forward = src == channel.a
-        policy = channel.fee_ab if forward else channel.fee_ba
-        if not isinstance(policy, ChannelPolicy):
-            policy = DEFAULT_POLICY
-        if rate != policy.fee_rate:
-            if channel._owner is not self._owner:
-                channel = self._own(channel)
-            policy = policy.with_fee_rate(rate)
-            if forward:
-                channel.fee_ab = policy
-            else:
-                channel.fee_ba = policy
-        return channel
+        version = self._policy_version
+        snapshot = self._compact
+        if version and snapshot is not None and (
+            snapshot.policy_version == version
+        ):
+            return snapshot
+        return None
 
-    def _build_records(self) -> None:
-        """Bring every stale record up to its live rate."""
-        stale = self._stale_records
-        for (src, dst), slot in stale.items():
-            self._build_record(self._adj[src][dst], src, dst, slot)
-        stale.clear()
+    def _live_rate(
+        self, snapshot: CompactTopology, src: NodeId, dst: NodeId
+    ) -> float | None:
+        """An open direction's rate in the array of :meth:`_rate_snapshot`.
 
-    def path_policies(self, path: Path) -> list[ChannelPolicy]:
-        """Per-edge policy records along ``path`` (defaults where unset)."""
-        return [
-            self.channel_policy(u, v) for u, v in zip(path, path[1:])
-        ]
+        ``None`` for a channel opened since ``snapshot`` was built: the
+        snapshot has no slot for it, or a closed channel's, so its
+        record holds its rate.
+        """
+        if (src, dst) in self._unslotted:
+            return None
+        index = snapshot._index
+        return snapshot.fee_rates[snapshot.slot_map[index[src], index[dst]]]
+
+    def _write_rates(self) -> None:
+        """Write every live rate into its direction's record.
+
+        Before :meth:`copy` shares the records with its clone, and before
+        :meth:`set_channel_policy` makes them the rates' home.  A channel
+        shared with an earlier copy is twinned first.
+        """
+        if self._rate_snapshot() is None:
+            return
+        for u, row in self._adj.items():
+            for v in row:
+                record = self.fee_policy(u, v)
+                if record is not row[v].fee_policy(u, v):
+                    self.channel(u, v).set_fee_policy(u, v, record)
 
     def path_hop_amounts(self, path: Path, amount: float) -> list[float]:
-        """Per-edge amounts delivering ``amount`` (BOLT fee recursion)."""
-        return hop_amounts(self.path_policies(path), amount)
+        """Per-edge amounts delivering ``amount`` (BOLT fee recursion).
+
+        :func:`~repro.network.fees.hop_amounts` over the hops' policy
+        records at their live rates (a legacy record prices as
+        :data:`DEFAULT_POLICY`), in its order (receiver to sender) and
+        float association, without building a record.  A closed hop
+        raises :class:`NoChannelError`.
+        """
+        adjacency = self._adj
+        snapshot = self._rate_snapshot()
+        prices = []
+        for u, v in zip(path, path[1:]):
+            try:
+                channel = adjacency[u][v]
+            except KeyError:
+                raise NoChannelError(u, v) from None
+            record = channel.fee_ab if u == channel.a else channel.fee_ba
+            if not isinstance(record, ChannelPolicy):
+                record = DEFAULT_POLICY
+            rate = None if snapshot is None else self._live_rate(snapshot, u, v)
+            prices.append(
+                (record.base_fee, record.fee_rate if rate is None else rate)
+            )
+        amounts = [0.0] * len(prices)
+        a = amount
+        for i in range(len(prices) - 1, 0, -1):
+            amounts[i] = a
+            if a > 0:
+                base, rate = prices[i]
+                a = a + (base + rate * a)
+        if prices:
+            amounts[0] = a
+        return amounts
 
     def path_fee(self, path: Path, amount: float) -> float:
         """Total fee for routing ``amount`` over ``path``.
@@ -641,7 +691,7 @@ class ChannelGraph:
         """
         if not self.policy_aware:
             return {}
-        return fee_breakdown(list(path), self.path_policies(path), amount)
+        return hop_revenue(path, self.path_hop_amounts(path, amount))
 
     def path_bottleneck(self, path: Path) -> float:
         """Minimum directional balance along ``path`` (its effective capacity)."""
@@ -736,11 +786,11 @@ class ChannelGraph:
     def _overwrite_records(self) -> None:
         """Prepare for a legacy assigner to replace every record.
 
-        Stale records are dropped, not built, and a policy-aware graph
-        moves :attr:`policy_version` so the next :meth:`compact`
-        reinstalls its ``fee_rate`` array from the new records.
+        No live rate needs writing, because every record is replaced.  A
+        policy-aware graph moves :attr:`policy_version`, so the new
+        records hold the rates until the next :meth:`compact` reinstalls
+        the ``fee_rate`` array from them.
         """
-        self._stale_records.clear()
         if self._policy_version:
             self._policy_version += 1
 
@@ -753,9 +803,8 @@ class ChannelGraph:
         allocated.  The source's :class:`OwnerCell` is retired, so every
         channel becomes shared, and whichever graph first writes one
         (through :meth:`channel`, the holds, :meth:`execute`, the policy
-        and fee writers, a repriced record's rebuild on read, or
-        :meth:`scale_balances`) swaps a private twin into its own rows;
-        other reads never copy.  Holds do not carry over: a
+        and fee writers, or :meth:`scale_balances`) swaps a private twin
+        into its own rows; reads never copy.  Holds do not carry over: a
         channel with escrow outstanding gets a zero-hold twin in the
         clone right away.  The clone's adjacency order — and therefore
         BFS/Yen tie-breaking — can differ from the source's insertion
@@ -771,9 +820,11 @@ class ChannelGraph:
         full-rebuild path and each sibling's first :meth:`compact`
         returns its own :meth:`CompactTopology.fork` of it.  A clone
         changed before its first :meth:`compact` rebuilds on its own, as
-        any graph does.
+        any graph does.  The clone has no ``fee_rate`` array until then,
+        so the source first writes every live rate into its record (the
+        one place besides :meth:`set_channel_policy` that does).
         """
-        self._build_records()
+        self._write_rates()
         self._owner.live = False
         self._owner = OwnerCell()
         clone = ChannelGraph()
@@ -807,21 +858,15 @@ class ChannelGraph:
         """Export as a directed ``networkx.DiGraph`` with balance attributes."""
         import networkx as nx
 
-        self._build_records()
         graph = nx.DiGraph()
         graph.add_nodes_from(self._adj)
         for channel in self.channels():
+            a, b = channel.a, channel.b
             graph.add_edge(
-                channel.a,
-                channel.b,
-                balance=channel.balance(channel.a, channel.b),
-                fee=channel.fee_ab,
+                a, b, balance=channel.balance(a, b), fee=self.fee_policy(a, b)
             )
             graph.add_edge(
-                channel.b,
-                channel.a,
-                balance=channel.balance(channel.b, channel.a),
-                fee=channel.fee_ba,
+                b, a, balance=channel.balance(b, a), fee=self.fee_policy(b, a)
             )
         return graph
 

@@ -7,13 +7,12 @@ import pytest
 from repro.core import fee_optimizer
 from repro.core.fee_optimizer import (
     split_payment,
-    split_payment_convex,
     split_payment_greedy,
     split_payment_lp,
 )
 from repro.core.maxflow import PathSearchResult
 from repro.errors import OptimizationError
-from repro.network.fees import LinearFee, QuadraticFee
+from repro.network.fees import LinearFee
 
 
 def two_path_search(cheap_rate=0.01, pricey_rate=0.05, cap=100.0):
@@ -113,23 +112,6 @@ class TestGreedySplit:
     def test_infeasible_raises(self):
         with pytest.raises(OptimizationError):
             split_payment_greedy(two_path_search(cap=10.0), demand=100.0)
-
-
-class TestConvexSplit:
-    def test_balances_load_for_quadratic_fees(self):
-        search = two_path_search()
-        quad = QuadraticFee(quad=0.001)
-        search.fees = {edge: quad for edge in search.fees}
-        split = split_payment_convex(search, demand=100.0)
-        amounts = dict(split.transfers)
-        # Symmetric quadratic fees: the optimum splits evenly.
-        assert amounts[(0, 1, 3)] == pytest.approx(50.0, rel=0.1)
-        assert amounts[(0, 2, 3)] == pytest.approx(50.0, rel=0.1)
-
-    def test_meets_demand(self):
-        search = two_path_search()
-        split = split_payment_convex(search, demand=120.0)
-        assert split.total == pytest.approx(120.0)
 
 
 class TestFrontDoor:

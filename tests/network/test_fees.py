@@ -8,7 +8,6 @@ import pytest
 from repro.network.fees import (
     ChannelPolicy,
     LinearFee,
-    QuadraticFee,
     ZeroFee,
     path_fee,
     sample_paper_fee,
@@ -44,15 +43,6 @@ class TestPolicies:
         assert policy.fee_rate == 0.01
         with pytest.raises(ValueError):
             policy.with_fee_rate(-0.001)
-
-    def test_quadratic_fee_convex(self):
-        policy = QuadraticFee(rate=0.01, quad=0.001)
-        # Marginal rate must be non-decreasing (convexity).
-        assert policy.marginal_rate(10.0) < policy.marginal_rate(20.0)
-
-    def test_quadratic_fee_value(self):
-        policy = QuadraticFee(base=1.0, rate=0.1, quad=0.01)
-        assert policy.fee(10.0) == pytest.approx(1.0 + 1.0 + 1.0)
 
     def test_path_fee_sums(self):
         policies = [LinearFee(rate=0.01), LinearFee(rate=0.02)]

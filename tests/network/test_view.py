@@ -121,7 +121,7 @@ class TestProbeRead:
         assert clone._adj[0][1] is grid_graph._adj[0][1]
         assert not clone._adj[0][1]._owner.live
 
-    def test_stale_records_read_like_per_hop_reads(self):
+    def test_repriced_records_read_like_per_hop_reads(self):
         graphs = []
         for _ in range(2):
             graph = _crossed_graph()
@@ -130,20 +130,40 @@ class TestProbeRead:
             assert FeeMarketController(decay=0.5).update(graph, 0.0)
             graphs.append(graph)
         probed, reference = graphs
-        stale = dict(probed._stale_records)
         path = [0, 1, 2, 3]
-        hops = list(zip(path, path[1:]))
-        assert all(hop in stale for hop in hops)
         probe = NetworkView(probed).probe_path(path)
         assert _readings(probe) == _per_hop(reference, path)
         assert [policy.fee_rate for policy in probe.fees] == [0.01] * 3
-        # The probed directions' records were rebuilt; every other
-        # direction, the reverse ones included, is still pending.
-        assert probed._stale_records == {
-            hop: slot for hop, slot in stale.items() if hop not in hops
-        }
-        assert probed._stale_records == reference._stale_records
-        assert all((v, u) in probed._stale_records for u, v in hops)
+        # The live rates stay in the snapshot's array: no record was
+        # written, in the probed directions or any other.
+        for channel in probed.channels():
+            assert channel.fee_ab.fee_rate == channel.fee_ba.fee_rate == 0.02
+
+    def test_repriced_reads_make_no_twin(self, monkeypatch):
+        twinned = []
+        twin = Channel._twin
+
+        def counting_twin(channel, *args, **kwargs):
+            twinned.append(channel)
+            return twin(channel, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "_twin", counting_twin)
+        graph = _crossed_graph()
+        assign_market_policies(graph, random.Random(0), initial_rate=0.02)
+        clone = graph.copy()
+        assert FeeMarketController(decay=0.5).update(graph, 0.0)
+        path = [0, 1, 2, 3]
+        probe = NetworkView(graph).probe_path(path)
+        hops = list(zip(path, path[1:]))
+        assert [graph.channel_policy(u, v) for u, v in hops] == list(
+            probe.fees
+        )
+        assert [policy.fee_rate for policy in probe.fees] == [0.01] * 3
+        assert graph.path_hop_amounts(path, 10.0) == pytest.approx(
+            [10.201, 10.1, 10.0]
+        )
+        assert twinned == []
+        assert clone.channel_policy(0, 1).fee_rate == 0.02
 
     @pytest.mark.parametrize("path", [[], [0]])
     def test_hopless_probe_raises_and_counts_nothing(self, line_graph, path):

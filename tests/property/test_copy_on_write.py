@@ -35,10 +35,10 @@ from repro.network.graph import ChannelGraph, _SiblingSnapshot
 def deep_copy(graph: ChannelGraph) -> ChannelGraph:
     """The copy that sharing replaced: every channel built anew.
 
-    Channels are copied node-major, with their deposits and fee policies
-    but no holds, and the clone owns each of them.
+    Channels are copied node-major, with their deposits and the fee
+    records the source reads (live rates included) but no holds, and the
+    clone owns each of them.
     """
-    graph._build_records()
     clone = ChannelGraph()
     adjacency = clone._adj = {node: {} for node in graph._adj}
     channels = 0
@@ -52,8 +52,8 @@ def deep_copy(graph: ChannelGraph) -> ChannelGraph:
                 channel.b,
                 channel.balance_ab,
                 channel.balance_ba,
-                fee_ab=channel.fee_ab,
-                fee_ba=channel.fee_ba,
+                fee_ab=graph.fee_policy(channel.a, channel.b),
+                fee_ba=graph.fee_policy(channel.b, channel.a),
             )
             twin._owner = clone._owner
             row[v] = twin

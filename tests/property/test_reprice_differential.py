@@ -1,21 +1,32 @@
-"""Differential fuzz: one-pass slot repricing against the per-direction loop.
+"""Differential fuzz: the fee market's array tick and its readers.
 
-:meth:`FeeMarketController.update` reprices every priced direction in
-one pass over the ``fee_rate`` array of the graph's compact snapshot,
-and the channels' :class:`ChannelPolicy` records catch up only when
-read.  The reference below is the loop that array replaced: read each
-priced direction's record, compute its new rate, and write it back with
-``dataclasses.replace`` and ``set_channel_policy``.
+:meth:`FeeMarketController.update` reprices every priced direction by
+writing a new ``fee_rate`` array for the graph's compact snapshot: the
+idle decay of the funded priced slots is one array operation, and the
+directions with traffic are priced one by one.  No
+:class:`ChannelPolicy` record is written; the graph's readers read each
+live rate off the array.  Three references check this:
+
+* :func:`reference_update`, the loop the array replaced: read each
+  priced direction's record, compute its new rate, and write it back
+  with ``dataclasses.replace`` and ``set_channel_policy``.  After every
+  tick the ``changed`` flag, the policy records and the snapshot's
+  per-slot ``fee_rate`` array must be equal.  One controller graph has
+  all its records read after every tick, the other only a random
+  subset.  Superseded snapshots must keep their rates;
+* :func:`scalar_tick`, the per-slot loop the array operation replaced,
+  whose rate arrays must match the controller's bit for bit
+  (``float.hex``), also with hubs, with no funded priced direction and
+  with every rate on the floor;
+* the records of a :func:`reference_update` graph, priced with
+  :func:`hop_amounts` and :func:`fee_breakdown`, which
+  ``path_hop_amounts``, ``path_fee``, ``path_fee_breakdown`` and the
+  probes must match bit for bit, also with churn the last
+  ``compact()`` has not seen.
 
 Graphs built from one seed go through the same history: random traffic,
 repricing ticks, churn opens and closes, a compaction rebuild,
-``copy()``, ``set_channel_policy()`` and a legacy fee assigner.  The
-reference loop reprices one of them and the controller the others.
-After every tick the ``changed`` flag, the policy records and the
-snapshot's per-slot ``fee_rate`` array must be equal.  One controller
-graph has all its records read after every tick, the other only a
-random subset, so some of its records stay stale across several ticks.
-Superseded snapshots must keep their rates.
+``copy()``, ``set_channel_policy()`` and a legacy fee assigner.
 """
 
 from __future__ import annotations
@@ -25,8 +36,15 @@ from dataclasses import replace
 
 import pytest
 
+from repro.errors import NoChannelError
 from repro.network.feemarket import FeeMarketController
-from repro.network.fees import ChannelPolicy, LinearFee
+from repro.network.fees import (
+    DEFAULT_POLICY,
+    ChannelPolicy,
+    LinearFee,
+    fee_breakdown,
+    hop_amounts,
+)
 from repro.network.graph import ChannelGraph, assign_uniform_fees
 
 
@@ -169,8 +187,9 @@ def test_slot_pass_matches_per_direction_loop(seed, hubs):
         decay=rng.choice([0.9, 0.97, 1.0]),
     )
     # ``eager`` has every record read after every tick; ``lazy``
-    # only a random fifth, so most of its records stay stale
-    # across several ticks, copies and churn.
+    # only a random fifth, so most of its directions go unread
+    # across several ticks, copies and churn: reads must change
+    # nothing that later reads or ticks see.
     eager, lazy, reference = _build(seed), _build(seed), _build(seed)
     rebuilt = False
     for tick in range(14):
@@ -246,3 +265,278 @@ def test_no_change_leaves_a_graph_without_policies_alone():
     assert FeeMarketController(min_rate=0.0).update(graph, 0.0) is False
     assert not graph.policy_aware
     assert graph.compact().fee_rates is None
+
+
+# ---------------------------------------------------------------- the tick
+
+
+def scalar_tick(controller: FeeMarketController, graph: ChannelGraph) -> bool:
+    """The per-slot loop the array operation replaced: one tick.
+
+    Clamps each funded priced direction's idle decay with Python's
+    ``min`` and ``max``, in the snapshot's slot order, then prices the
+    directions with traffic, and installs the new array.
+    """
+    traffic = graph.traffic
+    snapshot, rates = graph.fee_rates()
+    low, high = controller.min_rate, controller.max_rate
+    decay, sensitivity = controller.decay, controller.sensitivity
+    idle = decay + sensitivity * 0.0
+    new = list(rates)
+    slots = {}
+    for u in controller.priced_nodes(graph):
+        i = snapshot.index_of(u)
+        for slot, j in zip(snapshot.slot_rows[i], snapshot.neighbor_idx[i]):
+            v = snapshot.nodes[j]
+            slots[(u, v)] = slot
+            if graph.total_capacity(u, v) > 0:
+                new[slot] = min(high, max(low, rates[slot] * idle))
+    for direction, volume in traffic.items():
+        slot = slots.get(direction)
+        if slot is None or graph.total_capacity(*direction) <= 0:
+            continue
+        utilization = volume / graph.total_capacity(*direction)
+        new[slot] = min(
+            high, max(low, rates[slot] * (decay + sensitivity * utilization))
+        )
+    traffic.clear()
+    if new == rates:
+        return False
+    graph.reprice(snapshot, new)
+    return True
+
+
+def _hex(values) -> list[str]:
+    """``values`` bit for bit; each must be a Python float."""
+    values = list(values)
+    assert all(type(value) is float for value in values)
+    return [value.hex() for value in values]
+
+
+def _funded_priced(controller, graph) -> set[tuple]:
+    return {
+        (u, v)
+        for u in controller.priced_nodes(graph)
+        for v in graph.neighbors(u)
+        if graph.total_capacity(u, v) > 0
+    }
+
+
+@pytest.mark.parametrize("hubs", [0, 3, 7])
+@pytest.mark.parametrize("seed", range(5))
+def test_array_tick_matches_scalar_loop(seed, hubs):
+    rng = random.Random(9_500 + 17 * seed + hubs)
+    controller = FeeMarketController(
+        hubs=hubs,
+        min_rate=rng.choice([0.0005, 0.001]),
+        max_rate=rng.choice([0.05, 0.1]),
+        sensitivity=rng.choice([1.0, 4.0, 8.0]),
+        decay=rng.choice([0.5, 0.9, 0.97, 1.0]),
+    )
+    graph, scalar = _build(seed), _build(seed)
+    mixed = 0
+    for tick in range(12):
+        _add_traffic(rng, (graph, scalar), _directions(graph))
+        if rng.random() < 0.3:
+            _churn(rng, (graph, scalar), rng.randrange(1, 4))
+        funded = _funded_priced(controller, graph)
+        loaded = funded & set(graph.traffic)
+        mixed += bool(loaded) and loaded != funded
+        changed = scalar_tick(controller, scalar)
+        assert controller.update(graph, float(tick)) is changed
+        assert graph.traffic == {}
+        assert graph.policy_version == scalar.policy_version
+        assert _hex(graph.compact().fee_rates) == _hex(
+            scalar.compact().fee_rates
+        )
+    assert mixed
+
+
+@pytest.mark.parametrize("hubs", [0, 1])
+def test_tick_with_no_funded_priced_direction(hubs):
+    graphs = []
+    for _ in range(2):
+        graph = ChannelGraph()
+        for leaf in (1, 2, 3):
+            graph.add_channel("hub", leaf, 0.0, 0.0)
+        if hubs:
+            # Funded, but out of no priced node.
+            graph.add_channel(1, 2, 40.0, 40.0)
+        for u, v in _directions(graph):
+            graph.set_channel_policy(u, v, ChannelPolicy(fee_rate=0.02))
+        graph.note_traffic("hub", 1, 5.0)
+        graphs.append(graph)
+    graph, scalar = graphs
+    controller = FeeMarketController(hubs=hubs)
+    assert _funded_priced(controller, graph) == set()
+    assert scalar_tick(controller, scalar) is False
+    before = graph.policy_version
+    assert controller.update(graph, 0.0) is False
+    assert graph.traffic == {}
+    assert graph.policy_version == before
+    assert _hex(graph.compact().fee_rates) == _hex(scalar.compact().fee_rates)
+
+
+@pytest.mark.parametrize("hubs", [0, 4])
+def test_rates_on_the_floor_do_not_move(hubs):
+    """Idle decay of a rate on ``min_rate`` moves nothing: no epoch."""
+    graph, scalar = _build(3), _build(3)
+    for each in (graph, scalar):
+        for u, v in _directions(each):
+            floor = replace(each.channel_policy(u, v), fee_rate=0.002)
+            each.set_channel_policy(u, v, floor)
+    controller = FeeMarketController(hubs=hubs, min_rate=0.002)
+    before = graph.policy_version
+    assert scalar_tick(controller, scalar) is False
+    assert controller.update(graph, 0.0) is False
+    assert graph.policy_version == before
+    rates = graph.compact().fee_rates
+    assert _hex(rates) == _hex(scalar.compact().fee_rates)
+    assert set(rates) == {0.002}
+
+
+# ------------------------------------------------------------ the hop fees
+
+
+def _stored(graph: ChannelGraph, u, v):
+    """``u -> v``'s record as its channel stores it."""
+    return graph._lookup(u, v).fee_policy(u, v)
+
+
+def _priced(record):
+    return record if isinstance(record, ChannelPolicy) else DEFAULT_POLICY
+
+
+def _record_rates(records) -> list[float]:
+    """The rates inside ``records`` (a :class:`ZeroFee` has none)."""
+    return [
+        record.fee_rate if isinstance(record, ChannelPolicy) else record.rate
+        for record in records
+        if isinstance(record, (ChannelPolicy, LinearFee))
+    ]
+
+
+def _walks(rng, graph: ChannelGraph, count: int) -> list[list]:
+    """Random walks of one to five hops over ``graph``'s channels."""
+    adjacency = graph.adjacency()
+    starts = [node for node, row in adjacency.items() if row]
+    walks = []
+    for _ in range(count):
+        walk = [rng.choice(starts)]
+        for _ in range(rng.randrange(1, 6)):
+            walk.append(rng.choice(adjacency[walk[-1]]))
+        walks.append(walk)
+    return walks
+
+
+def _reopen(rng, graphs) -> None:
+    """Close one channel and open it again, with a new record one way."""
+    first = graphs[0]
+    channel = rng.choice(list(first.channels()))
+    a, b = channel.a, channel.b
+    balances = (first.balance(a, b), first.balance(b, a))
+    policy = _random_policy(rng)
+    for graph in graphs:
+        graph.remove_channel(a, b)
+        graph.add_channel(a, b, *balances, fee_ab=policy)
+
+
+def _assert_reads_match_records(rng, graph, reference) -> None:
+    """Every fee ``graph`` reads, against ``reference``'s stored records."""
+    directions = _directions(graph)
+    stored = [_stored(reference, u, v) for u, v in directions]
+    read = [graph.fee_policy(u, v) for u, v in directions]
+    assert read == stored
+    assert _hex(_record_rates(read)) == _hex(_record_rates(stored))
+    assert [graph.channel_policy(u, v) for u, v in directions] == [
+        _priced(record) for record in stored
+    ]
+    for path in _walks(rng, graph, 12):
+        hops = list(zip(path, path[1:]))
+        records = [_stored(reference, u, v) for u, v in hops]
+        policies = [_priced(record) for record in records]
+        amount = rng.choice([0.0, 1e-3, rng.uniform(0.5, 300.0), 1e6])
+        amounts = graph.path_hop_amounts(path, amount)
+        assert _hex(amounts) == _hex(hop_amounts(policies, amount))
+        fee = graph.path_fee(path, amount)
+        assert _hex([fee]) == _hex([amounts[0] - amount])
+        breakdown = graph.path_fee_breakdown(path, amount)
+        expected = fee_breakdown(path, policies, amount)
+        assert list(breakdown) == list(expected)
+        assert _hex(breakdown.values()) == _hex(expected.values())
+        fees = graph.probe_readings(path)[2]
+        assert fees == tuple(records)
+        assert _hex(_record_rates(fees)) == _hex(_record_rates(records))
+
+
+def _assert_closed_hops_raise(rng, graph) -> None:
+    """A path raises :class:`NoChannelError` at its first closed hop."""
+    path = _walks(rng, graph, 1)[0]
+    for i in range(len(path) - 1):
+        u = path[i]
+        strangers = [
+            node for node in graph.nodes
+            if node != u and not graph.has_channel(u, node)
+        ]
+        x = rng.choice(strangers) if strangers else "gone"
+        broken = path[: i + 1] + [x] + path[i + 2:]
+        for read in (
+            graph.path_hop_amounts, graph.path_fee, graph.path_fee_breakdown
+        ):
+            with pytest.raises(NoChannelError) as caught:
+                read(broken, 10.0)
+            assert (caught.value.src, caught.value.dst) == (u, x)
+
+
+@pytest.mark.parametrize("hubs", [0, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_hop_fees_read_the_records_rates(seed, hubs):
+    """Hop fees priced off the array equal the records' recursion.
+
+    ``reference`` never compacts, so it holds every rate in its records,
+    written by :func:`reference_update`.  Between a tick and the reads,
+    ``graph`` opens, closes and reopens channels, sometimes compacting
+    in between: the reads then meet channels its snapshot has no slot
+    for, or a closed channel's slot.
+    """
+    rng = random.Random(9_700 + 13 * seed + hubs)
+    controller = FeeMarketController(
+        hubs=hubs,
+        decay=rng.choice([0.9, 0.97]),
+        sensitivity=rng.choice([1.0, 4.0]),
+    )
+    graph, reference = _build(seed), _build(seed)
+    pending = rebuilt = 0
+    for tick in range(14):
+        graphs = (graph, reference)
+        _add_traffic(rng, graphs, _directions(graph))
+        step = rng.random()
+        if step < 0.15:
+            graph, reference = (each.copy() for each in graphs)
+        elif step < 0.3:
+            a, b = rng.choice(_directions(graph))
+            policy = _random_policy(rng)
+            for each in graphs:
+                each.set_channel_policy(a, b, policy)
+        if tick == 7:
+            # Past the compaction threshold: the tick's compact()
+            # renumbers every slot.
+            _churn(rng, (graph, reference), 80)
+        if tick == 11:
+            for each in (graph, reference):
+                assign_uniform_fees(each, base=0.1, rate=0.01)
+        changed = reference_update(controller, reference)
+        assert controller.update(graph, float(tick)) == changed
+        snapshot = graph.compact()
+        rebuilt += snapshot.num_slots == snapshot.live_slots and tick >= 7
+        step = rng.random()
+        if step < 0.4:
+            _churn(rng, (graph, reference), rng.randrange(1, 5))
+            if rng.random() < 0.5:
+                graph.compact()
+        if step > 0.2:
+            _reopen(rng, (graph, reference))
+        pending += bool(graph._pending_deltas)
+        _assert_reads_match_records(rng, graph, reference)
+        _assert_closed_hops_raise(rng, graph)
+    assert rebuilt and pending

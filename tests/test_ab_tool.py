@@ -152,3 +152,77 @@ def test_report_prints_every_end_to_end_metric_and_the_verdicts():
     assert not clean
     assert "| 0/4 | no | REGRESSED 20% |" in text
     assert "FLAG seed 12: probe_messages_per_payment differs (5.0 vs 6.0)" in text
+
+
+def _traced_line(**values):
+    """A traced result line: per-layer metrics only, as perfbench prints."""
+    metrics = {"dynamics.reprice.calls": 260, "dynamics.reprice.s": 0.4}
+    metrics.update(values)
+    units = {spec["name"]: spec["unit"] for spec in CONTRACT["per_layer"]}
+    return json.dumps(
+        {
+            "correct": True,
+            "attempted": 8000,
+            "failed": 0,
+            "metrics": {
+                name: {"value": value, "unit": units[name]}
+                for name, value in metrics.items()
+            },
+        }
+    )
+
+
+def test_trace_report_tabulates_reported_layers_and_flags_counts():
+    spans = {"trace.spans": 27242}
+    runs = [
+        (
+            seed,
+            ab.last_json_line("per-layer\n" + _traced_line(**spans)),
+            ab.last_json_line(
+                _traced_line(**spans, **{"dynamics.reprice.s": seconds})
+            ),
+        )
+        for seed, seconds in ((0, 0.2), (1, 0.18), (2, 0.16))
+    ]
+    text, clean = ab.trace_report("fees", runs, CONTRACT, "3 pairs, traced")
+    lines = text.splitlines()
+    assert lines[0] == "fees: 3 pairs, traced"
+    rows = [line for line in lines if line.startswith("| `")]
+    # Every reported per-layer metric, in BENCHMARK.json's order.
+    assert [row.split("`")[1] for row in rows] == [
+        "dynamics.reprice.calls", "dynamics.reprice.s", "trace.spans",
+    ]
+    assert rows[0] == (
+        "| `dynamics.reprice.calls` (count) | 260.0 [260.0, 260.0] "
+        "| 260.0 [260.0, 260.0] | 1.000x |"
+    )
+    assert rows[1] == (
+        "| `dynamics.reprice.s` (s) | 0.4 [0.4, 0.4] "
+        "| 0.18 [0.17, 0.19] | 0.450x |"
+    )
+    assert clean and lines[-1] == (
+        "every run correct; every count identical per seed"
+    )
+
+    seed, base, _ = runs[1]
+    change = {"trace.spans": 27243, "dynamics.reprice.s": 9.0}
+    runs[1] = (seed, base, json.loads(_traced_line(**change)))
+    text, clean = ab.trace_report("fees", runs, CONTRACT, "3 pairs, traced")
+    assert not clean
+    # A time may differ; a count may not.
+    assert text.splitlines()[-1] == (
+        "FLAG seed 1: trace.spans differs (27242 vs 27243)"
+    )
+
+
+def test_trace_report_marks_a_ratio_over_zero():
+    runs = [
+        (
+            0,
+            json.loads(_traced_line(**{"kernel.bfs_tree.calls": 0})),
+            json.loads(_traced_line(**{"kernel.bfs_tree.calls": 0})),
+        )
+    ]
+    text, clean = ab.trace_report("fees", runs, CONTRACT, "1 pair")
+    assert clean
+    assert "| `kernel.bfs_tree.calls` (count) | 0 [0, 0] | 0 [0, 0] | - |" in text

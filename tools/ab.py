@@ -7,7 +7,7 @@ alternating which side runs first from one pair to the next, and prints
 one markdown table per workload::
 
     python3 tools/ab.py --base HEAD~1 --workloads churn,depletion \\
-        --pairs 10 --seeds 12-21 [--seconds 20]
+        --pairs 10 --seeds 12-21 [--seconds 20] [--trace]
 
 Pair ``i`` runs seed ``A + i`` (cycling through ``A-B``).  Each run's
 last JSON line is read; nothing under ``perfbench/`` changes.  For every
@@ -22,12 +22,20 @@ how many pairs this tree won, plus two verdicts:
 
 Below each table it flags every run that did not report ``correct``
 (or failed payments) and every seed whose ``success_ratio`` or
-``probe_messages_per_payment`` differs between the sides.  Each run's
-result line is echoed to stderr as one JSON object (pair, workload,
-seed, side, result) as soon as it is read.  The worktree is removed
-when the command ends, also on error.  The temporary
-directory follows ``TMPDIR``.  Exit status: 0, or 1 when a run was
-flagged or a metric regressed.
+``probe_messages_per_payment`` differs between the sides.
+
+``--trace`` runs ``perfbench/run.py --trace 1`` instead and prints the
+per-layer metrics of ``BENCHMARK.json`` that the runs report: each
+side's median [q1, q3] and the ratio of the medians, with no verdict.
+It flags incorrect runs and every count (a metric whose unit is
+``count``, such as ``*.calls`` or ``trace.spans``) that differs between
+the sides on one seed.
+
+Each run's result line is echoed to stderr as one JSON object (pair,
+workload, seed, side, result) as soon as it is read.  The worktree is
+removed when the command ends, also on error.  The temporary directory
+follows ``TMPDIR``.  Exit status: 0, or 1 when a run was flagged or a
+metric regressed.
 """
 
 from __future__ import annotations
@@ -124,8 +132,16 @@ def value(result: dict, workload: str, name: str) -> float | None:
     return None if entry is None else entry["value"]
 
 
-def flags(workload: str, runs: list[tuple[int, dict, dict]]) -> list[str]:
-    """Problems in ``(seed, base result, change result)`` runs."""
+def flags(
+    workload: str,
+    runs: list[tuple[int, dict, dict]],
+    identical=IDENTICAL,
+) -> list[str]:
+    """Problems in ``(seed, base result, change result)`` runs.
+
+    A run that is not ``correct`` or failed payments, and a seed on which
+    a metric named in ``identical`` differs between the sides.
+    """
     found = []
     for seed, *sides in runs:
         for side, result in zip(("base", "this tree"), sides):
@@ -134,7 +150,7 @@ def flags(workload: str, runs: list[tuple[int, dict, dict]]) -> list[str]:
                     f"{side}, seed {seed}: correct={result.get('correct')}, "
                     f"failed={result.get('failed')}"
                 )
-        for name in IDENTICAL:
+        for name in identical:
             b, c = (value(result, workload, name) for result in sides)
             if b != c:
                 found.append(f"seed {seed}: {name} differs ({b!r} vs {c!r})")
@@ -194,7 +210,47 @@ def report(
     return "\n".join(lines), clean
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds) -> dict:
+def trace_report(
+    workload: str,
+    runs: list[tuple[int, dict, dict]],
+    contract: dict,
+    header: str,
+) -> tuple[str, bool]:
+    """Per-layer table and flags of one workload's traced runs."""
+    lines = [
+        f"{workload}: {header}",
+        "",
+        "| metric | base median [q1, q3] | this tree median [q1, q3] "
+        "| ratio |",
+        "| --- | --- | --- | --- |",
+    ]
+    counts = []
+    for spec in contract["per_layer"]:
+        name = spec["name"]
+        base = [value(result, workload, name) for _, result, _ in runs]
+        change = [value(result, workload, name) for _, _, result in runs]
+        if None in base or None in change:
+            continue
+        if spec["unit"] == "count":
+            counts.append(name)
+        b_q1, b_med, b_q3 = quartiles(base)
+        c_q1, c_med, c_q3 = quartiles(change)
+        ratio = f"{c_med / b_med:.3f}x" if b_med else "-"
+        lines.append(
+            f"| `{name}` ({spec['unit']}) | {_side((b_med, b_q1, b_q3))} "
+            f"| {_side((c_med, c_q1, c_q3))} | {ratio} |"
+        )
+    problems = flags(workload, runs, counts)
+    lines.append("")
+    lines.extend(f"FLAG {problem}" for problem in problems)
+    if not problems:
+        lines.append("every run correct; every count identical per seed")
+    return "\n".join(lines), not problems
+
+
+def run_perfbench(
+    tree: Path, workload: str, seed: int, seconds, trace: bool = False
+) -> dict:
     """One ``perfbench/run.py`` run in ``tree``; its last JSON line."""
     command = [
         sys.executable,
@@ -203,6 +259,8 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds) -> dict:
         workload,
         "--seed",
         str(seed),
+        "--trace",
+        "1" if trace else "0",
     ]
     if seconds is not None:
         command += ["--seconds", str(seconds)]
@@ -231,6 +289,11 @@ def parse_args(argv):
         type=float,
         default=None,
         help="perfbench measuring time (default: its own)",
+    )
+    parser.add_argument(
+        "--trace",
+        action="store_true",
+        help="compare the per-layer metrics of traced runs",
     )
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -269,7 +332,7 @@ def main(argv=None) -> int:
                     result = {}
                     for side, tree in order:
                         result[side] = run_perfbench(
-                            tree, workload, seed, args.seconds
+                            tree, workload, seed, args.seconds, args.trace
                         )
                         # Every raw result, so an interrupted comparison
                         # keeps what it measured.
@@ -299,11 +362,12 @@ def main(argv=None) -> int:
     seeds = sorted({seed for seed, *_ in next(iter(runs.values()))})
     header = (
         f"{args.pairs} alternating pairs, seeds {seeds[0]}-{seeds[-1]}, "
-        f"{seconds:g} s, base {rev}"
+        f"{seconds:g} s{', traced' if args.trace else ''}, base {rev}"
     )
+    tabulate = trace_report if args.trace else report
     clean = True
     for workload in args.workloads:
-        text, ok = report(workload, runs[workload], contract, header)
+        text, ok = tabulate(workload, runs[workload], contract, header)
         clean &= ok
         print(text)
         print()
