@@ -9,18 +9,20 @@ simple/edge-disjoint shortest paths.
 from _common import once, save_result
 
 from repro.eval import (
-    BENCH_RIPPLE,
     ablation_k_sweep,
     ablation_mice_order,
     ablation_path_finding,
 )
+from repro.scenarios import get_scenario
+
+RIPPLE = get_scenario("ripple-default")
 
 
 def test_ablation_k_sweep(benchmark):
     result = once(
         benchmark,
         lambda: ablation_k_sweep(
-            BENCH_RIPPLE, k_values=(1, 5, 20), runs=2, seed=9
+            RIPPLE, k_values=(1, 5, 20), runs=2, seed=9
         ),
     )
     save_result("ablation_k", "A1 - elephant path budget k", result.format())
@@ -34,7 +36,7 @@ def test_ablation_k_sweep(benchmark):
 
 def test_ablation_mice_order(benchmark):
     result = once(
-        benchmark, lambda: ablation_mice_order(BENCH_RIPPLE, runs=2, seed=10)
+        benchmark, lambda: ablation_mice_order(RIPPLE, runs=2, seed=10)
     )
     save_result("ablation_order", "A2 - mice path order", result.format())
     # Random order must not lose to fixed order (it load-balances).
@@ -47,7 +49,7 @@ def test_ablation_mice_order(benchmark):
 def test_ablation_path_finding(benchmark):
     result = once(
         benchmark,
-        lambda: ablation_path_finding(BENCH_RIPPLE, num_pairs=20, seed=11),
+        lambda: ablation_path_finding(RIPPLE, num_pairs=20, seed=11),
     )
     save_result("ablation_paths", "A3 - path finding strategies", result.format())
     # The oracle upper-bounds everything.

@@ -14,10 +14,9 @@ import random
 
 from _common import once, save_result
 
-from repro.eval import BENCH_RIPPLE
-from repro.eval.scenarios import build_scenario
 from repro.extensions.rebalance import Rebalancer
 from repro.network.dynamics import ChurnModel, run_dynamic_simulation
+from repro.scenarios import get_scenario
 from repro.sim import format_table
 from repro.sim.engine import run_simulation
 from repro.sim.factories import (
@@ -27,10 +26,12 @@ from repro.sim.factories import (
 )
 from repro.traces.generators import generate_ripple_workload
 
+RIPPLE = get_scenario("ripple-default")
+
 
 def _saturated_network(seed: int):
     rng = random.Random(seed)
-    graph, _ = build_scenario(BENCH_RIPPLE)(rng)
+    graph, _ = RIPPLE.factory()(rng)
     drain = generate_ripple_workload(rng, graph.nodes, 600)
     run_simulation(graph, shortest_path_factory(), drain, copy_graph=False)
     probe_load = generate_ripple_workload(rng, graph.nodes, 200)
@@ -67,7 +68,7 @@ def test_extension_rebalancing(benchmark):
 def test_extension_streaming_threshold(benchmark):
     def run():
         rng = random.Random(17)
-        graph, workload = build_scenario(BENCH_RIPPLE.with_scale(10.0))(rng)
+        graph, workload = RIPPLE.factory(topology_overrides={"scale": 10.0})(rng)
         offline = run_simulation(
             graph, flash_factory(), workload, rng=random.Random(2)
         )
@@ -95,7 +96,7 @@ def test_extension_streaming_threshold(benchmark):
 def test_extension_churn(benchmark):
     def run():
         rng = random.Random(19)
-        graph, workload = build_scenario(BENCH_RIPPLE.with_scale(10.0))(rng)
+        graph, workload = RIPPLE.factory(topology_overrides={"scale": 10.0})(rng)
         static = run_simulation(
             graph, flash_factory(), workload, rng=random.Random(3)
         )

@@ -8,7 +8,11 @@ transactions, 2 runs, scales {1, 10, 30, 60}.
 
 from _common import once, save_result
 
-from repro.eval import BENCH_LIGHTNING, BENCH_RIPPLE, fig6_capacity_sweep
+from repro.eval import fig6_capacity_sweep
+from repro.scenarios import get_scenario
+
+RIPPLE = get_scenario("ripple-default")
+LIGHTNING = get_scenario("lightning-default")
 
 SCALES = (1, 10, 30, 60)
 
@@ -36,7 +40,7 @@ def test_fig6_ripple(benchmark):
     result = once(
         benchmark,
         lambda: fig6_capacity_sweep(
-            BENCH_RIPPLE, scale_factors=SCALES, runs=2, seed=1
+            RIPPLE, scale_factors=SCALES, runs=2, seed=1
         ),
     )
     save_result(
@@ -49,7 +53,7 @@ def test_fig6_lightning(benchmark):
     result = once(
         benchmark,
         lambda: fig6_capacity_sweep(
-            BENCH_LIGHTNING, scale_factors=SCALES, runs=2, seed=1
+            LIGHTNING, scale_factors=SCALES, runs=2, seed=1
         ),
     )
     save_result(

@@ -7,7 +7,11 @@ SpeedyMurmurs).  Bench scale: 150-node graphs, 150-600 transactions.
 
 from _common import once, save_result
 
-from repro.eval import BENCH_LIGHTNING, BENCH_RIPPLE, fig7_load_sweep
+from repro.eval import fig7_load_sweep
+from repro.scenarios import get_scenario
+
+RIPPLE = get_scenario("ripple-default")
+LIGHTNING = get_scenario("lightning-default")
 
 COUNTS = (150, 300, 600)
 
@@ -25,7 +29,7 @@ def test_fig7_ripple(benchmark):
     result = once(
         benchmark,
         lambda: fig7_load_sweep(
-            BENCH_RIPPLE, transaction_counts=COUNTS, runs=2, seed=2
+            RIPPLE, transaction_counts=COUNTS, runs=2, seed=2
         ),
     )
     save_result("fig07_ripple", "Fig 7a/7b - Ripple load sweep", result.format())
@@ -36,7 +40,7 @@ def test_fig7_lightning(benchmark):
     result = once(
         benchmark,
         lambda: fig7_load_sweep(
-            BENCH_LIGHTNING, transaction_counts=COUNTS, runs=2, seed=2
+            LIGHTNING, transaction_counts=COUNTS, runs=2, seed=2
         ),
     )
     save_result(

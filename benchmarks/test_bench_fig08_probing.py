@@ -7,13 +7,17 @@ because 90% of payments are mice that usually need zero probes.
 
 from _common import once, save_result
 
-from repro.eval import BENCH_LIGHTNING, BENCH_RIPPLE, fig8_probing_overhead
+from repro.eval import fig8_probing_overhead
+from repro.scenarios import get_scenario
+
+RIPPLE = get_scenario("ripple-default")
+LIGHTNING = get_scenario("lightning-default")
 
 
 def test_fig8_ripple(benchmark):
     result = once(
         benchmark,
-        lambda: fig8_probing_overhead(BENCH_RIPPLE, runs=3, seed=3),
+        lambda: fig8_probing_overhead(RIPPLE, runs=3, seed=3),
     )
     save_result("fig08_ripple", "Fig 8a - probing messages (Ripple)", result.format())
     assert result.flash_probes < result.spider_probes
@@ -29,7 +33,7 @@ def test_fig8_lightning(benchmark):
     result = once(
         benchmark,
         lambda: fig8_probing_overhead(
-            BENCH_LIGHTNING, capacity_scale=40.0, runs=3, seed=3
+            LIGHTNING, capacity_scale=40.0, runs=3, seed=3
         ),
     )
     save_result(

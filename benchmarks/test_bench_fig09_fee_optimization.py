@@ -7,7 +7,11 @@ sequentially.  Both Ripple and Lightning shapes are regenerated.
 
 from _common import once, save_result
 
-from repro.eval import BENCH_LIGHTNING, BENCH_RIPPLE, fig9_fee_optimization
+from repro.eval import fig9_fee_optimization
+from repro.scenarios import get_scenario
+
+RIPPLE = get_scenario("ripple-default")
+LIGHTNING = get_scenario("lightning-default")
 
 COUNTS = (150, 300)
 
@@ -35,7 +39,7 @@ def test_fig9_ripple(benchmark):
     result = once(
         benchmark,
         lambda: fig9_fee_optimization(
-            BENCH_RIPPLE, transaction_counts=COUNTS, runs=2, seed=5
+            RIPPLE, transaction_counts=COUNTS, runs=2, seed=5
         ),
     )
     save_result(
@@ -48,7 +52,7 @@ def test_fig9_lightning(benchmark):
     result = once(
         benchmark,
         lambda: fig9_fee_optimization(
-            BENCH_LIGHTNING, transaction_counts=COUNTS, runs=2, seed=5
+            LIGHTNING, transaction_counts=COUNTS, runs=2, seed=5
         ),
     )
     save_result(

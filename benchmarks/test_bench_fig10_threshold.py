@@ -7,7 +7,10 @@ grows — justifying the default 90% split.
 
 from _common import once, save_result
 
-from repro.eval import BENCH_RIPPLE, fig10_threshold_sweep
+from repro.eval import fig10_threshold_sweep
+from repro.scenarios import get_scenario
+
+RIPPLE = get_scenario("ripple-default")
 
 PERCENTAGES = (0, 50, 90, 100)
 
@@ -16,7 +19,7 @@ def test_fig10_threshold(benchmark):
     result = once(
         benchmark,
         lambda: fig10_threshold_sweep(
-            BENCH_RIPPLE, mice_percentages=PERCENTAGES, runs=2, seed=5
+            RIPPLE, mice_percentages=PERCENTAGES, runs=2, seed=5
         ),
     )
     save_result("fig10", "Fig 10 - threshold sweep (Ripple)", result.format())

@@ -7,7 +7,10 @@ probing; performance stabilizes beyond m=6.
 
 from _common import once, save_result
 
-from repro.eval import BENCH_RIPPLE, fig11_mice_paths_sweep
+from repro.eval import fig11_mice_paths_sweep
+from repro.scenarios import get_scenario
+
+RIPPLE = get_scenario("ripple-default")
 
 M_VALUES = (0, 2, 4, 8)
 
@@ -16,7 +19,7 @@ def test_fig11_mice_paths(benchmark):
     result = once(
         benchmark,
         lambda: fig11_mice_paths_sweep(
-            BENCH_RIPPLE, m_values=M_VALUES, runs=2, seed=6
+            RIPPLE, m_values=M_VALUES, runs=2, seed=6
         ),
     )
     save_result("fig11", "Fig 11 - mice paths per receiver", result.format())

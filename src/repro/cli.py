@@ -5,7 +5,6 @@ Examples
 ::
 
     python -m repro analyze                      # Fig 3/4 measurement study
-    python -m repro simulate --topology ripple --transactions 300
     python -m repro testbed --nodes 50 --transactions 500
     python -m repro figure fig6 --topology lightning
     python -m repro figure fig10
@@ -13,11 +12,14 @@ Examples
     python -m repro list-scenarios --verbose
     python -m repro run lightning-diurnal --runs 3 --workers 2
     python -m repro run ripple-churn --dynamics-param preset=volatile
+    python -m repro run ripple-default --topo-param scale=10 --runs 1
     python -m repro run ripple-snapshot --seed 7 --out results/run1
     python -m repro run jam-hubs --runs 3                     # attack scenario
     python -m repro run ripple-default --fault jamming --fault-param channels=16
     python -m repro run payment-storm --runs 3                # concurrent engine
     python -m repro run ripple-default --engine concurrent --load 100 --timeout 10
+    python -m repro sweep ripple-default --axis topology.scale \
+        --values 1,10,30,60                                # Fig 6's axis
     python -m repro sweep ripple-default --axis topology.capacity_median \
         --values 125,250,500 --out results/cap-sweep --resume
     python -m repro sweep payment-storm --axis engine.load --values 1,300,3000
@@ -27,9 +29,10 @@ Examples
     python -m repro report --smoke --check-golden tests/golden/report_smoke
 
 ``figure`` accepts: fig3, fig4, fig6, fig7, fig8, fig9, fig10, fig11,
-fig12, fig13, ablation-k, ablation-order, ablation-paths.  All figures run
-at benchmark scale by default; pass ``--paper-scale`` for the full-size
-topologies (slow).
+fig12, fig13, ablation-k, ablation-order, ablation-paths.  Figs 6-11 and
+the ablations run on the registered ``ripple-default`` or
+``lightning-default`` scenario (``--topology``) at benchmark scale; pass
+``--paper-scale`` for the full-size topologies and 2,000 payments (slow).
 
 ``run`` executes any scenario registered in the
 :mod:`repro.scenarios` catalog (``list-scenarios`` prints it) and
@@ -64,15 +67,10 @@ docs/RESULTS.md.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from collections.abc import Sequence
 
 from repro.eval import (
-    BENCH_LIGHTNING,
-    BENCH_RIPPLE,
-    PAPER_LIGHTNING,
-    PAPER_RIPPLE,
     ablation_k_sweep,
     ablation_mice_order,
     ablation_path_finding,
@@ -87,23 +85,44 @@ from repro.eval import (
     testbed_figure,
 )
 from repro.errors import ReproError
-from repro.eval.scenarios import ScenarioConfig, build_scenario
-from repro.sim import (
-    format_table,
-    paper_benchmark_factories,
-    run_simulation,
-)
+from repro.sim import format_table, paper_benchmark_factories
 from repro.sim.metrics import BASE_FAMILY, RUN_ORDER, SWEEP_ORDER
 
 
-def _config(args) -> ScenarioConfig:
-    if getattr(args, "paper_scale", False):
-        base = PAPER_RIPPLE if args.topology == "ripple" else PAPER_LIGHTNING
-    else:
-        base = BENCH_RIPPLE if args.topology == "ripple" else BENCH_LIGHTNING
-    if getattr(args, "transactions", None):
-        base = base.with_transactions(args.transactions)
-    return base
+def _figure_scenario(args):
+    """The registered scenario ``figure`` runs, sized by its flags.
+
+    ``--paper-scale`` sets the crawled network sizes of §4.1 and 2,000
+    payments; ``--transactions`` overrides the payment count.
+    """
+    import dataclasses
+
+    import repro.scenarios as scenarios
+    from repro.network.topology import (
+        LIGHTNING_CHANNELS,
+        LIGHTNING_NODES,
+        RIPPLE_EDGES,
+        RIPPLE_NODES,
+    )
+
+    scenario = scenarios.get_scenario(f"{args.topology}-default")
+    topology_params = dict(scenario.topology_params)
+    workload_params = dict(scenario.workload_params)
+    if args.paper_scale:
+        if args.topology == "ripple":
+            topology_params.update(nodes=RIPPLE_NODES, edges=RIPPLE_EDGES)
+        else:
+            topology_params.update(
+                nodes=LIGHTNING_NODES, edges=LIGHTNING_CHANNELS
+            )
+        workload_params["transactions"] = 2_000
+    if args.transactions:
+        workload_params["transactions"] = args.transactions
+    return dataclasses.replace(
+        scenario,
+        topology_params=topology_params,
+        workload_params=workload_params,
+    )
 
 
 def _cmd_analyze(args) -> int:
@@ -120,36 +139,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = _config(args).with_scale(args.scale)
-    rng = random.Random(args.seed)
-    graph, workload = build_scenario(config)(rng)
-    print(
-        f"topology={config.topology} nodes={graph.num_nodes()} "
-        f"channels={graph.num_channels()} txns={len(workload)} "
-        f"scale={args.scale}"
-    )
-    rows = []
-    for name, factory in paper_benchmark_factories().items():
-        result = run_simulation(
-            graph, factory, workload, rng=random.Random(args.seed + 1)
-        )
-        rows.append(
-            [
-                name,
-                f"{100 * result.success_ratio:.1f}",
-                f"{result.success_volume:.4g}",
-                result.probe_messages,
-            ]
-        )
-    print(
-        format_table(
-            ["scheme", "succ. ratio (%)", "succ. volume", "probe msgs"], rows
-        )
-    )
-    return 0
-
-
 def _cmd_testbed(args) -> int:
     result = testbed_figure(
         n_nodes=args.nodes,
@@ -162,7 +151,7 @@ def _cmd_testbed(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    config = _config(args)
+    scenario = _figure_scenario(args)
     runs = args.runs
     seed = args.seed
     name = args.name.lower()
@@ -171,17 +160,17 @@ def _cmd_figure(args) -> int:
     elif name == "fig4":
         print(fig4_recurrence(seed=seed).format())
     elif name == "fig6":
-        print(fig6_capacity_sweep(config, runs=runs, seed=seed).format())
+        print(fig6_capacity_sweep(scenario, runs=runs, seed=seed).format())
     elif name == "fig7":
-        print(fig7_load_sweep(config, runs=runs, seed=seed).format())
+        print(fig7_load_sweep(scenario, runs=runs, seed=seed).format())
     elif name == "fig8":
-        print(fig8_probing_overhead(config, runs=runs, seed=seed).format())
+        print(fig8_probing_overhead(scenario, runs=runs, seed=seed).format())
     elif name == "fig9":
-        print(fig9_fee_optimization(config, runs=runs, seed=seed).format())
+        print(fig9_fee_optimization(scenario, runs=runs, seed=seed).format())
     elif name == "fig10":
-        print(fig10_threshold_sweep(config, runs=runs, seed=seed).format())
+        print(fig10_threshold_sweep(scenario, runs=runs, seed=seed).format())
     elif name == "fig11":
-        print(fig11_mice_paths_sweep(config, runs=runs, seed=seed).format())
+        print(fig11_mice_paths_sweep(scenario, runs=runs, seed=seed).format())
     elif name == "fig12":
         print(
             testbed_figure(
@@ -195,11 +184,11 @@ def _cmd_figure(args) -> int:
             ).format()
         )
     elif name == "ablation-k":
-        print(ablation_k_sweep(config, runs=runs, seed=seed).format())
+        print(ablation_k_sweep(scenario, runs=runs, seed=seed).format())
     elif name == "ablation-order":
-        print(ablation_mice_order(config, runs=runs, seed=seed).format())
+        print(ablation_mice_order(scenario, runs=runs, seed=seed).format())
     elif name == "ablation-paths":
-        print(ablation_path_finding(config, seed=seed).format())
+        print(ablation_path_finding(scenario, seed=seed).format())
     else:
         print(f"unknown figure {args.name!r}", file=sys.stderr)
         return 2
@@ -604,19 +593,13 @@ def _cmd_sweep(args) -> int:
                     "--axis fee.KEY needs the fee-market dynamics "
                     "ingredient (pick a fee-market scenario)"
                 )
-            dynamics_entry = scenarios.DYNAMICS.get(scenario.dynamics)
-            for value in values:
-                # Validate the axis key and every value eagerly, before
-                # any run starts (bind raises on unknown keys/bad values).
-                dynamics_entry.bind({**scenario.dynamics_params, key: value})
         if role == "fault":
             if scenario.faults is None:
                 raise scenarios.ScenarioError(
                     "--axis fault.KEY needs a fault ingredient (pass "
                     "--fault NAME or pick an attack scenario)"
                 )
-            # Validate the axis key and every value eagerly, before any
-            # run starts (bind raises on unknown keys/bad values).
+            # Name the axis value the fault model's range check refuses.
             fault_entry = scenarios.FAULTS.get(scenario.faults)
             for value in values:
                 bound = fault_entry.bind(
@@ -658,6 +641,34 @@ def _cmd_sweep(args) -> int:
             )
             for value in values
         }
+
+        def scenario_for(value):
+            overrides = {
+                "topology_overrides": {},
+                "workload_overrides": {},
+                "dynamics_overrides": {},
+                "fault_overrides": dict(fault_overrides),
+            }
+            if role not in ("engine", "mpp"):
+                # The fee axis is sugar for a fee-market dynamics override.
+                section = "dynamics" if role == "fee" else role
+                overrides[f"{section}_overrides"][key] = value
+            if args.transactions is not None and not (
+                role == "workload" and key == "transactions"
+            ):
+                overrides["workload_overrides"]["transactions"] = (
+                    args.transactions
+                )
+            return scenario.factory(
+                topology_overrides=overrides["topology_overrides"],
+                workload_overrides=overrides["workload_overrides"],
+                dynamics_overrides=overrides["dynamics_overrides"] or None,
+                fault_overrides=overrides["fault_overrides"] or None,
+            )
+
+        # Every value's factory binds (and so validates) the axis key
+        # and value before any run starts.
+        factories = {value: scenario_for(value) for value in values}
     except (scenarios.ScenarioError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -681,28 +692,6 @@ def _cmd_sweep(args) -> int:
         print("error: --resume requires --out DIR", file=sys.stderr)
         return 2
 
-    def scenario_for(value):
-        overrides = {
-            "topology_overrides": {},
-            "workload_overrides": {},
-            "dynamics_overrides": {},
-            "fault_overrides": dict(fault_overrides),
-        }
-        if role not in ("engine", "mpp"):
-            # The fee axis is sugar for a fee-market dynamics override.
-            section = "dynamics" if role == "fee" else role
-            overrides[f"{section}_overrides"][key] = value
-        if args.transactions is not None and not (
-            role == "workload" and key == "transactions"
-        ):
-            overrides["workload_overrides"]["transactions"] = args.transactions
-        return scenario.factory(
-            topology_overrides=overrides["topology_overrides"],
-            workload_overrides=overrides["workload_overrides"],
-            dynamics_overrides=overrides["dynamics_overrides"] or None,
-            fault_overrides=overrides["fault_overrides"] or None,
-        )
-
     print(
         f"sweep scenario={scenario.name} axis={args.axis} "
         f"values={','.join(values)} runs={args.runs} seed={args.seed}"
@@ -718,7 +707,7 @@ def _cmd_sweep(args) -> int:
     try:
         series = run_sweep(
             values,
-            scenario_for,
+            factories.__getitem__,
             paper_benchmark_factories(),
             runs=args.runs,
             base_seed=args.seed,
@@ -842,31 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.set_defaults(func=_cmd_analyze)
 
-    simulate = subparsers.add_parser(
-        "simulate",
-        help="compare the four schemes on one topology",
-        description="Run Flash, Spider, SpeedyMurmurs, and Shortest Path on "
-        "a synthetic Ripple or Lightning topology and print their metrics.",
-    )
-    simulate.add_argument(
-        "--topology",
-        choices=("ripple", "lightning"),
-        default="ripple",
-        help="topology family",
-    )
-    simulate.add_argument(
-        "--transactions", type=int, default=None, help="workload size"
-    )
-    simulate.add_argument(
-        "--scale", type=float, default=10.0, help="channel balance multiplier"
-    )
-    simulate.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help="full-size topologies (slow)",
-    )
-    simulate.set_defaults(func=_cmd_simulate)
-
     testbed = subparsers.add_parser(
         "testbed",
         help="the §5 protocol testbed comparison",
@@ -896,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology",
         choices=("ripple", "lightning"),
         default="ripple",
-        help="topology family",
+        help="run on the ripple-default or lightning-default scenario",
     )
     figure.add_argument(
         "--transactions", type=int, default=None, help="workload size"
@@ -907,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "--paper-scale",
         action="store_true",
-        help="full-size topologies (slow)",
+        help="full-size topologies and 2,000 payments (slow)",
     )
     figure.set_defaults(func=_cmd_figure)
 

@@ -47,14 +47,6 @@ from repro.eval.report import (
     generate_report,
     report_factories,
 )
-from repro.eval.scenarios import (
-    BENCH_LIGHTNING,
-    BENCH_RIPPLE,
-    PAPER_LIGHTNING,
-    PAPER_RIPPLE,
-    ScenarioConfig,
-    build_scenario,
-)
 from repro.eval.store import (
     ExperimentStore,
     canonical_json,
@@ -63,8 +55,6 @@ from repro.eval.store import (
 )
 
 __all__ = [
-    "BENCH_LIGHTNING",
-    "BENCH_RIPPLE",
     "ExperimentStore",
     "MetricStats",
     "ReportArtifacts",
@@ -76,16 +66,12 @@ __all__ = [
     "Fig9Result",
     "KSweepResult",
     "MiceOrderResult",
-    "PAPER_LIGHTNING",
-    "PAPER_RIPPLE",
     "PathFindingResult",
-    "ScenarioConfig",
     "SweepResult",
     "TestbedFigureResult",
     "ablation_k_sweep",
     "ablation_mice_order",
     "ablation_path_finding",
-    "build_scenario",
     "canonical_json",
     "check_golden",
     "exact_max_flow",

@@ -16,11 +16,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.maxflow import find_elephant_paths
-from repro.eval.scenarios import ScenarioConfig, build_scenario
 from repro.network.channel import NodeId
 from repro.network.graph import ChannelGraph
 from repro.network.paths import edge_disjoint_shortest_paths
 from repro.network.view import NetworkView
+from repro.scenarios import Scenario
 from repro.sim.factories import flash_factory
 from repro.sim.metrics import AveragedMetrics
 from repro.sim.results import format_series, format_table
@@ -92,18 +92,18 @@ class KSweepResult:
 
 
 def ablation_k_sweep(
-    config: ScenarioConfig,
+    scenario: Scenario,
     k_values: tuple[int, ...] = (1, 5, 10, 20, 30),
     capacity_scale: float = 10.0,
     runs: int = 3,
     seed: int = 0,
 ) -> KSweepResult:
     """A1: success volume saturates around k=20-30 while probing grows."""
-    scenario = build_scenario(config.with_scale(capacity_scale))
+    build = scenario.factory(topology_overrides={"scale": capacity_scale})
     series = {}
     for k in k_values:
         comparison = run_comparison(
-            scenario,
+            build,
             {"Flash": flash_factory(k=k)},
             runs=runs,
             base_seed=seed,
@@ -139,14 +139,14 @@ class MiceOrderResult:
 
 
 def ablation_mice_order(
-    config: ScenarioConfig,
+    scenario: Scenario,
     capacity_scale: float = 10.0,
     runs: int = 3,
     seed: int = 0,
 ) -> MiceOrderResult:
     """A2: random vs fixed path order in the mice trial-and-error loop."""
     comparison = run_comparison(
-        build_scenario(config.with_scale(capacity_scale)),
+        scenario.factory(topology_overrides={"scale": capacity_scale}),
         {
             "random": flash_factory(shuffle_mice_paths=True),
             "fixed": flash_factory(shuffle_mice_paths=False),
@@ -192,7 +192,7 @@ class PathFindingResult:
 
 
 def ablation_path_finding(
-    config: ScenarioConfig,
+    scenario: Scenario,
     k: int = 20,
     num_pairs: int = 30,
     capacity_scale: float = 10.0,
@@ -203,7 +203,8 @@ def ablation_path_finding(
     Edge-disjoint capacity is the sum of bottlenecks of k edge-disjoint
     shortest paths — Spider's usable capacity (Fig 5b's pathology)."""
     rng = random.Random(seed)
-    graph, _ = build_scenario(config.with_scale(capacity_scale))(rng)
+    build = scenario.factory(topology_overrides={"scale": capacity_scale})
+    graph, _ = build(rng)
     topology = graph.compact()
     nodes = graph.nodes
     exact_total = 0.0

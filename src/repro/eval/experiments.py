@@ -3,9 +3,16 @@
 One function per table/figure of the paper's evaluation.  Each returns a
 plain-data result object with a ``format()`` method producing the same
 rows/series the paper plots, so the benchmark harness (and the examples)
-can print paper-shaped output.  Scale is injected via
-:class:`~repro.eval.scenarios.ScenarioConfig` so the identical driver runs
-at benchmark scale or paper scale.
+can print paper-shaped output.
+
+The simulation drivers (Figs 6-11) take a registered
+:class:`~repro.scenarios.Scenario`, usually ``ripple-default`` or
+``lightning-default``, and layer the capacity scale (its topology's
+``scale``) and the payment count (its workload's ``transactions``) over
+it through :meth:`~repro.scenarios.Scenario.factory`.  The network size
+is the scenario's own, so the identical driver runs at benchmark scale
+or, with ``dataclasses.replace(scenario, topology_params=...)``, at
+paper scale.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.eval.scenarios import ScenarioConfig, build_scenario
+from repro.scenarios import Scenario
 from repro.sim.factories import (
     flash_all_elephant_factory,
     flash_factory,
@@ -22,7 +29,7 @@ from repro.sim.factories import (
 )
 from repro.sim.metrics import AveragedMetrics
 from repro.sim.results import format_series, format_table
-from repro.sim.runner import run_comparison, sweep
+from repro.sim.runner import ScenarioFactory, run_comparison, sweep
 from repro.traces.analysis import (
     SizeSummary,
     recurring_fraction_per_day,
@@ -146,7 +153,7 @@ class SweepResult:
 
 
 def fig6_capacity_sweep(
-    config: ScenarioConfig,
+    scenario: Scenario,
     scale_factors: tuple[float, ...] = (1, 10, 20, 30, 40, 50, 60),
     runs: int = 5,
     seed: int = 0,
@@ -154,7 +161,7 @@ def fig6_capacity_sweep(
     """Figs 6a-6d: success ratio & volume vs capacity scale factor."""
     series = sweep(
         list(scale_factors),
-        lambda scale: build_scenario(config.with_scale(float(scale))),
+        lambda scale: scenario.factory(topology_overrides={"scale": scale}),
         paper_benchmark_factories(),
         runs=runs,
         base_seed=seed,
@@ -165,17 +172,19 @@ def fig6_capacity_sweep(
 
 
 def fig7_load_sweep(
-    config: ScenarioConfig,
+    scenario: Scenario,
     transaction_counts: tuple[int, ...] = (1_000, 2_000, 3_000, 4_000, 5_000, 6_000),
     capacity_scale: float = 10.0,
     runs: int = 5,
     seed: int = 0,
 ) -> SweepResult:
     """Figs 7a-7d: success ratio & volume vs number of transactions."""
-    base = config.with_scale(capacity_scale)
     series = sweep(
         list(transaction_counts),
-        lambda count: build_scenario(base.with_transactions(int(count))),
+        lambda count: scenario.factory(
+            topology_overrides={"scale": capacity_scale},
+            workload_overrides={"transactions": count},
+        ),
         paper_benchmark_factories(),
         runs=runs,
         base_seed=seed,
@@ -213,7 +222,7 @@ class Fig8Result:
 
 
 def fig8_probing_overhead(
-    config: ScenarioConfig,
+    scenario: Scenario,
     capacity_scale: float = 10.0,
     runs: int = 5,
     seed: int = 0,
@@ -221,7 +230,7 @@ def fig8_probing_overhead(
     """Fig 8: probing messages (paper: Flash saves 43% on Ripple, 37% on
     Lightning vs Spider).  Static schemes never probe and are excluded."""
     comparison = run_comparison(
-        build_scenario(config.with_scale(capacity_scale)),
+        scenario.factory(topology_overrides={"scale": capacity_scale}),
         {"Flash": flash_factory(), "Spider": spider_factory()},
         runs=runs,
         base_seed=seed,
@@ -255,22 +264,30 @@ class Fig9Result:
         )
 
 
+def _with_paper_fees(factory: ScenarioFactory) -> ScenarioFactory:
+    """``factory`` with the paper's Fig-9 fee mix drawn after each build.
+
+    Fig 9 alone runs on this legacy flat fee model
+    (:meth:`~repro.network.graph.ChannelGraph.assign_paper_fees`), so it
+    is a hook here rather than a registered scenario or parameter.
+    """
+
+    def build(rng: random.Random):
+        inputs = factory(rng)
+        inputs[0].assign_paper_fees(rng)
+        return inputs
+
+    return build
+
+
 def fig9_fee_optimization(
-    config: ScenarioConfig,
+    scenario: Scenario,
     transaction_counts: tuple[int, ...] = (1_000, 2_000, 4_000),
     capacity_scale: float = 10.0,
     runs: int = 5,
     seed: int = 0,
 ) -> Fig9Result:
     """Fig 9: the optimizer cuts unit fees ~40% vs sequential filling."""
-    base = ScenarioConfig(
-        topology=config.topology,
-        n_nodes=config.n_nodes,
-        n_edges=config.n_edges,
-        n_transactions=config.n_transactions,
-        capacity_scale=capacity_scale,
-        assign_fees=True,
-    )
     factories = {
         "w/ optimization": flash_factory(optimize_fees=True),
         "w/o optimization": flash_factory(optimize_fees=False),
@@ -279,7 +296,12 @@ def fig9_fee_optimization(
     without_opt = []
     for count in transaction_counts:
         comparison = run_comparison(
-            build_scenario(base.with_transactions(count)),
+            _with_paper_fees(
+                scenario.factory(
+                    topology_overrides={"scale": capacity_scale},
+                    workload_overrides={"transactions": count},
+                )
+            ),
             factories,
             runs=runs,
             base_seed=seed,
@@ -317,14 +339,14 @@ class Fig10Result:
 
 
 def fig10_threshold_sweep(
-    config: ScenarioConfig,
+    scenario: Scenario,
     mice_percentages: tuple[int, ...] = (0, 20, 40, 60, 80, 90, 100),
     capacity_scale: float = 10.0,
     runs: int = 3,
     seed: int = 0,
 ) -> Fig10Result:
     """Fig 10: volume stays flat until ~80-90% mice while probing falls."""
-    scenario = build_scenario(config.with_scale(capacity_scale))
+    build = scenario.factory(topology_overrides={"scale": capacity_scale})
     volumes = []
     probes = []
     for pct in mice_percentages:
@@ -334,7 +356,7 @@ def fig10_threshold_sweep(
             else flash_factory(mice_fraction=pct / 100.0)
         )
         comparison = run_comparison(
-            scenario, {"Flash": factory}, runs=runs, base_seed=seed
+            build, {"Flash": factory}, runs=runs, base_seed=seed
         )
         volumes.append(comparison["Flash"].success_volume)
         probes.append(comparison["Flash"].probe_messages)
@@ -369,7 +391,7 @@ class Fig11Result:
 
 
 def fig11_mice_paths_sweep(
-    config: ScenarioConfig,
+    scenario: Scenario,
     m_values: tuple[int, ...] = (0, 2, 4, 6, 8),
     capacity_scale: float = 10.0,
     runs: int = 3,
@@ -377,7 +399,7 @@ def fig11_mice_paths_sweep(
 ) -> Fig11Result:
     """Fig 11: a few paths per receiver get close to elephant-grade mice
     delivery at ~12x less probing; m=0 routes mice as elephants."""
-    scenario = build_scenario(config.with_scale(capacity_scale))
+    build = scenario.factory(topology_overrides={"scale": capacity_scale})
     volumes = []
     probes = []
     for m in m_values:
@@ -387,7 +409,7 @@ def fig11_mice_paths_sweep(
             else flash_factory(m=m)
         )
         comparison = run_comparison(
-            scenario, {"Flash": factory}, runs=runs, base_seed=seed
+            build, {"Flash": factory}, runs=runs, base_seed=seed
         )
         volumes.append(comparison["Flash"].mice_success_volume)
         probes.append(comparison["Flash"].mice_probe_messages)

@@ -17,6 +17,7 @@ in §3.2) and either applies every movement or none.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -770,8 +771,10 @@ class ChannelGraph:
 
         Implements the "capacity scale factor" axis of Figs 6 and 7.
         """
-        if factor <= 0:
-            raise ChannelError(f"scale factor must be positive, got {factor!r}")
+        if not (factor > 0 and math.isfinite(factor)):
+            raise ChannelError(
+                f"scale factor must be positive and finite, got {factor!r}"
+            )
         for channel in self._owned_channels():
             channel.balance_ab *= factor
             channel.balance_ba *= factor

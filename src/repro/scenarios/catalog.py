@@ -79,6 +79,7 @@ LIGHTNING_SNAPSHOT_JSON = DATA_DIR / "lightning_snapshot.json"
 _TRANSACTIONS = ParamSpec(
     "transactions", int, 300, "number of payments to generate"
 )
+_SCALE = ParamSpec("scale", float, 1.0, "multiply all balances")
 
 
 # --------------------------------------------------------------------------
@@ -86,22 +87,44 @@ _TRANSACTIONS = ParamSpec(
 # --------------------------------------------------------------------------
 
 
+def _scaled(graph: ChannelGraph, scale: float) -> ChannelGraph:
+    """Multiply every balance of ``graph`` by ``scale``; return ``graph``.
+
+    The capacity scale factor of Figs 6 and 7.  ``scale_balances`` draws
+    no randomness, so a scaled build leaves the rng where an unscaled
+    one does, and the workload drawn after it is the same.
+    """
+    if scale != 1.0:
+        graph.scale_balances(scale)
+    return graph
+
+
 def _build_ripple_synthetic(
-    rng: random.Random, nodes: int, edges: int, capacity_median: float
+    rng: random.Random,
+    nodes: int,
+    edges: int,
+    capacity_median: float,
+    scale: float,
 ) -> ChannelGraph:
     """Ripple-like synthetic topology (preferential attachment, evened funds)."""
-    return ripple_like_topology(
+    graph = ripple_like_topology(
         rng, n_nodes=nodes, n_edges=edges, capacity_median=capacity_median
     )
+    return _scaled(graph, scale)
 
 
 def _build_lightning_synthetic(
-    rng: random.Random, nodes: int, edges: int, capacity_median: float
+    rng: random.Random,
+    nodes: int,
+    edges: int,
+    capacity_median: float,
+    scale: float,
 ) -> ChannelGraph:
     """Lightning-like synthetic topology (skewed degrees and fund splits)."""
-    return lightning_like_topology(
+    graph = lightning_like_topology(
         rng, n_nodes=nodes, n_edges=edges, capacity_median=capacity_median
     )
+    return _scaled(graph, scale)
 
 
 def _build_testbed_smallworld(
@@ -187,10 +210,7 @@ def _load_snapshot_topology(
     ``rng`` is unused (snapshots are deterministic) but kept for the
     uniform topology-builder signature.
     """
-    graph = load_snapshot(path)
-    if scale != 1.0:
-        graph.scale_balances(scale)
-    return graph
+    return _scaled(load_snapshot(path), scale)
 
 
 register_topology(
@@ -203,6 +223,7 @@ register_topology(
         ParamSpec(
             "capacity_median", float, 250.0, "median directional balance (USD)"
         ),
+        _SCALE,
     ),
 )
 
@@ -216,6 +237,7 @@ register_topology(
         ParamSpec(
             "capacity_median", float, 500_000.0, "median channel capacity (sat)"
         ),
+        _SCALE,
     ),
 )
 
@@ -264,7 +286,7 @@ register_topology(
     "(bundled 96-node crawl by default)",
     params=(
         ParamSpec("path", str, str(RIPPLE_SNAPSHOT_CSV), "snapshot file path"),
-        ParamSpec("scale", float, 1.0, "multiply all balances"),
+        _SCALE,
     ),
 )
 
@@ -277,7 +299,7 @@ register_topology(
         ParamSpec(
             "path", str, str(LIGHTNING_SNAPSHOT_JSON), "snapshot file path"
         ),
-        ParamSpec("scale", float, 1.0, "multiply all balances"),
+        _SCALE,
     ),
 )
 

@@ -37,6 +37,7 @@ loaded by ``import repro.scenarios``.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -66,25 +67,36 @@ class ParamSpec:
     help: str = ""
 
     def coerce(self, value: object) -> object:
-        """Coerce ``value`` (possibly a CLI string) to this spec's type."""
-        if isinstance(value, self.kind):
-            return value
+        """Coerce ``value`` (possibly a CLI string) to this spec's type.
+
+        A float must be finite: a NaN or infinite balance, rate or scale
+        would otherwise build a network of meaningless numbers and run
+        to completion on it.
+        """
         try:
-            if self.kind is bool:
-                if isinstance(value, str):
-                    lowered = value.strip().lower()
-                    if lowered in ("1", "true", "yes", "on"):
-                        return True
-                    if lowered in ("0", "false", "no", "off"):
-                        return False
+            if isinstance(value, self.kind):
+                coerced = value
+            elif self.kind is bool and isinstance(value, str):
+                lowered = value.strip().lower()
+                if lowered in ("1", "true", "yes", "on"):
+                    coerced = True
+                elif lowered in ("0", "false", "no", "off"):
+                    coerced = False
+                else:
                     raise ValueError(value)
-                return bool(value)
-            return self.kind(value)
+            else:
+                coerced = self.kind(value)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(
                 f"parameter {self.name!r} expects {self.kind.__name__}, "
                 f"got {value!r}"
             ) from exc
+        if self.kind is float and not math.isfinite(coerced):
+            raise ScenarioError(
+                f"parameter {self.name!r} expects a finite float, "
+                f"got {value!r}"
+            )
+        return coerced
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,26 @@
 """Tests for the experiment CLI (python -m repro)."""
 
 import argparse
+import dataclasses
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _figure_scenario, build_parser, main
+from repro.eval import fig6_capacity_sweep, fig8_probing_overhead
+from repro.network.topology import (
+    LIGHTNING_CHANNELS,
+    LIGHTNING_NODES,
+    RIPPLE_EDGES,
+    RIPPLE_NODES,
+)
+from repro.scenarios import get_scenario
+from repro.sim import format_series
 
 
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-    def test_simulate_defaults(self):
-        args = build_parser().parse_args(["simulate"])
-        assert args.topology == "ripple"
-        assert args.scale == 10.0
 
 
 class TestAnalyze:
@@ -26,13 +31,45 @@ class TestAnalyze:
         assert "Ripple" in out and "recurring" in out
 
 
-class TestSimulate:
-    def test_runs_small_comparison(self, capsys):
-        code = main(["simulate", "--transactions", "40"])
+class TestScaleAxis:
+    def test_sweep_matches_the_fig6_driver(self, capsys):
+        code = main(
+            [
+                "sweep",
+                "ripple-default",
+                "--axis",
+                "topology.scale",
+                "--values",
+                "1,10",
+                "--runs",
+                "1",
+                "--transactions",
+                "40",
+            ]
+        )
         out = capsys.readouterr().out
         assert code == 0
-        assert "Flash" in out and "Spider" in out
-        assert "succ. ratio" in out
+        scenario = dataclasses.replace(
+            get_scenario("ripple-default"),
+            workload_params={"transactions": 40},
+        )
+        result = fig6_capacity_sweep(
+            scenario, scale_factors=(1, 10), runs=1, seed=0
+        )
+        for metric, scale, label in (
+            ("success_ratio", 100.0, "success ratio (%)"),
+            ("success_volume", 1.0, "succeeded volume"),
+        ):
+            block = format_series(
+                "topology.scale",
+                ["1", "10"],
+                {
+                    scheme: [scale * value for value in values]
+                    for scheme, values in result.metric_series(metric).items()
+                },
+                label,
+            )
+            assert block in out
 
 
 class TestTestbed:
@@ -167,6 +204,51 @@ class TestRunScenario:
         )
         assert code == 2
         assert "no dynamics ingredient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, override",
+        [
+            ("ripple-default", "capacity_median=nan"),
+            ("ripple-snapshot", "scale=nan"),
+            ("ripple-snapshot", "scale=inf"),
+        ],
+    )
+    def test_non_finite_override_fails_cleanly(self, capsys, name, override):
+        code = main(
+            [
+                "run",
+                name,
+                "--topo-param",
+                override,
+                "--runs",
+                "1",
+                "--transactions",
+                "20",
+            ]
+        )
+        assert code == 2
+        assert "expects a finite float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["nan,250", "250,nan"])
+    def test_non_finite_sweep_value_fails_cleanly(self, capsys, values):
+        code = main(
+            [
+                "sweep",
+                "ripple-default",
+                "--axis",
+                "topology.capacity_median",
+                "--values",
+                values,
+                "--runs",
+                "1",
+                "--transactions",
+                "20",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "expects a finite float" in captured.err
+        assert captured.out == ""  # refused before any value ran
 
     def test_builder_range_error_fails_cleanly(self, capsys):
         # Passes int/float coercion but violates the builder's own check.
@@ -460,3 +542,49 @@ class TestFigure:
 
     def test_unknown_figure(self, capsys):
         assert main(["figure", "fig99"]) == 2
+
+    def test_paper_scale_sizes_the_registered_scenario(self):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["figure", "fig6", "--topology", "lightning", "--paper-scale"]
+        )
+        scenario = _figure_scenario(args)
+        assert scenario.name == "lightning-default"
+        assert scenario.topology_params == {
+            "nodes": LIGHTNING_NODES,
+            "edges": LIGHTNING_CHANNELS,
+        }
+        assert scenario.workload_params == {"transactions": 2_000}
+        args = parser.parse_args(
+            ["figure", "fig6", "--paper-scale", "--transactions", "50"]
+        )
+        scenario = _figure_scenario(args)
+        assert scenario.name == "ripple-default"
+        assert scenario.topology_params == {
+            "nodes": RIPPLE_NODES,
+            "edges": RIPPLE_EDGES,
+        }
+        assert scenario.workload_params == {"transactions": 50}
+
+    def test_fig8_runs_on_lightning_default(self, capsys):
+        code = main(
+            [
+                "figure",
+                "fig8",
+                "--topology",
+                "lightning",
+                "--transactions",
+                "40",
+                "--runs",
+                "1",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        scenario = dataclasses.replace(
+            get_scenario("lightning-default"),
+            workload_params={"transactions": 40},
+        )
+        expected = fig8_probing_overhead(scenario, runs=1, seed=0).format()
+        assert out == expected + "\n"
+        assert "Flash savings" in out

@@ -5,14 +5,15 @@ formatting — at the smallest scales that still produce meaningful output,
 so `repro.eval` stays covered without benchmark-length runtimes.
 """
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.eval import (
-    ScenarioConfig,
     ablation_k_sweep,
     ablation_mice_order,
     ablation_path_finding,
-    build_scenario,
     fig3_size_cdfs,
     fig4_recurrence,
     fig6_capacity_sweep,
@@ -22,52 +23,76 @@ from repro.eval import (
     fig11_mice_paths_sweep,
     testbed_figure as run_testbed_figure,
 )
+from repro.eval.experiments import _with_paper_fees
+from repro.scenarios import get_scenario
 
-TINY = ScenarioConfig(
-    topology="ripple", n_nodes=60, n_edges=400, n_transactions=60
+TINY = dataclasses.replace(
+    get_scenario("ripple-default"),
+    topology_params={"nodes": 60, "edges": 400},
+    workload_params={"transactions": 60},
 )
-TINY_LIGHTNING = ScenarioConfig(
-    topology="lightning", n_nodes=60, n_edges=500, n_transactions=60
-)
+
+
+def _channels(graph):
+    return [
+        (channel.a, channel.b, channel.balance_ab, channel.balance_ba)
+        for channel in graph.channels()
+    ]
 
 
 class TestScenarioBuilding:
     def test_ripple_scenario(self):
-        import random
-
-        graph, workload = build_scenario(TINY)(random.Random(0))
+        graph, workload = TINY.factory()(random.Random(0))
         assert graph.num_nodes() == 60
         assert len(workload) == 60
 
-    def test_capacity_scale_applied(self):
-        import random
-
-        base_graph, _ = build_scenario(TINY)(random.Random(0))
-        scaled_graph, _ = build_scenario(TINY.with_scale(10.0))(random.Random(0))
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "ripple-default",
+            "lightning-default",
+            "ripple-snapshot",
+            "lightning-snapshot",
+        ],
+    )
+    def test_capacity_scale_applied(self, name):
+        scenario = get_scenario(name)
+        base_graph, base_workload = scenario.factory()(random.Random(0))
+        scaled_graph, scaled_workload = scenario.factory(
+            topology_overrides={"scale": 10}
+        )(random.Random(0))
         assert scaled_graph.network_funds() == pytest.approx(
             10.0 * base_graph.network_funds()
         )
+        assert list(scaled_workload) == list(base_workload)
+        unit_graph, unit_workload = scenario.factory(
+            topology_overrides={"scale": 1.0}
+        )(random.Random(0))
+        assert _channels(unit_graph) == _channels(base_graph)
+        assert list(unit_workload) == list(base_workload)
 
     def test_fees_assigned_when_requested(self):
-        import random
-
-        config = ScenarioConfig(
-            topology="ripple",
-            n_nodes=40,
-            n_edges=150,
-            n_transactions=10,
-            assign_fees=True,
+        factory = TINY.factory(
+            topology_overrides={"nodes": 40, "edges": 150},
+            workload_overrides={"transactions": 10},
         )
-        graph, _ = build_scenario(config)(random.Random(0))
+        rng = random.Random(0)
+        graph, workload = _with_paper_fees(factory)(rng)
         rates = [graph.fee_policy(c.a, c.b).rate for c in graph.channels()]
         assert any(rate > 0 for rate in rates)
-
-    def test_unknown_topology_rejected(self):
-        import random
-
-        config = ScenarioConfig(topology="bogus")
-        with pytest.raises(ValueError):
-            build_scenario(config)(random.Random(0))
+        # The plain build, then the fee draw on the rng it leaves: the
+        # same workload and the same fees.
+        plain_rng = random.Random(0)
+        plain_graph, plain_workload = factory(plain_rng)
+        plain_graph.assign_paper_fees(plain_rng)
+        assert list(workload) == list(plain_workload)
+        assert _channels(graph) == _channels(plain_graph)
+        for channel in graph.channels():
+            for src, dst in (channel.endpoints(), channel.endpoints()[::-1]):
+                assert graph.fee_policy(src, dst) == plain_graph.fee_policy(
+                    src, dst
+                )
+        assert rng.random() == plain_rng.random()
 
 
 class TestMeasurementDrivers:

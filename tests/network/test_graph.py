@@ -84,6 +84,10 @@ class TestBalancesAndFees:
     def test_scale_balances_rejects_nonpositive(self, line_graph):
         with pytest.raises(ChannelError):
             line_graph.scale_balances(0.0)
+        for factor in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ChannelError, match="finite"):
+                line_graph.scale_balances(factor)
+        assert line_graph.balance(0, 1) == 100.0
 
 
 class TestExecute:

@@ -31,6 +31,9 @@ class TestParamSpec:
             ParamSpec("n", int, 1).coerce("many")
         with pytest.raises(ScenarioError, match="expects bool"):
             ParamSpec("flag", bool, False).coerce("maybe")
+        for value in ("nan", "inf", "-inf", float("nan")):
+            with pytest.raises(ScenarioError, match="expects a finite float"):
+                ParamSpec("x", float, 1.0).coerce(value)
 
 
 class TestRegistry:
