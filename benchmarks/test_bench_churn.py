@@ -11,11 +11,18 @@ BFS runs on the fresh snapshot, so both paths pay for a usable (not
 merely constructed) topology, and the final incremental snapshot is
 asserted observably identical to a from-scratch rebuild.
 
+It also times the two kinds of :meth:`ChannelGraph.copy` the runner
+makes of the substrate, one per scheme of a replication: the first
+copy of a graph walks its rows, and every later copy of it, while it
+stays unchanged, starts from the rows that walk kept.  Each is the
+median of several trials.
+
 Under ``BENCH_RECORD=1``, writes machine-readable ``BENCH_churn.json``
 at the repo root (canonical serialization, like ``BENCH_routing.json``);
 the committed snapshot's methodology notes live in docs/SCENARIOS.md.  Set
 ``BENCH_SMOKE=1`` for the CI-scale version, which only asserts that
-incremental upkeep is no slower than rebuilding.
+incremental upkeep is no slower than rebuilding and a sibling copy no
+slower than a walk.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import os
 import pathlib
 import platform
 import random
+import statistics
 import time
 
 from _common import save_result, save_timed_snapshot
@@ -40,6 +48,7 @@ N_NODES = 1_200 if SMOKE else 10_000
 N_EVENTS = 120 if SMOKE else 400
 BFS_EVERY = 20
 SEED = 20_260_730
+COPY_TRIALS = 7
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_churn.json"
 
@@ -106,6 +115,25 @@ def _replay(graph: ChannelGraph, events: list[ChannelEvent]) -> list[float]:
     return costs
 
 
+def _copy_seconds(base: ChannelGraph) -> tuple[float, float]:
+    """Median seconds of a walk copy and of a sibling copy.
+
+    Each trial takes a fresh copy of ``base`` as the source, so that
+    source has not been copied yet: its first copy walks its rows, and
+    its second starts from the rows the first kept.
+    """
+    walks, siblings = [], []
+    for _ in range(COPY_TRIALS):
+        source = base.copy()
+        start = time.perf_counter()
+        source.copy()
+        walks.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        source.copy()
+        siblings.append(time.perf_counter() - start)
+    return statistics.median(walks), statistics.median(siblings)
+
+
 def _percentile(values: list[float], q: float) -> float:
     ranked = sorted(values)
     return ranked[min(len(ranked) - 1, int(q * len(ranked)))]
@@ -125,6 +153,8 @@ def _stats(costs: list[float]) -> dict:
 def test_bench_churn():
     base = _scale_graph()
     events = _event_stream(base)
+    walk_s, sibling_s = _copy_seconds(base)
+    copy_speedup = walk_s / sibling_s if sibling_s else float("inf")
 
     incremental_graph = base.copy()
     incremental_graph.compact()  # warm: deltas are logged from here on
@@ -187,6 +217,12 @@ def test_bench_churn():
         "incremental": incremental,
         "full_rebuild": rebuild,
         "events_per_sec_speedup": round(speedup, 2),
+        "copy": {
+            "trials": COPY_TRIALS,
+            "walk_ms": round(1_000.0 * walk_s, 4),
+            "sibling_ms": round(1_000.0 * sibling_s, 4),
+            "sibling_speedup": round(copy_speedup, 2),
+        },
         "equivalence_checked": True,
     }
     save_timed_snapshot(BENCH_JSON, report)
@@ -204,6 +240,9 @@ def test_bench_churn():
             f"{rebuild['mean_event_ms']:8.3f} ms/event  "
             f"{rebuild['events_per_sec']:9.1f} events/s",
             f"events/sec speedup: {speedup:.1f}x",
+            f"graph copy (median of {COPY_TRIALS}): walk "
+            f"{1_000.0 * walk_s:.3f} ms  sibling {1_000.0 * sibling_s:.3f} ms"
+            f"  ({copy_speedup:.1f}x)",
         ]
     )
     save_result(
@@ -213,10 +252,14 @@ def test_bench_churn():
         timed=True,
     )
 
-    # The acceptance contract: >= 3x events/sec at 10k-node scale.  The
-    # smoke run (tiny graph, CI) only pins the direction — incremental
-    # upkeep must not cost more than rebuilding.
+    # The acceptance contract: >= 3x events/sec at 10k-node scale, and
+    # a sibling copy >= 3x faster than a walk.  The smoke run (small
+    # graph, CI) only pins the direction of both in-run ratios:
+    # incremental upkeep must not cost more than rebuilding, nor a
+    # sibling copy more than a walk.
     if SMOKE:
         assert incremental["total_ms"] <= rebuild["total_ms"], report
+        assert sibling_s <= walk_s, report
     else:
         assert speedup >= 3.0, report
+        assert copy_speedup >= 3.0, report

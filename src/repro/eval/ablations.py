@@ -107,6 +107,7 @@ def ablation_k_sweep(
             {"Flash": flash_factory(k=k)},
             runs=runs,
             base_seed=seed,
+            **scenario.run_knobs(),
         )
         series[k] = comparison["Flash"]
     return KSweepResult(k_values=tuple(k_values), series=series)
@@ -153,6 +154,7 @@ def ablation_mice_order(
         },
         runs=runs,
         base_seed=seed,
+        **scenario.run_knobs(),
     )
     return MiceOrderResult(
         random_order=comparison["random"], fixed_order=comparison["fixed"]

@@ -12,7 +12,9 @@ The simulation drivers (Figs 6-11) take a registered
 it through :meth:`~repro.scenarios.Scenario.factory`.  The network size
 is the scenario's own, so the identical driver runs at benchmark scale
 or, with ``dataclasses.replace(scenario, topology_params=...)``, at
-paper scale.
+paper scale.  So are its engine and MPP knobs
+(:meth:`~repro.scenarios.Scenario.run_knobs`): a concurrent scenario
+runs the concurrent engine here too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from repro.sim.factories import (
 )
 from repro.sim.metrics import AveragedMetrics
 from repro.sim.results import format_series, format_table
-from repro.sim.runner import ScenarioFactory, run_comparison, sweep
+from repro.sim.runner import (
+    ScenarioFactory,
+    resolve_run_config,
+    run_comparison,
+    sweep,
+)
 from repro.traces.analysis import (
     SizeSummary,
     recurring_fraction_per_day,
@@ -159,12 +166,14 @@ def fig6_capacity_sweep(
     seed: int = 0,
 ) -> SweepResult:
     """Figs 6a-6d: success ratio & volume vs capacity scale factor."""
+    config = resolve_run_config(**scenario.run_knobs())
     series = sweep(
         list(scale_factors),
         lambda scale: scenario.factory(topology_overrides={"scale": scale}),
         paper_benchmark_factories(),
         runs=runs,
         base_seed=seed,
+        config_for=lambda _: config,
     )
     return SweepResult(
         x_label="capacity scale", x_values=tuple(scale_factors), series=series
@@ -179,6 +188,7 @@ def fig7_load_sweep(
     seed: int = 0,
 ) -> SweepResult:
     """Figs 7a-7d: success ratio & volume vs number of transactions."""
+    config = resolve_run_config(**scenario.run_knobs())
     series = sweep(
         list(transaction_counts),
         lambda count: scenario.factory(
@@ -188,6 +198,7 @@ def fig7_load_sweep(
         paper_benchmark_factories(),
         runs=runs,
         base_seed=seed,
+        config_for=lambda _: config,
     )
     return SweepResult(
         x_label="#transactions",
@@ -234,6 +245,7 @@ def fig8_probing_overhead(
         {"Flash": flash_factory(), "Spider": spider_factory()},
         runs=runs,
         base_seed=seed,
+        **scenario.run_knobs(),
     )
     return Fig8Result(
         flash_probes=comparison["Flash"].probe_messages,
@@ -305,6 +317,7 @@ def fig9_fee_optimization(
             factories,
             runs=runs,
             base_seed=seed,
+            **scenario.run_knobs(),
         )
         with_opt.append(comparison["w/ optimization"].fee_to_volume_percent)
         without_opt.append(comparison["w/o optimization"].fee_to_volume_percent)
@@ -356,7 +369,11 @@ def fig10_threshold_sweep(
             else flash_factory(mice_fraction=pct / 100.0)
         )
         comparison = run_comparison(
-            build, {"Flash": factory}, runs=runs, base_seed=seed
+            build,
+            {"Flash": factory},
+            runs=runs,
+            base_seed=seed,
+            **scenario.run_knobs(),
         )
         volumes.append(comparison["Flash"].success_volume)
         probes.append(comparison["Flash"].probe_messages)
@@ -409,7 +426,11 @@ def fig11_mice_paths_sweep(
             else flash_factory(m=m)
         )
         comparison = run_comparison(
-            build, {"Flash": factory}, runs=runs, base_seed=seed
+            build,
+            {"Flash": factory},
+            runs=runs,
+            base_seed=seed,
+            **scenario.run_knobs(),
         )
         volumes.append(comparison["Flash"].mice_success_volume)
         probes.append(comparison["Flash"].mice_probe_messages)

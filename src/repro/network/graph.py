@@ -95,17 +95,24 @@ class Transfer:
 
 
 class _SiblingSnapshot:
-    """The compact snapshot that copies of one unchanged graph share.
+    """What copies of one unchanged graph share: its snapshot and rows.
 
-    ``snapshot`` is ``None`` until the first copy compacts.  Only the
-    topology is shared here; balances and fees live in the channels,
-    which the copies share until written (see :meth:`ChannelGraph.copy`).
+    ``snapshot`` is ``None`` until the first copy compacts.  ``rows``
+    are the clone-order rows the source's first copy built by walking
+    it, ``channels`` their channel count; every later copy starts from
+    them, and no graph writes into them (see :meth:`ChannelGraph.copy`).
+    ``rows`` is ``None`` until that walk, and again once the source
+    twins a channel, which the rows then no longer hold, or when the
+    walk met a hold.  Balances and fees live in the channels, which the
+    copies share until written.
     """
 
-    __slots__ = ("snapshot",)
+    __slots__ = ("snapshot", "rows", "channels")
 
     def __init__(self) -> None:
         self.snapshot: CompactTopology | None = None
+        self.rows: dict[NodeId, dict[NodeId, Channel]] | None = None
+        self.channels = 0
 
 
 class ChannelGraph:
@@ -163,6 +170,10 @@ class ChannelGraph:
         #: The cell of the channels this graph may write in place; any
         #: other channel in its rows is shared and twinned when written.
         self._owner = OwnerCell()
+        #: On a copy that started from its siblings' shared rows: the
+        #: nodes whose rows it has made its own (see :meth:`_row`).
+        #: ``None`` on a graph that shares no row.
+        self._private: set[NodeId] | None = None
 
     # ------------------------------------------------------------ topology
 
@@ -183,8 +194,23 @@ class ChannelGraph:
     def add_node(self, node: NodeId) -> None:
         if node not in self._adj:
             self._adj[node] = {}
+            if self._private is not None:
+                self._private.add(node)
             self._topology_version += 1
             self._log_delta(("node", node))
+
+    def _row(self, node: NodeId) -> dict[NodeId, Channel]:
+        """``node``'s row, made this graph's own for writing.
+
+        A row this copy still shares with its siblings is replaced by a
+        copy of it first, in the same order.
+        """
+        row = self._adj[node]
+        private = self._private
+        if private is not None and node not in private:
+            row = self._adj[node] = dict(row)
+            private.add(node)
+        return row
 
     def add_channel(
         self,
@@ -209,8 +235,8 @@ class ChannelGraph:
         channel._owner = self._owner
         self.add_node(a)
         self.add_node(b)
-        self._adj[a][b] = channel
-        self._adj[b][a] = channel
+        self._row(a)[b] = channel
+        self._row(b)[a] = channel
         self._topology_version += 1
         self._log_delta(("open", a, b))
         return channel
@@ -219,8 +245,8 @@ class ChannelGraph:
         """Close the channel between ``a`` and ``b``."""
         if not self.has_channel(a, b):
             raise NoChannelError(a, b)
-        del self._adj[a][b]
-        del self._adj[b][a]
+        del self._row(a)[b]
+        del self._row(b)[a]
         self._topology_version += 1
         self._log_delta(("close", a, b))
 
@@ -294,10 +320,17 @@ class ChannelGraph:
             raise NoChannelError(a, b) from None
 
     def _own(self, channel: Channel) -> Channel:
-        """Swap a private twin of shared ``channel`` into both rows."""
+        """Swap a private twin of shared ``channel`` into both rows.
+
+        Later copies must hold the twin, so the next one walks this
+        graph again instead of starting from the rows its earlier
+        copies share, which hold ``channel``.
+        """
+        if self._copies is not None:
+            self._copies.rows = None
         twin = channel._twin(self._owner)
-        self._adj[channel.a][channel.b] = twin
-        self._adj[channel.b][channel.a] = twin
+        self._row(channel.a)[channel.b] = twin
+        self._row(channel.b)[channel.a] = twin
         return twin
 
     def adjacency(self) -> dict[NodeId, list[NodeId]]:
@@ -815,6 +848,17 @@ class ChannelGraph:
         its channel count, as if every node and then every channel had
         been added one by one.
 
+        The rows are shared the same way.  Only the first copy of a
+        source walks it; the walked rows are kept on the record its
+        copies share, and that copy and every later one start from
+        them: a new mapping of the same row dicts.  A graph copies a row
+        the first time it writes it (:meth:`_own`, :meth:`add_channel`,
+        :meth:`remove_channel`), so the kept rows never change.  The next
+        copy walks again after a structural change on the source, after
+        the source twins a channel (its rows then hold the twin), and
+        after a walk that met a hold, whose clone owns its twins and so
+        its rows; row order is the walk's either way.
+
         The source's own compact snapshot does not carry over: it
         follows the source's order, not the clone's.  Instead, every
         copy taken while the source's topology stays unchanged has the
@@ -831,23 +875,38 @@ class ChannelGraph:
         self._owner.live = False
         self._owner = OwnerCell()
         clone = ChannelGraph()
-        owner = clone._owner
-        adjacency = clone._adj = {node: {} for node in self._adj}
-        channels = 0
-        for u, nbrs in self._adj.items():
-            row = adjacency[u]
-            for v, channel in nbrs.items():
-                if v in row:  # shared from v's side already
-                    continue
-                if channel._held_ab or channel._held_ba:
-                    channel = channel._twin(owner, holds=False)
-                row[v] = channel
-                adjacency[v][u] = channel
-                channels += 1
-        clone._topology_version = len(adjacency) + channels
-        if self._copies is None:
-            self._copies = _SiblingSnapshot()
-        clone._siblings = self._copies
+        copies = self._copies
+        if copies is None:
+            copies = self._copies = _SiblingSnapshot()
+        rows, channels = copies.rows, copies.channels
+        shared = rows is not None
+        if not shared:
+            owner = clone._owner
+            rows = {node: {} for node in self._adj}
+            channels = 0
+            shared = True
+            for u, nbrs in self._adj.items():
+                row = rows[u]
+                for v, channel in nbrs.items():
+                    if v in row:  # shared from v's side already
+                        continue
+                    if channel._held_ab or channel._held_ba:
+                        # A twin only this clone may hold: no sibling
+                        # can start from these rows.
+                        channel = channel._twin(owner, holds=False)
+                        shared = False
+                    row[v] = channel
+                    rows[v][u] = channel
+                    channels += 1
+            if shared:
+                copies.rows, copies.channels = rows, channels
+        if shared:
+            clone._adj = dict(rows)
+            clone._private = set()
+        else:
+            clone._adj = rows
+        clone._topology_version = len(rows) + channels
+        clone._siblings = copies
         # Policy records travel with the fee policies above; the version
         # counter (and any fee controller) must follow so the clone stays
         # policy-aware.  Per-tick traffic deliberately starts empty.

@@ -24,6 +24,7 @@ enforced by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.errors import ChannelError, ProtocolError
 from repro.network.channel import NodeId
@@ -51,6 +52,20 @@ class ProtocolNode:
     #: Messages handled (the node-level processing-load metric).
     handled: int = 0
 
+    #: Message type -> handler method name, built once per class and
+    #: looked up by name, so a subclass's override dispatches.
+    _HANDLERS: ClassVar[dict[MessageType, str]] = {
+        MessageType.PROBE: "_on_probe",
+        MessageType.PROBE_ACK: "_relay_to_sender",
+        MessageType.COMMIT: "_on_commit",
+        MessageType.COMMIT_ACK: "_relay_to_sender",
+        MessageType.COMMIT_NACK: "_relay_to_sender",
+        MessageType.CONFIRM: "_on_confirm",
+        MessageType.CONFIRM_ACK: "_on_confirm_ack",
+        MessageType.REVERSE: "_on_reverse",
+        MessageType.REVERSE_ACK: "_relay_to_sender",
+    }
+
     def handle(self, message: Message, network) -> None:
         """Process one message; emit follow-ups through ``network.send``."""
         if message.current != self.node_id:
@@ -58,18 +73,7 @@ class ProtocolNode:
                 f"message for {message.current!r} delivered to {self.node_id!r}"
             )
         self.handled += 1
-        handler = {
-            MessageType.PROBE: self._on_probe,
-            MessageType.PROBE_ACK: self._relay_to_sender,
-            MessageType.COMMIT: self._on_commit,
-            MessageType.COMMIT_ACK: self._relay_to_sender,
-            MessageType.COMMIT_NACK: self._relay_to_sender,
-            MessageType.CONFIRM: self._on_confirm,
-            MessageType.CONFIRM_ACK: self._on_confirm_ack,
-            MessageType.REVERSE: self._on_reverse,
-            MessageType.REVERSE_ACK: self._relay_to_sender,
-        }[message.mtype]
-        handler(message, network)
+        getattr(self, self._HANDLERS[message.mtype])(message, network)
 
     # ------------------------------------------------------------- probing
 

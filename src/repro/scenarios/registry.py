@@ -315,6 +315,20 @@ class Scenario:
             parts += " / mpp"
         return parts
 
+    def run_knobs(self) -> dict[str, object]:
+        """This scenario's own engine and MPP knobs, as keywords.
+
+        What :func:`repro.sim.runner.run_comparison` and
+        :func:`repro.sim.runner.resolve_run_config` take, read off this
+        object rather than looked up by name, so a scenario changed with
+        ``dataclasses.replace`` runs as changed.
+        """
+        return {
+            "engine": self.engine,
+            "engine_params": self.engine_params,
+            "mpp_params": self.mpp_params,
+        }
+
     def cell_params(
         self,
         topology_overrides: Mapping[str, object] | None = None,

@@ -2,8 +2,11 @@
 
 :meth:`ChannelGraph.copy` shares the source's :class:`Channel` objects
 with the clone, and a graph swaps in a private twin of a channel the
-first time it writes it.  The reference below is the copy that sharing
-replaced: it builds every channel of the clone anew.
+first time it writes it.  Copies of an unchanged source also share the
+row dicts its first copy walked, and a graph copies a row the first
+time it writes it.  The reference below is the copy that sharing
+replaced: it walks the source and builds every channel of the clone
+anew.
 
 Each program runs two worlds side by side from one seed.  In one, graphs
 are made with ``copy()``; in the other, with :func:`deep_copy`.  Both
@@ -15,8 +18,10 @@ ticks followed by reads of repriced records, channel opens and closes,
 and ``scale_balances``.  After every step each graph must equal its
 reference in adjacency order, ``topology_version``, per-direction
 ``balance``, ``held`` and ``channel_policy``, and in the node and
-neighbor order of ``compact()``; and no channel object may be writable
-by two graphs.
+neighbor order of ``compact()``; no channel object and no row dict may
+be writable by two graphs; and rows kept for later copies never change.
+A second program takes runs of 2-4 copies of one graph, with a write,
+a channel open or close, or an outstanding hold between some of them.
 """
 
 from __future__ import annotations
@@ -137,11 +142,43 @@ def _assert_same(graph: ChannelGraph, reference: ChannelGraph) -> None:
     ]
 
 
-def _assert_single_writer(graphs: list[ChannelGraph]) -> None:
-    """Every channel in a graph's rows is its own or shared (retired)."""
+def _row_ids(rows: dict) -> list:
+    """Each row's node and its channels' identities, in order."""
+    return [
+        (u, [(v, id(channel)) for v, channel in row.items()])
+        for u, row in rows.items()
+    ]
+
+
+def _assert_single_writer(graphs: list[ChannelGraph], kept: dict) -> None:
+    """No channel and no row can be written by two graphs.
+
+    Every channel in a graph's rows is its own or shared (retired).  A
+    row dict that two graphs reach, or that is kept for later copies,
+    is private to neither.  Kept rows never change: ``kept`` maps every
+    set of rows a source ever kept for its copies to its items when
+    first seen.
+    """
+    for graph in graphs:
+        copies = graph._copies
+        if copies is not None and copies.rows is not None:
+            kept.setdefault(
+                id(copies.rows), (copies.rows, _row_ids(copies.rows))
+            )
+    holders: dict[int, int] = {}
+    for rows, items in kept.values():
+        assert _row_ids(rows) == items
+        for row in rows.values():
+            holders[id(row)] = 2
+    for graph in graphs:
+        for row in graph._adj.values():
+            holders[id(row)] = holders.get(id(row), 0) + 1
     writers: dict[int, int] = {}
     for index, graph in enumerate(graphs):
+        private = graph._private
         for u, row in graph._adj.items():
+            if holders[id(row)] > 1:
+                assert private is not None and u not in private
             for v, channel in row.items():
                 assert graph._adj[v][u] is channel
                 if channel._owner.live:
@@ -195,6 +232,7 @@ def test_copies_match_deep_copies(seed):
     copies = rng.randrange(3, 6)
     steps = 70
     copy_at = sorted(rng.sample(range(1, steps), copies))
+    kept: dict = {}
     for step in range(steps):
         index = rng.randrange(len(cow.graphs))
         if step in copy_at:
@@ -203,11 +241,64 @@ def test_copies_match_deep_copies(seed):
         else:
             kind = rng.choices(kinds, weights)[0]
             _apply(rng, kind, cow, ref, index, controller, float(step))
-        for graph, reference in zip(cow.graphs, ref.graphs):
-            _assert_same(graph, reference)
-        _assert_single_writer(cow.graphs)
+        _check(cow, ref, kept)
     assert len(cow.graphs) == copies + 1
     assert all(graph.policy_aware == priced for graph in cow.graphs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_copy_runs_match_deep_copies(seed):
+    """Runs of 2-4 copies of one graph, some with a change in between.
+
+    Consecutive copies of an unchanged graph start from the rows its
+    first copy walked.  Between two copies of a run the source may be
+    written (a payment or a rescale, in priced programs a policy or a
+    fee tick), gain or lose a channel, or place a hold that stays
+    outstanding; each of these must make the next copy walk again.
+    """
+    rng = random.Random(60_000 + seed)
+    priced = seed % 3 != 0
+    cow = _World(_build(seed, market=priced), ChannelGraph.copy)
+    ref = _World(_build(seed, market=priced), deep_copy)
+    controller = FeeMarketController(
+        hubs=rng.choice([0, 4]), decay=rng.choice([0.9, 1.0])
+    )
+    kinds = [
+        kind for kind in _STEPS if priced or kind not in ("policy", "tick")
+    ]
+    weights = [_STEPS[kind] for kind in kinds]
+    # What may happen to the source between two copies of a run.
+    between = ["execute", "scale", "open", "close", "hold"]
+    if priced:
+        between += ["policy", "tick"]
+    steps = 40
+    run_at = rng.sample(range(1, steps), 3)
+    kept: dict = {}
+    for step in range(steps):
+        index = rng.randrange(len(cow.graphs))
+        if step not in run_at:
+            kind = rng.choices(kinds, weights)[0]
+            _apply(rng, kind, cow, ref, index, controller, float(step))
+            _check(cow, ref, kept)
+            continue
+        if step == min(run_at) or rng.random() < 0.5:
+            # Start this run with no escrow out, so its copies share.
+            while cow.holds[index]:
+                _apply(rng, "settle", cow, ref, index, controller, 0.0)
+        for count in range(rng.randrange(2, 5)):
+            kind = rng.choice([None, None, *between]) if count else None
+            if kind is not None:
+                _apply(rng, kind, cow, ref, index, controller, float(step))
+            cow.copy(index)
+            ref.copy(index)
+            _check(cow, ref, kept)
+    assert kept
+
+
+def _check(cow: _World, ref: _World, kept: dict) -> None:
+    for graph, reference in zip(cow.graphs, ref.graphs):
+        _assert_same(graph, reference)
+    _assert_single_writer(cow.graphs, kept)
 
 
 def _apply(rng, kind, cow, ref, index, controller, now) -> None:
@@ -277,3 +368,85 @@ def _apply(rng, kind, cow, ref, index, controller, now) -> None:
         factor = rng.choice([1.25, 3.0] if holds else [0.5, 1.25, 3.0])
         graph.scale_balances(factor)
         reference.scale_balances(factor)
+
+
+class TestSharedRows:
+    """What consecutive copies of one graph share, and what ends it."""
+
+    @staticmethod
+    def _source() -> ChannelGraph:
+        return _build(3, market=False)
+
+    def test_siblings_share_every_row(self):
+        source = self._source()
+        first, second = source.copy(), source.copy()
+        assert first._adj is not second._adj
+        rows = source._copies.rows
+        for node in source.nodes:
+            assert first._adj[node] is second._adj[node] is rows[node]
+        assert first._private == second._private == set()
+        assert source._private is None
+
+    def test_a_write_copies_only_its_rows(self):
+        source = self._source()
+        first, second = source.copy(), source.copy()
+        a, b = _directions(first)[0]
+        before = dict(second._adj[a])
+        first.hold(a, b, first.balance(a, b) / 2)
+        assert first._private == {a, b}
+        assert first._adj[a] is not second._adj[a]
+        assert second._adj[a] == before
+        assert first._adj[a][b] is not second._adj[a][b]
+        assert second.held(a, b) == 0.0
+
+    def test_source_write_ends_sharing(self):
+        source = self._source()
+        first = source.copy()
+        a, b = _directions(source)[0]
+        source.execute_single([a, b], source.balance(a, b) / 4)
+        assert source._copies.rows is None
+        second = source.copy()
+        assert second._adj[a] is not first._adj[a]
+        assert second._adj[a][b] is source._adj[a][b]
+        assert second.balance(a, b) == source.balance(a, b)
+
+    def test_held_walk_shares_nothing(self):
+        source = self._source()
+        a, b = _directions(source)[0]
+        source.hold(a, b, source.balance(a, b) / 2)
+        held = source.copy()
+        assert source._copies.rows is None
+        assert held._private is None
+        assert held._adj[a][b]._owner is held._owner
+        later = source.copy()
+        assert later._adj[a][b] is not held._adj[a][b]
+        assert later.held(a, b) == held.held(a, b) == 0.0
+
+    def test_structural_change_ends_sharing(self):
+        source = self._source()
+        first = source.copy()
+        a, b = next(
+            (u, v)
+            for u in source.nodes
+            for v in source.nodes
+            if u != v and not source.has_channel(u, v)
+        )
+        source.add_channel(a, b, 10.0, 10.0)
+        assert source._copies is None
+        second = source.copy()
+        assert second.has_channel(a, b) and not first.has_channel(a, b)
+        assert all(
+            second._adj[node] is not first._adj[node] for node in first.nodes
+        )
+
+    def test_open_and_close_on_a_sibling(self):
+        source = self._source()
+        first, second = source.copy(), source.copy()
+        a, b = _directions(first)[0]
+        first.remove_channel(a, b)
+        assert not first.has_channel(a, b) and second.has_channel(a, b)
+        assert first._private == {a, b}
+        first.add_node("new")
+        first.add_channel("new", a, 5.0, 5.0)
+        assert "new" in first._private and not second.has_node("new")
+        assert source._copies.rows[a] is second._adj[a]

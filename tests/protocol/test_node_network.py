@@ -118,3 +118,27 @@ class TestNetworkPlumbing:
         message = Message(trans_id="x", mtype=MessageType.PROBE, path=(1, 2))
         with pytest.raises(ProtocolError):
             net.node(0).handle(message, net)
+
+
+class TestDispatch:
+    def test_every_type_has_a_handler(self):
+        from repro.protocol.node import ProtocolNode
+
+        assert set(ProtocolNode._HANDLERS) == set(MessageType)
+        for name in ProtocolNode._HANDLERS.values():
+            assert callable(getattr(ProtocolNode, name))
+
+    def test_subclass_override_dispatches(self, net, driver):
+        from repro.protocol.node import ProtocolNode
+
+        seen = []
+
+        class Recording(ProtocolNode):
+            def _on_probe(self, message, network):
+                seen.append((self.node_id, message.index))
+                super()._on_probe(message, network)
+
+        net.nodes[1] = Recording(1, net.graph)
+        forward, _ = driver.probe([0, 1, 2])
+        assert seen == [(1, 1)]
+        assert forward == [100.0, 100.0]
