@@ -36,7 +36,7 @@ def test_report_generation(benchmark):
         table.slug
         for table in BASE_FAMILY.tables + CONCURRENCY_FAMILY.tables
     }
-    # Figures for the headline metrics (PNG with matplotlib, else SVG).
+    # SVG figures for the headline metrics.
     assert {slug for slug in artifacts.figures} == {
         table.slug
         for table in TABLES

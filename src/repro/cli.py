@@ -269,16 +269,6 @@ _ENGINE_FLAGS = {
     "hop_latency": (float, "per-hop message latency in seconds"),
     "max_retries": (int, "engine-level re-attempts for failed reservations"),
     "retry_delay": (float, "seconds between engine-level retries"),
-    "retry_backoff": (
-        float,
-        "exponential multiplier on successive retry waits; 1.0 keeps "
-        "every wait at --retry-delay",
-    ),
-    "retry_jitter": (
-        float,
-        "stretch each retry wait by a seeded uniform factor in "
-        "[1, 1+J], de-synchronizing retry storms",
-    ),
 }
 
 

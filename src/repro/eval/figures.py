@@ -1,10 +1,8 @@
-"""Report figures: grouped bar charts, matplotlib-optional.
+"""Report figures: grouped bar charts as deterministic SVG.
 
-``matplotlib`` is an optional dependency (deliberately not required);
-when it is importable the charts are saved as PNG, otherwise a
-deterministic hand-rolled SVG is written instead.  The SVG path uses
-fixed float formatting throughout, so re-generating a report produces
-byte-identical figure files.
+The charts are hand-rolled SVG with fixed float formatting throughout,
+so re-generating a report produces byte-identical figure files, and no
+plotting library is needed.
 
 Styling follows one validated light-mode categorical palette (checked
 for CVD separation and normal-vision distance); schemes are assigned
@@ -176,77 +174,15 @@ def _grouped_bars_svg(
     return "\n".join(parts) + "\n"
 
 
-def _grouped_bars_matplotlib(
-    path: Path,
-    title: str,
-    groups: Sequence[str],
-    series: Mapping[str, Sequence[float]],
-) -> None:
-    """Render the same grouped bars via matplotlib (PNG)."""
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    schemes = list(series)
-    fig, ax = plt.subplots(figsize=(7.6, 4.2), dpi=120)
-    fig.patch.set_facecolor(SURFACE)
-    ax.set_facecolor(SURFACE)
-    group_positions = range(len(groups))
-    bar_w = 0.78 / max(len(schemes), 1)
-    for index, scheme in enumerate(schemes):
-        offsets = [
-            g + index * bar_w - 0.39 + bar_w / 2 for g in group_positions
-        ]
-        bars = ax.bar(
-            offsets,
-            series[scheme],
-            width=bar_w * 0.94,
-            color=scheme_color(scheme, index),
-            label=scheme,
-        )
-        # Pre-formatted labels: a callable fmt= needs matplotlib >= 3.7,
-        # which is newer than what several distros ship.
-        ax.bar_label(
-            bars,
-            labels=[_fmt_label(value) for value in series[scheme]],
-            fontsize=7,
-            color=INK_MUTED,
-        )
-    ax.set_title(title, color=INK, fontsize=12, loc="left")
-    ax.set_xticks(list(group_positions), groups, color=INK, fontsize=9)
-    ax.tick_params(colors=INK_MUTED, labelsize=9)
-    ax.grid(axis="y", color=GRID, linewidth=0.8)
-    ax.set_axisbelow(True)
-    for spine in ("top", "right", "left"):
-        ax.spines[spine].set_visible(False)
-    ax.spines["bottom"].set_color(INK_MUTED)
-    ax.legend(frameon=False, fontsize=9, ncols=len(schemes), loc="upper left")
-    fig.tight_layout()
-    fig.savefig(path, facecolor=SURFACE)
-    plt.close(fig)
-
-
-def matplotlib_available() -> bool:
-    """Whether the optional matplotlib backend can be imported."""
-    try:
-        import matplotlib  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def save_grouped_bars(
     path_base: Path,
     title: str,
     groups: Sequence[str],
     series: Mapping[str, Sequence[float]],
 ) -> Path:
-    """Save a grouped-bar chart; returns the file actually written.
+    """Save a grouped-bar chart as ``path_base`` + ``.svg``; returns the path.
 
-    ``path_base`` has no extension: ``.png`` is used when matplotlib is
-    importable, the deterministic ``.svg`` fallback otherwise.  Each
-    scheme's values are ordered like ``groups``.
+    Each scheme's values are ordered like ``groups``.
     """
     for scheme, values in series.items():
         if len(values) != len(groups):
@@ -255,10 +191,6 @@ def save_grouped_bars(
                 f"{len(groups)} groups"
             )
     path_base.parent.mkdir(parents=True, exist_ok=True)
-    if matplotlib_available():  # pragma: no cover - optional dependency
-        path = path_base.with_suffix(".png")
-        _grouped_bars_matplotlib(path, title, groups, series)
-        return path
     path = path_base.with_suffix(".svg")
     path.write_text(_grouped_bars_svg(title, groups, series), encoding="utf-8")
     return path

@@ -13,8 +13,7 @@ writes, under an output directory (``results/`` by default):
   breakdown, mean ± 95% CI across seeds, fixed float precision; fault
   scenarios additionally populate the resilience tables
   (docs/RESILIENCE.md),
-* ``figures/*`` — grouped-bar charts (PNG with matplotlib, otherwise a
-  deterministic SVG fallback),
+* ``figures/*.svg`` — grouped-bar charts (deterministic SVG),
 * ``summary.json`` — the aggregates as canonical JSON,
 * ``REPORT.md`` — the assembled report with provenance and the
   table ↔ paper-figure mapping.

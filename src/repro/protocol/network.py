@@ -1,16 +1,16 @@
 """The simulated message network connecting protocol nodes.
 
-Replaces the paper's TCP mesh (§5.2): every :meth:`send` serializes the
-message to its JSON wire format, schedules delivery after a per-hop
-propagation latency, and charges a per-message processing delay at the
-receiving node.  Because the testbed (like the paper's) plays one payment
-at a time, the elapsed simulated time of a payment is its processing
-delay — the Fig 12c/12d/13c/13d metric.
+Replaces the paper's TCP mesh (§5.2): every :meth:`send` hands the
+recipient its own copy of the message, schedules delivery after a
+per-hop propagation latency, and charges a per-message processing delay
+at the receiving node.  Because the testbed (like the paper's) plays one
+payment at a time, the elapsed simulated time of a payment is its
+processing delay — the Fig 12c/12d/13c/13d metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ProtocolError
 from repro.network.channel import NodeId
@@ -31,12 +31,10 @@ class NetworkStats:
 
     delivered: int = 0
     dropped: int = 0
-    bytes_on_wire: int = 0
     by_type: dict[MessageType, int] = field(default_factory=dict)
 
-    def record(self, message: Message, size: int) -> None:
+    def record(self, message: Message) -> None:
         self.delivered += 1
-        self.bytes_on_wire += size
         self.by_type[message.mtype] = self.by_type.get(message.mtype, 0) + 1
 
 
@@ -86,19 +84,17 @@ class ProtocolNetwork:
     def send(self, message: Message) -> None:
         """Put a message on the wire toward ``message.current``.
 
-        The message is encoded/decoded through the wire format — both to
-        exercise serialization and to guarantee handlers cannot share
-        mutable state through a message.
+        ``Message`` is frozen and its one mutable field, ``payload``, is
+        copied, so handlers cannot share mutable state through a message.
         """
-        wire = message.encode()
         if self.loss_rate > 0 and self.loss_rng.random() < self.loss_rate:
             self.stats.dropped += 1
             return
-        delivered = Message.decode(wire)
+        delivered = replace(message, payload=dict(message.payload))
         recipient = self.node(delivered.current)
 
         def deliver() -> None:
-            self.stats.record(delivered, len(wire))
+            self.stats.record(delivered)
             recipient.handle(delivered, self)
 
         self.queue.schedule(self.latency + self.processing_delay, deliver)
@@ -108,7 +104,7 @@ class ProtocolNetwork:
         recipient = self.node(message.current)
 
         def deliver() -> None:
-            self.stats.record(message, len(message.encode()))
+            self.stats.record(message)
             recipient.handle(message, self)
 
         self.queue.schedule(self.processing_delay, deliver)

@@ -33,11 +33,7 @@ model):
    they are not retried.
 4. **retry** — a reservation that fails outright (no capacity) is
    retried ``retry_delay`` later, up to ``max_retries`` times; earlier
-   payments may have settled in between, freeing capacity.  Opt-in
-   ``retry_backoff`` grows the wait geometrically per attempt and
-   ``retry_jitter`` adds deterministic seeded jitter; at their defaults
-   the wait is the fixed ``retry_delay`` of the original engine,
-   byte-identical.
+   payments may have settled in between, freeing capacity.
 
 Adversarial faults (:mod:`repro.sim.faults`) ride the same event
 queue: a compiled :class:`~repro.sim.faults.FaultPlan` merges its
@@ -102,16 +98,7 @@ class ConcurrencyConfig:
     against unchanged hold durations.  ``timeout`` caps how long a
     payment's holds may stay in flight before they are released;
     ``max_retries`` bounds engine-level re-attempts of reservations that
-    failed for lack of capacity.
-
-    The wait before attempt ``k`` (1-based retries) is
-    ``retry_delay * retry_backoff**(k-1)``, stretched by a further
-    uniform factor in ``[1, 1 + retry_jitter]`` drawn from a dedicated
-    seeded stream when ``retry_jitter > 0``.  At the defaults
-    (``retry_backoff=1.0``, ``retry_jitter=0.0``) the wait is exactly
-    the fixed ``retry_delay`` — byte-identical to the pre-backoff
-    engine — and the knobs are omitted from :meth:`to_params` so
-    existing store cells keep their digests.
+    failed for lack of capacity, each ``retry_delay`` after the last.
     """
 
     hop_latency: float = 0.1
@@ -120,8 +107,6 @@ class ConcurrencyConfig:
     max_retries: int = 1
     retry_delay: float = 1.0
     gossip_period: float = 600.0
-    retry_backoff: float = 1.0
-    retry_jitter: float = 0.0
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on out-of-range knob values."""
@@ -142,14 +127,6 @@ class ConcurrencyConfig:
         if self.gossip_period <= 0:
             raise ValueError(
                 f"gossip_period must be positive, got {self.gossip_period}"
-            )
-        if self.retry_backoff < 1.0:
-            raise ValueError(
-                f"retry_backoff must be >= 1, got {self.retry_backoff}"
-            )
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ValueError(
-                f"retry_jitter must be in [0, 1], got {self.retry_jitter}"
             )
 
     @classmethod
@@ -178,20 +155,9 @@ class ConcurrencyConfig:
         """Every knob as a plain dict — the store cell-key representation.
 
         Always fully resolved (defaults included), so an explicitly
-        passed default value and an omitted knob hash identically.  The
-        one exception: the backoff knobs added after the store format
-        shipped (``retry_backoff``, ``retry_jitter``) are *omitted* at
-        their default values, so pre-backoff store cells keep their
-        digests and resume unchanged.
+        passed default value and an omitted knob hash identically.
         """
-        params = {
-            spec.name: getattr(self, spec.name) for spec in fields(self)
-        }
-        if params["retry_backoff"] == 1.0:
-            del params["retry_backoff"]
-        if params["retry_jitter"] == 0.0:
-            del params["retry_jitter"]
-        return params
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
 
 class HoldLedger:
@@ -504,25 +470,25 @@ def run_concurrent_simulation(
     :data:`repro.sim.metrics.MPP_FAMILY`.  With ``mpp=None``
     (the default) the engine is byte-identical to the pre-MPP engine.
 
-    A :class:`~repro.traces.workload.WorkloadStream` input switches to
-    the **single-pass** path: instead of pre-scheduling every payment
-    start upfront, the engine bootstraps ``lookahead`` transactions onto
-    the queue and pulls one more from the stream at each payment start,
-    so at most ``lookahead`` un-started transactions (plus the in-flight
-    window) are ever resident.  Finished records are folded in
-    completion order as they finish (no records dict, no ordered second
-    pass), quantiles are P² estimates, and the event budget grows
-    incrementally with the fed count.  ``progress`` (a callable taking
-    the fed transaction count) fires every 10,000 feeds and once at the
-    end — checkpoint/throughput hooks for trace-scale runs.  Streaming
-    is incompatible with ``faults`` (resilience metrics need the full
-    ordered record list) and raises rather than approximating.  One
-    caveat versus a materialized run of the same trace: payment starts
-    are enqueued lazily, so their queue sequence numbers interleave with
-    settle/retry events — at *identical* timestamps the tie-break order
-    can differ from the list path; with distinct timestamps (generic
-    continuous arrival times) results match the list path's headline
-    metrics exactly.
+    Lists and streams share one feed loop.  A list is fed whole before
+    the run starts.  A :class:`~repro.traces.workload.WorkloadStream` is
+    fed through a window instead: the engine bootstraps ``lookahead``
+    transactions onto the queue and pulls one more from the stream at
+    each payment start, so at most ``lookahead`` un-started transactions
+    (plus the in-flight window) are ever resident.  A stream's finished
+    records are folded in completion order as they finish (no records
+    dict, no ordered second pass) and its quantiles are P² estimates.
+    The event budget grows with the fed count.  ``progress`` (a callable
+    taking the fed transaction count) fires every 10,000 feeds and once
+    at the end — checkpoint/throughput hooks for trace-scale runs.
+    Streaming is incompatible with ``faults`` (resilience metrics need
+    the full ordered record list) and raises rather than approximating.
+    One caveat versus a list run of the same trace: a stream's payment
+    starts are enqueued lazily, so their queue sequence numbers
+    interleave with settle/retry events — at *identical* timestamps the
+    tie-break order can differ from the list run's; with distinct
+    timestamps (generic continuous arrival times) results match the
+    list run's headline metrics exactly.
     """
     config = config if config is not None else ConcurrencyConfig()
     config.validate()
@@ -540,13 +506,6 @@ def run_concurrent_simulation(
     queue = EventQueue()
     ledger = HoldLedger()
     view = ConcurrentNetworkView(working_graph, ledger)
-    # A dedicated jitter stream, split off *before* router construction
-    # so jitter-free runs never touch run_rng and stay byte-identical.
-    jitter_rng = (
-        random.Random(run_rng.getrandbits(64))
-        if config.retry_jitter > 0
-        else None
-    )
     router = router_factory(view, workload, run_rng)
     threshold = MiceThreshold(workload, reference_mice_fraction)
     if mpp is not None:
@@ -555,7 +514,6 @@ def run_concurrent_simulation(
     # MPP-enabled runs record parts=1 for payments that did not split.
     default_parts = 0 if mpp is None else 1
     registry = _EscrowRegistry(working_graph)
-    policy_aware = working_graph.policy_aware
     revenue_by_node: dict[NodeId, float] = {}
 
     scaled_churn: list[ChannelEvent] = [
@@ -681,7 +639,9 @@ def run_concurrent_simulation(
             return outcome, [], None
         transfers = transfers or list(outcome.transfers)
         flight = _InFlight(pending=pending, holds=holds, part=part)
-        if policy_aware:
+        # Re-read per payment: a fee controller's first tick can make a
+        # policy-free graph policy-aware mid-run.
+        if working_graph.policy_aware:
             accrue_revenue(working_graph, transfers, flight.revenue)
         registry.register(flight)
         return outcome, transfers, flight
@@ -698,12 +658,7 @@ def run_concurrent_simulation(
                 queue.schedule(settle_delay, lambda: settle(flight, outcome))
             return
         if pending.attempts <= config.max_retries:
-            delay = config.retry_delay
-            if config.retry_backoff != 1.0:
-                delay *= config.retry_backoff ** (pending.attempts - 1)
-            if jitter_rng is not None:
-                delay *= 1.0 + config.retry_jitter * jitter_rng.random()
-            queue.schedule(delay, lambda: attempt(pending))
+            queue.schedule(config.retry_delay, lambda: attempt(pending))
             return
         record(
             pending,
@@ -842,63 +797,54 @@ def run_concurrent_simulation(
     if mpp is not None:
         per_payment += mpp.max_parts * (mpp.part_retries + 2) + 2
 
-    if streaming:
-        stream_iterator = iter(workload)
-        fed = 0
+    source = iter(workload)
+    fed = 0
 
-        def feed_one() -> None:
-            """Pull the next transaction (if any) onto the event queue.
+    def feed_one() -> None:
+        """Pull the next transaction (if any) onto the event queue.
 
-            The stream is time-ordered and feeds happen at payment-start
-            instants, so the computed delay is never negative; the
-            ``max`` is purely defensive against a mis-ordered stream.
-            """
-            nonlocal fed
-            transaction = next(stream_iterator, None)
-            if transaction is None:
-                return
-            threshold.observe(transaction.amount)
-            start_at = transaction.time / config.load
-            pending = _PendingPayment(
-                transaction=transaction, started_at=start_at
-            )
-            queue.schedule(
-                max(0.0, start_at - queue.now),
-                lambda: (feed_one(), start(pending)),
-            )
-            fed += 1
-            if progress is not None and fed % 10_000 == 0:
-                progress(fed)
-
-        # Bootstrap the lookahead window; each payment start then pulls
-        # one more transaction, so at most ``lookahead`` un-started
-        # transactions are resident at any instant.  The event budget is
-        # re-evaluated per event and grows with the fed count, keeping
-        # the livelock guard tight for the work actually admitted.
-        for _ in range(lookahead):
-            feed_one()
-        queue.run_until_idle(
-            max_events=lambda: fed * per_payment + len(scaled_events) + 16
+        Feeds happen before the run or, for a time-ordered stream, at
+        payment-start instants, so the computed delay is never negative;
+        the ``max`` is purely defensive against a mis-ordered stream.
+        """
+        nonlocal fed
+        transaction = next(source, None)
+        if transaction is None:
+            return
+        threshold.observe(transaction.amount)
+        start_at = transaction.time / config.load
+        pending = _PendingPayment(transaction=transaction, started_at=start_at)
+        queue.schedule(
+            max(0.0, start_at - queue.now),
+            lambda: (feed_one(), start(pending)),
         )
-        schedule.flush(queue.now)
-        if progress is not None:
+        fed += 1
+        if progress is not None and fed % 10_000 == 0:
             progress(fed)
-    else:
-        for transaction in workload:
-            start_at = transaction.time / config.load
-            pending = _PendingPayment(
-                transaction=transaction, started_at=start_at
-            )
-            queue.schedule(start_at, lambda pending=pending: start(pending))
 
-        budget = len(workload) * per_payment + len(scaled_events) + 16
-        queue.run_until_idle(max_events=budget)
-        schedule.flush(queue.now)
+    # A list is fed whole before the run, so its payment starts take
+    # their sequence numbers in workload order, right after the churn
+    # events.  A stream bootstraps its lookahead window; each payment
+    # start then pulls one more transaction, so at most ``lookahead``
+    # un-started transactions are resident at any instant.  The event
+    # budget is re-evaluated per event and grows with the fed count,
+    # keeping the livelock guard tight for the work actually admitted.
+    for _ in range(lookahead if streaming else len(workload)):
+        feed_one()
+    queue.run_until_idle(
+        max_events=lambda: fed * per_payment + len(scaled_events) + 16
+    )
+    schedule.flush(queue.now)
+    if progress is not None:
+        progress(fed)
+    if not streaming:
         for transaction in workload:
             accumulator.observe(records[transaction.txid])
 
     result = accumulator.result(
-        revenue_by_node=revenue_by_node if policy_aware else None,
+        revenue_by_node=(
+            revenue_by_node if working_graph.policy_aware else None
+        ),
         mice_threshold=threshold.value,
     )
     if faults is not None:

@@ -25,14 +25,15 @@ router meets in the wild, each exposed as a named workload in the
 All generators take an explicit :class:`random.Random` and return a
 :class:`~repro.traces.workload.Workload`, so they compose with every
 scenario/runner entry point exactly like the calibrated generators.
+Unlike the calibrated traces they have no ``stream_*`` twins: no
+workload streams these shapes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from itertools import accumulate
 
 from repro.network.channel import NodeId
@@ -41,109 +42,13 @@ from repro.traces.distributions import (
     PaymentSizeDistribution,
     ripple_size_distribution,
 )
-from repro.traces.generators import SECONDS_PER_DAY
+from repro.traces.generators import (
+    SECONDS_PER_DAY,
+    _simulation_pair_sampler,
+    generate_workload,
+)
 from repro.traces.recurrence import RecurrentPairSampler
 from repro.traces.workload import Transaction, Workload
-
-
-def _default_pair_sampler(
-    rng: random.Random, nodes: Sequence[NodeId]
-) -> RecurrentPairSampler:
-    """The §4-style spread-out recurrent pair process (see generators.py)."""
-    return RecurrentPairSampler(
-        nodes,
-        rng,
-        active_sender_fraction=0.25,
-        sender_exponent=0.8,
-        contacts_per_sender=8,
-        contact_exponent=1.2,
-        repeat_probability=0.85,
-    )
-
-
-def stream_bursty_workload(
-    rng: random.Random,
-    nodes: Sequence[NodeId],
-    n_transactions: int,
-    sizes: PaymentSizeDistribution | None = None,
-    bursts_per_day: float = 400.0,
-    mean_burst_size: float = 5.0,
-    intra_burst_gap: float = 2.0,
-    pair_sampler: RecurrentPairSampler | None = None,
-) -> Iterator[Transaction]:
-    """Generator twin of :func:`generate_bursty_workload`.
-
-    A long burst can overlap later sessions' starts, so payments cannot
-    be emitted in raw generation order.  Instead of materializing and
-    sorting the whole trace, pending payments sit in a small heap keyed
-    ``(time, generation order)``: once a session starting at ``now`` has
-    been generated, every heaped payment with ``time <= now`` is safe to
-    emit (all future payments occur strictly after ``now``).  The heap
-    therefore holds only the payments of sessions still overlapping the
-    current session start — O(concurrent sessions × burst length), not
-    O(n) — and the emitted order (with txids renumbered in emission
-    order) is identical to the list generator's stable sort.
-    """
-    if n_transactions < 0:
-        raise ValueError("n_transactions must be non-negative")
-    if bursts_per_day <= 0 or mean_burst_size < 1 or intra_burst_gap <= 0:
-        raise ValueError(
-            "bursts_per_day and intra_burst_gap must be positive, "
-            "mean_burst_size >= 1"
-        )
-    distribution = sizes or ripple_size_distribution()
-    sampler = pair_sampler or _default_pair_sampler(rng, nodes)
-    continue_probability = 1.0 - 1.0 / mean_burst_size
-    mean_session_gap = SECONDS_PER_DAY / bursts_per_day
-
-    def emit() -> Iterator[Transaction]:
-        heap: list[tuple[float, int, NodeId, NodeId, float]] = []
-        sequence = 0
-        generated = 0
-        txid = 0
-        now = 0.0
-        while generated < n_transactions:
-            now += rng.expovariate(1.0 / mean_session_gap)
-            sender, receiver = sampler.sample_pair()
-            burst_time = now
-            while generated < n_transactions:
-                heapq.heappush(
-                    heap,
-                    (
-                        burst_time,
-                        sequence,
-                        sender,
-                        receiver,
-                        distribution.sample(rng),
-                    ),
-                )
-                sequence += 1
-                generated += 1
-                if rng.random() >= continue_probability:
-                    break
-                burst_time += rng.expovariate(1.0 / intra_burst_gap)
-            while heap and heap[0][0] <= now:
-                time, _, pay_sender, pay_receiver, amount = heapq.heappop(heap)
-                yield Transaction(
-                    txid=txid,
-                    sender=pay_sender,
-                    receiver=pay_receiver,
-                    amount=amount,
-                    time=time,
-                )
-                txid += 1
-        while heap:
-            time, _, pay_sender, pay_receiver, amount = heapq.heappop(heap)
-            yield Transaction(
-                txid=txid,
-                sender=pay_sender,
-                receiver=pay_receiver,
-                amount=amount,
-                time=time,
-            )
-            txid += 1
-
-    return emit()
 
 
 def generate_bursty_workload(
@@ -164,71 +69,46 @@ def generate_bursty_workload(
     ``intra_burst_gap``-second gaps.  Generation stops once
     ``n_transactions`` payments exist, so the last burst may be cut
     short.  A long burst can overlap the next session's start; the
-    result is emitted in time order (and re-numbered) so the
-    trace-driven simulator always sees a chronological stream.
+    payments are stably sorted by time and numbered in that order, so
+    the trace-driven simulator always sees a chronological stream.
     """
-    return Workload(
-        list(
-            stream_bursty_workload(
-                rng,
-                nodes,
-                n_transactions,
-                sizes,
-                bursts_per_day=bursts_per_day,
-                mean_burst_size=mean_burst_size,
-                intra_burst_gap=intra_burst_gap,
-                pair_sampler=pair_sampler,
-            )
-        )
-    )
-
-
-def stream_diurnal_workload(
-    rng: random.Random,
-    nodes: Sequence[NodeId],
-    n_transactions: int,
-    sizes: PaymentSizeDistribution | None = None,
-    transactions_per_day: float = 2_000.0,
-    peak_to_trough: float = 4.0,
-    peak_hour: float = 14.0,
-    pair_sampler: RecurrentPairSampler | None = None,
-) -> Iterator[Transaction]:
-    """Generator twin of :func:`generate_diurnal_workload` — one
-    transaction at a time, identical RNG draw order, O(1) memory."""
     if n_transactions < 0:
         raise ValueError("n_transactions must be non-negative")
-    if transactions_per_day <= 0:
-        raise ValueError("transactions_per_day must be positive")
-    if peak_to_trough < 1.0:
-        raise ValueError(f"peak_to_trough must be >= 1, got {peak_to_trough}")
+    if bursts_per_day <= 0 or mean_burst_size < 1 or intra_burst_gap <= 0:
+        raise ValueError(
+            "bursts_per_day and intra_burst_gap must be positive, "
+            "mean_burst_size >= 1"
+        )
     distribution = sizes or ripple_size_distribution()
-    sampler = pair_sampler or _default_pair_sampler(rng, nodes)
-    # rate(t) = base * (1 + a*cos(...)), a in [0, 1): ratio (1+a)/(1-a).
-    amplitude = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
-    base_rate = transactions_per_day / SECONDS_PER_DAY
-    peak_rate = base_rate * (1.0 + amplitude)
-    phase = 2.0 * math.pi * peak_hour / 24.0
-
-    def emit() -> Iterator[Transaction]:
-        now = 0.0
-        txid = 0
-        while txid < n_transactions:
-            now += rng.expovariate(peak_rate)
-            angle = 2.0 * math.pi * (now / SECONDS_PER_DAY) - phase
-            rate = base_rate * (1.0 + amplitude * math.cos(angle))
-            if rng.random() * peak_rate > rate:
-                continue  # thinned away
-            sender, receiver = sampler.sample_pair()
-            yield Transaction(
+    sampler = pair_sampler or _simulation_pair_sampler(rng, nodes)
+    continue_probability = 1.0 - 1.0 / mean_burst_size
+    mean_session_gap = SECONDS_PER_DAY / bursts_per_day
+    payments: list[tuple[float, NodeId, NodeId, float]] = []
+    now = 0.0
+    while len(payments) < n_transactions:
+        now += rng.expovariate(1.0 / mean_session_gap)
+        sender, receiver = sampler.sample_pair()
+        burst_time = now
+        while len(payments) < n_transactions:
+            payments.append(
+                (burst_time, sender, receiver, distribution.sample(rng))
+            )
+            if rng.random() >= continue_probability:
+                break
+            burst_time += rng.expovariate(1.0 / intra_burst_gap)
+    payments.sort(key=lambda payment: payment[0])
+    return Workload(
+        [
+            Transaction(
                 txid=txid,
                 sender=sender,
                 receiver=receiver,
-                amount=distribution.sample(rng),
-                time=now,
+                amount=amount,
+                time=time,
             )
-            txid += 1
-
-    return emit()
+            for txid, (time, sender, receiver, amount) in enumerate(payments)
+        ]
+    )
 
 
 def generate_diurnal_workload(
@@ -250,87 +130,38 @@ def generate_diurnal_workload(
     (Lewis–Shedler), so arrivals are an exact inhomogeneous Poisson
     process.
     """
-    return Workload(
-        list(
-            stream_diurnal_workload(
-                rng,
-                nodes,
-                n_transactions,
-                sizes,
-                transactions_per_day=transactions_per_day,
-                peak_to_trough=peak_to_trough,
-                peak_hour=peak_hour,
-                pair_sampler=pair_sampler,
-            )
-        )
-    )
-
-
-def stream_hotspot_workload(
-    rng: random.Random,
-    nodes: Sequence[NodeId],
-    n_transactions: int,
-    sizes: PaymentSizeDistribution | None = None,
-    transactions_per_day: float = 2_000.0,
-    hotspot_count: int = 4,
-    hotspot_share: float = 0.6,
-    pair_sampler: RecurrentPairSampler | None = None,
-) -> Iterator[Transaction]:
-    """Generator twin of :func:`generate_hotspot_workload` — one
-    transaction at a time, identical RNG draw order, O(1) memory."""
     if n_transactions < 0:
         raise ValueError("n_transactions must be non-negative")
     if transactions_per_day <= 0:
         raise ValueError("transactions_per_day must be positive")
-    if not 0.0 <= hotspot_share <= 1.0:
-        raise ValueError(f"hotspot_share must be in [0, 1], got {hotspot_share}")
-    if not 1 <= hotspot_count < len(nodes):
-        raise ValueError(
-            f"hotspot_count must be in [1, {len(nodes) - 1}], got {hotspot_count}"
-        )
+    if peak_to_trough < 1.0:
+        raise ValueError(f"peak_to_trough must be >= 1, got {peak_to_trough}")
     distribution = sizes or ripple_size_distribution()
-    sampler = pair_sampler or _default_pair_sampler(rng, nodes)
-    hotspots = rng.sample(list(nodes), hotspot_count)
-    hotspot_weights = [1.0 / (rank + 1.0) for rank in range(hotspot_count)]
-    # Cumulative weights are what rng.choices() computes internally on
-    # every call; hoisting them out of the per-transaction loop skips
-    # that O(hotspot_count) rebuild per payment.
-    hotspot_cum_weights = list(accumulate(hotspot_weights))
-    mean_gap = SECONDS_PER_DAY / transactions_per_day
-
-    def emit() -> Iterator[Transaction]:
-        now = 0.0
-        for txid in range(n_transactions):
-            now += rng.expovariate(1.0 / mean_gap)
-            sender, receiver = sampler.sample_pair()
-            if rng.random() < hotspot_share:
-                receiver = rng.choices(
-                    hotspots, cum_weights=hotspot_cum_weights
-                )[0]
-                if receiver == sender:
-                    # Resample among the remaining hotspots with their Zipf
-                    # weights renormalized.  Redirecting to the *next* rank
-                    # instead would bias mass toward whichever hotspot sits
-                    # adjacent to a frequent sender.
-                    remaining = [spot for spot in hotspots if spot != sender]
-                    if remaining:
-                        weights = [
-                            weight
-                            for spot, weight in zip(hotspots, hotspot_weights)
-                            if spot != sender
-                        ]
-                        receiver = rng.choices(remaining, weights=weights)[0]
-                    else:  # single usable hotspot == the sender
-                        receiver = next(n for n in nodes if n != sender)
-            yield Transaction(
-                txid=txid,
+    sampler = pair_sampler or _simulation_pair_sampler(rng, nodes)
+    # rate(t) = base * (1 + a*cos(...)), a in [0, 1): ratio (1+a)/(1-a).
+    amplitude = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
+    base_rate = transactions_per_day / SECONDS_PER_DAY
+    peak_rate = base_rate * (1.0 + amplitude)
+    phase = 2.0 * math.pi * peak_hour / 24.0
+    transactions: list[Transaction] = []
+    now = 0.0
+    while len(transactions) < n_transactions:
+        now += rng.expovariate(peak_rate)
+        angle = 2.0 * math.pi * (now / SECONDS_PER_DAY) - phase
+        rate = base_rate * (1.0 + amplitude * math.cos(angle))
+        if rng.random() * peak_rate > rate:
+            continue  # thinned away
+        sender, receiver = sampler.sample_pair()
+        transactions.append(
+            Transaction(
+                txid=len(transactions),
                 sender=sender,
                 receiver=receiver,
                 amount=distribution.sample(rng),
                 time=now,
             )
-
-    return emit()
+        )
+    return Workload(transactions)
 
 
 def generate_hotspot_workload(
@@ -351,20 +182,59 @@ def generate_hotspot_workload(
     process.  Models merchant/exchange concentration — the Fig-4b
     "top-5 receivers" effect pushed to a topology-wide extreme.
     """
-    return Workload(
-        list(
-            stream_hotspot_workload(
-                rng,
-                nodes,
-                n_transactions,
-                sizes,
-                transactions_per_day=transactions_per_day,
-                hotspot_count=hotspot_count,
-                hotspot_share=hotspot_share,
-                pair_sampler=pair_sampler,
+    if n_transactions < 0:
+        raise ValueError("n_transactions must be non-negative")
+    if transactions_per_day <= 0:
+        raise ValueError("transactions_per_day must be positive")
+    if not 0.0 <= hotspot_share <= 1.0:
+        raise ValueError(f"hotspot_share must be in [0, 1], got {hotspot_share}")
+    if not 1 <= hotspot_count < len(nodes):
+        raise ValueError(
+            f"hotspot_count must be in [1, {len(nodes) - 1}], got {hotspot_count}"
+        )
+    distribution = sizes or ripple_size_distribution()
+    sampler = pair_sampler or _simulation_pair_sampler(rng, nodes)
+    hotspots = rng.sample(list(nodes), hotspot_count)
+    hotspot_weights = [1.0 / (rank + 1.0) for rank in range(hotspot_count)]
+    # Cumulative weights are what rng.choices() computes internally on
+    # every call; hoisting them out of the per-transaction loop skips
+    # that O(hotspot_count) rebuild per payment.
+    hotspot_cum_weights = list(accumulate(hotspot_weights))
+    mean_gap = SECONDS_PER_DAY / transactions_per_day
+    transactions: list[Transaction] = []
+    now = 0.0
+    for txid in range(n_transactions):
+        now += rng.expovariate(1.0 / mean_gap)
+        sender, receiver = sampler.sample_pair()
+        if rng.random() < hotspot_share:
+            receiver = rng.choices(
+                hotspots, cum_weights=hotspot_cum_weights
+            )[0]
+            if receiver == sender:
+                # Resample among the remaining hotspots with their Zipf
+                # weights renormalized.  Redirecting to the *next* rank
+                # instead would bias mass toward whichever hotspot sits
+                # adjacent to a frequent sender.
+                remaining = [spot for spot in hotspots if spot != sender]
+                if remaining:
+                    weights = [
+                        weight
+                        for spot, weight in zip(hotspots, hotspot_weights)
+                        if spot != sender
+                    ]
+                    receiver = rng.choices(remaining, weights=weights)[0]
+                else:  # single usable hotspot == the sender
+                    receiver = next(n for n in nodes if n != sender)
+        transactions.append(
+            Transaction(
+                txid=txid,
+                sender=sender,
+                receiver=receiver,
+                amount=distribution.sample(rng),
+                time=now,
             )
         )
-    )
+    return Workload(transactions)
 
 
 def generate_mixed_workload(
@@ -394,8 +264,6 @@ def generate_mixed_workload(
             f"mice_median ({mice_median}) must be below "
             f"elephant_median ({elephant_median})"
         )
-    from repro.traces.generators import generate_workload
-
     distribution = PaymentSizeDistribution(
         body=LogNormalSpec(median=mice_median, sigma=mice_sigma),
         tail=LogNormalSpec(median=elephant_median, sigma=elephant_sigma),
@@ -407,5 +275,5 @@ def generate_mixed_workload(
         n_transactions,
         distribution,
         transactions_per_day=transactions_per_day,
-        pair_sampler=pair_sampler or _default_pair_sampler(rng, nodes),
+        pair_sampler=pair_sampler or _simulation_pair_sampler(rng, nodes),
     )

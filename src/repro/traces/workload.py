@@ -34,6 +34,8 @@ class Transaction:
     def __post_init__(self) -> None:
         if self.amount < 0:
             raise ValueError(f"negative payment amount {self.amount!r}")
+        if self.time < 0:
+            raise ValueError(f"negative payment time {self.time!r}")
         if self.sender == self.receiver:
             raise ValueError(f"self-payment at node {self.sender!r}")
 

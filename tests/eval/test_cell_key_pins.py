@@ -234,8 +234,6 @@ RUN_CELLS = {
 FLAGGED_RUN_CELLS = {
     ("ripple-default", "--engine", "concurrent", "--load", "40"):
         "ripple-default|Flash|seed0|run0|24eb23de1c36",
-    ("timeout-stress", "--retry-backoff", "2", "--retry-jitter", "0.5"):
-        "timeout-stress|Flash|seed0|run0|54b5bea1c8ad",
     ("ripple-default", "--mpp", "--mpp-param", "split=flash"):
         "ripple-default|Flash|seed0|run0|9fec14d2491e",
     ("mpp-storm", "--mpp-param", "max_parts=3"):

@@ -75,7 +75,7 @@ class TestGeneratedArtifacts:
         }
         assert set(smoke_report.figures) == chart_slugs
         for path in smoke_report.figures.values():
-            assert path.suffix in (".png", ".svg")
+            assert path.suffix == ".svg"
             assert path.stat().st_size > 0
 
     def test_tables_cover_every_scheme(self, smoke_report):

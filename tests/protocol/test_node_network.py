@@ -108,10 +108,6 @@ class TestNetworkPlumbing:
         with pytest.raises(ProtocolError):
             net.node(99)
 
-    def test_wire_bytes_counted(self, net, driver):
-        driver.probe([0, 1])
-        assert net.stats.bytes_on_wire > 0
-
     def test_misdelivered_message_rejected(self, net):
         from repro.errors import ProtocolError
 

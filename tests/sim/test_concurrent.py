@@ -65,9 +65,6 @@ class TestConcurrencyConfig:
             {"max_retries": -1},
             {"retry_delay": -1.0},
             {"gossip_period": 0.0},
-            {"retry_backoff": 0.5},
-            {"retry_jitter": -0.1},
-            {"retry_jitter": 1.5},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -94,11 +91,11 @@ class TestConcurrencyConfig:
 
 
 class TestRetryBackoff:
-    """Opt-in exponential backoff + seeded jitter (docs/CONCURRENCY.md)."""
+    """Engine-level retries wait a fixed ``retry_delay``."""
 
     def test_to_params_omits_backoff_knobs_at_defaults(self):
-        # Pre-backoff store cells must keep their digests: the default
-        # knob values may not appear in the cell-key representation.
+        # Store cells are keyed by exactly these knobs: a knob added to
+        # the config would move every concurrent cell's digest.
         params = ConcurrencyConfig(load=7.0).to_params()
         assert set(params) == {
             "hop_latency",
@@ -109,59 +106,26 @@ class TestRetryBackoff:
             "gossip_period",
         }
 
-    def test_to_params_round_trips_non_default_knobs(self):
-        config = ConcurrencyConfig(retry_backoff=2.0, retry_jitter=0.25)
-        params = config.to_params()
-        assert params["retry_backoff"] == 2.0
-        assert params["retry_jitter"] == 0.25
-        assert ConcurrencyConfig.from_params(params) == config
-
-    def freeing_contention(self):
+    def test_fixed_delay_retries_exhaust_before_capacity_frees(self):
         # One channel, 20/180: txn0 (B->A 100) settles at t=2 and *adds*
         # 100 to the A->B direction; txn1 (A->B 50) cannot reserve until
-        # that settle lands, so only a retry scheduled past t=2 succeeds.
+        # that settle lands.  Its retries at t=0.9 and t=1.3 both precede
+        # the settle, so it fails for lack of capacity.
         graph = ChannelGraph()
         graph.add_channel("A", "B", 20.0, 180.0)
-        workload = payments(
-            ("B", "A", 100.0, 0.0),
-            ("A", "B", 50.0, 0.5),
-        )
-        return graph, workload
-
-    def run_with(self, **knobs):
-        graph, workload = self.freeing_contention()
-        return run_concurrent_simulation(
+        result = run_concurrent_simulation(
             graph,
             shortest_path_factory(),
-            workload,
+            payments(("B", "A", 100.0, 0.0), ("A", "B", 50.0, 0.5)),
             rng=random.Random(0),
             config=ConcurrencyConfig(
                 hop_latency=1.0,
                 timeout=5.0,
                 max_retries=2,
                 retry_delay=0.4,
-                **knobs,
             ),
         )
-
-    def test_fixed_delay_retries_exhaust_before_capacity_frees(self):
-        # Baseline: retries at t=0.9 and t=1.3 both precede the t=2
-        # settle, so the payment fails for lack of capacity.
-        result = self.run_with()
         assert [r.success for r in result.records] == [True, False]
-
-    def test_backoff_stretches_the_second_retry_past_the_settle(self):
-        # backoff=4: same first retry (t=0.9), second at t=2.5 > 2.
-        result = self.run_with(retry_backoff=4.0)
-        assert [r.success for r in result.records] == [True, True]
-
-    def test_jitter_is_deterministic_per_seed(self):
-        results = [
-            self.run_with(retry_jitter=0.5, retry_backoff=2.0)
-            for _ in range(2)
-        ]
-        assert results[0].records == results[1].records
-        assert results[0].retries_total > 0
 
 
 class TestContention:

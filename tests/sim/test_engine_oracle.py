@@ -24,6 +24,7 @@ import dataclasses
 import pytest
 
 import repro.scenarios as scenarios
+from repro.network.feemarket import FeeMarketController
 from repro.sim.concurrent import ConcurrencyConfig
 from repro.sim.factories import paper_benchmark_factories
 from repro.sim.mpp import MppConfig
@@ -138,3 +139,33 @@ def test_mpp_matches_sequential():
 def test_policy_aware_multipath_failure_matches_sequential(name):
     sequential, concurrent = _both_engines(name, 0)
     assert _differences(sequential, concurrent) == []
+
+
+def test_fee_controller_first_tick_turns_on_the_fee_family():
+    # No policies at build: the fee controller's first gossip tick makes
+    # the graph policy-aware mid-run, and from then on both engines
+    # book every settled payment's fee revenue.
+    base = scenarios.get_scenario("ripple-default").factory(
+        workload_overrides={"transactions": TRANSACTIONS}
+    )
+
+    def factory(rng):
+        graph, workload = base(rng)
+        assert not graph.policy_aware
+        graph.fee_controller = FeeMarketController()
+        return graph, workload
+
+    sequential, concurrent = (
+        _single_run(
+            factory,
+            paper_benchmark_factories(),
+            3,
+            DEFAULT_MICE_FRACTION,
+            0,
+            RunConfig(concurrency=concurrency),
+        )
+        for concurrency in (None, ZERO_CONTENTION)
+    )
+    for scheme, expected in sequential.items():
+        assert expected.fees["hub_revenue"] > 0
+        assert concurrent[scheme].fees == expected.fees

@@ -23,6 +23,12 @@ class TestTransaction:
         with pytest.raises(ValueError):
             Transaction(txid=0, sender="a", receiver="b", amount=-1.0)
 
+    def test_negative_time_rejected(self):
+        # Times count from the start of the trace; the concurrent engine
+        # would otherwise start such a payment at 0.
+        with pytest.raises(ValueError):
+            Transaction(txid=0, sender="a", receiver="b", amount=1.0, time=-1.0)
+
     def test_self_payment_rejected(self):
         with pytest.raises(ValueError):
             Transaction(txid=0, sender="a", receiver="a", amount=1.0)
