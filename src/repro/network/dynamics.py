@@ -17,10 +17,12 @@ This module provides that substrate:
   registered routers via their ``on_topology_update`` hook, batching
   notifications at a gossip period (nodes do not learn instantly).
 
-The sequential engine, :func:`repro.sim.engine.run_simulation`, drives
-a :class:`GossipSchedule` on every run and interleaves workload
-transactions with topology events by timestamp;
-:func:`run_dynamic_simulation` is its event-first delegate.
+The engine (:mod:`repro.sim.concurrent`, and the sequential engine
+:func:`repro.sim.engine.run_simulation`, its zero-contention
+configuration) drives a :class:`GossipSchedule` on every run: events
+apply at their timestamps, while routers hear of them, and fees
+reprice, only when a payment starts.  :func:`run_dynamic_simulation` is
+the sequential engine's event-first delegate.
 """
 
 from __future__ import annotations
@@ -300,16 +302,18 @@ class GossipSchedule:
     """Applies channel events and gossips them to routers in batches.
 
     Events become effective on the graph immediately at their time (the
-    chain does not wait), but routers only learn about them at the next
-    gossip tick — the paper's periodic-gossip assumption.  Each gossip
-    calls every router's ``on_topology_update(events=batch)`` with the
-    events applied since the last tick (refused no-ops excluded), which
-    is what enables selective cache invalidation
+    chain does not wait; :meth:`apply_due`), but routers only learn
+    about them at the next gossip tick — the paper's periodic-gossip
+    assumption.  Ticks happen only in :meth:`advance_to`, which the
+    engine calls when a payment starts: each gossip calls every
+    router's ``on_topology_update(events=batch)`` with the events
+    applied since the last tick (refused no-ops excluded), which is
+    what enables selective cache invalidation
     (:meth:`repro.core.routing_table.RoutingTable.apply_events`).
 
     The graph's ``fee_controller``, if any, reprices once per period on
-    its own clock: a tick that changes no rate gossips nothing, and the
-    next tick is still a full period later.
+    its own clock, at the same ticks: a tick that changes no rate
+    gossips nothing, and the next tick is still a full period later.
     """
 
     graph: ChannelGraph
@@ -320,7 +324,6 @@ class GossipSchedule:
     _last_gossip: float = 0.0
     _last_reprice: float = 0.0
     routers: list = field(default_factory=list)
-    applied_events: int = 0
     #: Events applied since the last gossip tick — the batch handed to
     #: the router hooks, then cleared.
     _batch: list[ChannelEvent] = field(default_factory=list)
@@ -338,8 +341,8 @@ class GossipSchedule:
         """Routers get ``on_topology_update(events=batch)`` at gossip ticks."""
         self.routers.append(router)
 
-    def advance_to(self, now: float) -> int:
-        """Apply all events due by ``now``; gossip if the period elapsed.
+    def apply_due(self, now: float) -> int:
+        """Apply all events due by ``now``, without a gossip tick.
 
         Returns the number of events applied.
         """
@@ -351,7 +354,14 @@ class GossipSchedule:
                 self._pending_gossip = True
                 self._batch.append(event)
             self._cursor += 1
-        self.applied_events += applied
+        return applied
+
+    def advance_to(self, now: float) -> int:
+        """Apply all events due by ``now``; reprice and gossip if due.
+
+        Returns the number of events applied.
+        """
+        applied = self.apply_due(now)
         if now - self._last_reprice >= self.gossip_period:
             # Fee repricing is channel_update gossip: a controller tick
             # happens on the gossip cadence even when the churn stream
@@ -364,11 +374,6 @@ class GossipSchedule:
         if self._pending_gossip and now - self._last_gossip >= self.gossip_period:
             self._gossip(now)
         return applied
-
-    def flush(self, now: float) -> None:
-        """Force a gossip tick (e.g. at simulation end)."""
-        if self._pending_gossip:
-            self._gossip(now)
 
     def _gossip(self, now: float) -> None:
         batch = tuple(self._batch)
@@ -422,10 +427,10 @@ class GossipSchedule:
         ):
             # A channel with in-flight escrow cannot cooperatively close
             # (pending HTLCs pin it open); dropping the event keeps the
-            # concurrent engine's settle/release events valid and
-            # conserves the escrowed funds.  The sequential engine
-            # never has holds outstanding between transactions, so
-            # this guard is a no-op for it.
+            # engine's settle/release events valid and conserves the
+            # escrowed funds.  At zero contention (the sequential
+            # engine) only the parts of a multi-part payment waiting
+            # on a sibling's retry are in flight between payments.
             return False
         self.graph.remove_channel(event.a, event.b)
         return True
@@ -511,34 +516,14 @@ def merge_event_streams(
     return merged
 
 
-def run_dynamic_simulation(
-    graph: ChannelGraph,
-    router_factory,
-    workload,
-    events: Sequence[ChannelEvent],
-    rng: random.Random | None = None,
-    gossip_period: float = 600.0,
-    reference_mice_fraction: float = 0.9,
-    faults=None,
-    copy_graph: bool = True,
-    mpp=None,
-):
+def run_dynamic_simulation(graph, router_factory, workload, events, **kwargs):
     """:func:`repro.sim.engine.run_simulation` with channel ``events``.
 
     Kept for its signature, which puts the event stream fourth; every
-    argument means what it does there.
+    keyword means what it does there.
     """
     from repro.sim.engine import run_simulation
 
     return run_simulation(
-        graph,
-        router_factory,
-        workload,
-        rng=rng,
-        reference_mice_fraction=reference_mice_fraction,
-        copy_graph=copy_graph,
-        mpp=mpp,
-        events=events,
-        gossip_period=gossip_period,
-        faults=faults,
+        graph, router_factory, workload, events=events, **kwargs
     )

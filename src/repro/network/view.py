@@ -158,13 +158,6 @@ class NetworkView:
         return PaymentSession(self._graph, self.counters)
 
 
-@dataclass
-class _StagedHop:
-    src: NodeId
-    dst: NodeId
-    amount: float
-
-
 class PaymentSession:
     """Stages partial payments with holds; commits or aborts atomically.
 
@@ -175,15 +168,16 @@ class PaymentSession:
 
     Extension surface: the concurrent engine's
     :class:`~repro.sim.concurrent.DeferredPaymentSession` overrides
-    :meth:`commit` only — ``_staged`` (the placed hop holds),
-    ``_transfers`` (the reserved paths), ``_closed``, and
-    :meth:`_check_open` are the protected state a subclass may rely on.
+    :meth:`commit` only — ``_staged`` (the placed hop holds, as
+    ``(src, dst, amount)`` tuples), ``_transfers`` (the reserved paths),
+    ``_closed``, and :meth:`_check_open` are the protected state a
+    subclass may rely on.
     """
 
     def __init__(self, graph: ChannelGraph, counters: MessageCounters) -> None:
         self._graph = graph
         self._counters = counters
-        self._staged: list[_StagedHop] = []
+        self._staged: list[tuple[NodeId, NodeId, float]] = []
         self._transfers: list[tuple[tuple[NodeId, ...], float]] = []
         self._closed = False
 
@@ -218,7 +212,7 @@ class PaymentSession:
                 return False
         else:
             hop_amounts = None
-        placed: list[_StagedHop] = []
+        placed: list[tuple[NodeId, NodeId, float]] = []
         self._counters.payment_attempts += 1
         for index, (u, v) in enumerate(zip(path, path[1:])):
             self._counters.payment_messages += 1
@@ -228,12 +222,12 @@ class PaymentSession:
             except NoChannelError:
                 held = False
             if not held:
-                for hop in reversed(placed):
-                    self._graph.channel(hop.src, hop.dst).release_hold(
-                        hop.src, hop.dst, hop.amount
+                for src, dst, placed_amount in reversed(placed):
+                    self._graph.channel(src, dst).release_hold(
+                        src, dst, placed_amount
                     )
                 return False
-            placed.append(_StagedHop(u, v, hop_amount))
+            placed.append((u, v, hop_amount))
         self._staged.extend(placed)
         self._transfers.append((tuple(path), amount))
         return True
@@ -260,21 +254,19 @@ class PaymentSession:
         # Close first so a failure cannot cause a second settle from
         # __exit__ (the exception still propagates).
         self._closed = True
-        for hop in self._staged:
+        for src, dst, amount in self._staged:
             # Through the graph, not the channel: the graph-level settle
             # feeds the fee controller's traffic signal (a no-op on
             # policy-free graphs).
-            self._graph.settle_hold(hop.src, hop.dst, hop.amount)
+            self._graph.settle_hold(src, dst, amount)
         self._counters.payment_messages += len(self._staged)
 
     def abort(self) -> None:
         """Release every reservation (2PC REVERSE)."""
         self._check_open()
         self._closed = True
-        for hop in reversed(self._staged):
-            self._graph.channel(hop.src, hop.dst).release_hold(
-                hop.src, hop.dst, hop.amount
-            )
+        for src, dst, amount in reversed(self._staged):
+            self._graph.channel(src, dst).release_hold(src, dst, amount)
         self._counters.payment_messages += len(self._staged)
 
     def _check_open(self) -> None:

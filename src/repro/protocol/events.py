@@ -23,7 +23,6 @@ class EventQueue:
         self._heap: list[tuple[float, int, Action]] = []
         self._sequence = 0
         self.now = 0.0
-        self.processed = 0
 
     def schedule(self, delay: float, action: Action) -> None:
         """Run ``action`` at ``now + delay`` (delays must be non-negative)."""
@@ -54,8 +53,4 @@ class EventQueue:
             self.now, _, action = heapq.heappop(self._heap)
             action()
             count += 1
-        self.processed += count
         return count
-
-    def pending(self) -> int:
-        return len(self._heap)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError
 from repro.network.channel import NodeId
@@ -89,15 +89,30 @@ class Message:
             raise ProtocolError("no next hop at the end of the path")
         return self.path[self.index + 1]
 
-    def forwarded(self, **changes) -> "Message":
-        """The same message advanced one hop (optionally with changes)."""
-        return replace(self, index=self.index + 1, **changes)
+    def forwarded(
+        self, capacity: tuple[tuple[float, float], ...] | None = None
+    ) -> "Message":
+        """The same message advanced one hop (optionally with ``capacity``)."""
+        return Message(
+            trans_id=self.trans_id,
+            mtype=self.mtype,
+            path=self.path,
+            index=self.index + 1,
+            capacity=self.capacity if capacity is None else capacity,
+            commit=self.commit,
+            payload=self.payload,
+        )
 
-    def reply(self, mtype: MessageType, **changes) -> "Message":
+    def reply(self, mtype: MessageType) -> "Message":
         """A response traveling the reverse of the remaining path."""
-        reverse_path = tuple(reversed(self.path[: self.index + 1]))
-        return replace(
-            self, mtype=mtype, path=reverse_path, index=0, **changes
+        return Message(
+            trans_id=self.trans_id,
+            mtype=mtype,
+            path=tuple(reversed(self.path[: self.index + 1])),
+            index=0,
+            capacity=self.capacity,
+            commit=self.commit,
+            payload=self.payload,
         )
 
     # ------------------------------------------------------------- encoding

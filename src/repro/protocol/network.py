@@ -10,7 +10,7 @@ processing delay — the Fig 12c/12d/13c/13d metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError
 from repro.network.channel import NodeId
@@ -90,7 +90,15 @@ class ProtocolNetwork:
         if self.loss_rate > 0 and self.loss_rng.random() < self.loss_rate:
             self.stats.dropped += 1
             return
-        delivered = replace(message, payload=dict(message.payload))
+        delivered = Message(
+            trans_id=message.trans_id,
+            mtype=message.mtype,
+            path=message.path,
+            index=message.index,
+            capacity=message.capacity,
+            commit=message.commit,
+            payload=dict(message.payload),
+        )
         recipient = self.node(delivered.current)
 
         def deliver() -> None:

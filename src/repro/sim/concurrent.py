@@ -1,9 +1,6 @@
-"""The discrete-event concurrent payment engine (in-flight holds, timeouts).
+"""The discrete-event payment engine (in-flight holds, timeouts).
 
-:func:`repro.sim.engine.run_simulation` feeds payments to the router one
-at a time and ignores ``Transaction.time`` entirely, so concurrent
-payments never contend for channel balance.  This module provides the
-second engine: payments *start* at their workload time on a shared
+Payments *start* at their workload time on a shared
 :class:`~repro.protocol.events.EventQueue`, place HTLC-style **holds**
 on every hop of every partial path (the hold-then-settle lifecycle of
 the BOLT specifications), and only **settle** — converting holds into
@@ -12,6 +9,12 @@ is in flight its holds reduce the *available* balance every other
 payment (and every probe) sees, because
 :meth:`repro.network.channel.Channel.balance` is defined net of holds.
 That makes contention, retry behaviour, and latency measurable.
+
+The sequential engine, :func:`repro.sim.engine.run_simulation`, is this
+loop at zero contention: no hop latency, no engine retries and the
+trace's own arrival times, so every payment settles at its own start
+instant, before the next one starts.  :func:`run_concurrent_simulation`
+runs the same loop under a :class:`ConcurrencyConfig`.
 
 Lifecycle of one payment (see ``docs/CONCURRENCY.md`` for the full
 model):
@@ -23,7 +26,8 @@ model):
 2. **settle** — a successful reservation over paths with at most ``h``
    hops completes ``2 * hop_latency * h`` later (forward lock pass +
    reverse settle pass); the holds become transfers and the payment is
-   recorded with its latency.
+   recorded with its latency.  A settle due at the reservation instant
+   runs inline, so payments with equal timestamps keep workload order.
 3. **timeout** — if the settle delay would exceed ``timeout``, the
    payment instead fails ``timeout`` seconds after its holds were
    placed (the reservation instant — which follows any retry waits,
@@ -35,12 +39,15 @@ model):
    retried ``retry_delay`` later, up to ``max_retries`` times; earlier
    payments may have settled in between, freeing capacity.
 
-Adversarial faults (:mod:`repro.sim.faults`) ride the same event
-queue: a compiled :class:`~repro.sim.faults.FaultPlan` merges its
-JAM/UNJAM/DRAIN/force-CLOSE events into the churn stream, and an
-engine-side escrow registry releases the in-flight holds of any
-payment crossing a force-closed channel (the payment then fails at its
-settle time instead of stranding escrow — see ``docs/RESILIENCE.md``).
+Channel and fault events apply at their timestamps; routers hear of
+them, and a fee controller reprices, only when a payment starts (the
+:class:`~repro.network.dynamics.GossipSchedule` tick).  Adversarial
+faults (:mod:`repro.sim.faults`) ride the same event queue: a compiled
+:class:`~repro.sim.faults.FaultPlan` merges its JAM/UNJAM/DRAIN/force-
+CLOSE events into the churn stream, and an engine-side escrow registry
+releases the in-flight holds of any payment crossing a force-closed
+channel (the payment then fails at its settle time instead of
+stranding escrow — see ``docs/RESILIENCE.md``).
 
 Determinism: the engine is a pure function of ``(graph, workload,
 events, config, rng)``.  Events are ordered by ``(time, sequence)``
@@ -50,17 +57,14 @@ payment starts in workload order, then the follow-up events each action
 schedules — so two runs with the same seed produce identical
 :class:`~repro.sim.metrics.SimulationResult` records, including across
 ``workers=N`` fork parallelism.
-
-The sequential engine remains the default everywhere and is untouched by
-this module; ``engine="sequential"`` results are byte-identical to the
-pre-concurrent engine's output for the same seed.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.errors import NoChannelError, ProtocolError
 from repro.network.channel import NodeId
@@ -74,7 +78,7 @@ from repro.network.graph import ChannelGraph
 from repro.network.view import NetworkView, PaymentSession
 from repro.protocol.events import EventQueue
 from repro.core.classifier import MiceThreshold
-from repro.sim.engine import accrue_revenue
+from repro.sim.knobs import KnobSet
 from repro.sim.metrics import (
     SimulationResult,
     StreamingMetricsAccumulator,
@@ -88,7 +92,7 @@ HeldHop = tuple[NodeId, NodeId, float]
 
 
 @dataclass(frozen=True)
-class ConcurrencyConfig:
+class ConcurrencyConfig(KnobSet):
     """The knobs of the concurrent engine (all simulated-time seconds).
 
     ``load`` uniformly compresses the input trace: every workload and
@@ -108,8 +112,11 @@ class ConcurrencyConfig:
     retry_delay: float = 1.0
     gossip_period: float = 600.0
 
+    kind = "concurrency"
+
     def validate(self) -> None:
-        """Raise :class:`ValueError` on out-of-range knob values."""
+        """Raise :class:`ValueError` on non-finite or out-of-range knobs."""
+        super().validate()
         if self.hop_latency < 0:
             raise ValueError(f"hop_latency must be >= 0, got {self.hop_latency}")
         if self.timeout <= 0:
@@ -128,36 +135,6 @@ class ConcurrencyConfig:
             raise ValueError(
                 f"gossip_period must be positive, got {self.gossip_period}"
             )
-
-    @classmethod
-    def from_params(
-        cls, params: Mapping[str, object] | None = None
-    ) -> "ConcurrencyConfig":
-        """Build from a knob mapping; unknown keys and bad values raise.
-
-        This is the single coercion point for engine parameters coming
-        from scenario registrations, CLI flags, and store cell keys.
-        """
-        known = {spec.name: spec.type for spec in fields(cls)}
-        kwargs: dict[str, object] = {}
-        for key, value in dict(params or {}).items():
-            if key not in known:
-                names = ", ".join(sorted(known))
-                raise ValueError(
-                    f"unknown concurrency parameter {key!r} (known: {names})"
-                )
-            kwargs[key] = int(value) if key == "max_retries" else float(value)
-        config = cls(**kwargs)
-        config.validate()
-        return config
-
-    def to_params(self) -> dict[str, object]:
-        """Every knob as a plain dict — the store cell-key representation.
-
-        Always fully resolved (defaults included), so an explicitly
-        passed default value and an omitted knob hash identically.
-        """
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
 
 class HoldLedger:
@@ -178,8 +155,6 @@ class HoldLedger:
     def begin(self) -> None:
         """Open collection for one route attempt."""
         self._active = True
-        self._holds = []
-        self._transfers = []
 
     def add(
         self,
@@ -227,10 +202,7 @@ class DeferredPaymentSession(PaymentSession):
         """
         self._check_open()
         self._closed = True
-        self._ledger.add(
-            [(hop.src, hop.dst, hop.amount) for hop in self._staged],
-            list(self._transfers),
-        )
+        self._ledger.add(self._staged, self._transfers)
         self._counters.payment_messages += len(self._staged)
 
 
@@ -245,7 +217,7 @@ class ConcurrentNetworkView(NetworkView):
 
     * :meth:`try_execute` places per-hop holds, all-or-nothing (no
       cross-direction netting: HTLC escrow locks both directions, which
-      is strictly more conservative than the sequential engine's netted
+      is strictly more conservative than the netted
       :meth:`~repro.network.graph.ChannelGraph.execute`);
     * :meth:`open_session` returns a :class:`DeferredPaymentSession`.
     """
@@ -259,58 +231,70 @@ class ConcurrentNetworkView(NetworkView):
     ) -> bool:
         """Escrow a multi-path payment hop by hop; all-or-nothing.
 
-        Costs one payment message per hop reached (a failed attempt
-        still pays for the hops traversed before bouncing, matching the
-        session primitive's accounting).
+        Costs one payment message per hop of every partial payment,
+        whether or not the attempt reaches it — the count
+        :meth:`NetworkView.try_execute` charges.
         """
-        placed: list[HeldHop] = []
+        graph = self._graph
         self.counters.payment_attempts += 1
-        policy_aware = self._graph.policy_aware
-        for path, amount in transfers:
-            # BOLT escrow: each hop locks the delivered amount plus all
-            # downstream fees (no-op list of equal amounts without
-            # policies — byte-identical to the pre-policy engine).
-            hop_amounts = (
-                self._graph.path_hop_amounts(list(path), amount)
-                if policy_aware
-                else None
-            )
-            for index, (u, v) in enumerate(zip(path, path[1:])):
-                self.counters.payment_messages += 1
-                hop_amount = (
-                    amount if hop_amounts is None else hop_amounts[index]
+        self.counters.payment_messages += sum(
+            len(path) - 1 for path, _ in transfers
+        )
+        policy_aware = graph.policy_aware
+        placed: list[HeldHop] = []
+        try:
+            for path, amount in transfers:
+                # BOLT escrow: each hop locks the delivered amount plus
+                # all downstream fees (a list of equal amounts without
+                # policies — byte-identical to the pre-policy engine).
+                hop_amounts = (
+                    graph.path_hop_amounts(list(path), amount)
+                    if policy_aware
+                    else None
                 )
-                try:
-                    held = self._graph.hold(u, v, hop_amount)
-                except NoChannelError:
-                    held = False
-                if not held:
-                    for uu, vv, amount_held in reversed(placed):
-                        self._graph.release_hold(uu, vv, amount_held)
-                    return False
-                placed.append((u, v, hop_amount))
+                for index, (u, v) in enumerate(zip(path, path[1:])):
+                    hop_amount = (
+                        amount if hop_amounts is None else hop_amounts[index]
+                    )
+                    if not graph.hold(u, v, hop_amount):
+                        return self._refund(placed)
+                    placed.append((u, v, hop_amount))
+        except NoChannelError:
+            # A hop closed since the router's last gossip tick.
+            return self._refund(placed)
         self._ledger.add(
             placed, [(tuple(path), amount) for path, amount in transfers]
         )
         return True
+
+    def _refund(self, placed: list[HeldHop]) -> bool:
+        """Release ``placed`` in reverse order; a failed execute's result."""
+        for u, v, amount in reversed(placed):
+            self._graph.release_hold(u, v, amount)
+        return False
 
     def open_session(self) -> DeferredPaymentSession:
         """Start a payment session whose commit defers to the engine."""
         return DeferredPaymentSession(self._graph, self.counters, self._ledger)
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingPayment:
-    """Engine-side state of one payment across its attempts."""
+    """Engine-side state of one payment across its attempts.
+
+    ``index`` is the payment's position in a list workload, where its
+    record is kept until the run folds every record in workload order.
+    """
 
     transaction: Transaction
     started_at: float
+    index: int
     attempts: int = 0
     probe_messages: int = 0
     payment_messages: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlight:
     """One payment's escrow between reservation and settle/expire.
 
@@ -322,14 +306,17 @@ class _InFlight:
 
     pending: _PendingPayment
     holds: list[HeldHop]
-    disrupted: bool = False
-    #: Per-node fee revenue of this payment, priced at reservation time
+    transfers: list[tuple[tuple[NodeId, ...], float]]
+    #: Per-node fee revenue of each path, priced at reservation time
     #: (the policies the escrow was sized under — a fee-controller tick
     #: between reserve and settle must not reprice in-flight holds).
-    revenue: dict = field(default_factory=dict)
+    #: Kept path by path: settling adds them to the run's revenue in
+    #: path order, one float addition per node and path.
+    revenue: Sequence[dict]
     #: MPP part index (-1 for whole payments): parts share their
     #: parent's txid, so the registry keys escrow by ``(txid, part)``.
     part: int = -1
+    disrupted: bool = False
 
 
 @dataclass
@@ -349,65 +336,49 @@ class _MppPayment:
     ready_at: dict[int, float] = field(default_factory=dict)
     part_attempts: dict[int, int] = field(default_factory=dict)
     fee_total: float = 0.0
-    transfers: list = field(default_factory=list)
+    paths_used: int = 0
     done: bool = False
 
 
 class _EscrowRegistry:
-    """Engine-side index of in-flight escrow, keyed by channel pair.
+    """Engine-side index of in-flight escrow, keyed by ``(txid, part)``.
 
     Registered as the :class:`~repro.network.dynamics.GossipSchedule`'s
     ``hold_owner``: when a fault force-closes a channel mid-flight, the
     schedule calls :meth:`force_close` and the registry releases every
-    affected payment's holds on that pair (in deterministic txid order)
-    and marks the payments disrupted, so escrow is never stranded on a
-    removed channel and conservation invariants hold.
+    affected payment's holds on that pair (in key order) and marks the
+    payments disrupted, so escrow is never stranded on a removed channel
+    and conservation invariants hold.  MPP parts share their parent's
+    txid but escrow separately.  Only flights that stay in flight past
+    their reservation instant are registered: one settled inline can
+    never meet a force-close.
     """
 
     def __init__(self, graph: ChannelGraph) -> None:
         self._graph = graph
         self._flights: dict[tuple[int, int], _InFlight] = {}
-        self._by_pair: dict[frozenset, set[tuple[int, int]]] = {}
-
-    @staticmethod
-    def _key(flight: _InFlight) -> tuple[int, int]:
-        """Registry key: MPP parts share a txid but escrow separately."""
-        return (flight.pending.transaction.txid, flight.part)
 
     def register(self, flight: _InFlight) -> None:
-        """Track a freshly reserved payment's holds."""
-        key = self._key(flight)
-        self._flights[key] = flight
-        for u, v, _ in flight.holds:
-            self._by_pair.setdefault(frozenset((u, v)), set()).add(key)
+        """Track a reserved payment's holds while it is in flight."""
+        self._flights[(flight.pending.transaction.txid, flight.part)] = flight
 
     def unregister(self, flight: _InFlight) -> None:
         """Drop a settled/expired payment from the index."""
-        key = self._key(flight)
-        self._flights.pop(key, None)
-        for u, v, _ in flight.holds:
-            pair = frozenset((u, v))
-            members = self._by_pair.get(pair)
-            if members is not None:
-                members.discard(key)
-                if not members:
-                    del self._by_pair[pair]
+        self._flights.pop((flight.pending.transaction.txid, flight.part), None)
 
     def force_close(self, a: NodeId, b: NodeId) -> None:
         """Release every in-flight hold on ``(a, b)``; doom those payments."""
         pair = frozenset((a, b))
-        for key in sorted(self._by_pair.pop(pair, ())):
-            flight = self._flights.get(key)
-            if flight is None:
-                continue
+        for key in sorted(self._flights):
+            flight = self._flights[key]
             kept: list[HeldHop] = []
             for u, v, amount in flight.holds:
                 if frozenset((u, v)) == pair:
                     self._graph.release_hold(u, v, amount)
+                    flight.disrupted = True
                 else:
                     kept.append((u, v, amount))
             flight.holds = kept
-            flight.disrupted = True
 
 
 def _max_hops(transfers: Sequence[tuple[tuple[NodeId, ...], float]]) -> int:
@@ -435,62 +406,74 @@ def run_concurrent_simulation(
     router over a (by default) copied graph, one
     :class:`~repro.sim.metrics.TransactionRecord` per transaction folded
     through a :class:`~repro.sim.metrics.StreamingMetricsAccumulator` —
-    plus the concurrent semantics documented in the module docstring.
-    A list-backed run collects its records by txid and folds them in
-    workload order once the queue drains, so its float sums do not
-    depend on completion order and ``result.records`` lists them in
-    workload order.  ``events`` (channel churn) are applied at their
-    compressed timestamps and gossiped on the compressed period, exactly
-    mirroring :func:`~repro.sim.engine.run_simulation`'s ordering
-    (events due at a payment's start apply before it routes).
+    under ``config`` and the lifecycle of the module docstring.  A
+    list-backed run keeps each record at its workload position and
+    folds them in workload order once the queue drains, so its float
+    sums do not depend on completion order.  ``events`` (channel churn)
+    apply at their compressed timestamps, before any payment starting
+    at the same instant.
 
-    The returned result has ``engine="concurrent"``, which adds the
-    latency/retry/timeout metrics to its stored record (see
-    :data:`repro.sim.metrics.CONCURRENCY_FAMILY`).  When a
-    compiled ``faults`` plan is passed, its adversarial events are
-    merged into the (compressed) churn stream, force-closed channels
-    release their in-flight escrow through the engine's registry, and
+    The result has ``engine="concurrent"``, which adds
+    :data:`repro.sim.metrics.CONCURRENCY_FAMILY` to its stored record.
+    A compiled ``faults`` plan merges its adversarial events into the
+    (compressed) churn stream, force-closed channels release their
+    in-flight escrow through the engine's registry, and
     ``result.resilience`` carries
-    the fields of :data:`repro.sim.metrics.RESILIENCE_FAMILY` — with the
-    adversary-escrow integral converted back to uncompressed trace
-    seconds, so the metric is comparable across ``load`` settings.
+    :data:`repro.sim.metrics.RESILIENCE_FAMILY`, its adversary-escrow
+    integral in uncompressed trace seconds so that it compares across
+    ``load`` settings.
 
-    ``mpp`` (an :class:`~repro.sim.mpp.MppConfig`) enables multi-part
-    payments: qualifying payments fan out at their start instant into
-    parts that route and escrow independently, retry per-part
-    (``part_retries`` / ``part_retry_delay``), and settle
-    **all-or-nothing** at one instant — when the last part is escrowed,
-    a joint settle is scheduled at the slowest part's settle-ready time;
-    a part exhausting its retries (or a force-close disrupting a part)
-    releases every sibling hold immediately, and the shared ``deadline``
-    aborts anything still unsettled ``deadline`` seconds after the
-    payment started (ties at the deadline instant abort — the deadline
-    event is scheduled first, so the queue's sequence tie-break fires it
-    before any same-time settle).  ``result.mpp`` then carries
-    :data:`repro.sim.metrics.MPP_FAMILY`.  With ``mpp=None``
-    (the default) the engine is byte-identical to the pre-MPP engine.
+    ``mpp`` (an :class:`~repro.sim.mpp.MppConfig`) fans qualifying
+    payments out at their start instant into parts that route, escrow
+    and retry (``part_retries`` / ``part_retry_delay``) independently
+    and settle **all-or-nothing** at the slowest part's settle-ready
+    time; a part out of retries, a force-close on a part, or the shared
+    ``deadline`` (which fires before any event at its instant) refunds
+    every sibling hold.  ``result.mpp`` then carries
+    :data:`repro.sim.metrics.MPP_FAMILY`.
 
-    Lists and streams share one feed loop.  A list is fed whole before
-    the run starts.  A :class:`~repro.traces.workload.WorkloadStream` is
-    fed through a window instead: the engine bootstraps ``lookahead``
-    transactions onto the queue and pulls one more from the stream at
-    each payment start, so at most ``lookahead`` un-started transactions
-    (plus the in-flight window) are ever resident.  A stream's finished
-    records are folded in completion order as they finish (no records
-    dict, no ordered second pass) and its quantiles are P² estimates.
-    The event budget grows with the fed count.  ``progress`` (a callable
-    taking the fed transaction count) fires every 10,000 feeds and once
-    at the end — checkpoint/throughput hooks for trace-scale runs.
-    Streaming is incompatible with ``faults`` (resilience metrics need
-    the full ordered record list) and raises rather than approximating.
-    One caveat versus a list run of the same trace: a stream's payment
-    starts are enqueued lazily, so their queue sequence numbers
-    interleave with settle/retry events — at *identical* timestamps the
-    tie-break order can differ from the list run's; with distinct
-    timestamps (generic continuous arrival times) results match the
-    list run's headline metrics exactly.
+    A :class:`~repro.traces.workload.WorkloadStream` is fed through a
+    window: ``lookahead`` transactions go onto the queue up front and
+    each payment start pulls one more, so at most ``lookahead``
+    un-started transactions are resident; a stream's records fold as
+    they finish, its quantiles are P² estimates, and without a
+    ``mice_threshold_hint`` its elephant threshold is estimated from
+    every amount fed so far.  ``progress`` (a callable taking the fed
+    count) fires every 10,000 feeds and once at the end.  Streaming
+    raises with ``faults`` (resilience metrics need the ordered record
+    list).  A stream's starts take their queue sequence numbers as they
+    are fed, so at *identical* timestamps their tie-break can differ
+    from the list run's; with distinct timestamps the headline metrics
+    match it exactly.
     """
     config = config if config is not None else ConcurrencyConfig()
+    return _simulate(
+        graph, router_factory, workload, rng, config, events,
+        reference_mice_fraction, copy_graph, faults, mpp, lookahead, progress,
+        engine="concurrent",
+    )
+
+
+def _simulate(
+    graph: ChannelGraph,
+    router_factory,
+    workload: Workload | WorkloadStream,
+    rng: random.Random | None,
+    config: ConcurrencyConfig,
+    events: Sequence[ChannelEvent] | None,
+    reference_mice_fraction: float,
+    copy_graph: bool,
+    faults: FaultPlan | None,
+    mpp: MppConfig | None,
+    lookahead: int,
+    progress,
+    engine: str,
+) -> SimulationResult:
+    """The event loop both engines run; ``engine`` labels the result.
+
+    A ``"sequential"`` run records no latency, retries or timeouts: its
+    result carries no concurrency family.
+    """
     config.validate()
     streaming = isinstance(workload, WorkloadStream)
     if streaming and faults is not None:
@@ -501,29 +484,32 @@ def run_concurrent_simulation(
         )
     if lookahead <= 0:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
+    if mpp is not None:
+        mpp.validate()
+    timed = engine == "concurrent"
     working_graph = graph.copy() if copy_graph else graph
     run_rng = rng if rng is not None else random.Random(0)
     queue = EventQueue()
     ledger = HoldLedger()
     view = ConcurrentNetworkView(working_graph, ledger)
+    counters = view.counters
     router = router_factory(view, workload, run_rng)
     threshold = MiceThreshold(workload, reference_mice_fraction)
-    if mpp is not None:
-        mpp.validate()
     # MPP-free runs record parts=0 (the pre-MPP record defaults);
     # MPP-enabled runs record parts=1 for payments that did not split.
     default_parts = 0 if mpp is None else 1
     registry = _EscrowRegistry(working_graph)
     revenue_by_node: dict[NodeId, float] = {}
 
-    scaled_churn: list[ChannelEvent] = [
-        replace(event, time=event.time / config.load) for event in (events or ())
-    ]
-    scaled_faults: list[ChannelEvent] = [
-        replace(event, time=event.time / config.load)
-        for event in (faults.events if faults is not None else ())
-    ]
-    scaled_events = merge_event_streams(scaled_churn, scaled_faults)
+    def compress(stream) -> list[ChannelEvent]:
+        if config.load == 1.0:
+            return list(stream)
+        return [replace(event, time=event.time / config.load) for event in stream]
+
+    scaled_events = merge_event_streams(
+        compress(events or ()),
+        compress(faults.events if faults is not None else ()),
+    )
     schedule = GossipSchedule(
         graph=working_graph,
         events=scaled_events,
@@ -534,17 +520,13 @@ def run_concurrent_simulation(
 
     accumulator = StreamingMetricsAccumulator(
         scheme=router.name,
-        engine="concurrent",
+        engine=engine,
         track_mpp=mpp is not None,
         keep_records=not streaming,
     )
-    records: dict[int, TransactionRecord] = {}
-    if streaming:
-        emit = accumulator.observe
-    else:
-
-        def emit(finished: TransactionRecord) -> None:
-            records[finished.txid] = finished
+    records: list[TransactionRecord | None] | None = (
+        None if streaming else [None] * len(workload)
+    )
 
     def record(
         pending: _PendingPayment,
@@ -557,39 +539,40 @@ def run_concurrent_simulation(
         attempts_base: int = 1,
     ) -> None:
         transaction = pending.transaction
-        emit(
-            TransactionRecord(
-                txid=transaction.txid,
-                amount=transaction.amount,
-                success=success,
-                fee=fee,
-                is_elephant=transaction.amount >= threshold.value,
-                probe_messages=pending.probe_messages,
-                payment_messages=pending.payment_messages,
-                paths_used=paths_used,
-                latency=queue.now - pending.started_at,
-                retries=max(0, pending.attempts - attempts_base),
-                timed_out=timed_out,
-                parts=default_parts if parts is None else parts,
-                partial_releases=partial_releases,
-            )
+        finished = TransactionRecord(
+            txid=transaction.txid,
+            amount=transaction.amount,
+            success=success,
+            fee=fee,
+            is_elephant=transaction.amount >= threshold.value,
+            probe_messages=pending.probe_messages,
+            payment_messages=pending.payment_messages,
+            paths_used=paths_used,
+            latency=queue.now - pending.started_at if timed else 0.0,
+            retries=max(0, pending.attempts - attempts_base) if timed else 0,
+            timed_out=timed_out and timed,
+            parts=default_parts if parts is None else parts,
+            partial_releases=partial_releases,
         )
+        if records is None:
+            accumulator.observe(finished)
+        else:
+            records[pending.index] = finished
 
     def release(flight: _InFlight) -> None:
         """Refund one flight's escrow, in reverse placement order."""
-        registry.unregister(flight)
         for u, v, amount in reversed(flight.holds):
             working_graph.release_hold(u, v, amount)
 
     def commit(flight: _InFlight) -> None:
         """Settle one flight's escrow and book its fee revenue."""
-        registry.unregister(flight)
         for u, v, amount in flight.holds:
             working_graph.settle_hold(u, v, amount)
-        for node, earned in flight.revenue.items():
-            revenue_by_node[node] = revenue_by_node.get(node, 0.0) + earned
+        for fees in flight.revenue:
+            for node, earned in fees.items():
+                revenue_by_node[node] = revenue_by_node.get(node, 0.0) + earned
 
-    def settle(flight: _InFlight, outcome) -> None:
+    def finish(flight: _InFlight, outcome) -> None:
         # A channel on the path may have been force-closed mid-flight:
         # the surviving escrow then unwinds and the payment fails cleanly.
         if flight.disrupted:
@@ -604,7 +587,12 @@ def run_concurrent_simulation(
             timed_out=False,
         )
 
+    def settle(flight: _InFlight, outcome) -> None:
+        registry.unregister(flight)
+        finish(flight, outcome)
+
     def expire(flight: _InFlight, outcome) -> None:
+        registry.unregister(flight)
         release(flight)
         record(
             flight.pending,
@@ -615,43 +603,53 @@ def run_concurrent_simulation(
         )
 
     def reserve(pending: _PendingPayment, transaction, part: int = -1):
-        """Route one attempt and escrow it as a registered flight.
+        """Route one attempt and escrow it as an (unregistered) flight.
 
-        Churn due by now applies before the payment routes, mirroring
-        the sequential engine's interleaving.  Returns ``(outcome,
-        transfers, flight)``; ``flight`` is None when the route failed.
+        Churn due by now applies, and routers hear of it, before the
+        payment routes.  Returns ``(outcome, flight)``; ``flight`` is
+        None when the route failed.
         """
         schedule.advance_to(queue.now)
-        probes_before = view.counters.probe_messages
-        payments_before = view.counters.payment_messages
+        probes_before = counters.probe_messages
+        payments_before = counters.payment_messages
         ledger.begin()
         outcome = router.route(transaction)
         holds, transfers = ledger.collect()
         pending.attempts += 1
-        pending.probe_messages += view.counters.probe_messages - probes_before
-        pending.payment_messages += (
-            view.counters.payment_messages - payments_before
-        )
+        pending.probe_messages += counters.probe_messages - probes_before
+        pending.payment_messages += counters.payment_messages - payments_before
         if not outcome.success:
             # Defensive: a failed route must not leave escrow behind.
             for u, v, amount in reversed(holds):
                 working_graph.release_hold(u, v, amount)
-            return outcome, [], None
+            return outcome, None
         transfers = transfers or list(outcome.transfers)
-        flight = _InFlight(pending=pending, holds=holds, part=part)
         # Re-read per payment: a fee controller's first tick can make a
         # policy-free graph policy-aware mid-run.
-        if working_graph.policy_aware:
-            accrue_revenue(working_graph, transfers, flight.revenue)
-        registry.register(flight)
-        return outcome, transfers, flight
+        revenue = (
+            [
+                working_graph.path_fee_breakdown(list(path), amount)
+                for path, amount in transfers
+            ]
+            if working_graph.policy_aware
+            else ()
+        )
+        return outcome, _InFlight(pending, holds, transfers, revenue, part)
+
+    # The lock pass reaches the receiver after hop_latency per hop of
+    # the longest path; the settle pass walks back.
+    round_trip = 2.0 * config.hop_latency
 
     def attempt(pending: _PendingPayment) -> None:
-        outcome, transfers, flight = reserve(pending, pending.transaction)
+        outcome, flight = reserve(pending, pending.transaction)
         if flight is not None:
-            # The lock pass reaches the receiver after hop_latency per
-            # hop of the longest path; the settle pass walks back.
-            settle_delay = 2.0 * config.hop_latency * _max_hops(transfers)
+            settle_delay = (
+                round_trip * _max_hops(flight.transfers) if round_trip else 0.0
+            )
+            if not settle_delay:
+                finish(flight, outcome)
+                return
+            registry.register(flight)
             if settle_delay > config.timeout:
                 queue.schedule(config.timeout, lambda: expire(flight, outcome))
             else:
@@ -670,12 +668,13 @@ def run_concurrent_simulation(
 
     # ------------------------------------------- multi-part coordination
 
-    def mpp_abort(state: "_MppPayment", timed_out: bool) -> None:
+    def mpp_abort(state: _MppPayment, timed_out: bool) -> None:
         """Refund every reserved sibling part's escrow; fail the payment."""
         if state.done:
             return
         state.done = True
         for index in sorted(state.flights):
+            registry.unregister(state.flights[index])
             release(state.flights[index])
         record(
             state.pending,
@@ -688,7 +687,7 @@ def run_concurrent_simulation(
             attempts_base=len(state.amounts),
         )
 
-    def mpp_settle(state: "_MppPayment") -> None:
+    def mpp_settle(state: _MppPayment) -> None:
         """Settle every part's escrow at one instant — or none of it."""
         if state.done:
             return
@@ -699,19 +698,20 @@ def run_concurrent_simulation(
             return
         state.done = True
         for index in sorted(state.flights):
+            registry.unregister(state.flights[index])
             commit(state.flights[index])
         record(
             state.pending,
             success=True,
             fee=state.fee_total,
-            paths_used=len(state.transfers),
+            paths_used=state.paths_used,
             timed_out=False,
             parts=len(state.amounts),
             partial_releases=0,
             attempts_base=len(state.amounts),
         )
 
-    def attempt_part(state: "_MppPayment", index: int) -> None:
+    def attempt_part(state: _MppPayment, index: int) -> None:
         if state.done:
             return
         transaction = state.pending.transaction
@@ -721,16 +721,17 @@ def run_concurrent_simulation(
             if part_amount == transaction.amount
             else replace(transaction, amount=part_amount)
         )
-        outcome, part_transfers, flight = reserve(
-            state.pending, part_tx, part=index
-        )
+        outcome, flight = reserve(state.pending, part_tx, part=index)
         state.part_attempts[index] = state.part_attempts.get(index, 0) + 1
         if flight is not None:
+            # A part waits for its siblings in flight, where a
+            # force-close can reach it.
+            registry.register(flight)
             state.flights[index] = flight
             state.fee_total += outcome.fee
-            state.transfers.extend(part_transfers)
-            state.ready_at[index] = queue.now + 2.0 * config.hop_latency * (
-                _max_hops(part_transfers)
+            state.paths_used += len(flight.transfers)
+            state.ready_at[index] = queue.now + round_trip * _max_hops(
+                flight.transfers
             )
             if len(state.flights) == len(state.amounts):
                 settle_at = max(state.ready_at.values())
@@ -739,9 +740,12 @@ def run_concurrent_simulation(
                     # shared deadline; the deadline event will refund
                     # everything (timed_out), like a structural timeout.
                     return
-                queue.schedule(
-                    settle_at - queue.now, lambda: mpp_settle(state)
-                )
+                if settle_at == queue.now:
+                    mpp_settle(state)
+                else:
+                    queue.schedule(
+                        settle_at - queue.now, lambda: mpp_settle(state)
+                    )
             return
         if (
             state.part_attempts[index] <= mpp.part_retries
@@ -783,11 +787,15 @@ def run_concurrent_simulation(
         for index in range(len(amounts)):
             attempt_part(state, index)
 
-    # Churn events are scheduled before payment starts so that at equal
-    # timestamps the sequence tie-break applies the topology change
-    # first — the same order run_simulation guarantees.
+    # Channel and fault events are scheduled before payment starts so
+    # that at equal timestamps the sequence tie-break applies them
+    # first.  They only change the graph: routers hear of them at the
+    # next payment start's gossip tick.
+    def apply_events() -> None:
+        schedule.apply_due(queue.now)
+
     for event in scaled_events:
-        queue.schedule(event.time, lambda: schedule.advance_to(queue.now))
+        queue.schedule(event.time, apply_events)
 
     # Every payment contributes at most (1 + max_retries) attempts plus
     # one settle/timeout event; with MPP each payment may additionally
@@ -811,12 +819,15 @@ def run_concurrent_simulation(
         transaction = next(source, None)
         if transaction is None:
             return
-        threshold.observe(transaction.amount)
         start_at = transaction.time / config.load
-        pending = _PendingPayment(transaction=transaction, started_at=start_at)
+        pending = _PendingPayment(transaction, start_at, fed)
+        if streaming:
+            threshold.observe(transaction.amount)
         queue.schedule(
             max(0.0, start_at - queue.now),
-            lambda: (feed_one(), start(pending)),
+            (lambda: (feed_one(), start(pending)))
+            if streaming
+            else partial(start if mpp is not None else attempt, pending),
         )
         fed += 1
         if progress is not None and fed % 10_000 == 0:
@@ -826,20 +837,25 @@ def run_concurrent_simulation(
     # their sequence numbers in workload order, right after the churn
     # events.  A stream bootstraps its lookahead window; each payment
     # start then pulls one more transaction, so at most ``lookahead``
-    # un-started transactions are resident at any instant.  The event
-    # budget is re-evaluated per event and grows with the fed count,
-    # keeping the livelock guard tight for the work actually admitted.
+    # un-started transactions are resident at any instant.  A stream's
+    # event budget is re-evaluated per event and grows with the fed
+    # count, keeping the livelock guard tight for the work admitted.
     for _ in range(lookahead if streaming else len(workload)):
         feed_one()
     queue.run_until_idle(
-        max_events=lambda: fed * per_payment + len(scaled_events) + 16
+        max_events=(lambda: fed * per_payment + len(scaled_events) + 16)
+        if streaming
+        else fed * per_payment + len(scaled_events) + 16
     )
-    schedule.flush(queue.now)
+    # The callbacks that schedule themselves hold their own closure
+    # cells; emptying those cells frees the router, view and graph copy
+    # when this function returns, without waiting for the collector.
+    del feed_one, attempt, attempt_part
     if progress is not None:
         progress(fed)
-    if not streaming:
-        for transaction in workload:
-            accumulator.observe(records[transaction.txid])
+    if records is not None:
+        for finished in records:
+            accumulator.observe(finished)
 
     result = accumulator.result(
         revenue_by_node=(

@@ -97,6 +97,23 @@ class TestRunConcurrent:
         assert code == 2
         assert "timeout" in err
 
+    def test_nan_engine_knob_fails_cleanly(self, capsys):
+        code = main(
+            [
+                "run",
+                "timeout-stress",
+                "--transactions",
+                "20",
+                "--runs",
+                "1",
+                "--load",
+                "nan",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "load must be finite" in err
+
     def test_store_round_trip(self, tmp_path, capsys):
         argv = [
             "run",

@@ -72,6 +72,18 @@ class TestRunMpp:
         assert code == 2
         assert "max_parts" in err
 
+    def test_nan_mpp_value_fails_cleanly(self, capsys):
+        code = main(
+            [
+                "run", "mpp-storm",
+                "--transactions", "10", "--runs", "1",
+                "--mpp-param", "deadline=nan",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "deadline must be finite" in err
+
 
 class TestSweepMpp:
     def test_mpp_axis_sweeps_split_policies(self, capsys):

@@ -161,15 +161,29 @@ class TestGossipSchedule:
         schedule.advance_to(30.0)  # both events applied, period not elapsed
         assert router.updates <= 1
         schedule.advance_to(700.0)
-        schedule.flush(700.0)
         assert router.updates >= 1
 
-    def test_flush_without_pending_is_noop(self, grid_graph):
+    def test_tick_without_pending_is_noop(self, grid_graph):
         router = _RecordingRouter()
         schedule = GossipSchedule(graph=grid_graph, events=[])
         schedule.register(router)
-        schedule.flush(1_000.0)
+        schedule.advance_to(1_000.0)
         assert router.updates == 0
+
+    def test_apply_due_applies_without_gossip(self, grid_graph):
+        # Events take effect at their time; routers hear of them only
+        # at the next tick (advance_to), which the engine runs when a
+        # payment starts.
+        router = _RecordingRouter()
+        schedule = GossipSchedule(
+            graph=grid_graph, events=[close_event(10.0, 0, 1)]
+        )
+        schedule.register(router)
+        assert schedule.apply_due(700.0) == 1
+        assert not grid_graph.has_channel(0, 1)
+        assert router.updates == 0
+        assert schedule.advance_to(700.0) == 0
+        assert router.updates == 1
 
     def test_events_aware_hook_receives_applied_batch(self, grid_graph):
         router = _EventsAwareRouter()

@@ -271,34 +271,44 @@ class TestFeeConservation:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fee_shares_sum_to_fee(self, seed, sweep_kernel):
-        from repro.sim.concurrent import ConcurrentNetworkView, HoldLedger
-        from repro.sim.mpp import execute_parts_atomically, split_amounts
-
         rng = random.Random(seed)
         edges = barabasi_albert_edges(30, 2, rng)
         graph = build_channel_graph(edges, uniform_sampler(80.0, 200.0), rng)
         assign_market_policies(graph, rng, paper_mix=True)
         workload = generate_ripple_workload(rng, graph.nodes, 25)
-        ledger = HoldLedger()
-        view = ConcurrentNetworkView(graph, ledger)
-        router = flash_factory(k=4, m=2)(view, workload, random.Random(seed))
-        config = MppConfig(threshold=5.0, max_parts=3)
+        outcomes: dict = {}
+
+        def factory(view, workload, rng):
+            router = flash_factory(k=4, m=2)(view, workload, rng)
+            route = router.route
+
+            def recorded(transaction):
+                outcome = route(transaction)
+                if outcome.success:
+                    outcomes.setdefault(transaction.txid, []).append(outcome)
+                return outcome
+
+            router.route = recorded
+            return router
+
+        result = run_simulation(
+            graph,
+            factory,
+            workload,
+            rng=random.Random(seed),
+            copy_graph=False,
+            mpp=MppConfig(threshold=5.0, max_parts=3),
+        )
         checked = 0
-        for transaction in workload:
-            amounts = split_amounts(config, transaction.amount, 5.0)
-            outcome = execute_parts_atomically(
-                graph, router, ledger, transaction, amounts,
-                config.part_retries,
-            )
-            if not outcome.success or len(amounts) < 2:
+        for record in result.records:
+            if not record.success or record.parts < 2:
                 continue
             shares = sum(
-                sum(
-                    graph.path_fee_breakdown(list(path), amount).values()
-                )
+                sum(graph.path_fee_breakdown(list(path), amount).values())
+                for outcome in outcomes[record.txid]
                 for path, amount in outcome.transfers
             )
-            assert shares == pytest.approx(outcome.fee, abs=1e-12)
+            assert shares == pytest.approx(record.fee, abs=1e-12)
             checked += 1
         assert checked > 0
         assert graph.total_held() == pytest_approx(0.0)

@@ -8,8 +8,10 @@ the registered ``payment-storm`` scenario shows load-dependent
 behaviour (the PR's acceptance criterion).
 """
 
+import gc
 import json
 import random
+import weakref
 import zlib
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from repro.sim.factories import (
     shortest_path_factory,
 )
 from repro.sim.metrics import CONCURRENCY_FAMILY, METRIC_FIELDS
-from repro.traces.workload import Transaction, Workload
+from repro.traces.workload import Transaction, Workload, WorkloadStream
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "sequential_engine.json"
 
@@ -70,6 +72,15 @@ class TestConcurrencyConfig:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ConcurrencyConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "name", ["hop_latency", "timeout", "load", "retry_delay", "gossip_period"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, name, value):
+        # NaN passes every range comparison; infinities are no knob value.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ConcurrencyConfig.from_params({name: value})
 
     def test_from_params_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown concurrency parameter"):
@@ -574,6 +585,52 @@ class TestStoreRoundTrip:
             **kwargs,
         )
         assert len(store) == 2
+
+
+class TestRunFreesItsState:
+    """A run's router, view and graph copy die when it returns.
+
+    Under ``gc.disable()`` nothing the cyclic collector alone could free
+    goes away, so a live weakref to the router right after the run
+    returns means the run left a reference cycle behind.
+    """
+
+    @pytest.mark.parametrize("engine", ["sequential", "concurrent"])
+    @pytest.mark.parametrize("streamed", [False, True], ids=["list", "stream"])
+    @pytest.mark.parametrize("scheme", ["Flash", "Shortest Path"])
+    def test_router_is_freed_without_the_collector(
+        self, engine, streamed, scheme
+    ):
+        workload = payments(
+            *[("A", "C", 10.0, float(t)) for t in range(6)],
+            ("C", "A", 30.0, 6.0),
+            ("A", "C", 500.0, 7.0),
+        )
+        if streamed:
+            workload = WorkloadStream(list(workload))
+        routers = []
+
+        def factory(view, workload, rng):
+            router = paper_benchmark_factories()[scheme](view, workload, rng)
+            routers.append(weakref.ref(router))
+            return router
+
+        gc.collect()
+        gc.disable()
+        try:
+            if engine == "sequential":
+                run_simulation(line_graph(), factory, workload)
+            else:
+                run_concurrent_simulation(
+                    line_graph(),
+                    factory,
+                    workload,
+                    config=ConcurrencyConfig(hop_latency=0.5, max_retries=1),
+                )
+            (router,) = routers
+            assert router() is None
+        finally:
+            gc.enable()
 
 
 class TestDocstrings:

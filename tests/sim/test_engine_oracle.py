@@ -1,92 +1,84 @@
-"""The sequential engine is the concurrent engine at zero contention.
+"""The sequential engine reproduces the one-payment-at-a-time loop.
 
-With no hop latency, no retries, an unreachable timeout and the trace's
-own arrival times, no two payments of the concurrent engine overlap in
-flight, so it must route every payment exactly as the sequential engine
-does.  Each case builds one seeded scenario and runs every paper scheme
-through both engines on the same build and router seed, then compares
-every field the two engines' per-payment records share (and, under a
-fault plan, the resilience family).
+``run_simulation`` is the concurrent engine's event loop at zero
+contention: no hop latency, no retries and the trace's own arrival
+times, so no two payments overlap in flight and each must route exactly
+as the former sequential loop (``tests/engine_reference.py``) routed
+it.  Each case builds one seeded scenario and runs every paper scheme
+through ``_single_run`` twice on the same build and router seeds, once
+on the engine and once with the runner bound to the reference loop,
+then compares every per-payment record field, the stored metrics
+(``to_record()``) and, under a fault plan, the resilience family.
 
-``load=1.0`` on purpose: the concurrent engine divides every timestamp
-by ``load``, so a tiny load rescales the fault windows and moves the
-last digits of ``adversary_escrow``.
-
-Two divergences are known and pinned as strict xfails: multi-part
-payments, and the messages a failed multi-path execute costs, which the
-fee-priced scenarios reach.
+The reference loop has no multi-part path; a sequential MPP run follows
+the engine's one set of MPP rules and is pinned by digest instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
+import engine_reference as reference
 import repro.scenarios as scenarios
 from repro.network.feemarket import FeeMarketController
-from repro.sim.concurrent import ConcurrencyConfig
+from repro.sim import runner
 from repro.sim.factories import paper_benchmark_factories
+from repro.sim.metrics import TransactionRecord
 from repro.sim.mpp import MppConfig
 from repro.sim.runner import DEFAULT_MICE_FRACTION, RunConfig, _single_run
 
-#: The concurrent engine with nothing to contend over.
-ZERO_CONTENTION = ConcurrencyConfig(
-    hop_latency=0.0, load=1.0, timeout=1e9, max_retries=0
-)
-
-#: Every field both engines' ``TransactionRecord``s carry.
-SHARED_FIELDS = (
-    "txid",
-    "success",
-    "amount",
-    "fee",
-    "is_elephant",
-    "probe_messages",
-    "payment_messages",
-    "paths_used",
-    "parts",
-    "partial_releases",
-)
+#: Every field of a ``TransactionRecord``.
+FIELDS = tuple(field.name for field in dataclasses.fields(TransactionRecord))
 
 TRANSACTIONS = 200
 
 
-def _both_engines(name, seed, fault=None, mpp=None):
+def _engine_and_reference(factory, seed, config=RunConfig()):
+    factories = paper_benchmark_factories()
+    engine = _single_run(
+        factory, factories, seed, DEFAULT_MICE_FRACTION, 0, config
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "run_simulation", reference.run_simulation)
+        patch.setattr(
+            runner, "run_dynamic_simulation", reference.run_dynamic_simulation
+        )
+        expected = _single_run(
+            factory, factories, seed, DEFAULT_MICE_FRACTION, 0, config
+        )
+    return engine, expected
+
+
+def _scenario_factory(name, fault=None):
     scenario = scenarios.get_scenario(name)
     if fault is not None:
         scenario = dataclasses.replace(scenario, faults=fault, fault_params={})
-    factory = scenario.factory(workload_overrides={"transactions": TRANSACTIONS})
-    factories = paper_benchmark_factories()
-    sequential, concurrent = (
-        _single_run(
-            factory,
-            factories,
-            seed,
-            DEFAULT_MICE_FRACTION,
-            0,
-            RunConfig(concurrency=concurrency, mpp=mpp),
-        )
-        for concurrency in (None, ZERO_CONTENTION)
-    )
-    return sequential, concurrent
+    return scenario.factory(workload_overrides={"transactions": TRANSACTIONS})
 
 
-def _differences(sequential, concurrent) -> list[str]:
+def _differences(engine, expected) -> list[str]:
     problems = []
-    for scheme, expected in sequential.items():
-        actual = concurrent[scheme]
-        assert len(expected.records) == len(actual.records) == TRANSACTIONS
-        for one, other in zip(expected.records, actual.records):
+    for scheme, wanted in expected.items():
+        actual = engine[scheme]
+        assert len(wanted.records) == len(actual.records) == TRANSACTIONS
+        for one, other in zip(wanted.records, actual.records):
             problems.extend(
                 f"{scheme} txid {one.txid} {field}: "
                 f"{getattr(one, field)!r} != {getattr(other, field)!r}"
-                for field in SHARED_FIELDS
+                for field in FIELDS
                 if getattr(one, field) != getattr(other, field)
             )
-        if expected.resilience != actual.resilience:
+        if wanted.to_record() != actual.to_record():
             problems.append(
-                f"{scheme} resilience: {expected.resilience} != "
+                f"{scheme} record: {wanted.to_record()} != {actual.to_record()}"
+            )
+        if wanted.resilience != actual.resilience:
+            problems.append(
+                f"{scheme} resilience: {wanted.resilience} != "
                 f"{actual.resilience}"
             )
     return problems
@@ -111,43 +103,54 @@ CASES = [
 def test_zero_contention_concurrent_engine_matches_sequential(
     name, fault, seed
 ):
-    sequential, concurrent = _both_engines(name, seed, fault=fault)
-    if fault is not None or scenarios.get_scenario(name).faults:
-        assert all(result.resilience for result in sequential.values())
-    assert _differences(sequential, concurrent) == []
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="MPP: the sequential engine's execute_parts_atomically and the "
-    "concurrent engine's inline fan-out count and retry parts differently",
-)
-def test_mpp_matches_sequential():
-    sequential, concurrent = _both_engines(
-        "ripple-default", 0, mpp=MppConfig(max_parts=4)
+    engine, expected = _engine_and_reference(
+        _scenario_factory(name, fault), seed
     )
-    assert _differences(sequential, concurrent) == []
+    if fault is not None or scenarios.get_scenario(name).faults:
+        assert all(result.resilience for result in engine.values())
+    assert _differences(engine, expected) == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a failed multi-path execute: the sequential view charges a "
-    "payment message for every hop of every part, the concurrent view "
-    "only for the hops it reached",
-)
 @pytest.mark.parametrize("name", ["fee-market", "ripple-fees"])
 def test_policy_aware_multipath_failure_matches_sequential(name):
-    sequential, concurrent = _both_engines(name, 0)
-    assert _differences(sequential, concurrent) == []
+    # Both scenarios reach failed multi-path executes; each costs one
+    # payment message per hop of every part on both sides.
+    engine, expected = _engine_and_reference(_scenario_factory(name), 0)
+    assert _differences(engine, expected) == []
+
+
+#: Scheme -> digest of a sequential MPP run (``ripple-default``, seed 0).
+MPP_PINS = {
+    "Flash": "1c9d83f67f6e50e7",
+    "Spider": "962fc382d8bf3470",
+    "SpeedyMurmurs": "59e83ea8d0019e56",
+    "Shortest Path": "58faf3d66dd8a062",
+}
+
+
+def test_mpp_sequential_run_is_pinned():
+    results = _single_run(
+        _scenario_factory("ripple-default"),
+        paper_benchmark_factories(),
+        0,
+        DEFAULT_MICE_FRACTION,
+        0,
+        RunConfig(mpp=MppConfig(max_parts=4)),
+    )
+    digests = {}
+    for scheme, result in results.items():
+        assert result.engine == "sequential"
+        assert len(result.records) == TRANSACTIONS
+        text = json.dumps(result.to_record()) + "\n" + repr(result.records)
+        digests[scheme] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == MPP_PINS
 
 
 def test_fee_controller_first_tick_turns_on_the_fee_family():
     # No policies at build: the fee controller's first gossip tick makes
-    # the graph policy-aware mid-run, and from then on both engines
-    # book every settled payment's fee revenue.
-    base = scenarios.get_scenario("ripple-default").factory(
-        workload_overrides={"transactions": TRANSACTIONS}
-    )
+    # the graph policy-aware mid-run, and from then on both loops book
+    # every settled payment's fee revenue.
+    base = _scenario_factory("ripple-default")
 
     def factory(rng):
         graph, workload = base(rng)
@@ -155,17 +158,7 @@ def test_fee_controller_first_tick_turns_on_the_fee_family():
         graph.fee_controller = FeeMarketController()
         return graph, workload
 
-    sequential, concurrent = (
-        _single_run(
-            factory,
-            paper_benchmark_factories(),
-            3,
-            DEFAULT_MICE_FRACTION,
-            0,
-            RunConfig(concurrency=concurrency),
-        )
-        for concurrency in (None, ZERO_CONTENTION)
-    )
-    for scheme, expected in sequential.items():
-        assert expected.fees["hub_revenue"] > 0
-        assert concurrent[scheme].fees == expected.fees
+    engine, expected = _engine_and_reference(factory, 3)
+    for scheme, wanted in expected.items():
+        assert wanted.fees["hub_revenue"] > 0
+    assert _differences(engine, expected) == []

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import repro.scenarios as scenarios_mod
 from repro.errors import InsufficientBalanceError
 from repro.network.graph import ChannelGraph, Transfer
-from repro.sim.concurrent import ConcurrentNetworkView, HoldLedger
 from repro.sim.engine import run_simulation
 from repro.sim.factories import flash_factory, shortest_path_factory
 from repro.sim.metrics import (
@@ -29,12 +28,7 @@ from repro.sim.metrics import (
     StreamingMetricsAccumulator,
     TransactionRecord,
 )
-from repro.sim.mpp import (
-    MppConfig,
-    SPLIT_POLICIES,
-    execute_parts_atomically,
-    split_amounts,
-)
+from repro.sim.mpp import MppConfig, SPLIT_POLICIES, split_amounts
 from repro.sim.runner import (
     RunConfig,
     cell_digest,
@@ -69,6 +63,15 @@ class TestMppConfig:
     def test_bad_knobs_raise(self, kwargs):
         with pytest.raises(ValueError):
             MppConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "name", ["threshold", "min_part_amount", "part_retry_delay", "deadline"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_knobs_raise(self, name, value):
+        # NaN passes every range comparison; infinities are no knob value.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MppConfig.from_params({name: value})
 
     def test_from_params_coerces_strings(self):
         config = MppConfig.from_params(
@@ -210,55 +213,69 @@ class TestNettingRollback:
 
 
 class TestExecutePartsAtomically:
-    def _route(self, graph, seed=0):
-        ledger = HoldLedger()
-        view = ConcurrentNetworkView(graph, ledger)
-        workload = Workload([])
-        router = shortest_path_factory()(view, workload, random.Random(seed))
-        return router, ledger
+    """Parts settle all-or-nothing, driven through ``run_simulation``."""
+
+    @staticmethod
+    def _run(graph, amount, mpp):
+        """One a->d payment of ``amount``; its record and route amounts."""
+        routed = []
+
+        def factory(view, workload, rng):
+            router = shortest_path_factory()(view, workload, rng)
+            route = router.route
+
+            def counted(transaction):
+                routed.append(transaction.amount)
+                return route(transaction)
+
+            router.route = counted
+            return router
+
+        result = run_simulation(
+            graph,
+            factory,
+            Workload([Transaction(txid=1, sender="a", receiver="d", amount=amount)]),
+            copy_graph=False,
+            mpp=mpp,
+        )
+        (record,) = result.records
+        return record, routed
 
     def test_success_settles_every_part(self):
         graph = _line_graph()
-        router, ledger = self._route(graph)
-        outcome = execute_parts_atomically(
-            graph, router, ledger,
-            Transaction(txid=1, sender="a", receiver="d", amount=40.0),
-            amounts=[20.0, 20.0], part_retries=0,
+        record, routed = self._run(
+            graph, 40.0, MppConfig(max_parts=2, threshold=1.0, part_retries=0)
         )
-        assert outcome.success
-        assert outcome.parts == 2
-        assert outcome.partial_releases == 0
+        assert routed == [20.0, 20.0]
+        assert record.success
+        assert record.parts == 2
+        assert record.partial_releases == 0
         assert graph.total_held() == pytest.approx(0.0, abs=1e-9)
         assert graph.balance("d", "c") == pytest.approx(140.0)
 
     def test_failed_part_refunds_reserved_siblings_exactly(self):
         # 60 fits the a->b->c->d line once, but the second 60-part
-        # cannot reserve on the depleted b->c hop: all-or-nothing abort.
+        # cannot reserve on the depleted b->c hop, nor on its retry a
+        # second later: all-or-nothing abort.
         graph = _line_graph()
         before = _snapshot(graph)
-        router, ledger = self._route(graph)
-        outcome = execute_parts_atomically(
-            graph, router, ledger,
-            Transaction(txid=1, sender="a", receiver="d", amount=120.0),
-            amounts=[60.0, 60.0], part_retries=1,
+        record, routed = self._run(
+            graph, 120.0, MppConfig(max_parts=2, threshold=1.0, part_retries=1)
         )
-        assert not outcome.success
-        assert outcome.fee == 0.0
-        assert outcome.partial_releases == 1  # the reserved sibling
-        assert outcome.attempts == 3  # part 1 once, part 2 + retry
+        assert not record.success
+        assert record.fee == 0.0
+        assert record.partial_releases == 1  # the reserved sibling
+        assert routed == [60.0, 60.0, 60.0]  # part 1 once, part 2 + retry
         assert _snapshot(graph) == before  # escrow refunded bit-for-bit
 
     def test_single_part_failure_releases_nothing(self):
         graph = _line_graph()
         before = _snapshot(graph)
-        router, ledger = self._route(graph)
-        outcome = execute_parts_atomically(
-            graph, router, ledger,
-            Transaction(txid=1, sender="a", receiver="d", amount=500.0),
-            amounts=[500.0], part_retries=0,
-        )
-        assert not outcome.success
-        assert outcome.partial_releases == 0
+        record, routed = self._run(graph, 500.0, MppConfig(max_parts=1))
+        assert routed == [500.0]  # unsplit: the engine's retries, none
+        assert not record.success
+        assert record.parts == 1
+        assert record.partial_releases == 0
         assert _snapshot(graph) == before
 
 
