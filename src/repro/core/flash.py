@@ -6,7 +6,9 @@
   with 90% of payments mice, §4.1);
 * **elephants** run Algorithm 1 (modified Edmonds–Karp probing, ``k=20``)
   then split the demand across the probed paths with the fee-minimizing
-  program (1), executed atomically with per-channel netting;
+  program (1), executed atomically — with per-channel netting when the
+  payment settles at once (the sequential engine), hop by hop while it
+  is in flight (the concurrent engine);
 * **mice** use the routing table (top-``m=4`` Yen paths per receiver) and
   the randomized trial-and-error loop, probing only on failure; dead paths
   are replaced with the next shortest path.

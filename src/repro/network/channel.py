@@ -199,15 +199,10 @@ class Channel:
             raise ChannelError(f"negative transfer amount {amount!r}")
         if amount == 0:
             return
-        forward = self._check_direction(src, dst)
-        available = (
-            self.balance_ab - self._held_ab
-            if forward
-            else self.balance_ba - self._held_ba
-        )
+        available = self.balance(src, dst)
         if amount > available + _tolerance(amount):
             raise InsufficientBalanceError(src, dst, amount, available)
-        if forward:
+        if self._check_direction(src, dst):
             self.balance_ab -= amount
             self.balance_ba += amount
         else:
@@ -227,13 +222,11 @@ class Channel:
             raise self._shared()
         if amount < 0:
             raise ChannelError(f"negative hold amount {amount!r}")
+        if amount > self.balance(src, dst) + _tolerance(amount):
+            return False
         if self._check_direction(src, dst):
-            if amount > self.balance_ab - self._held_ab + _tolerance(amount):
-                return False
             self._held_ab += amount
         else:
-            if amount > self.balance_ba - self._held_ba + _tolerance(amount):
-                return False
             self._held_ba += amount
         return True
 

@@ -22,7 +22,9 @@ model):
 1. **start** — at ``transaction.time / load`` the router plans and
    reserves the payment.  Probes are instantaneous; reservations go
    through :class:`ConcurrentNetworkView`, which places holds instead of
-   settling (both ``try_execute`` and payment sessions).
+   settling (both ``try_execute`` and payment sessions) — except that
+   at zero hop latency a whole payment's ``try_execute`` settles at
+   once, netted per channel.
 2. **settle** — a successful reservation over paths with at most ``h``
    hops completes ``2 * hop_latency * h`` later (forward lock pass +
    reverse settle pass); the holds become transfers and the payment is
@@ -90,6 +92,10 @@ from repro.traces.workload import Transaction, Workload, WorkloadStream
 #: One held hop: escrowed ``amount`` in the ``src -> dst`` direction.
 HeldHop = tuple[NodeId, NodeId, float]
 
+#: Un-started transactions a :class:`~repro.traces.workload.WorkloadStream`
+#: keeps on the event queue.
+LOOKAHEAD = 256
+
 
 @dataclass(frozen=True)
 class ConcurrencyConfig(KnobSet):
@@ -149,12 +155,17 @@ class HoldLedger:
 
     def __init__(self) -> None:
         self._active = False
+        #: The open attempt settles at its reservation instant, so its
+        #: multi-path executes may apply at once (see
+        #: :meth:`ConcurrentNetworkView.try_execute`).
+        self.settles_now = False
         self._holds: list[HeldHop] = []
         self._transfers: list[tuple[tuple[NodeId, ...], float]] = []
 
-    def begin(self) -> None:
+    def begin(self, settles_now: bool) -> None:
         """Open collection for one route attempt."""
         self._active = True
+        self.settles_now = settles_now
 
     def add(
         self,
@@ -174,6 +185,7 @@ class HoldLedger:
     ) -> tuple[list[HeldHop], list[tuple[tuple[NodeId, ...], float]]]:
         """Close collection and return ``(holds, transfers)``."""
         self._active = False
+        self.settles_now = False
         holds, transfers = self._holds, self._transfers
         self._holds, self._transfers = [], []
         return holds, transfers
@@ -218,7 +230,9 @@ class ConcurrentNetworkView(NetworkView):
     * :meth:`try_execute` places per-hop holds, all-or-nothing (no
       cross-direction netting: HTLC escrow locks both directions, which
       is strictly more conservative than the netted
-      :meth:`~repro.network.graph.ChannelGraph.execute`);
+      :meth:`~repro.network.graph.ChannelGraph.execute`) — unless the
+      attempt settles at its reservation instant, when it applies the
+      payment netted at once, as :class:`NetworkView` does;
     * :meth:`open_session` returns a :class:`DeferredPaymentSession`.
     """
 
@@ -233,8 +247,20 @@ class ConcurrentNetworkView(NetworkView):
 
         Costs one payment message per hop of every partial payment,
         whether or not the attempt reaches it — the count
-        :meth:`NetworkView.try_execute` charges.
+        :meth:`NetworkView.try_execute` charges.  An attempt that
+        settles at its reservation instant (zero hop latency, a whole
+        payment) has nothing in flight to escrow: it applies at once,
+        partial payments in opposite directions of a channel netting
+        out (the capacity constraint of program (1)), and hands the
+        ledger its paths without holds.
         """
+        if self._ledger.settles_now:
+            if not super().try_execute(transfers):
+                return False
+            self._ledger.add(
+                (), [(tuple(path), amount) for path, amount in transfers]
+            )
+            return True
         graph = self._graph
         self.counters.payment_attempts += 1
         self.counters.payment_messages += sum(
@@ -341,44 +367,63 @@ class _MppPayment:
 
 
 class _EscrowRegistry:
-    """Engine-side index of in-flight escrow, keyed by ``(txid, part)``.
+    """Engine-side index of in-flight escrow, keyed by channel pair.
 
     Registered as the :class:`~repro.network.dynamics.GossipSchedule`'s
     ``hold_owner``: when a fault force-closes a channel mid-flight, the
     schedule calls :meth:`force_close` and the registry releases every
-    affected payment's holds on that pair (in key order) and marks the
-    payments disrupted, so escrow is never stranded on a removed channel
-    and conservation invariants hold.  MPP parts share their parent's
-    txid but escrow separately.  Only flights that stay in flight past
-    their reservation instant are registered: one settled inline can
-    never meet a force-close.
+    affected payment's holds on that pair (in deterministic
+    ``(txid, part)`` order) and marks the payments disrupted, so escrow
+    is never stranded on a removed channel and conservation invariants
+    hold.  Only flights that stay in flight past their reservation
+    instant are registered: one settled inline can never meet a
+    force-close.
     """
 
     def __init__(self, graph: ChannelGraph) -> None:
         self._graph = graph
         self._flights: dict[tuple[int, int], _InFlight] = {}
+        self._by_pair: dict[frozenset, set[tuple[int, int]]] = {}
+
+    @staticmethod
+    def _key(flight: _InFlight) -> tuple[int, int]:
+        """Registry key: MPP parts share a txid but escrow separately."""
+        return (flight.pending.transaction.txid, flight.part)
 
     def register(self, flight: _InFlight) -> None:
         """Track a reserved payment's holds while it is in flight."""
-        self._flights[(flight.pending.transaction.txid, flight.part)] = flight
+        key = self._key(flight)
+        self._flights[key] = flight
+        for u, v, _ in flight.holds:
+            self._by_pair.setdefault(frozenset((u, v)), set()).add(key)
 
     def unregister(self, flight: _InFlight) -> None:
         """Drop a settled/expired payment from the index."""
-        self._flights.pop((flight.pending.transaction.txid, flight.part), None)
+        key = self._key(flight)
+        self._flights.pop(key, None)
+        for u, v, _ in flight.holds:
+            pair = frozenset((u, v))
+            members = self._by_pair.get(pair)
+            if members is not None:
+                members.discard(key)
+                if not members:
+                    del self._by_pair[pair]
 
     def force_close(self, a: NodeId, b: NodeId) -> None:
         """Release every in-flight hold on ``(a, b)``; doom those payments."""
         pair = frozenset((a, b))
-        for key in sorted(self._flights):
-            flight = self._flights[key]
+        for key in sorted(self._by_pair.pop(pair, ())):
+            flight = self._flights.get(key)
+            if flight is None:
+                continue
             kept: list[HeldHop] = []
             for u, v, amount in flight.holds:
                 if frozenset((u, v)) == pair:
                     self._graph.release_hold(u, v, amount)
-                    flight.disrupted = True
                 else:
                     kept.append((u, v, amount))
             flight.holds = kept
+            flight.disrupted = True
 
 
 def _max_hops(transfers: Sequence[tuple[tuple[NodeId, ...], float]]) -> int:
@@ -397,7 +442,7 @@ def run_concurrent_simulation(
     copy_graph: bool = True,
     faults: FaultPlan | None = None,
     mpp: MppConfig | None = None,
-    lookahead: int = 256,
+    lookahead: int = LOOKAHEAD,
     progress=None,
 ) -> SimulationResult:
     """Route ``workload`` with overlapping in-flight payments; returns metrics.
@@ -406,8 +451,9 @@ def run_concurrent_simulation(
     router over a (by default) copied graph, one
     :class:`~repro.sim.metrics.TransactionRecord` per transaction folded
     through a :class:`~repro.sim.metrics.StreamingMetricsAccumulator` —
-    under ``config`` and the lifecycle of the module docstring.  A
-    list-backed run keeps each record at its workload position and
+    under ``config`` and the lifecycle of the module docstring.  A list
+    workload's times must not decrease.  A list-backed run keeps each
+    record at its workload position and
     folds them in workload order once the queue drains, so its float
     sums do not depend on completion order.  ``events`` (channel churn)
     apply at their compressed timestamps, before any payment starting
@@ -484,6 +530,13 @@ def _simulate(
         )
     if lookahead <= 0:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
+    if not streaming:
+        times = [transaction.time for transaction in workload]
+        if any(later < earlier for earlier, later in zip(times, times[1:])):
+            raise ValueError(
+                "list workload times must not decrease: payments start in "
+                "time order, so a decreasing time would reorder them"
+            )
     if mpp is not None:
         mpp.validate()
     timed = engine == "concurrent"
@@ -502,8 +555,6 @@ def _simulate(
     revenue_by_node: dict[NodeId, float] = {}
 
     def compress(stream) -> list[ChannelEvent]:
-        if config.load == 1.0:
-            return list(stream)
         return [replace(event, time=event.time / config.load) for event in stream]
 
     scaled_events = merge_event_streams(
@@ -602,17 +653,23 @@ def _simulate(
             timed_out=True,
         )
 
+    # The lock pass reaches the receiver after hop_latency per hop of
+    # the longest path; the settle pass walks back.
+    round_trip = 2.0 * config.hop_latency
+
     def reserve(pending: _PendingPayment, transaction, part: int = -1):
         """Route one attempt and escrow it as an (unregistered) flight.
 
         Churn due by now applies, and routers hear of it, before the
         payment routes.  Returns ``(outcome, flight)``; ``flight`` is
-        None when the route failed.
+        None when the route failed.  A whole payment at zero hop
+        latency settles at once; an MPP part waits in flight for its
+        siblings.
         """
         schedule.advance_to(queue.now)
         probes_before = counters.probe_messages
         payments_before = counters.payment_messages
-        ledger.begin()
+        ledger.begin(settles_now=part < 0 and not round_trip)
         outcome = router.route(transaction)
         holds, transfers = ledger.collect()
         pending.attempts += 1
@@ -636,16 +693,10 @@ def _simulate(
         )
         return outcome, _InFlight(pending, holds, transfers, revenue, part)
 
-    # The lock pass reaches the receiver after hop_latency per hop of
-    # the longest path; the settle pass walks back.
-    round_trip = 2.0 * config.hop_latency
-
     def attempt(pending: _PendingPayment) -> None:
         outcome, flight = reserve(pending, pending.transaction)
         if flight is not None:
-            settle_delay = (
-                round_trip * _max_hops(flight.transfers) if round_trip else 0.0
-            )
+            settle_delay = round_trip * _max_hops(flight.transfers)
             if not settle_delay:
                 finish(flight, outcome)
                 return
@@ -821,13 +872,12 @@ def _simulate(
             return
         start_at = transaction.time / config.load
         pending = _PendingPayment(transaction, start_at, fed)
-        if streaming:
-            threshold.observe(transaction.amount)
+        threshold.observe(transaction.amount)
         queue.schedule(
             max(0.0, start_at - queue.now),
             (lambda: (feed_one(), start(pending)))
             if streaming
-            else partial(start if mpp is not None else attempt, pending),
+            else partial(start, pending),
         )
         fed += 1
         if progress is not None and fed % 10_000 == 0:
@@ -843,9 +893,7 @@ def _simulate(
     for _ in range(lookahead if streaming else len(workload)):
         feed_one()
     queue.run_until_idle(
-        max_events=(lambda: fed * per_payment + len(scaled_events) + 16)
-        if streaming
-        else fed * per_payment + len(scaled_events) + 16
+        max_events=lambda: fed * per_payment + len(scaled_events) + 16
     )
     # The callbacks that schedule themselves hold their own closure
     # cells; emptying those cells frees the router, view and graph copy

@@ -24,7 +24,8 @@ every per-transaction record and every stored metric — are
 byte-identical to the engine as it existed before the concurrent
 engine was added (``tests/sim/test_concurrent.py`` pins a golden
 record; ``tests/sim/test_engine_oracle.py`` replays the former
-one-payment-at-a-time loop, kept in ``tests/engine_reference.py``).
+one-payment-at-a-time loop, kept in ``tests/engine_reference.py``,
+netted multi-path executes included).
 Multi-part payments follow the engine's one set of MPP rules
 (:mod:`repro.sim.mpp`).  Every record is also tagged elephant/mouse
 against a reference threshold, so results break down by class even
@@ -40,7 +41,7 @@ from repro.core.base import Router
 from repro.network.dynamics import ChannelEvent
 from repro.network.graph import ChannelGraph
 from repro.network.view import NetworkView
-from repro.sim.concurrent import ConcurrencyConfig, _simulate
+from repro.sim.concurrent import LOOKAHEAD, ConcurrencyConfig, _simulate
 from repro.sim.faults import FaultPlan
 from repro.sim.metrics import SimulationResult
 from repro.sim.mpp import MppConfig
@@ -70,10 +71,13 @@ def run_simulation(
     four schemes on identical initial balances.  ``copy_graph=False``
     mutates it in place (invariant tests inspect the final balances).
 
-    Channel ``events`` apply to the graph at their timestamps, between
-    payments, and a :class:`~repro.network.dynamics.GossipSchedule`
-    gossips them to the router every ``gossip_period`` seconds, at a
-    payment's start.  The same schedule ticks the graph's
+    Payments start in time order, so a list workload's times must not
+    decrease.  A whole payment's multi-path execute settles at once,
+    netted per channel (:meth:`NetworkView.try_execute`).  Channel
+    ``events`` apply to the graph at their timestamps, between payments,
+    and a :class:`~repro.network.dynamics.GossipSchedule` gossips them to
+    the router every ``gossip_period`` seconds (positive and finite), at
+    a payment's start.  The same schedule ticks the graph's
     ``fee_controller``, if it has one.  ``faults`` (a
     :class:`repro.sim.faults.FaultPlan`) merges the plan's adversarial
     events into that stream (churn first at equal timestamps) and
@@ -104,6 +108,6 @@ def run_simulation(
     )
     return _simulate(
         graph, router_factory, workload, rng, config, events,
-        reference_mice_fraction, copy_graph, faults, mpp, 256, None,
+        reference_mice_fraction, copy_graph, faults, mpp, LOOKAHEAD, None,
         engine="sequential",
     )

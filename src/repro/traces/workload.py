@@ -21,8 +21,9 @@ class Transaction:
     """One payment: ``sender`` pays ``receiver`` ``amount`` at ``time``.
 
     ``time`` is in seconds from the start of the trace; the trace-driven
-    simulator only uses its order, while the recurrence analysis (Fig 4)
-    uses it to delimit 24-hour windows.
+    simulator starts payments, and applies channel events, in time order
+    (a list workload's times must not decrease), while the recurrence
+    analysis (Fig 4) uses it to delimit 24-hour windows.
     """
 
     txid: int

@@ -6,6 +6,7 @@ import pytest
 
 from repro.network.dynamics import run_dynamic_simulation
 from repro.scenarios import get_scenario
+from repro.sim.concurrent import run_concurrent_simulation
 from repro.sim.engine import run_simulation
 from repro.sim.factories import (
     flash_factory,
@@ -92,6 +93,21 @@ class TestRunSimulation:
         assert [r.success for r in first.records] == [
             r.success for r in second.records
         ]
+
+    @pytest.mark.parametrize("engine", ["sequential", "concurrent"])
+    def test_decreasing_list_times_are_refused(
+        self, diamond_graph, small_workload, engine
+    ):
+        # Payments start in time order; a list out of that order would
+        # silently run in another order than it reads.
+        small_workload.transactions.reverse()
+        run = (
+            run_simulation
+            if engine == "sequential"
+            else run_concurrent_simulation
+        )
+        with pytest.raises(ValueError, match="must not decrease"):
+            run(diamond_graph, flash_factory(), small_workload)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,10 @@ it.  Each case builds one seeded scenario and runs every paper scheme
 through ``_single_run`` twice on the same build and router seeds, once
 on the engine and once with the runner bound to the reference loop,
 then compares every per-payment record field, the stored metrics
-(``to_record()``) and, under a fault plan, the resilience family.
+(``to_record()``) and, under a fault plan, the resilience family.  Two
+crafted Flash elephants, whose paths cross one channel twice, check
+that a payment settling at once executes netted per channel, as the
+former loop did.
 
 The reference loop has no multi-part path; a sequential MPP run follows
 the engine's one set of MPP rules and is pinned by digest instead.
@@ -25,11 +28,14 @@ import pytest
 import engine_reference as reference
 import repro.scenarios as scenarios
 from repro.network.feemarket import FeeMarketController
+from repro.network.graph import ChannelGraph
 from repro.sim import runner
-from repro.sim.factories import paper_benchmark_factories
+from repro.sim.engine import run_simulation
+from repro.sim.factories import flash_factory, paper_benchmark_factories
 from repro.sim.metrics import TransactionRecord
 from repro.sim.mpp import MppConfig
 from repro.sim.runner import DEFAULT_MICE_FRACTION, RunConfig, _single_run
+from repro.traces.workload import Transaction, Workload
 
 #: Every field of a ``TransactionRecord``.
 FIELDS = tuple(field.name for field in dataclasses.fields(TransactionRecord))
@@ -117,6 +123,70 @@ def test_policy_aware_multipath_failure_matches_sequential(name):
     # payment message per hop of every part on both sides.
     engine, expected = _engine_and_reference(_scenario_factory(name), 0)
     assert _differences(engine, expected) == []
+
+
+#: Name -> ``(channels, amount)``: one Flash elephant from ``s`` to
+#: ``t`` whose two max-flow paths cross one channel twice.
+CRAFTED = {
+    # The first path takes a -> b; the second, through the residual
+    # reverse edge, b -> a, on a channel with nothing on b's side.  The
+    # split fits only with the opposite flows netted out.
+    "reverse-hop": (
+        [
+            ("s", "a", 10.0, 0.0), ("a", "b", 10.0, 0.0),
+            ("b", "t", 10.0, 0.0), ("s", "c", 10.0, 0.0),
+            ("c", "e", 10.0, 0.0), ("e", "b", 10.0, 0.0),
+            ("a", "d", 10.0, 0.0), ("d", "f", 10.0, 0.0),
+            ("f", "t", 10.0, 0.0),
+        ],
+        20.0,
+    ),
+    # Both paths leave s over s - a: netted, s's balance falls by their
+    # sum in one subtraction (0.6, where two give 0.6000000000000001).
+    "shared-hop": (
+        [
+            ("s", "a", 1.0, 0.0), ("a", "b", 5.0, 0.0),
+            ("b", "t", 0.2, 0.0), ("a", "c", 5.0, 0.0),
+            ("c", "t", 0.2, 0.0),
+        ],
+        0.4,
+    ),
+}
+
+
+def _crafted_graph(channels):
+    graph = ChannelGraph()
+    for a, b, balance_a, balance_b in channels:
+        graph.add_channel(a, b, balance_a, balance_b)
+    return graph
+
+
+def _balances(graph):
+    return [
+        (channel.a, channel.b, channel.balance_ab, channel.balance_ba)
+        for channel in graph.channels()
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+def test_netted_multipath_execute_matches_sequential(name):
+    # A whole payment that settles at its start executes netted per
+    # channel, as the former loop's ``NetworkView.try_execute`` did.
+    channels, amount = CRAFTED[name]
+    workload = Workload([Transaction(0, "s", "t", amount)])
+    engine_graph = _crafted_graph(channels)
+    reference_graph = _crafted_graph(channels)
+    engine = run_simulation(
+        engine_graph, flash_factory(), workload, copy_graph=False
+    )
+    expected = reference.run_simulation(
+        reference_graph, flash_factory(), workload, copy_graph=False
+    )
+    assert expected.records[0].success
+    assert expected.records[0].paths_used == 2
+    assert engine.records == expected.records
+    assert _balances(engine_graph) == _balances(reference_graph)
+    assert engine_graph.total_held() == 0
 
 
 #: Scheme -> digest of a sequential MPP run (``ripple-default``, seed 0).
