@@ -29,9 +29,8 @@ loop calls ``shortest_path_residual``, which always runs the serial
 vectorizing the single-pair residual probe loses 10-20x because the
 search touches a tiny fraction of the graph while every frontier would
 pay ndarray call overhead.  The residual/stamp scratch is therefore a
-plain float list; only the full sweeps
-(``distances_idx``/``bfs_tree``) vectorize, on large graphs
-(see :attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES`).
+plain float list; only the full sweeps (``distances_idx``/``bfs_tree``)
+leave Python, for scipy's C breadth-first search.
 """
 
 from __future__ import annotations

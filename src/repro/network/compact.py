@@ -15,6 +15,9 @@ path algorithms O(1) integer bookkeeping:
 * BFS runs over flat ``parent``/``seen`` arrays instead of dicts, with an
   epoch-stamped scratch buffer so repeated searches (Yen's spur loop,
   Algorithm 1's augmenting loop) allocate nothing;
+* a full sweep (every node reachable from one source) runs scipy's C
+  breadth-first search over the rows in stored order, so it discovers
+  nodes exactly as a serial queue would;
 * Yen keys its candidate heap and removed-edge sets by slot ids;
 * the Edmonds–Karp residual matrix of Algorithm 1 becomes one flat float
   list indexed by slot, with ``reverse_slot`` providing the O(1) reverse
@@ -50,8 +53,11 @@ escrow.  The full delta lifecycle is documented in
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, Sequence
+from itertools import accumulate, chain, repeat
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.network.channel import NodeId
 
@@ -61,11 +67,10 @@ __all__ = ["CompactTopology"]
 def get_default_backend() -> str:
     """Always ``"python"``; selects nothing.
 
-    :class:`CompactTopology` picks its sweep kernel by graph size
-    (:attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES`).  This stays, outside
-    ``__all__``, only because ``perfbench/run.py`` records the name in its
-    provenance; the next change to the benchmark deletes it together with
-    that call.
+    :class:`CompactTopology` has one kernel per search.  This stays,
+    outside ``__all__``, only because ``perfbench/run.py`` records the
+    name in its provenance; the next change to the benchmark deletes it
+    together with that call.
     """
     return "python"
 
@@ -80,6 +85,36 @@ def set_default_backend(backend: str) -> str:
     if backend not in ("python", "numpy"):
         raise ValueError(f"unknown backend {backend!r} (known: python, numpy)")
     return backend
+
+
+def _slot_key(u, v):
+    """The :attr:`CompactTopology.slot_map` key of directed edge ``u -> v``.
+
+    One int, ``(u << 32) | v``, instead of a tuple per edge; ``u`` and
+    ``v`` may be ints or ``int64`` arrays of them.
+    """
+    return (u << 32) | v
+
+
+def _depths(order: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Hop depth of each entry of a BFS ``order``, from its parents.
+
+    ``parent`` maps each reached node to its parent, the root to itself.
+    Pointer jumping over positions in ``order``: ``up`` starts at each
+    entry's parent and ``hops`` at one edge (the root at none).  Each
+    pass adds the hops of the entry ``up`` points to and then doubles
+    the jump, so after ``log2(depth)`` passes every ``up`` is the root
+    (position 0) and ``hops`` the depth.
+    """
+    position = np.empty(len(parent), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    up = position[parent[order]]
+    hops = np.ones(len(order), dtype=np.intp)
+    hops[0] = 0
+    while up.any():
+        hops += hops[up]
+        up = up[up]
+    return hops
 
 
 class CompactTopology(Mapping):
@@ -103,7 +138,9 @@ class CompactTopology(Mapping):
         Slot of the opposite direction of the same channel, or ``-1``
         when the adjacency has no reverse edge (directed mappings).
     slot_map:
-        ``(tail, head) -> slot`` for every live directed edge.
+        Edge key -> slot for every live directed edge; the key of
+        ``tail -> head`` is the int ``(tail << 32) | head``.  Read it
+        through :meth:`slot_of`, which owns the key format.
     version:
         The owning graph's topology version at build time (0 for
         free-standing snapshots).
@@ -148,10 +185,7 @@ class CompactTopology(Mapping):
         "_flow_residual",
         "_flow_stamp",
         "_flow_epoch",
-        "_np_arrays",
-        "_np_seen",
-        "_np_stamp",
-        "_np_epoch",
+        "_csr",
         "policy_version",
         "fee_rates",
     )
@@ -160,21 +194,6 @@ class CompactTopology(Mapping):
     #: overhead dominates) and, more importantly, unit-test-scale graphs
     #: keep the tie-breaking of a plain one-sided BFS.
     BIDIRECTIONAL_MIN_NODES = 128
-
-    #: At or above this many nodes the unconstrained full sweeps
-    #: (:meth:`distances_idx` without ``slot_ok``, :meth:`bfs_tree`)
-    #: run vectorized, one whole BFS frontier per numpy pass; below it
-    #: they run the serial loops.  A vectorized level pays a fixed
-    #: ndarray call overhead that only a wide frontier amortizes: on
-    #: BA graphs the vectorized sweeps ran 0.26-0.44x the serial speed
-    #: at 100 nodes and beat it on every graph measured from 2,000 up
-    #: (table in docs/ARCHITECTURE.md, "Kernel selection").  Both
-    #: kernels return the same dict or arrays, in the same discovery
-    #: order, so the choice never changes a result.  Single-pair
-    #: searches (Yen's spur loop, Algorithm 1) stay serial at every
-    #: size: they visit a small share of the graph, and vectorizing them
-    #: measured 10-20x slower.
-    VECTOR_SWEEP_MIN_NODES = 2_000
 
     #: Compaction trigger: once tombstoned + arena slots exceed
     #: ``max(COMPACT_MIN_SLOTS, base_slots // 4)`` the next
@@ -188,28 +207,24 @@ class CompactTopology(Mapping):
         indptr: list[int],
         indices: list[int],
         version: int = 0,
+        index: dict[NodeId, int] | None = None,
     ) -> None:
         self.nodes = nodes
         self.indptr = indptr
         self.indices = indices
         self.version = version
-        self._index: dict[NodeId, int] = {
-            node: i for i, node in enumerate(nodes)
-        }
         n = len(nodes)
-        tail = [0] * len(indices)
-        for u in range(n):
-            for slot in range(indptr[u], indptr[u + 1]):
-                tail[slot] = u
-        self.slot_tail = tail
-        slot_map: dict[tuple[int, int], int] = {}
-        for slot, head in enumerate(indices):
-            slot_map[(tail[slot], head)] = slot
+        self._index = dict(zip(nodes, range(n))) if index is None else index
+        # The key of a duplicate edge maps to its last slot.
+        head = np.array(indices, dtype=np.int64)
+        tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        self.slot_tail = tail.tolist()
+        keys = _slot_key(tail, head).tolist()
+        slot_map = dict(zip(keys, range(len(indices))))
         self.slot_map = slot_map
-        self.reverse_slot = [
-            slot_map.get((indices[slot], tail[slot]), -1)
-            for slot in range(len(indices))
-        ]
+        self.reverse_slot = list(
+            map(slot_map.get, _slot_key(head, tail).tolist(), repeat(-1))
+        )
         self._neighbor_lists: dict[int, tuple[NodeId, ...]] = {}
         self._repr_keys: list[str] | None = None
         # Per-node neighbor index lists (CSR unpacked once): the BFS inner
@@ -240,12 +255,9 @@ class CompactTopology(Mapping):
         self._flow_residual: list[float] | None = None
         self._flow_stamp: list[int] | None = None
         self._flow_epoch = 0
-        # Vectorized-sweep state: lazy int64 CSR mirrors and
-        # epoch-stamped vector scratch.
-        self._np_arrays = None
-        self._np_seen = None
-        self._np_stamp = None
-        self._np_epoch = 0
+        # The live rows as a scipy CSR matrix, built on the first full
+        # sweep (see _csr_matrix()).
+        self._csr: csr_array | None = None
         # Per-slot fee_rate array (see set_fee_rates); None until set.
         self.policy_version = 0
         self.fee_rates: list[float] | None = None
@@ -264,28 +276,28 @@ class CompactTopology(Mapping):
         order is preserved, so below :attr:`BIDIRECTIONAL_MIN_NODES`
         every path result is the one a one-sided BFS walking the
         mapping's own lists finds.  Neighbors that are not themselves keys
-        (dangling references) are interned with no outgoing edges.
-        An input that is already a snapshot passes through unchanged.
+        (dangling references) are interned with no outgoing edges, in
+        the order they are first mentioned.  The rows are only iterated,
+        so a graph's own ``node -> {neighbor: channel}`` rows serve as
+        they are.  An input that is already a snapshot passes through
+        unchanged.
         """
         if isinstance(adjacency, cls):
             return adjacency
-        nodes: list[NodeId] = []
-        index: dict[NodeId, int] = {}
-        for node in adjacency:
-            index[node] = len(nodes)
-            nodes.append(node)
-        for neighbors in adjacency.values():
-            for v in neighbors:
+        nodes = list(adjacency)
+        index = dict(zip(nodes, range(len(nodes))))
+        rows = list(adjacency.values())
+        heads = list(chain.from_iterable(rows))
+        indices = list(map(index.get, heads))
+        if None in indices:
+            for v in heads:
                 if v not in index:
                     index[v] = len(nodes)
                     nodes.append(v)
-        indptr = [0] * (len(nodes) + 1)
-        indices: list[int] = []
-        for i, node in enumerate(nodes):
-            neighbors = adjacency.get(node, ())
-            indices.extend(index[v] for v in neighbors)
-            indptr[i + 1] = len(indices)
-        return cls(nodes, indptr, indices, version=version)
+            indices = list(map(index.__getitem__, heads))
+        indptr = [0, *accumulate(map(len, rows))]
+        indptr.extend(repeat(len(indices), len(nodes) - len(rows)))
+        return cls(nodes, indptr, indices, version=version, index=index)
 
     # ---------------------------------------------------- delta application
 
@@ -377,8 +389,8 @@ class CompactTopology(Mapping):
                 rows[ia].append(s_ab)
                 nbrs[ib].append(ia)
                 rows[ib].append(s_ba)
-                slot_map[(ia, ib)] = s_ab
-                slot_map[(ib, ia)] = s_ba
+                slot_map[_slot_key(ia, ib)] = s_ab
+                slot_map[_slot_key(ib, ia)] = s_ba
                 arena += 2
                 if fee_rates is not None:
                     # Keep the rate array aligned with the arena.
@@ -392,8 +404,8 @@ class CompactTopology(Mapping):
                 ib = index[b]
                 own(ia)
                 own(ib)
-                del slot_map[(ia, ib)]
-                del slot_map[(ib, ia)]
+                del slot_map[_slot_key(ia, ib)]
+                del slot_map[_slot_key(ib, ia)]
                 j = nbrs[ia].index(ib)
                 del nbrs[ia][j]
                 del rows[ia][j]
@@ -423,11 +435,11 @@ class CompactTopology(Mapping):
             else:
                 raise ValueError(f"unknown topology delta op {op!r}")
 
-        # Vector mirrors never carry over: a derived snapshot's live rows
-        # differ from the base CSR, so the mirrors are rebuilt (lazily,
-        # on the first vectorized sweep) from the rows themselves.
-        # The rate array is append-only and slot-parallel, so it is
-        # shared like the other slot arrays.
+        # The CSR matrix never carries over: a derived snapshot's live
+        # rows differ from the base CSR, so its first full sweep builds
+        # the matrix from the rows themselves.  The rate array is
+        # append-only and slot-parallel, so it is shared like the other
+        # slot arrays.
         return self._derive(
             nodes=nodes,
             index=index,
@@ -445,7 +457,7 @@ class CompactTopology(Mapping):
             # Channel deltas add/remove both directions together, so a
             # symmetric topology stays symmetric; anything else recomputes.
             symmetric=True if self._symmetric is True else None,
-            np_arrays=None,
+            csr=None,
             policy_version=self.policy_version,
             fee_rates=fee_rates,
         )
@@ -454,10 +466,10 @@ class CompactTopology(Mapping):
         """An observably identical snapshot that owns its slot arrays.
 
         The fork shares this snapshot's interning table and repr keys,
-        per-node rows, slot map, neighbor-tuple cache and vector mirrors
-        (those last only if a vectorized sweep has already built them;
-        otherwise each fork builds its own on its first one), all of
-        which :meth:`apply_delta` copies before changing.  It
+        per-node rows, slot map, neighbor-tuple cache and CSR matrix
+        (that last only if a full sweep has already built it; otherwise
+        each fork builds its own on its first one), all of which
+        :meth:`apply_delta` copies or drops before changing.  It
         gets its own ``indices``/``slot_tail``/``reverse_slot``, cut at
         this snapshot's :attr:`num_slots`, because ``apply_delta``
         appends to those in place: sibling forks then grow their arenas
@@ -482,7 +494,7 @@ class CompactTopology(Mapping):
             arena=self._arena_count,
             version=self.version,
             symmetric=self.is_symmetric,
-            np_arrays=self._np_arrays,
+            csr=self._csr,
             policy_version=0,
             fee_rates=None,
         )
@@ -495,7 +507,7 @@ class CompactTopology(Mapping):
         repr_keys: list[str] | None,
         nbrs: list[list[int]],
         rows: list[list[int]],
-        slot_map: dict[tuple[int, int], int],
+        slot_map: dict[int, int],
         neighbor_lists: dict[int, tuple[NodeId, ...]],
         indices: list[int],
         slot_tail: list[int],
@@ -504,7 +516,7 @@ class CompactTopology(Mapping):
         arena: int,
         version: int,
         symmetric: bool | None,
-        np_arrays,
+        csr: csr_array | None,
         policy_version: int,
         fee_rates: list[float] | None,
     ) -> "CompactTopology":
@@ -539,10 +551,7 @@ class CompactTopology(Mapping):
         derived._flow_residual = None
         derived._flow_stamp = None
         derived._flow_epoch = 0
-        derived._np_arrays = np_arrays
-        derived._np_seen = None
-        derived._np_stamp = None
-        derived._np_epoch = 0
+        derived._csr = csr
         derived.policy_version = policy_version
         derived.fee_rates = fee_rates
         return derived
@@ -600,7 +609,7 @@ class CompactTopology(Mapping):
 
     def slot_of(self, u_idx: int, v_idx: int) -> int | None:
         """Slot of directed edge ``u -> v`` (by dense index), or ``None``."""
-        return self.slot_map.get((u_idx, v_idx))
+        return self.slot_map.get(_slot_key(u_idx, v_idx))
 
     @property
     def repr_keys(self) -> list[str]:
@@ -618,14 +627,10 @@ class CompactTopology(Mapping):
 
     def path_slots(self, idx_path: Sequence[int]) -> list[int] | None:
         """Slots traversed by an index path, or ``None`` on a non-edge."""
-        slots = []
-        slot_map = self.slot_map
-        for u, v in zip(idx_path, idx_path[1:]):
-            slot = slot_map.get((u, v))
-            if slot is None:
-                return None
-            slots.append(slot)
-        return slots
+        slots = list(
+            map(self.slot_map.get, map(_slot_key, idx_path, idx_path[1:]))
+        )
+        return None if None in slots else slots
 
     @property
     def neighbor_idx(self) -> list[list[int]]:
@@ -639,10 +644,7 @@ class CompactTopology(Mapping):
         if nbrs is None:
             indptr = self.indptr
             indices = self.indices
-            nbrs = [
-                indices[indptr[i] : indptr[i + 1]]
-                for i in range(len(self.nodes))
-            ]
+            nbrs = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
             self._nbr_idx = nbrs
         return nbrs
 
@@ -659,10 +661,7 @@ class CompactTopology(Mapping):
         rows = self._slot_rows
         if rows is None:
             indptr = self.indptr
-            rows = [
-                list(range(indptr[i], indptr[i + 1]))
-                for i in range(len(self.nodes))
-            ]
+            rows = list(map(list, map(range, indptr, indptr[1:])))
             self._slot_rows = rows
         return rows
 
@@ -707,129 +706,59 @@ class CompactTopology(Mapping):
             and self.is_symmetric
         )
 
-    # ------------------------------------------------- vectorized sweeps
+    # ---------------------------------------------------------- full sweeps
 
-    def _np(self):
-        """Lazy int64 mirrors ``(row_ptr, flat_neighbors, degrees)``.
+    def _csr_matrix(self) -> csr_array:
+        """The live rows as one scipy CSR matrix (built once, then cached).
 
-        On fresh snapshots the mirrors wrap the CSR arrays directly; on
-        delta-derived ones they are flattened from the live rows (so
-        tombstoned slots never appear).
+        Its ``int32`` ``indices`` keep every row in stored order, which
+        is what makes the C sweep break ties as the serial loops do.  The
+        data are ``float64`` ones: ``breadth_first_order`` converts any
+        other dtype on every call, and that conversion sorts the rows.
+        On fresh snapshots the matrix wraps the CSR arrays; on
+        delta-derived ones it is flattened from the live rows, so
+        tombstoned slots never appear.
         """
-        arrays = self._np_arrays
-        if arrays is None:
+        csr = self._csr
+        if csr is None:
+            n = len(self.nodes)
             if (
                 self._dead_count == 0
                 and self._arena_count == 0
-                and len(self.indptr) == len(self.nodes) + 1
+                and len(self.indptr) == n + 1
             ):
-                row_ptr = np.asarray(self.indptr, dtype=np.int64)
-                flat = np.asarray(self.indices, dtype=np.int64)
+                indptr = np.array(self.indptr, dtype=np.int32)
+                indices = np.array(self.indices, dtype=np.int32)
             else:
                 rows = self.neighbor_idx
-                counts = np.fromiter(
-                    (len(row) for row in rows),
-                    dtype=np.int64,
-                    count=len(rows),
+                indptr = np.zeros(n + 1, dtype=np.int32)
+                np.cumsum(
+                    np.fromiter(map(len, rows), dtype=np.int32, count=n),
+                    out=indptr[1:],
                 )
-                row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-                np.cumsum(counts, out=row_ptr[1:])
-                flat = np.fromiter(
-                    (v for row in rows for v in row),
-                    dtype=np.int64,
-                    count=int(row_ptr[-1]),
+                indices = np.fromiter(
+                    chain.from_iterable(rows),
+                    dtype=np.int32,
+                    count=int(indptr[-1]),
                 )
-            arrays = (row_ptr, flat, row_ptr[1:] - row_ptr[:-1])
-            self._np_arrays = arrays
-        return arrays
+            csr = csr_array(
+                (np.ones(len(indices)), indices, indptr), shape=(n, n)
+            )
+            self._csr = csr
+        return csr
 
-    def _np_scratch(self):
-        """Epoch-stamped ``(seen, stamp, epoch)`` vector scratch."""
-        seen = self._np_seen
-        if seen is None:
-            n = len(self.nodes)
-            seen = np.zeros(n, dtype=np.int64)
-            self._np_seen = seen
-            self._np_stamp = np.zeros(n, dtype=np.int64)
-        self._np_epoch += 1
-        return seen, self._np_stamp, self._np_epoch
+    def _sweep(self, src: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, parent)`` of one C-level BFS from ``src``.
 
-    def _distances_idx_np(self, src: int) -> dict[int, int]:
-        """Vectorized whole-frontier distance sweep.
-
-        Level by level: gather every frontier edge with one fancy-index
-        pass, drop already-seen heads, then keep the *first occurrence*
-        of each head in edge order via the reversed-last-write stamp
-        trick (``stamp[neigh[::-1]] = pos[::-1]`` leaves each head's
-        first position, so ``stamp[neigh] == pos`` masks exactly the
-        serial kernel's insertions).  The result dict therefore matches
-        the serial sweep bit-for-bit *including insertion order*.
+        ``order`` is BFS discovery order, ``src`` first; ``parent`` maps
+        ``src`` to itself and every unreached node to ``-9999``, scipy's
+        mark for no predecessor.
         """
-        row_ptr, flat, deg = self._np()
-        seen, stamp, epoch = self._np_scratch()
-        seen[src] = epoch
-        dist = {src: 0}
-        frontier = np.full(1, src, dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            depth += 1
-            counts = deg[frontier]
-            total = int(counts.sum())
-            if not total:
-                break
-            cum = np.cumsum(counts)
-            pos = np.arange(total, dtype=np.int64)
-            neigh = flat[
-                np.repeat(row_ptr[frontier] - (cum - counts), counts) + pos
-            ]
-            neigh = neigh[seen[neigh] != epoch]
-            if not neigh.size:
-                break
-            pos = pos[: neigh.size]
-            stamp[neigh[::-1]] = pos[::-1]
-            frontier = neigh[stamp[neigh] == pos]
-            seen[frontier] = epoch
-            dist.update(dict.fromkeys(frontier.tolist(), depth))
-        return dist
-
-    def _bfs_tree_np(self, src: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized BFS spanning-tree sweep (see :meth:`bfs_tree`).
-
-        Same frontier batching and first-occurrence stamping as
-        :meth:`_distances_idx_np`, additionally carrying each edge's
-        tail so the surviving heads adopt exactly the parent the serial
-        kernel would assign.  The parent array doubles as the seen set,
-        and the order is the levels' frontiers end to end.
-        """
-        row_ptr, flat, deg = self._np()
-        stamp = self._np_scratch()[1]
-        parent = np.full(len(self.nodes), -1, dtype=np.int64)
+        order, parent = breadth_first_order(
+            self._csr_matrix(), src, return_predecessors=True
+        )
         parent[src] = src
-        frontier = np.full(1, src, dtype=np.int64)
-        levels = [frontier]
-        while True:
-            counts = deg[frontier]
-            total = int(counts.sum())
-            if not total:
-                break
-            cum = np.cumsum(counts)
-            pos = np.arange(total, dtype=np.int64)
-            neigh = flat[
-                np.repeat(row_ptr[frontier] - (cum - counts), counts) + pos
-            ]
-            par = np.repeat(frontier, counts)
-            mask = parent[neigh] < 0
-            neigh = neigh[mask]
-            if not neigh.size:
-                break
-            par = par[mask]
-            pos = pos[: neigh.size]
-            stamp[neigh[::-1]] = pos[::-1]
-            keep = stamp[neigh] == pos
-            frontier = neigh[keep]
-            parent[frontier] = par[keep]
-            levels.append(frontier)
-        return parent, np.concatenate(levels)
+        return order, parent
 
     def flow_scratch(self) -> tuple[list[float], list[int], int]:
         """Per-slot ``(residual, stamp, epoch)`` scratch for Algorithm 1.
@@ -1295,31 +1224,19 @@ class CompactTopology(Mapping):
     def distances_idx(self, src: int, slot_ok=None) -> dict[int, int]:
         """Hop distance from ``src`` to every reachable dense index.
 
-        The unconstrained sweep is vectorized on snapshots of at least
-        :attr:`VECTOR_SWEEP_MIN_NODES` nodes (identical result, including
-        dict order); a ``slot_ok`` predicate always takes the serial
-        kernel since per-slot Python callbacks defeat batching.
+        The dict is in BFS discovery order, ``src`` first.  The
+        unconstrained sweep runs in C (:meth:`_sweep`) and reads each
+        depth off the parents; a ``slot_ok`` predicate takes the
+        serial loop, since it is a Python call per slot.
         """
-        if (
-            slot_ok is None
-            and len(self.nodes) >= self.VECTOR_SWEEP_MIN_NODES
-        ):
-            return self._distances_idx_np(src)
+        if slot_ok is None:
+            order, parent = self._sweep(src)
+            return dict(zip(order.tolist(), _depths(order, parent).tolist()))
         dist = {src: 0}
         nbrs = self.neighbor_idx
+        srows = self.slot_rows
         queue = [src]
         head = 0
-        if slot_ok is None:
-            while head < len(queue):
-                u = queue[head]
-                head += 1
-                base = dist[u] + 1
-                for v in nbrs[u]:
-                    if v not in dist:
-                        dist[v] = base
-                        queue.append(v)
-            return dist
-        srows = self.slot_rows
         while head < len(queue):
             u = queue[head]
             head += 1
@@ -1339,26 +1256,12 @@ class CompactTopology(Mapping):
         ``parent[i]`` is the dense index from which the sweep first
         reached ``i`` (``src`` is its own parent, -1 where unreached),
         and ``order`` lists the reached indices in BFS discovery order,
-        ``src`` first; both are ``int64`` arrays.  Serial below
-        :attr:`VECTOR_SWEEP_MIN_NODES` nodes, vectorized at or above it
-        (:meth:`_bfs_tree_np`), with identical arrays either way.
-        :class:`TreeParents` reads them by node id.
+        ``src`` first; both are ``int32`` arrays from one C-level sweep
+        (:meth:`_sweep`).  :class:`TreeParents` reads them by node id.
         """
-        if len(self.nodes) >= self.VECTOR_SWEEP_MIN_NODES:
-            return self._bfs_tree_np(src)
-        parent = [-1] * len(self.nodes)
-        parent[src] = src
-        order = [src]
-        nbrs = self.neighbor_idx
-        for u in order:  # visits what the loop appends: the BFS queue
-            for v in nbrs[u]:
-                if parent[v] < 0:
-                    parent[v] = u
-                    order.append(v)
-        return (
-            np.array(parent, dtype=np.int64),
-            np.array(order, dtype=np.int64),
-        )
+        order, parent = self._sweep(src)
+        np.maximum(parent, -1, out=parent)
+        return parent, order
 
     # ----------------------------------------------------------- fee rates
 

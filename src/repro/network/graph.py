@@ -400,10 +400,9 @@ class ChannelGraph:
         return self.channel_policy(src, dst).fee_rate
 
     def _rebuild(self) -> CompactTopology:
-        """A full snapshot, interned from the adjacency."""
+        """A full snapshot, interned from the graph's own rows."""
         return CompactTopology.from_adjacency(
-            {node: list(nbrs) for node, nbrs in self._adj.items()},
-            version=self._topology_version,
+            self._adj, version=self._topology_version
         )
 
     def _refresh_fee_rates(self, snapshot: CompactTopology) -> None:
@@ -651,7 +650,7 @@ class ChannelGraph:
         if (src, dst) in self._unslotted:
             return None
         index = snapshot._index
-        return snapshot.fee_rates[snapshot.slot_map[index[src], index[dst]]]
+        return snapshot.fee_rates[snapshot.slot_of(index[src], index[dst])]
 
     def _write_rates(self) -> None:
         """Write every live rate into its direction's record.

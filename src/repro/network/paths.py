@@ -28,13 +28,12 @@ outgoing edges, and searches may pass through to it).
 Kernel selection lives behind the snapshot, not here.  From
 :attr:`CompactTopology.BIDIRECTIONAL_MIN_NODES` nodes the single-pair
 searches run bidirectional: paths stay fewest-hop, but ties between
-equal-length paths may break differently than below the threshold.  From
-:attr:`CompactTopology.VECTOR_SWEEP_MIN_NODES` nodes the full-sweep entry
-points (:func:`bfs_distances` without ``edge_ok``,
+equal-length paths may break differently than below the threshold.  The
+full-sweep entry points (:func:`bfs_distances` without ``edge_ok``,
 :func:`bfs_tree_parents` — the routing-table and embedding hot paths) run
-vectorized frontier batches.  Both sweep kernels return the same results
-in the same order, BFS discovery order, so callers never need to know
-which one ran.  :func:`bfs_distances` returns a dict;
+one C-level BFS at every size, whose results are in BFS discovery order
+exactly as a serial queue over the rows gives them.
+:func:`bfs_distances` returns a dict;
 :func:`bfs_tree_parents` returns a read-only
 :class:`~repro.network.compact.TreeParents` view over the tree kernel's
 two index arrays (parent per dense index, discovery order), which reads

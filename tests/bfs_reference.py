@@ -19,6 +19,11 @@ exactly below ``CompactTopology.BIDIRECTIONAL_MIN_NODES`` and in length
 above it, and full sweeps must match in content and order at every size.
 These loops predate the endpoint rule of ``repro.network.paths``; pass
 them endpoints that are keys of the mapping.
+
+:func:`distances_idx` and :func:`bfs_tree` give the two full sweeps of a
+snapshot in the kernels' own shapes (an index dict, two index arrays),
+computed by the dict loops; :func:`use_reference_sweeps` puts them in
+place of the kernels for a whole run.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ import random
 from collections import deque
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.network.channel import NodeId
+from repro.network.compact import CompactTopology
 from repro.network.graph import ChannelGraph
 from repro.network.paths import Adjacency, EdgePredicate, Path
 from repro.sim.faults import _pair_key
@@ -107,6 +115,53 @@ def bfs_tree_parents(
                 parent[v] = u
                 queue.append(v)
     return parent
+
+
+def distances_idx(
+    snapshot: CompactTopology, src: int, adjacency: Adjacency | None = None
+) -> dict[int, int]:
+    """``snapshot.distances_idx(src)``, by the dict loop.
+
+    Walks ``adjacency`` (by default the snapshot's own mapping view),
+    whose node and neighbor order must be the snapshot's.
+    """
+    walked = snapshot if adjacency is None else adjacency
+    index = snapshot.index_of
+    return {
+        index(node): depth
+        for node, depth in bfs_distances(walked, snapshot.nodes[src]).items()
+    }
+
+
+def bfs_tree(
+    snapshot: CompactTopology, src: int, adjacency: Adjacency | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``snapshot.bfs_tree(src)``'s ``(parent, order)``, by the dict loop."""
+    walked = snapshot if adjacency is None else adjacency
+    index = snapshot.index_of
+    parent = [-1] * snapshot.num_nodes
+    order = []
+    for node, up in bfs_tree_parents(walked, snapshot.nodes[src]).items():
+        parent[index(node)] = index(up)
+        order.append(index(node))
+    return np.array(parent), np.array(order)
+
+
+def use_reference_sweeps(monkeypatch) -> None:
+    """Run every unconstrained full sweep on the dict loops above.
+
+    A ``slot_ok`` sweep keeps the kernel's serial loop.  The patch lasts
+    as long as ``monkeypatch`` (or its ``context()``) does.
+    """
+    kernel = CompactTopology.distances_idx
+
+    def sweep(self, src, slot_ok=None):
+        if slot_ok is not None:
+            return kernel(self, src, slot_ok)
+        return distances_idx(self, src)
+
+    monkeypatch.setattr(CompactTopology, "distances_idx", sweep)
+    monkeypatch.setattr(CompactTopology, "bfs_tree", bfs_tree)
 
 
 # ------------------------------------------------- multi-path on top of BFS

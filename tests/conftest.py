@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from bfs_reference import use_reference_sweeps
 
-from repro.network.compact import CompactTopology
 from repro.network.graph import ChannelGraph
 from repro.network.topology import grid_topology, line_topology
 
@@ -16,29 +16,17 @@ def rng() -> random.Random:
     return random.Random(12345)
 
 
-@pytest.fixture
-def vector_sweeps(monkeypatch):
-    """A ``force()`` that puts every snapshot on the vectorized sweeps.
+@pytest.fixture(params=("kernel", "reference"))
+def sweeps(request, monkeypatch) -> str:
+    """Run a test twice: on the C sweep kernel, then on the dict loops.
 
-    ``CompactTopology`` picks the vectorized full sweeps only from
-    ``VECTOR_SWEEP_MIN_NODES`` nodes up, far above test-scale graphs.
-    After ``force()`` the threshold is 0 for the rest of the test, so
-    every unconstrained ``distances_idx``/``bfs_tree`` sweep runs the
-    vectorized kernel whatever the graph size.  A test may compute a
-    reference first and force afterwards.
+    The ``reference`` run puts the loops of ``tests/bfs_reference.py`` in
+    place of every unconstrained full sweep (``use_reference_sweeps``).
+    The kernel reads a snapshot's CSR matrix and the loops its mapping
+    rows, so a check that holds on both holds on either representation.
     """
-
-    def force() -> None:
-        monkeypatch.setattr(CompactTopology, "VECTOR_SWEEP_MIN_NODES", 0)
-
-    return force
-
-
-@pytest.fixture(params=("by-size", "vector"))
-def sweep_kernel(request, vector_sweeps) -> str:
-    """Run a test twice: sweeps picked by size, then forced vectorized."""
-    if request.param == "vector":
-        vector_sweeps()
+    if request.param == "reference":
+        use_reference_sweeps(monkeypatch)
     return request.param
 
 

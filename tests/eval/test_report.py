@@ -111,14 +111,6 @@ class TestDeterminismAndResume:
         problems = check_golden(smoke_report.out_dir / "tables", GOLDEN_DIR)
         assert problems == [], "\n".join(problems)
 
-    def test_vector_sweeps_match_committed_goldens(
-        self, tmp_path, vector_sweeps
-    ):
-        vector_sweeps()
-        report = generate_report(tmp_path, smoke=True)
-        problems = check_golden(report.out_dir / "tables", GOLDEN_DIR)
-        assert problems == [], "\n".join(problems)
-
     def test_regeneration_resumes_and_is_byte_identical(self, smoke_report):
         before_records = (
             smoke_report.out_dir / "records.jsonl"

@@ -7,10 +7,9 @@ order).  Its mapping contract is checked against the dict loop kept in
 ``tests/bfs_reference.py``: ``get``, ``[]`` (``KeyError`` for an
 unreached or unknown node), ``in``, ``len``, iteration and ``items()``
 in discovery order, ``reversed`` (of the view and of its items), the
-keys and values views, and ``==`` both ways.  Graphs sit just below
-``VECTOR_SWEEP_MIN_NODES`` and at it, so the serial and the vectorized
-kernel both build the arrays; each carries a second component and a
-lone node, so some nodes are unreached.
+keys and values views, and ``==`` both ways.  Graphs have 60 and
+2,000 nodes; each carries a second component and a lone node, so some
+nodes are unreached.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ import pytest
 from repro.network.compact import CompactTopology, TreeParents
 from repro.network.paths import bfs_tree_parents
 from repro.network.topology import barabasi_albert_edges
-
-THRESHOLD = CompactTopology.VECTOR_SWEEP_MIN_NODES
 
 #: Ids that no graph below interns.
 UNKNOWN = ("nowhere", -1, None, 10**9)
@@ -59,27 +56,17 @@ def _ba(n_nodes: int) -> dict:
 
 @pytest.fixture(
     params=[
-        (shape, n_nodes)
-        for shape in (_wheel, _ba)
-        for n_nodes in (THRESHOLD - 1, THRESHOLD)
+        (shape, n_nodes) for shape in (_wheel, _ba) for n_nodes in (60, 2_000)
     ],
     ids=lambda param: f"{param[0].__name__[1:]}-{param[1]}",
 )
-def graph(request, monkeypatch) -> tuple[dict, CompactTopology, list[str]]:
-    """``(adjacency, snapshot, kernels entered)`` of one test graph."""
+def graph(request) -> tuple[dict, CompactTopology]:
+    """``(adjacency, snapshot)`` of one test graph."""
     shape, n_nodes = request.param
     adjacency = shape(n_nodes)
     snapshot = CompactTopology.from_adjacency(adjacency)
     assert snapshot.num_nodes == n_nodes
-    entered: list[str] = []
-    kernel = CompactTopology._bfs_tree_np
-
-    def spy(self, src):
-        entered.append("vector")
-        return kernel(self, src)
-
-    monkeypatch.setattr(CompactTopology, "_bfs_tree_np", spy)
-    return adjacency, snapshot, entered
+    return adjacency, snapshot
 
 
 def _sources(adjacency: dict) -> list:
@@ -87,15 +74,9 @@ def _sources(adjacency: dict) -> list:
     return [nodes[0], nodes[1], nodes[len(nodes) // 2], "island-a", "lone"]
 
 
-def test_kernel_choice_follows_the_threshold(graph):
-    adjacency, snapshot, entered = graph
-    bfs_tree_parents(snapshot, _sources(adjacency)[0])
-    assert entered == (["vector"] if snapshot.num_nodes >= THRESHOLD else [])
-
-
 @pytest.mark.parametrize("form", ("snapshot", "mapping"))
 def test_reads_match_the_dict_loop(graph, form):
-    adjacency, snapshot, _ = graph
+    adjacency, snapshot = graph
     topology = snapshot if form == "snapshot" else adjacency
     for source in _sources(adjacency):
         view = bfs_tree_parents(topology, source)
@@ -114,7 +95,7 @@ def test_reads_match_the_dict_loop(graph, form):
 
 
 def test_order_and_equality_match_the_dict_loop(graph):
-    adjacency, snapshot, _ = graph
+    adjacency, snapshot = graph
     for source in _sources(adjacency):
         view = bfs_tree_parents(snapshot, source)
         expected = reference.bfs_tree_parents(adjacency, source)
@@ -132,7 +113,7 @@ def test_order_and_equality_match_the_dict_loop(graph):
 
 
 def test_arrays_back_the_view(graph):
-    adjacency, snapshot, _ = graph
+    adjacency, snapshot = graph
     source = _sources(adjacency)[1]
     parent, order = snapshot.bfs_tree(snapshot.index_of(source))
     expected = reference.bfs_tree_parents(adjacency, source)
@@ -147,7 +128,7 @@ def test_arrays_back_the_view(graph):
 
 
 def test_unknown_source_gives_an_empty_mapping(graph):
-    adjacency, snapshot, _ = graph
+    adjacency, snapshot = graph
     for topology in (snapshot, adjacency):
         for source in UNKNOWN:
             tree = bfs_tree_parents(topology, source)
@@ -156,7 +137,7 @@ def test_unknown_source_gives_an_empty_mapping(graph):
 
 
 def test_view_is_read_only(graph):
-    adjacency, snapshot, _ = graph
+    adjacency, snapshot = graph
     view = bfs_tree_parents(snapshot, _sources(adjacency)[0])
     with pytest.raises(TypeError):
         view["lone"] = 0  # type: ignore[index]

@@ -53,12 +53,12 @@ from repro.traces.generators import generate_ripple_workload
 #: large size exercises the bidirectional kernels on delta snapshots.
 GRAPH_SIZES = (40, 150)
 
-#: Every fuzz case runs twice: sweeps picked by size, then forced onto
-#: the vectorized kernel.  Delta snapshots, tombstones, and arena growth
-#: must be observably identical to a rebuild whichever kernel runs the
-#: BFS sweeps, so the whole suite doubles as a differential layer on top
-#: of tests/property/test_sweep_equivalence.py.
-pytestmark = pytest.mark.usefixtures("sweep_kernel")
+#: Every fuzz case runs twice: full sweeps on the C kernel, then on the
+#: reference dict loops.  Delta snapshots, tombstones, and arena growth
+#: must be observably identical to a rebuild whichever of the two runs
+#: the BFS sweeps, so the whole suite doubles as a differential layer on
+#: top of tests/property/test_sweep_equivalence.py.
+pytestmark = pytest.mark.usefixtures("sweeps")
 
 
 def _random_graph(rng: random.Random, n_nodes: int) -> ChannelGraph:

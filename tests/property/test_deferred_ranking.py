@@ -24,9 +24,8 @@ closed-channel check reads deferred entries), lookups with repeats,
 ``replace_path`` calls and the odd ``refresh``.  After every step every
 entry's ``paths`` and ``yen_cursor``, the order of the ``_source_layers``
 keys and every return value must be equal.  After every batch each
-deferred entry must refer to that batch's snapshot.  One graph is below
-``CompactTopology.VECTOR_SWEEP_MIN_NODES`` and one above, so both tree
-kernels build the layers.  Everything is seeded stdlib :mod:`random`.
+deferred entry must refer to that batch's snapshot.  The graphs have
+300 and 2,100 nodes.  Everything is seeded stdlib :mod:`random`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import pytest
 from table_reference import ImmediateTable
 
 from repro.core.routing_table import RoutingTable, TableEntry
-from repro.network.compact import CompactTopology
 from repro.network.dynamics import ChannelEvent, ChannelEventType
 from repro.network.graph import ChannelGraph
 from repro.network.paths import yen_k_shortest_paths
@@ -50,10 +48,6 @@ from repro.network.topology import (
 SIZES = (300, 2_100)
 SEEDS = (0, 1, 2)
 STEPS = 90
-
-
-def test_sizes_straddle_the_vector_threshold():
-    assert SIZES[0] < CompactTopology.VECTOR_SWEEP_MIN_NODES <= SIZES[1]
 
 
 def _graph(rng: random.Random, n_nodes: int) -> ChannelGraph:

@@ -25,14 +25,16 @@ feature's correctness rests on:
 
 Everything is seeded stdlib :mod:`random` (hypothesis draws only
 seeds/enums), so any failure replays from its example.  The
-fee-conservation and engine-equivalence cases also run with the
-vectorized BFS sweeps forced on (the ``vector_sweeps`` fixture).
+fee-conservation cases also run with the full sweeps on the dict loops
+of ``tests/bfs_reference.py`` (the ``sweeps`` fixture), and the
+engine-equivalence cases compare a run on those loops.
 """
 
 from __future__ import annotations
 
 import random
 
+import bfs_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -270,7 +272,7 @@ class TestFeeConservation:
     """Satellite: per-part fee shares sum to the fee paid, both sweeps."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_fee_shares_sum_to_fee(self, seed, sweep_kernel):
+    def test_fee_shares_sum_to_fee(self, seed, sweeps):
         rng = random.Random(seed)
         edges = barabasi_albert_edges(30, 2, rng)
         graph = build_channel_graph(edges, uniform_sampler(80.0, 200.0), rng)
@@ -374,8 +376,8 @@ class TestMppFaultCoverage:
 
 
 class TestParallelAndSweepEquivalence:
-    """MPP metrics are identical serial vs workers=N, and with the
-    vectorized sweeps forced on."""
+    """MPP metrics are identical serial vs workers=N, and with the full
+    sweeps on the reference loops."""
 
     @staticmethod
     def _scenario(rng: random.Random):
@@ -407,14 +409,15 @@ class TestParallelAndSweepEquivalence:
         )
 
     @pytest.mark.parametrize("engine", ["sequential", "concurrent"])
-    def test_vector_sweeps_match_serial(self, engine, vector_sweeps):
+    def test_sweeps_match_the_reference_loops(self, engine, monkeypatch):
         factories = {"Flash": flash_factory(k=4, m=2)}
         kwargs = dict(
             runs=2, base_seed=11, engine=engine, mpp_params=self._MPP
         )
         if engine == "concurrent":
             kwargs["engine_params"] = {"load": 50.0, "timeout": 10.0}
-        serial = run_comparison(self._scenario, factories, **kwargs)
-        vector_sweeps()
-        vector = run_comparison(self._scenario, factories, **kwargs)
-        assert serial.metrics == vector.metrics
+        with monkeypatch.context() as patch:
+            reference.use_reference_sweeps(patch)
+            expected = run_comparison(self._scenario, factories, **kwargs)
+        result = run_comparison(self._scenario, factories, **kwargs)
+        assert result.metrics == expected.metrics

@@ -12,9 +12,8 @@ results (a tree view, a dict) are in BFS discovery order:
 * ``largest_component_nodes``.
 
 Each is compared with the deleted loop, kept in ``tests/bfs_reference.py``,
-on seeded BA graphs below and above ``VECTOR_SWEEP_MIN_NODES``, so both
-sweep kernels are exercised without forcing the threshold.  So is the
-tree view itself, forwards and reversed, as edge betweenness reads it.
+on seeded BA graphs of 50, 300 and 2,500 nodes.  So is the tree view
+itself, forwards and reversed, as edge betweenness reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import random
 import bfs_reference as reference
 import pytest
 
-from repro.network.compact import CompactTopology
 from repro.network.dynamics import ChannelEventType
 from repro.network.graph import ChannelGraph
 from repro.network.paths import bfs_tree_parents
@@ -42,10 +40,6 @@ from repro.sim.faults import (
 
 SIZES = (50, 300, 2_500)
 SEEDS = (0, 1, 2)
-
-
-def test_largest_size_takes_the_vectorized_sweeps():
-    assert SIZES[0] < CompactTopology.VECTOR_SWEEP_MIN_NODES <= SIZES[-1]
 
 
 def _ba_graph(n_nodes: int, seed: int) -> ChannelGraph:

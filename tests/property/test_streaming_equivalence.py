@@ -16,10 +16,9 @@ workloads") is differential: feeding any engine a
 * the **same record schema** — ``to_record()`` key sets match, so store
   cells from streaming runs are interchangeable with list-run cells.
 
-Every case runs twice, with the BFS sweeps picked by graph size and
-forced onto the vectorized kernel (the streaming branch shares the
-routing kernels, so sweep identity must survive it), across all three
-engines.
+Every case runs twice, with the BFS sweeps on the C kernel and on the
+reference dict loops (the streaming branch shares the routing kernels,
+so sweep identity must survive it), across all three engines.
 
 The residency test closes the loop on the tentpole claim: a
 ``lightning-day`` smoke slice keeps peak *live* ``Transaction`` count
@@ -66,7 +65,7 @@ HOP_LATENCY = 0.2
 QUANTILE_TOLERANCE_ABS = 2 * HOP_LATENCY
 QUANTILE_TOLERANCE_REL = 0.15
 
-pytestmark = pytest.mark.usefixtures("sweep_kernel")
+pytestmark = pytest.mark.usefixtures("sweeps")
 
 
 def _graph(seed: int):

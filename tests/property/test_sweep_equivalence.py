@@ -1,12 +1,12 @@
-"""Differential fuzz layer: the vectorized sweeps must be *bit-identical*.
+"""Differential fuzz layer: the C full sweeps must be *bit-identical*.
 
 :class:`~repro.network.compact.CompactTopology` runs its unconstrained
-full sweeps (``distances_idx``, ``bfs_tree``) vectorized on
-graphs of at least ``VECTOR_SWEEP_MIN_NODES`` nodes and serially below.
-The serial sweeps are the reference every golden was recorded under;
-the vectorized ones may take over only because this suite proves, on
-seeded random inputs with the threshold forced to 0, that they are
-observationally indistinguishable:
+full sweeps (``distances_idx``, ``bfs_tree``) through scipy's C
+``breadth_first_order`` on every graph.  The serial loops are the
+reference every golden was recorded under; their dict-walking twins are
+kept in ``tests/bfs_reference.py``, and this suite proves, on seeded
+random inputs from 60 to 10,000 nodes, that the kernel is
+observationally indistinguishable from them:
 
 * ``distances_idx`` returns **the same dict in the same insertion
   order** (insertion order *is* BFS discovery order, and downstream
@@ -15,14 +15,17 @@ observationally indistinguishable:
   the same items in the same order, on fresh snapshots, on
   delta-derived ones (tombstones + arena rows) and on ``fork()``ed
   sibling snapshots;
-* end-to-end ``run_comparison`` metrics are equal across {serial with
-  sweeps picked by size, serial vectorized, parallel vectorized} on
-  both the sequential and the concurrent engine — including a
-  fee-market run (policies + load-responsive repricing controller),
-  where the fee metrics themselves must agree.
+* rows stored in descending index order keep their order: a CSR matrix
+  whose rows scipy sorted would break ties differently, and the
+  descending-rows case fails then;
+* end-to-end ``run_comparison`` metrics are equal across {serial on the
+  reference loops, serial, parallel} on both the sequential and the
+  concurrent engine — including a fee-market run (policies +
+  load-responsive repricing controller), where the fee metrics
+  themselves must agree.
 
-A dispatch test pins the size rule itself.  Everything is seeded stdlib
-:mod:`random`, so any failure replays from its seed.
+Everything is seeded stdlib :mod:`random`, so any failure replays from
+its seed.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ from repro.sim.factories import flash_factory, shortest_path_factory
 from repro.sim.runner import run_comparison
 from repro.traces.generators import generate_ripple_workload
 
-#: One size below BIDIRECTIONAL_MIN_NODES, one above; both far below
-#: VECTOR_SWEEP_MIN_NODES, so the references run the serial sweeps.
-GRAPH_SIZES = (60, 300)
+#: Below and above BIDIRECTIONAL_MIN_NODES, up to a scale-churn-sized
+#: graph.
+GRAPH_SIZES = (60, 300, 2_000, 10_000)
 
 FACTORIES = {
     "Flash": flash_factory(k=5, m=2),
@@ -74,7 +77,7 @@ def _churn(rng: random.Random, graph: ChannelGraph, ops: int) -> None:
 
 
 def _sweeps(snapshot: CompactTopology, sources) -> list:
-    """Both sweeps from every source, as ordered lists.
+    """Both kernel sweeps from every source, as ordered lists.
 
     ``==`` on mappings ignores order; ``items()`` pins discovery order
     too.  The tree kernel's arrays and the view over them are both read.
@@ -89,24 +92,44 @@ def _sweeps(snapshot: CompactTopology, sources) -> list:
     ]
 
 
+def _expected(snapshot: CompactTopology, sources, adjacency) -> list:
+    """What :func:`_sweeps` must give: the dict loops on ``adjacency``."""
+    return [
+        (
+            list(reference.distances_idx(snapshot, src, adjacency).items()),
+            [
+                array.tolist()
+                for array in reference.bfs_tree(snapshot, src, adjacency)
+            ],
+            list(
+                reference.bfs_tree_parents(
+                    adjacency, snapshot.nodes[src]
+                ).items()
+            ),
+        )
+        for src in sources
+    ]
+
+
 class TestKernelBitIdentity:
-    """Raw kernel sweeps: same dicts, same insertion order."""
+    """Raw kernel sweeps: same dicts and arrays, same order."""
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n_nodes", GRAPH_SIZES)
-    def test_distance_and_tree_sweeps(self, seed, n_nodes, vector_sweeps):
+    def test_distance_and_tree_sweeps(self, seed, n_nodes):
         rng = random.Random(10_000 * n_nodes + seed)
-        snapshot = _random_graph(rng, n_nodes).compact()
+        graph = _random_graph(rng, n_nodes)
+        snapshot = graph.compact()
         sources = rng.sample(range(snapshot.num_nodes), 12)
-        serial = _sweeps(snapshot, sources)
-        vector_sweeps()
-        assert _sweeps(snapshot, sources) == serial
+        assert _sweeps(snapshot, sources) == _expected(
+            snapshot, sources, graph.adjacency()
+        )
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n_nodes", GRAPH_SIZES)
-    def test_sweeps_after_churn_deltas(self, seed, n_nodes, vector_sweeps):
+    def test_sweeps_after_churn_deltas(self, seed, n_nodes):
         # apply_delta-derived snapshots (tombstones + arena rows) must
-        # vectorize identically to the serial walk over live slots.
+        # sweep exactly as the dict loop over the mutated graph does.
         rng = random.Random(20_000 * n_nodes + seed)
         graph = _random_graph(rng, n_nodes)
         graph.compact()  # warm so subsequent compacts are deltas
@@ -115,38 +138,84 @@ class TestKernelBitIdentity:
             _churn(rng, graph, rng.randrange(2, 8))
             snapshot = graph.compact()
             sources = rng.sample(range(snapshot.num_nodes), 6)
-            checked.append((snapshot, sources, _sweeps(snapshot, sources)))
+            assert _sweeps(snapshot, sources) == _expected(
+                snapshot, sources, graph.adjacency()
+            )
+            checked.append(snapshot)
         # Some snapshot carries tombstones, so live rows differ from CSR.
-        assert any(snap.num_slots > snap.live_slots for snap, *_ in checked)
-        vector_sweeps()
-        for snapshot, sources, serial in checked:
-            assert _sweeps(snapshot, sources) == serial
+        assert any(snap.num_slots > snap.live_slots for snap in checked)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_sweeps_on_forked_snapshots(self, seed, vector_sweeps):
+    def test_sweeps_on_forked_snapshots(self, seed):
         # Sibling copies fork one shared snapshot; each fork (and a
-        # fork's own delta) gets its own vector mirrors and scratch.
+        # fork's own delta) gets its own CSR matrix and scratch.
         rng = random.Random(25_000 + seed)
         source = _random_graph(rng, 300)
         first, second = source.copy(), source.copy()
         forks = [first.compact(), second.compact()]
+        adjacencies = [first.adjacency(), second.adjacency()]
         _churn(rng, first, 6)
         forks.append(first.compact())
+        adjacencies.append(first.adjacency())
         sources = rng.sample(range(300), 8)
-        serial = [_sweeps(snapshot, sources) for snapshot in forks]
-        assert serial[0] == serial[1]
-        vector_sweeps()
-        for snapshot, expected in zip(forks, serial):
+        for snapshot, adjacency in zip(forks, adjacencies):
+            expected = _expected(snapshot, sources, adjacency)
             assert _sweeps(snapshot, sources) == expected
-            # A fork taken after the mirrors exist shares them.
+            # A fork taken after the matrix exists shares it.
             assert _sweeps(snapshot.fork(), sources) == expected
 
-    def test_grid_sweeps_identical(self, vector_sweeps):
-        snapshot = grid_topology(12, 12, balance=80.0).compact()
+    def test_grid_sweeps_identical(self):
+        graph = grid_topology(12, 12, balance=80.0)
+        snapshot = graph.compact()
         sources = range(0, snapshot.num_nodes, 17)
-        serial = _sweeps(snapshot, sources)
-        vector_sweeps()
-        assert _sweeps(snapshot, sources) == serial
+        assert _sweeps(snapshot, sources) == _expected(
+            snapshot, sources, graph.adjacency()
+        )
+
+    def test_wheel_sweeps_match_the_dict_loop(self):
+        adjacency = _wheel(2_000)
+        snapshot = CompactTopology.from_adjacency(adjacency)
+        for src in (0, 1, 1_999):
+            assert list(bfs_distances(snapshot, src).items()) == list(
+                reference.bfs_distances(adjacency, src).items()
+            )
+            # The slot_ok sweep is the serial loop; it agrees too.
+            assert list(
+                bfs_distances(snapshot, src, edge_ok=lambda u, v: True).items()
+            ) == list(reference.bfs_distances(adjacency, src).items())
+            assert list(bfs_tree_parents(snapshot, src).items()) == list(
+                reference.bfs_tree_parents(adjacency, src).items()
+            )
+
+    @pytest.mark.parametrize("n_nodes", (60, 2_000))
+    def test_descending_rows_keep_their_order(self, n_nodes):
+        # Every row stored in descending index order, then a fork that
+        # took an open (appended at the end of both rows).  The C sweep
+        # walks the rows as stored; on sorted rows its ties would break
+        # differently, which the last assertion shows.
+        rng = random.Random(30_000 + n_nodes)
+        adjacency: dict = {}
+        for u, v in barabasi_albert_edges(n_nodes, 2, rng):
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
+        adjacency = {
+            u: sorted(adjacency[u], reverse=True) for u in range(n_nodes)
+        }
+        snapshot = CompactTopology.from_adjacency(adjacency)
+        a, b = 0, next(
+            v for v in range(n_nodes - 1, 0, -1) if v not in adjacency[0]
+        )
+        forked = snapshot.fork().apply_delta([("open", a, b)])
+        opened = {u: list(row) for u, row in adjacency.items()}
+        opened[a].append(b)
+        opened[b].append(a)
+        sources = [0, 1, n_nodes // 2, n_nodes - 1]
+        for snap, walked in ((snapshot, adjacency), (forked, opened)):
+            assert _sweeps(snap, sources) == _expected(snap, sources, walked)
+        ascending = CompactTopology.from_adjacency(
+            {u: sorted(row) for u, row in adjacency.items()}
+        )
+        assert _sweeps(ascending, sources) != _sweeps(snapshot, sources)
 
 
 def _wheel(n_nodes: int) -> dict[int, list[int]]:
@@ -158,83 +227,27 @@ def _wheel(n_nodes: int) -> dict[int, list[int]]:
     return adjacency
 
 
-class TestDispatch:
-    """The size rule: vectorized from VECTOR_SWEEP_MIN_NODES nodes up."""
-
-    @pytest.fixture
-    def entered(self, monkeypatch) -> list[str]:
-        """Names of the vectorized kernels entered, in call order."""
-        calls: list[str] = []
-        for name in ("_distances_idx_np", "_bfs_tree_np"):
-            kernel = getattr(CompactTopology, name)
-
-            def spy(self, src, _kernel=kernel, _name=name):
-                calls.append(_name)
-                return _kernel(self, src)
-
-            monkeypatch.setattr(CompactTopology, name, spy)
-        return calls
-
-    def _sweep_everything(self, snapshot: CompactTopology) -> None:
-        for src in (0, 1, snapshot.num_nodes - 1):
-            snapshot.distances_idx(src)
-            snapshot.distances_idx(src, slot_ok=lambda slot: True)
-            snapshot.bfs_tree(src)
-            node = snapshot.nodes[src]
-            bfs_distances(snapshot, node)
-            bfs_distances(snapshot, node, edge_ok=lambda u, v: True)
-            bfs_tree_parents(snapshot, node)
-
-    def test_below_threshold_never_vectorizes(self, entered):
-        n_nodes = CompactTopology.VECTOR_SWEEP_MIN_NODES - 1
-        snapshot = CompactTopology.from_adjacency(_wheel(n_nodes))
-        assert snapshot.num_nodes == n_nodes
-        self._sweep_everything(snapshot)
-        assert entered == []
-
-    def test_at_threshold_always_vectorizes(self, entered):
-        n_nodes = CompactTopology.VECTOR_SWEEP_MIN_NODES
-        adjacency = _wheel(n_nodes)
-        snapshot = CompactTopology.from_adjacency(adjacency)
-        self._sweep_everything(snapshot)
-        # Every unconstrained sweep, never a slot_ok/edge_ok one.
-        assert entered == 3 * [
-            "_distances_idx_np",
-            "_bfs_tree_np",
-            "_distances_idx_np",
-            "_bfs_tree_np",
-        ]
-        for src in (0, 1, n_nodes - 1):
-            assert list(bfs_distances(snapshot, src).items()) == list(
-                reference.bfs_distances(adjacency, src).items()
-            )
-            assert list(bfs_tree_parents(snapshot, src).items()) == list(
-                reference.bfs_tree_parents(adjacency, src).items()
-            )
-
-
 class TestEndToEndIdentity:
-    """run_comparison: by size == serial vectorized == parallel vectorized."""
+    """run_comparison: reference loops == serial == parallel."""
 
-    def _compare(
-        self, vector_sweeps, scenario, engine=None, engine_params=None
-    ):
+    def _compare(self, monkeypatch, scenario, engine=None, engine_params=None):
         kwargs = dict(
             runs=2, base_seed=7, engine=engine, engine_params=engine_params
         )
-        reference = run_comparison(scenario, FACTORIES, **kwargs)
-        vector_sweeps()
+        with monkeypatch.context() as patch:
+            reference.use_reference_sweeps(patch)
+            expected = run_comparison(scenario, FACTORIES, **kwargs)
         outcomes = {
-            "serial-vector": run_comparison(scenario, FACTORIES, **kwargs),
-            "parallel-vector": run_comparison(
+            "serial": run_comparison(scenario, FACTORIES, **kwargs),
+            "parallel": run_comparison(
                 scenario, FACTORIES, workers=2, **kwargs
             ),
         }
         for label, result in outcomes.items():
-            assert result.schemes() == reference.schemes(), label
-            for scheme in reference.schemes():
-                assert result[scheme] == reference[scheme], (
-                    f"{label}/{scheme} diverged from the serial sweeps"
+            assert result.schemes() == expected.schemes(), label
+            for scheme in expected.schemes():
+                assert result[scheme] == expected[scheme], (
+                    f"{label}/{scheme} diverged from the reference sweeps"
                 )
 
     @staticmethod
@@ -250,13 +263,13 @@ class TestEndToEndIdentity:
         workload = generate_ripple_workload(rng, graph.nodes, 50)
         return graph, workload
 
-    def test_sequential_engine_grid(self, vector_sweeps):
+    def test_sequential_engine_grid(self, monkeypatch):
         # Seed-independent topology: every run has the same graph.
-        self._compare(vector_sweeps, self._grid_scenario)
+        self._compare(monkeypatch, self._grid_scenario)
 
-    def test_sequential_engine_ba(self, vector_sweeps):
+    def test_sequential_engine_ba(self, monkeypatch):
         # Seed-dependent topology: every run has its own graph.
-        self._compare(vector_sweeps, self._ba_scenario)
+        self._compare(monkeypatch, self._ba_scenario)
 
     @staticmethod
     def _fee_market_scenario(rng: random.Random):
@@ -272,20 +285,20 @@ class TestEndToEndIdentity:
         workload = generate_ripple_workload(rng, graph.nodes, 50)
         return graph, workload, []
 
-    def test_sequential_engine_fee_market(self, vector_sweeps):
-        self._compare(vector_sweeps, self._fee_market_scenario)
+    def test_sequential_engine_fee_market(self, monkeypatch):
+        self._compare(monkeypatch, self._fee_market_scenario)
 
-    def test_concurrent_engine_grid(self, vector_sweeps):
+    def test_concurrent_engine_grid(self, monkeypatch):
         self._compare(
-            vector_sweeps,
+            monkeypatch,
             self._grid_scenario,
             engine="concurrent",
             engine_params={"load": 40.0},
         )
 
-    def test_concurrent_engine_fee_market(self, vector_sweeps):
+    def test_concurrent_engine_fee_market(self, monkeypatch):
         self._compare(
-            vector_sweeps,
+            monkeypatch,
             self._fee_market_scenario,
             engine="concurrent",
             engine_params={"load": 40.0},

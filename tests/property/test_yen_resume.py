@@ -20,9 +20,8 @@ every entry's ``paths`` and ``yen_cursor`` must match.  A small
 rebuilt, so a rebuilt layer can offer another first path.
 
 Everything is seeded stdlib :mod:`random` and runs twice, once with the
-BFS sweeps the routing table builds its layers from picked by graph
-size and once forced onto the vectorized kernel, so a failure replays
-from its seed.
+BFS sweeps the routing table builds its layers from on the C kernel and
+once on the reference dict loops, so a failure replays from its seed.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from repro.network.topology import barabasi_albert_edges
 #: paths than this for many pairs, so exhaustion is exercised too.
 K = 12
 
-pytestmark = pytest.mark.usefixtures("sweep_kernel")
-
+pytestmark = pytest.mark.usefixtures("sweeps")
 
 # ------------------------------------------------------------------ kernel
 

@@ -351,7 +351,7 @@ class TestDeterminism:
 class TestSequentialEquivalence:
     """engine="sequential" must stay byte-identical to the pre-change engine."""
 
-    def test_sequential_matches_prechange_golden(self, sweep_kernel):
+    def test_sequential_matches_prechange_golden(self, sweeps):
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
         scenario = scenarios.get_scenario("ripple-snapshot")
         factory = scenario.factory(workload_overrides={"transactions": 40})
