@@ -39,7 +39,12 @@ class RoutingOutcome:
 
     @staticmethod
     def failure() -> "RoutingOutcome":
-        return RoutingOutcome(success=False, delivered=0.0)
+        """The failed outcome: one shared instance, safe to share because
+        an outcome is frozen, so a failed attempt builds nothing."""
+        return _FAILURE
+
+
+_FAILURE = RoutingOutcome(success=False, delivered=0.0)
 
 
 @dataclass

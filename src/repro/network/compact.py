@@ -671,11 +671,17 @@ class CompactTopology(Mapping):
         symmetric = self._symmetric
         if symmetric is None:
             reverse_slot = self.reverse_slot
-            symmetric = all(
-                reverse_slot[slot] >= 0
-                for row in self.slot_rows
-                for slot in row
-            )
+            if self._dead_count == 0 and self._arena_count == 0:
+                # No tombstone and no arena slot: the live slots are the
+                # base range, which derived snapshots never write (they
+                # append past it), so one C-level scan answers.
+                symmetric = -1 not in reverse_slot[: self._base_slots]
+            else:
+                symmetric = all(
+                    reverse_slot[slot] >= 0
+                    for row in self.slot_rows
+                    for slot in row
+                )
             self._symmetric = symmetric
         return symmetric
 

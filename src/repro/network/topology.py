@@ -26,7 +26,7 @@ from collections.abc import Callable
 from repro.errors import TopologyError
 from repro.network.channel import NodeId
 from repro.network.graph import ChannelGraph
-from repro.network.paths import bfs_distances
+from repro.network.paths import bfs_tree_parents
 
 CapacitySampler = Callable[[random.Random], float]
 
@@ -288,7 +288,8 @@ def largest_component_nodes(graph: ChannelGraph) -> set[NodeId]:
     remaining = set(topology)
     best: set[NodeId] = set()
     while remaining:
-        component = set(bfs_distances(topology, next(iter(remaining))))
+        # A BFS tree's keys are exactly the nodes its sweep reaches.
+        component = set(bfs_tree_parents(topology, next(iter(remaining))))
         remaining -= component
         if len(component) > len(best):
             best = component

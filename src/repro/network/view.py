@@ -79,7 +79,16 @@ def _probe(
     balances, reverse_balances, fees = graph.probe_readings(path)
     counters.probe_operations += 1
     counters.probe_messages += len(balances)
-    return ProbeResult(tuple(path), balances, reverse_balances, fees)
+    # A probe result dies with its attempt, so it may skip the frozen
+    # dataclass __init__, at half its cost (see "Lifecycle of one
+    # payment" in docs/CONCURRENCY.md for which objects may).
+    result = object.__new__(ProbeResult)
+    fields = result.__dict__
+    fields["path"] = tuple(path)
+    fields["balances"] = balances
+    fields["reverse_balances"] = reverse_balances
+    fields["fees"] = fees
+    return result
 
 
 class NetworkView:

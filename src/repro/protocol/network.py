@@ -31,11 +31,19 @@ class NetworkStats:
 
     delivered: int = 0
     dropped: int = 0
-    by_type: dict[MessageType, int] = field(default_factory=dict)
+    # Keyed by the type's name: a str caches its hash, where a member
+    # would run the Python-level ``Enum.__hash__`` on every message.
+    _by_name: dict[str, int] = field(default_factory=dict, init=False)
 
     def record(self, message: Message) -> None:
         self.delivered += 1
-        self.by_type[message.mtype] = self.by_type.get(message.mtype, 0) + 1
+        name = message.mtype._name_
+        self._by_name[name] = self._by_name.get(name, 0) + 1
+
+    @property
+    def by_type(self) -> dict[MessageType, int]:
+        """Delivered messages per type, in order of first delivery."""
+        return {MessageType[name]: count for name, count in self._by_name.items()}
 
 
 class ProtocolNetwork:

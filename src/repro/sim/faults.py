@@ -42,7 +42,7 @@ from itertools import islice
 from repro.network.channel import NodeId
 from repro.network.dynamics import ChannelEvent, ChannelEventType
 from repro.network.graph import ChannelGraph
-from repro.network.paths import bfs_distances, bfs_tree_parents
+from repro.network.paths import bfs_tree_parents
 
 #: Sliding-window width (transactions) for the recovery-half-life
 #: success-rate estimate, and the tolerance band around the pre-attack
@@ -436,7 +436,9 @@ class PartitionSpec(FaultSpec):
         )
         region_size = max(1, int(self.fraction * len(nodes)))
         # The first ``region_size`` nodes a BFS from the seed discovers.
-        region = set(islice(bfs_distances(graph.compact(), seed), region_size))
+        region = set(
+            islice(bfs_tree_parents(graph.compact(), seed), region_size)
+        )
         events: list[ChannelEvent] = []
         for channel in graph.channels():
             if (channel.a in region) == (channel.b in region):

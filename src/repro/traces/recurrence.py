@@ -19,7 +19,9 @@ pairs recur inside a window.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from collections.abc import Sequence
+from itertools import accumulate
 
 from repro.network.channel import NodeId
 
@@ -77,8 +79,12 @@ class RecurrentPairSampler:
         self._nodes = list(nodes)
         self._rng = rng
         self._contacts_per_sender = min(contacts_per_sender, len(nodes) - 1)
-        self._contact_weights = zipf_weights(
-            self._contacts_per_sender, contact_exponent
+        # Cumulative weights, summed once: a pick bisects them exactly as
+        # ``rng.choices(population, weights=...)`` would after re-summing
+        # the same weights, with the same single ``random()`` draw.  A
+        # shorter contact list reads a prefix, whose sums are the same.
+        self._contact_cum = list(
+            accumulate(zipf_weights(self._contacts_per_sender, contact_exponent))
         )
         self._repeat_probability = repeat_probability
         # Only a small Zipf-weighted subset of nodes sends payments: a
@@ -88,7 +94,9 @@ class RecurrentPairSampler:
         rng.shuffle(shuffled)
         active = max(2, int(round(active_sender_fraction * len(shuffled))))
         self._senders = shuffled[:active]
-        self._sender_weights = zipf_weights(len(self._senders), sender_exponent)
+        self._sender_cum = list(
+            accumulate(zipf_weights(len(self._senders), sender_exponent))
+        )
         self._contacts: dict[NodeId, list[NodeId]] = {}
 
     def _contacts_of(self, sender: NodeId) -> list[NodeId]:
@@ -101,16 +109,23 @@ class RecurrentPairSampler:
             self._contacts[sender] = contacts
         return contacts
 
+    def _pick(self, population: list[NodeId], cum: list[float]) -> NodeId:
+        """``rng.choices(population, weights=...)[0]`` over the weights
+        whose first ``len(population)`` cumulative sums ``cum`` holds."""
+        hi = len(population) - 1
+        return population[
+            bisect(cum, self._rng.random() * (cum[hi] + 0.0), 0, hi)
+        ]
+
     def sample_sender(self) -> NodeId:
-        return self._rng.choices(self._senders, weights=self._sender_weights)[0]
+        return self._pick(self._senders, self._sender_cum)
 
     def sample_pair(self) -> tuple[NodeId, NodeId]:
         """One (sender, receiver) pair."""
         sender = self.sample_sender()
         contacts = self._contacts_of(sender)
         if self._rng.random() < self._repeat_probability and contacts:
-            weights = self._contact_weights[: len(contacts)]
-            receiver = self._rng.choices(contacts, weights=weights)[0]
+            receiver = self._pick(contacts, self._contact_cum)
         else:
             receiver = sender
             while receiver == sender:

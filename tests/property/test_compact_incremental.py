@@ -247,6 +247,79 @@ class TestIncrementalEquivalence:
             ChannelGraph.incremental_compact = True
 
 
+def _symmetric_by_rows(snapshot: CompactTopology) -> bool:
+    """Every live edge's reverse is live too, read off the neighbor rows."""
+    return all(u in snapshot[v] for u in snapshot for v in snapshot[u])
+
+
+def _random_delta(rng: random.Random, snapshot: CompactTopology) -> tuple:
+    """One op valid on ``snapshot``: a new node, a close of a two-way
+    channel or an open between two unconnected nodes."""
+    nodes = list(snapshot)
+    new_node = ("node", f"new-{len(nodes)}")
+    choice = rng.random()
+    if choice < 0.2:
+        return new_node
+    u = rng.choice(nodes)
+    if choice < 0.6:
+        two_way = [v for v in snapshot[u] if u in snapshot[v]]
+        return ("close", u, rng.choice(two_way)) if two_way else new_node
+    v = rng.choice(nodes)
+    if v != u and v not in snapshot[u] and u not in snapshot[v]:
+        return ("open", u, v)
+    return new_node
+
+
+class TestSymmetryFlag:
+    """``is_symmetric`` agrees with the live rows on both of its paths.
+
+    A snapshot with no tombstone and no arena slot answers from
+    ``reverse_slot`` over its base range; a derived snapshot whose flag
+    is unknown walks its live rows.  Every snapshot here derives before
+    any flag is read, so each one's flag is still unknown when checked,
+    and siblings of one parent append to the arrays they share.
+    """
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_flag_matches_the_rows(self, seed):
+        rng = random.Random(seed)
+        rows = _random_graph(rng, 60).adjacency()
+        # Some cases keep a few edges one way only (a directed mapping).
+        for _ in range(seed % 3):
+            u = rng.choice(list(rows))
+            rows[rng.choice(rows[u])].remove(u)
+        snapshots = [CompactTopology.from_adjacency(rows)]
+        for _ in range(24):
+            parent = rng.choice(snapshots)
+            snapshots.append(parent.apply_delta([_random_delta(rng, parent)]))
+        paths = set()
+        for snapshot in snapshots:
+            assert snapshot._symmetric is None
+            paths.add(snapshot._dead_count + snapshot._arena_count == 0)
+            assert snapshot.is_symmetric == _symmetric_by_rows(snapshot)
+            assert snapshot.is_symmetric == (seed % 3 == 0)
+        assert paths == {True, False}, "one of the two paths never ran"
+        for snapshot in snapshots:
+            fork = snapshot.fork()
+            assert fork.is_symmetric == _symmetric_by_rows(fork)
+
+    def test_node_only_delta_after_a_sibling_grew_the_arena(self):
+        # A sibling's opens append to the shared slot arrays; a later
+        # node-only child of the same parent has no arena of its own and
+        # reads only the base range.
+        rows = {0: [1], 1: [0, 2], 2: [1], 3: []}
+        base = CompactTopology.from_adjacency(rows)
+        opened = base.apply_delta([("open", 0, 3)])
+        grown = base.apply_delta([("node", 4)])
+        assert len(grown.reverse_slot) > grown._base_slots
+        assert grown._dead_count + grown._arena_count == 0
+        assert grown.is_symmetric and opened.is_symmetric and base.is_symmetric
+        one_way = CompactTopology.from_adjacency({0: [1], 1: [0, 2], 2: []})
+        assert not one_way.apply_delta([("open", 0, 2)]).is_symmetric
+        assert not one_way.apply_delta([("node", 3)]).is_symmetric
+        assert not one_way.is_symmetric
+
+
 def _random_policy_update(rng: random.Random, graph: ChannelGraph) -> None:
     """Gossip a fresh BOLT #7 policy for one random channel direction."""
     channel = rng.choice(list(graph.channels()))
